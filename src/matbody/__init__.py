@@ -48,6 +48,7 @@ from .errors import (
     GridTooSmall,
     LeftDomain,
     MatbodyError,
+    NonFiniteResponse,
     NotFlat,
     NotMorphism,
     NotUniform,

@@ -19,6 +19,7 @@ Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +73,15 @@ class FiberBasis:
         if self.dim == 0:
             return np.zeros((0, 12))
         return np.stack([e.to_vector() for e in self.basis])
+
+    @cached_property
+    def anchor_svd(self) -> tuple:
+        """SVD (U, sv, Vh) of the anchor block B[:, :3]^T (3 x dim), computed once.
+
+        Anchor rank, isotropy algebra and minimal lift are three readings of
+        this one decomposition; each only applies its v_tol cut to ``sv``.
+        """
+        return np.linalg.svd(self.basis_matrix()[:, :3].T)
 
     def sv_gap(self) -> float:
         """Ratio of smallest kept to largest dropped singular value (inf if clean)."""
@@ -154,11 +164,7 @@ def fiber(body: Body, x, samples: SampleSet,
 
 def anchor_rank(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> int:
     """Rank of the fiber's projection onto the anchor (v) block."""
-    if f.dim == 0:
-        return 0
-    vblock = f.basis_matrix()[:, :3]
-    sv = np.linalg.svd(vblock, compute_uv=False)
-    return int(np.sum(sv > v_tol))
+    return int(np.sum(f.anchor_svd[1] > v_tol))
 
 
 def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
@@ -167,12 +173,9 @@ def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
     Computed by restricting the span: coefficient vectors in the nullspace of
     the v-projection give the elements with v = 0.
     """
-    if f.dim == 0:
-        return FiberBasis(f.point, (), 0, f.singular_values)
+    rank = anchor_rank(f, v_tol)
     B = f.basis_matrix()
-    _, sv, Vh = np.linalg.svd(B[:, :3].T)      # 3 x dim
-    rank = int(np.sum(sv > v_tol))
-    coeffs = Vh[rank:]                         # (dim - rank, dim)
+    coeffs = f.anchor_svd[2][rank:]            # (dim - rank, dim)
     elements = tuple(AlgebroidElement.from_vector(c @ B) for c in coeffs)
     return FiberBasis(f.point, elements, f.dim - rank, f.singular_values)
 

@@ -11,14 +11,22 @@ appear only in the text rendering.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import jets
-from .algebroid import anchor_rank, fiber, isotropy_algebra, uniformity_verdict
+from .algebroid import (
+    DEFAULT_FD_STEP,
+    DEFAULT_RANK_TOL,
+    DEFAULT_V_TOL,
+    fiber,
+    uniformity_verdict,
+)
 from .bodies import (
     Body,
     builtin_body,
@@ -28,6 +36,7 @@ from .bodies import (
     polynomial_body,
 )
 from .connection import (
+    DEFAULT_FLAT_TOL,
     build_homogeneous_chart,
     chart_christoffels,
     christoffels,
@@ -35,8 +44,8 @@ from .connection import (
     homogeneity_verdict,
     minimal_lift_section,
 )
-from .errors import ConfigError, MatbodyError
-from .flows import SectionField, exp_trajectory
+from .errors import ConfigError, LeftDomain, MatbodyError, SingularMatrix
+from .flows import exp_trajectory
 from .grid import make_grid
 
 SCHEMA_NAME = "matbody.report.v1"
@@ -44,53 +53,79 @@ SCHEMA_NAME = "matbody.report.v1"
 # Gap threshold below which the rank decision at a point is flagged ambiguous.
 RANK_GAP_FLOOR = 10.0
 
-_DEFAULTS = {
-    "grid": {"resolution": [5, 5, 5], "margin": 0.1},
-    "samples": {"count": 24, "seed": 20240},
-    "tolerances": {
-        "rank_tol": 1e-6,
-        "v_tol": 1e-8,
-        "flat_tol": 1e-4,
-        "fd_step": 1e-5,
-        "membership_tol": None,
-    },
-    "flags": {
-        "emit_singular_values": False,
-        "emit_chart": False,
-        "emit_trajectories": False,
-    },
-}
+
+def _coerce(value, kind):
+    """A JSON value as ``kind`` (bool, int, float, or tuple for 3 ints), never lossily."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise TypeError("expected a list of 3 integers")
+        return tuple(_coerce(v, int) for v in value)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real)
+            or (kind is int and not float(value).is_integer())):
+        raise TypeError(f"expected {'true or false' if kind is bool else kind.__name__}")
+    return kind(value)
+
+
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+# rank_tol cuts sv / sv_max and v_tol the singular values of an orthonormal basis's
+# anchor block; both lie in [0, 1], so a tolerance >= 1 would discard every direction.
+_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+
+
+def _setting(default, path: str, kind, check=None):
+    """Field read from config key ``path`` ('section.key') as ``kind``, range-checked."""
+    return field(default=default, metadata={"path": path, "kind": kind, "check": check})
+
+
+def _nest(pairs) -> dict:
+    """Nested dict from (dotted path, value) pairs: ('a.b', v) -> {'a': {'b': v}}."""
+    doc = {}
+    for path, value in pairs:
+        section, _, key = path.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """Analysis settings; each field declares its config key, type and range once."""
+
     body_kind: Optional[str] = "homogeneous_isotropic"
     body_polynomial: Optional[dict] = None
-    resolution: tuple = (5, 5, 5)
-    margin: float = 0.1
-    sample_count: int = 24
-    seed: int = 20240
-    rank_tol: float = 1e-6
-    v_tol: float = 1e-8
-    flat_tol: float = 1e-4
-    fd_step: float = 1e-5
-    membership_tol: Optional[float] = None
-    emit_singular_values: bool = False
-    emit_chart: bool = False
-    emit_trajectories: bool = False
+    resolution: tuple = _setting((5, 5, 5), "grid.resolution", tuple,
+                                 (lambda r: min(r) >= 3, "3 integers >= 3"))
+    margin: float = _setting(0.1, "grid.margin", float, _POSITIVE)
+    sample_count: int = _setting(24, "samples.count", int, (lambda n: n >= 12, ">= 12"))
+    seed: int = _setting(20240, "samples.seed", int, (lambda n: n >= 0, ">= 0"))
+    rank_tol: float = _setting(DEFAULT_RANK_TOL, "tolerances.rank_tol", float, _UNIT)
+    v_tol: float = _setting(DEFAULT_V_TOL, "tolerances.v_tol", float, _UNIT)
+    flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _POSITIVE)
+    fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _POSITIVE)
+    # None selects the relative default rule (see bodies.membership_tol).
+    membership_tol: Optional[float] = _setting(None, "tolerances.membership_tol", float,
+                                               _POSITIVE)
+    emit_singular_values: bool = _setting(False, "flags.emit_singular_values", bool)
+    emit_chart: bool = _setting(False, "flags.emit_chart", bool)
+    emit_trajectories: bool = _setting(False, "flags.emit_trajectories", bool)
+
+    def __post_init__(self):
+        for f in _SETTINGS:
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            try:
+                object.__setattr__(self, f.name, _coerce(value, f.metadata["kind"]))
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"malformed {f.metadata['path']} = {value!r}: {exc}") from None
+        self.validate()
 
     def validate(self) -> "AnalysisConfig":
         if (self.body_kind is None) == (self.body_polynomial is None):
             raise ConfigError("config must select exactly one of builtin body or polynomial")
-        if len(self.resolution) != 3 or any(int(r) < 3 for r in self.resolution):
-            raise ConfigError(f"grid resolution must be 3 ints >= 3, got {self.resolution}")
-        if self.sample_count < 12:
-            raise ConfigError(f"sample count must be >= 12, got {self.sample_count}")
-        for name in ("rank_tol", "v_tol", "flat_tol", "fd_step", "margin"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.membership_tol is not None and self.membership_tol <= 0:
-            raise ConfigError("membership_tol must be > 0 when given")
+        for f in _SETTINGS:
+            value, check = getattr(self, f.name), f.metadata["check"]
+            if check and value is not None and not check[0](value):
+                raise ConfigError(f"{f.metadata['path']} must be {check[1]}, got {value!r}")
         if self.margin <= self.fd_step:
             raise ConfigError("grid margin must exceed fd_step so stencils stay in the box")
         return self
@@ -99,80 +134,44 @@ class AnalysisConfig:
     def from_dict(raw: dict) -> "AnalysisConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
-        known = {"body", "grid", "samples", "tolerances", "flags"}
-        unknown = set(raw) - known
+        sections = _nest((f.metadata["path"], f.name) for f in _SETTINGS)
+        unknown = set(raw) - set(sections) - {"body"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
 
-        def section(name):
-            merged = dict(_DEFAULTS[name])
-            user = raw.get(name, {})
-            if not isinstance(user, dict):
-                raise ConfigError(f"config section '{name}' must be an object")
-            bad = set(user) - set(merged)
-            if bad:
-                raise ConfigError(f"unknown keys in '{name}': {sorted(bad)}")
-            merged.update(user)
-            return merged
-
         body = raw.get("body", "homogeneous_isotropic")
-        body_kind, body_poly = None, None
         if isinstance(body, str):
-            body_kind = body
+            kwargs = {"body_kind": body}
         elif isinstance(body, dict) and "builtin" in body:
-            body_kind = body["builtin"]
+            kwargs = {"body_kind": body["builtin"]}
         elif isinstance(body, dict) and "polynomial" in body:
-            body_poly = body["polynomial"]
+            kwargs = {"body_kind": None, "body_polynomial": body["polynomial"]}
         else:
             raise ConfigError("body must be a builtin name or {'polynomial': {...}}")
 
-        g, s, t, f = section("grid"), section("samples"), section("tolerances"), section("flags")
-        try:
-            cfg = AnalysisConfig(
-                body_kind=body_kind,
-                body_polynomial=body_poly,
-                resolution=tuple(int(r) for r in g["resolution"]),
-                margin=float(g["margin"]),
-                sample_count=int(s["count"]),
-                seed=int(s["seed"]),
-                rank_tol=float(t["rank_tol"]),
-                v_tol=float(t["v_tol"]),
-                flat_tol=float(t["flat_tol"]),
-                fd_step=float(t["fd_step"]),
-                membership_tol=None if t["membership_tol"] is None
-                else float(t["membership_tol"]),
-                emit_singular_values=bool(f["emit_singular_values"]),
-                emit_chart=bool(f["emit_chart"]),
-                emit_trajectories=bool(f["emit_trajectories"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}")
-        return cfg.validate()
+        for name, keys in sections.items():
+            user = raw.get(name, {})
+            if not isinstance(user, dict):
+                raise ConfigError(f"config section '{name}' must be an object")
+            bad = set(user) - set(keys)
+            if bad:
+                raise ConfigError(f"unknown keys in '{name}': {sorted(bad)}")
+            kwargs.update((keys[k], v) for k, v in user.items())
+        return AnalysisConfig(**kwargs)
 
     def echo(self) -> dict:
         """Full configuration echo, including the package-level constants."""
-        return {
-            "body": self.body_kind if self.body_kind else {"polynomial": self.body_polynomial},
-            "grid": {"resolution": list(self.resolution), "margin": self.margin},
-            "samples": {"count": self.sample_count, "seed": self.seed},
-            "tolerances": {
-                "rank_tol": self.rank_tol,
-                "v_tol": self.v_tol,
-                "flat_tol": self.flat_tol,
-                "fd_step": self.fd_step,
-                "membership_tol": self.membership_tol,
-            },
-            "flags": {
-                "emit_singular_values": self.emit_singular_values,
-                "emit_chart": self.emit_chart,
-                "emit_trajectories": self.emit_trajectories,
-            },
-            "constants": {
-                "point_tol": jets.POINT_TOL,
-                "det_tol": jets.DET_TOL,
-                "rank_gap_floor": RANK_GAP_FLOOR,
-            },
+        doc = _nest((f.metadata["path"], getattr(self, f.name)) for f in _SETTINGS)
+        doc["body"] = self.body_kind if self.body_kind else {"polynomial": self.body_polynomial}
+        doc["constants"] = {
+            "point_tol": jets.POINT_TOL,
+            "det_tol": jets.DET_TOL,
+            "rank_gap_floor": RANK_GAP_FLOOR,
         }
+        return doc
+
+
+_SETTINGS = tuple(f for f in fields(AnalysisConfig) if "path" in f.metadata)
 
 
 def resolve_body(cfg: AnalysisConfig) -> Body:
@@ -181,70 +180,69 @@ def resolve_body(cfg: AnalysisConfig) -> Body:
     poly = cfg.body_polynomial
     if not isinstance(poly, dict) or "terms" not in poly:
         raise ConfigError("polynomial body needs a 'terms' list")
-    return polynomial_body(
-        poly["terms"], poly.get("lo"), poly.get("hi"), poly.get("name", "polynomial")
-    )
+    try:
+        return polynomial_body(
+            poly["terms"], poly.get("lo"), poly.get("hi"), poly.get("name", "polynomial")
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed polynomial body: {exc}") from exc
+
+
+def fiber_stage(body: Body, cfg: AnalysisConfig) -> tuple:
+    """Grid, sample set and per-point fibers: the stage shared by analyze and flow."""
+    try:
+        grid = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
+    samples = make_samples(cfg.sample_count, cfg.seed)
+    fibers = []
+    for x in grid.points:
+        try:
+            fibers.append(fiber(body, x, samples, cfg.rank_tol, cfg.fd_step))
+        except MatbodyError as exc:
+            raise type(exc)(f"at grid point {x.tolist()}: {exc}") from exc
+    return grid, samples, fibers
+
+
+def _entry(path: str, **kw):
+    """Report field stored at ``path`` of the canonical document."""
+    return field(metadata={"path": path}, **kw)
 
 
 @dataclass
 class AnalysisReport:
+    """Pipeline results; each field declares its place in the canonical document."""
+
     config: AnalysisConfig
-    body_name: str
-    grid_shape: tuple
-    point_records: list
-    uniformity: str
-    offending_points: list
-    homogeneity: str
-    homogeneity_reason: str
-    max_abs_gamma: Optional[float]
-    lift_residual_max: Optional[float]
-    max_abs_R: Optional[float]
-    max_abs_T: Optional[float]
-    interior_max_abs_R: Optional[float]
-    interior_max_abs_T: Optional[float]
-    rank_ambiguous_points: list
-    fiber_dim_levels: list
-    membership_tol_used: Optional[float]
-    exp_membership_defect: Optional[float]
-    chart: Optional[dict]
-    trajectory: Optional[list] = None
+    body_name: str = _entry("body")
+    grid_shape: list = _entry("grid_shape")
+    point_records: list = _entry("points")
+    uniformity: str = _entry("uniformity.verdict")
+    offending_points: list = _entry("uniformity.offending_points")
+    rank_ambiguous_points: list = _entry("diagnostics.rank_ambiguous_points")
+    fiber_dim_levels: list = _entry("diagnostics.fiber_dim_levels")
+    membership_tol_used: Optional[float] = _entry("diagnostics.membership_tol")
+    homogeneity: str = _entry("homogeneity.verdict", default="n/a")
+    homogeneity_reason: str = _entry(
+        "homogeneity.reason", default="body is not uniform; no material connection exists")
+    max_abs_gamma: Optional[float] = _entry("connection.max_abs_gamma", default=None)
+    lift_residual_max: Optional[float] = _entry("connection.lift_residual_max", default=None)
+    max_abs_R: Optional[float] = _entry("flatness.max_abs_R", default=None)
+    max_abs_T: Optional[float] = _entry("flatness.max_abs_T", default=None)
+    interior_max_abs_R: Optional[float] = _entry("flatness.interior_max_abs_R", default=None)
+    interior_max_abs_T: Optional[float] = _entry("flatness.interior_max_abs_T", default=None)
+    exp_membership_defect: Optional[float] = _entry("diagnostics.exp_membership_defect",
+                                                    default=None)
+    chart: Optional[dict] = _entry("chart", default=None)
+    trajectory: Optional[list] = _entry("trajectory", default=None)
     timings: dict = field(default_factory=dict)
 
     def to_canonical_dict(self) -> dict:
         """Deterministic payload: everything except wall-clock timings."""
-        return {
-            "schema": SCHEMA_NAME,
-            "config": self.config.echo(),
-            "body": self.body_name,
-            "grid_shape": list(self.grid_shape),
-            "points": self.point_records,
-            "uniformity": {
-                "verdict": self.uniformity,
-                "offending_points": self.offending_points,
-            },
-            "connection": {
-                "max_abs_gamma": self.max_abs_gamma,
-                "lift_residual_max": self.lift_residual_max,
-            },
-            "flatness": {
-                "max_abs_R": self.max_abs_R,
-                "max_abs_T": self.max_abs_T,
-                "interior_max_abs_R": self.interior_max_abs_R,
-                "interior_max_abs_T": self.interior_max_abs_T,
-            },
-            "homogeneity": {
-                "verdict": self.homogeneity,
-                "reason": self.homogeneity_reason,
-            },
-            "diagnostics": {
-                "rank_ambiguous_points": self.rank_ambiguous_points,
-                "fiber_dim_levels": self.fiber_dim_levels,
-                "membership_tol": self.membership_tol_used,
-                "exp_membership_defect": self.exp_membership_defect,
-            },
-            "chart": self.chart,
-            "trajectory": self.trajectory,
-        }
+        doc = _nest((f.metadata["path"], getattr(self, f.name))
+                    for f in fields(self) if "path" in f.metadata)
+        doc.update(schema=SCHEMA_NAME, config=self.config.echo())
+        return doc
 
 
 def _native(obj):
@@ -265,31 +263,24 @@ def _native(obj):
 
 def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     """Full uniformity/homogeneity pipeline; deterministic for a fixed config."""
-    cfg.validate()
     body = resolve_body(cfg)
     timings = {}
 
     t0 = time.perf_counter()
-    grid = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin)
-    samples = make_samples(cfg.sample_count, cfg.seed)
-    fibers = []
-    for x in grid.points:
-        try:
-            fibers.append(fiber(body, x, samples, cfg.rank_tol, cfg.fd_step))
-        except MatbodyError as exc:
-            raise type(exc)(f"at grid point {x.tolist()}: {exc}") from exc
+    grid, samples, fibers = fiber_stage(body, cfg)
     timings["fibers_s"] = time.perf_counter() - t0
 
+    uni = uniformity_verdict(fibers, cfg.v_tol)
     records, ambiguous = [], []
-    for p, f in enumerate(fibers):
+    for p, (f, rank) in enumerate(zip(fibers, uni.anchor_ranks)):
         idx = [int(i) for i in grid.index_of(p)]
         gap = f.sv_gap()
         rec = {
             "index": idx,
             "x": grid.points[p].tolist(),
             "fiber_dim": f.dim,
-            "isotropy_dim": isotropy_algebra(f, cfg.v_tol).dim,
-            "anchor_rank": anchor_rank(f, cfg.v_tol),
+            "isotropy_dim": f.dim - rank,
+            "anchor_rank": rank,
             "sv_gap": gap,
         }
         if cfg.emit_singular_values:
@@ -298,47 +289,48 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         if gap < RANK_GAP_FLOOR:
             ambiguous.append(idx)
 
-    uni = uniformity_verdict(fibers, cfg.v_tol)
-    offending = sorted(list(grid.index_of(p)) for p in uni.offending)
-    offending = [[int(i) for i in idx] for idx in offending]
-    dim_levels = sorted({f.dim for f in fibers})
-
-    max_gamma = lift_res = None
-    maxR = maxT = intR = intT = None
-    exp_defect = None
-    trajectory = None
-    mem_tol = cfg.membership_tol
-    chart_payload = None
-    verdict, reason = "n/a", "body is not uniform; no material connection exists"
-
+    out = dict(
+        body_name=body.name,
+        grid_shape=grid.shape,
+        point_records=records,
+        uniformity=uni.verdict,
+        offending_points=sorted(list(grid.index_of(p)) for p in uni.offending),
+        rank_ambiguous_points=ambiguous,
+        fiber_dim_levels=sorted({f.dim for f in fibers}),
+        membership_tol_used=cfg.membership_tol,
+    )
     if uni.uniform:
         t0 = time.perf_counter()
         section = minimal_lift_section(grid, fibers, cfg.v_tol)
         conn = christoffels(section)
         report = curvature_torsion(conn)
-        hom = homogeneity_verdict(body, fibers, section, report, cfg.flat_tol, cfg.v_tol)
+        hom = homogeneity_verdict(fibers, report, cfg.flat_tol, cfg.v_tol)
         timings["connection_s"] = time.perf_counter() - t0
-        verdict, reason = hom.verdict, hom.reason
-        max_gamma = conn.max_abs()
-        lift_res = float(np.max(section.residuals))
-        maxR, maxT = report.max_abs_R, report.max_abs_T
-        intR, intT = report.interior_max_abs_R, report.interior_max_abs_T
+        out.update(
+            homogeneity=hom.verdict,
+            homogeneity_reason=hom.reason,
+            max_abs_gamma=conn.max_abs(),
+            lift_residual_max=float(np.max(section.residuals)),
+            max_abs_R=report.max_abs_R,
+            max_abs_T=report.max_abs_T,
+            interior_max_abs_R=report.interior_max_abs_R,
+            interior_max_abs_T=report.interior_max_abs_T,
+        )
 
         t0 = time.perf_counter()
         center = grid.points[grid.n_points // 2]
-        if mem_tol is None:
-            mem_tol = membership_tol(body, samples, [center])
-        exp_defect, trajectory = _exponential_cross_check(
-            body, grid, section, samples, keep_records=cfg.emit_trajectories
+        if cfg.membership_tol is None:
+            out["membership_tol_used"] = membership_tol(body, samples, [center])
+        out["exp_membership_defect"], out["trajectory"] = _exponential_cross_check(
+            body, section, samples, center, keep_records=cfg.emit_trajectories
         )
         timings["cross_check_s"] = time.perf_counter() - t0
 
-        if cfg.emit_chart and verdict == "homogeneous_evidence":
+        if cfg.emit_chart and hom.verdict == "homogeneous_evidence":
             t0 = time.perf_counter()
-            chart = build_homogeneous_chart(conn, grid.points[grid.n_points // 2],
-                                            cfg.flat_tol)
+            chart = build_homogeneous_chart(conn, center, cfg.flat_tol)
             _, interior_max, full_max = chart_christoffels(conn, chart)
-            chart_payload = {
+            out["chart"] = {
                 "x0": chart.x0.tolist(),
                 "coords": chart.coords.tolist(),
                 "frames": chart.frames.tolist(),
@@ -347,51 +339,31 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
             }
             timings["chart_s"] = time.perf_counter() - t0
 
-    return AnalysisReport(
-        config=cfg,
-        body_name=body.name,
-        grid_shape=grid.shape,
-        point_records=_native(records),
-        uniformity=uni.verdict,
-        offending_points=offending,
-        homogeneity=verdict,
-        homogeneity_reason=reason,
-        max_abs_gamma=_native(max_gamma),
-        lift_residual_max=_native(lift_res),
-        max_abs_R=_native(maxR),
-        max_abs_T=_native(maxT),
-        interior_max_abs_R=_native(intR),
-        interior_max_abs_T=_native(intT),
-        rank_ambiguous_points=ambiguous,
-        fiber_dim_levels=[int(d) for d in dim_levels],
-        membership_tol_used=_native(mem_tol),
-        exp_membership_defect=_native(exp_defect),
-        chart=_native(chart_payload),
-        trajectory=_native(trajectory),
-        timings=timings,
-    )
+    return AnalysisReport(cfg, **_native(out), timings=timings)
 
 
-def _exponential_cross_check(body: Body, grid, section, samples,
+def _exponential_cross_check(body: Body, section, samples, center,
                              t: float = 0.1, keep_records: bool = False) -> tuple:
-    """Membership defect of the exponentiated lift in direction e1 at the center.
+    """Membership defect of the exponentiated lift in direction e1 at the grid center.
 
     Links the infinitesimal fiber computation back to the finite membership
     test along the flow; reported as a diagnostic, never gated.  Optionally
-    returns the per-step trajectory records for the report.
+    returns the per-step trajectory records for the report.  When the check
+    cannot run -- the trajectory leaves the grid hull, or its jet is singular
+    or non-finite -- it yields (None, None).
     """
-    a_data = grid.reshape(section.lam[:, 0, :, :])
-    v_data = np.broadcast_to(np.array([1.0, 0.0, 0.0]), (grid.n_points, 3))
-    s = SectionField.from_grid(grid.axes, grid.reshape(np.array(v_data)), a_data)
-    center = grid.points[grid.n_points // 2]
-    records = exp_trajectory(s, t, center)
-    t_end, y_end, f_end = records[-1]
-    defect = membership_defect(body, jets.Jet1(center, y_end, f_end), samples)
-    payload = None
-    if keep_records:
-        payload = [{"t": tk, "y": yk.tolist(), "F": fk.tolist()}
-                   for tk, yk, fk in records]
-    return defect, payload
+    try:
+        records = exp_trajectory(section.flow_field([1.0, 0.0, 0.0]), t, center)
+        t_end, y_end, f_end = records[-1]
+        defect = membership_defect(body, jets.Jet1(center, y_end, f_end), samples)
+    except (LeftDomain, SingularMatrix, ValueError):
+        return None, None
+    return defect, trajectory_records(records) if keep_records else None
+
+
+def trajectory_records(records) -> list:
+    """(t, y, F) steps of an exponential trajectory as JSON-ready dicts."""
+    return [{"t": t, "y": y.tolist(), "F": F.tolist()} for t, y, F in records]
 
 
 # ---------------------------------------------------------------------------

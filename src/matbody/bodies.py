@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OutOfDomain, SingularMatrix
+from .errors import ConfigError, NonFiniteResponse, OutOfDomain, SingularMatrix
 from .jets import DET_TOL, Jet1, as_point, invert
 
 _I3 = np.eye(3)
@@ -55,9 +55,6 @@ class Body:
         p = np.asarray(x, dtype=float)
         return bool(np.all(p >= self.lo + margin) and np.all(p <= self.hi - margin))
 
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -88,7 +85,7 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
 
 
 def evaluate(body: Body, F, x) -> np.ndarray:
-    """Response W-hat(F, x).  Raises OutOfDomain / SingularMatrix on bad input."""
+    """Response W-hat(F, x).  Raises OutOfDomain / SingularMatrix / NonFiniteResponse."""
     xp = np.asarray(x, dtype=float)
     if not body.contains(xp):
         raise OutOfDomain(f"{xp.tolist()} outside domain of body '{body.name}'")
@@ -97,7 +94,7 @@ def evaluate(body: Body, F, x) -> np.ndarray:
         raise SingularMatrix("deformation gradient is singular")
     val = np.asarray(body.response(Fm, xp), dtype=float).reshape(body.output_dim)
     if not np.all(np.isfinite(val)):
-        raise ValueError(f"response of '{body.name}' is non-finite at x={xp.tolist()}")
+        raise NonFiniteResponse(f"response of '{body.name}' is non-finite at x={xp.tolist()}")
     return val
 
 

@@ -18,13 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebroid import fiber
-from .analysis import AnalysisConfig, emit_report, resolve_body, run_analysis
-from .bodies import BUILTIN_DESCRIPTIONS, make_samples
+from .analysis import (AnalysisConfig, emit_report, fiber_stage, resolve_body, run_analysis,
+                       trajectory_records)
+from .bodies import BUILTIN_DESCRIPTIONS
 from .connection import minimal_lift_section
 from .errors import ConfigError, MatbodyError
-from .flows import SectionField, exp_trajectory
-from .grid import make_grid
+from .flows import MAX_STEP, exp_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,35 +63,38 @@ def _cmd_bodies(_args) -> int:
     return EXIT_OK
 
 
+def _reals(text: str, n: int, option: str) -> np.ndarray:
+    """Parse ``n`` comma-separated finite reals given to a command-line option."""
+    try:
+        values = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        values = None
+    if values is None or values.shape != (n,) or not np.all(np.isfinite(values)):
+        raise ConfigError(f"{option} expects {n} comma-separated finite real(s), got {text!r}")
+    return values
+
+
 def _cmd_flow(args) -> int:
     cfg = _load_config(args.config)
+    x = _reals(args.x, 3, "--x")
+    u = _reals(args.direction, 3, "--direction")
+    if not np.any(u):
+        raise ConfigError("--direction must not be all zero")
+    t = float(_reals(args.t, 1, "--t")[0])
+    step = float(_reals(args.step, 1, "--step")[0])
+    if not 0 < step <= MAX_STEP:
+        raise ConfigError(f"--step must be in (0, {MAX_STEP:g}], got {step:g}")
+
     body = resolve_body(cfg)
-    x = np.array([float(v) for v in args.x.split(",")])
-    if x.shape != (3,):
-        raise ConfigError("--x must be three comma-separated reals")
-    u = np.array([float(v) for v in args.direction.split(",")])
-    if u.shape != (3,) or not np.any(u):
-        raise ConfigError("--direction must be three comma-separated reals, not all zero")
-
-    grid = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin)
-    samples = make_samples(cfg.sample_count, cfg.seed)
-    fibers = [fiber(body, p, samples, cfg.rank_tol, cfg.fd_step) for p in grid.points]
+    grid, _, fibers = fiber_stage(body, cfg)
     section = minimal_lift_section(grid, fibers, cfg.v_tol)
-    a_data = grid.reshape(np.einsum("pjkl,j->pkl", section.lam, u))
-    v_data = grid.reshape(np.tile(u, (grid.n_points, 1)))
-    s = SectionField.from_grid(grid.axes, v_data, a_data)
-
-    step = float(args.step)
-    records = [
-        {"t": t_k, "y": y.tolist(), "F": F.tolist()}
-        for t_k, y, F in exp_trajectory(s, args.t, x, step)
-    ]
+    records = trajectory_records(exp_trajectory(section.flow_field(u), t, x, step))
     doc = {
         "schema": "matbody.trajectory.v1",
         "body": body.name,
         "x0": x.tolist(),
         "direction": u.tolist(),
-        "t": args.t,
+        "t": t,
         "step": step,
         "records": records,
     }
@@ -119,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("flow", help="dump one exponential trajectory of the material lift")
     f.add_argument("--config", required=True, help="path to JSON config")
-    f.add_argument("--t", type=float, required=True, help="flow time")
+    f.add_argument("--t", required=True, help="flow time")
     f.add_argument("--x", required=True, help="start point 'x,y,z'")
     f.add_argument("--direction", default="1,0,0", help="anchor direction 'x,y,z'")
     f.add_argument("--step", default="1e-3", help="RK4 step")

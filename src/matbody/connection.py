@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import DEFAULT_V_TOL, FiberBasis, anchor_rank, isotropy_algebra
+from .algebroid import DEFAULT_V_TOL, FiberBasis, anchor_rank, uniformity_verdict
 from .errors import GridTooSmall, LeftDomain, NotFlat, NotUniform
+from .flows import SectionField
 from .grid import Grid, TrilinearField, grid_gradient
 from .jets import as_point
 
@@ -35,10 +36,12 @@ class LinearSectionField:
     lam: np.ndarray          # (n, 3, 3, 3)
     residuals: np.ndarray    # (n,) anchor-match residual of the lift
 
-    def matrix_for(self, p: int, direction) -> np.ndarray:
-        """A(v) at point index p for an arbitrary direction v (linear in v)."""
+    def flow_field(self, direction) -> SectionField:
+        """The algebroid section x -> (u, A_x(u)) for a fixed direction u, on the grid hull."""
         u = np.asarray(direction, dtype=float).reshape(3)
-        return np.einsum("jkl,j->kl", self.lam[p], u)
+        a_data = self.grid.reshape(np.einsum("pjkl,j->pkl", self.lam, u))
+        v_data = self.grid.reshape(np.tile(u, (self.grid.n_points, 1)))
+        return SectionField.from_grid(self.grid.axes, v_data, a_data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,15 +100,15 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
     lam = np.zeros((n, 3, 3, 3))
     residuals = np.zeros(n)
     for p, f in enumerate(fibers):
-        if anchor_rank(f, v_tol) < 3:
+        rank = anchor_rank(f, v_tol)
+        if rank < 3:
             raise NotUniform(
                 f"anchor rank < 3 at grid point {p} ({f.point.tolist()}); no lift exists"
             )
         B = f.basis_matrix()                     # (k, 12), orthonormal rows
         Bv, Ba = B[:, :3], B[:, 3:]
         # coefficient space: solve Bv^T c = e_j, minimize |Ba^T c|
-        U, sv, Vh = np.linalg.svd(Bv.T, full_matrices=True)   # 3 x k
-        rank = int(np.sum(sv > v_tol))
+        U, sv, Vh = f.anchor_svd                 # of Bv^T, 3 x k
         null = Vh[rank:].T                       # (k, k - rank)
         worst = 0.0
         for j in range(3):
@@ -163,8 +166,7 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     )
 
 
-def homogeneity_verdict(body, fibers: Sequence[FiberBasis],
-                        section: LinearSectionField,
+def homogeneity_verdict(fibers: Sequence[FiberBasis],
                         report: CurvatureTorsionReport,
                         flat_tol: float = DEFAULT_FLAT_TOL,
                         v_tol: float = DEFAULT_V_TOL) -> HomogeneityResult:
@@ -175,25 +177,22 @@ def homogeneity_verdict(body, fibers: Sequence[FiberBasis],
     is unique and its obstruction is decisive.  With nontrivial isotropy an
     untested section could still be flat, so the verdict is inconclusive.
     """
-    for p, f in enumerate(fibers):
-        if anchor_rank(f, v_tol) < 3:
-            raise NotUniform(f"anchor rank < 3 at grid point {p}; body is not uniform")
-    iso_dims = tuple(isotropy_algebra(f, v_tol).dim for f in fibers)
-    flat = report.max_abs_R <= flat_tol and report.max_abs_T <= flat_tol
-    if flat:
-        return HomogeneityResult(
-            "homogeneous_evidence", report.max_abs_R, report.max_abs_T, iso_dims,
-            f"curvature and torsion below flat_tol {flat_tol:g} for the minimal lift",
-        )
-    if all(d == 0 for d in iso_dims):
-        return HomogeneityResult(
-            "obstructed", report.max_abs_R, report.max_abs_T, iso_dims,
-            "unique material connection (trivial isotropy) has nonzero torsion or curvature",
-        )
-    return HomogeneityResult(
-        "inconclusive", report.max_abs_R, report.max_abs_T, iso_dims,
-        "tested section is obstructed but nontrivial isotropy leaves other sections untested",
-    )
+    uni = uniformity_verdict(fibers, v_tol)
+    if not uni.uniform:
+        raise NotUniform(f"anchor rank < 3 at grid point {uni.offending[0]}; "
+                         "body is not uniform")
+    iso_dims = tuple(f.dim - r for f, r in zip(fibers, uni.anchor_ranks))
+    if report.max_abs_R <= flat_tol and report.max_abs_T <= flat_tol:
+        verdict = "homogeneous_evidence"
+        reason = f"curvature and torsion below flat_tol {flat_tol:g} for the minimal lift"
+    elif all(d == 0 for d in iso_dims):
+        verdict = "obstructed"
+        reason = "unique material connection (trivial isotropy) has nonzero torsion or curvature"
+    else:
+        verdict = "inconclusive"
+        reason = ("tested section is obstructed but nontrivial isotropy leaves other "
+                  "sections untested")
+    return HomogeneityResult(verdict, report.max_abs_R, report.max_abs_T, iso_dims, reason)
 
 
 def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),

@@ -17,6 +17,10 @@ class OutOfDomain(MatbodyError):
     """A point (or a finite-difference stencil) leaves the body's chart box."""
 
 
+class NonFiniteResponse(MatbodyError, ValueError):
+    """A body's response evaluated to inf or NaN."""
+
+
 class GridTooSmall(MatbodyError):
     """Grid derivative requested on a lattice with fewer than 3 points per axis."""
 

@@ -47,10 +47,6 @@ class SectionField:
         return np.asarray(v, dtype=float), np.asarray(A, dtype=float)
 
     @staticmethod
-    def from_functions(vf, af, lo, hi) -> "SectionField":
-        return SectionField(lambda x: (vf(x), af(x)), lo, hi)
-
-    @staticmethod
     def constant(v, A, lo, hi) -> "SectionField":
         v = np.asarray(v, dtype=float).reshape(3)
         A = np.asarray(A, dtype=float).reshape(3, 3)
@@ -84,25 +80,9 @@ def _rk4_step(section: SectionField, y: np.ndarray, F: np.ndarray, dt: float) ->
     return y, F
 
 
-def _rk4(section: SectionField, t: float, y0: np.ndarray, F0: np.ndarray,
-         step: float) -> tuple:
-    """Integrate from 0 to t with fixed-step RK4."""
-    n = max(1, math.ceil(abs(t) / step))
-    dt = t / n
-    y, F = y0.astype(float).copy(), F0.astype(float).copy()
-    for _ in range(n):
-        y, F = _rk4_step(section, y, F, dt)
-    return y, F
-
-
 def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> Jet1:
     """Exponential jet Exp_t of the section at x: (x -> y(t), F(t))."""
-    if step > MAX_STEP:
-        raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
-    x = as_point(x)
-    if t == 0.0:
-        return Jet1(x, x, np.eye(3))
-    y, F = _rk4(section, t, x, np.eye(3), step)
+    _, y, F = exp_trajectory(section, t, x, step)[-1]
     return Jet1(x, y, F)
 
 
@@ -115,8 +95,7 @@ def exp_trajectory(section: SectionField, t: float, x,
                    step: float = DEFAULT_STEP) -> list:
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
-    The partition matches exp_section's, so the final record equals the jet
-    it returns.
+    exp_section returns the jet of the final record.
     """
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")

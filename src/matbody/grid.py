@@ -27,12 +27,6 @@ class Grid:
     def n_points(self) -> int:
         return len(self.points)
 
-    def lo(self) -> np.ndarray:
-        return np.array([a[0] for a in self.axes])
-
-    def hi(self) -> np.ndarray:
-        return np.array([a[-1] for a in self.axes])
-
     def index_of(self, flat: int) -> tuple:
         return np.unravel_index(flat, self.shape)
 

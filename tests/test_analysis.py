@@ -1,9 +1,12 @@
 """Pipeline configuration, report serialization, determinism, and the CLI."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matbody import (
     AnalysisConfig,
@@ -41,11 +44,38 @@ def test_config_defaults_round_trip():
     {"body": 17},
     {"mystery": {}},
     {"grid": {"resolutoin": [5, 5, 5]}},       # typo must be rejected
+    # tolerances that would silently flip a verdict
+    {"body": "nonuniform", "tolerances": {"rank_tol": math.inf}},
+    {"body": "nonuniform", "tolerances": {"rank_tol": 2.0}},
+    {"body": "uniform_fgm", "tolerances": {"flat_tol": math.inf}},
+    {"tolerances": {"v_tol": math.inf}},
+    {"tolerances": {"v_tol": 1.0}},
+    # values that used to end in a traceback
+    {"grid": {"margin": math.nan}},
+    {"samples": {"seed": -1}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]],
+                             "lo": [-1, -1], "hi": [1, 1]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]],
+                             "lo": [1, 1, 1], "hi": [-1, -1, -1]}}},
+    # silent coercions
+    {"grid": {"resolution": [3.7, 3, 3]}},
+    {"flags": {"emit_chart": "no"}},
 ])
 def test_config_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
         cfg = AnalysisConfig.from_dict(raw)
         run_analysis(cfg)
+
+
+def test_cross_check_leaving_grid_hull_is_null():
+    # margin 0.9 leaves a hull 0.2 wide; the t = 0.1 cross-check flow exits it
+    r = run_analysis(AnalysisConfig.from_dict(
+        {"grid": {"resolution": [3, 3, 3], "margin": 0.9},
+         "flags": {"emit_trajectories": True}}))
+    assert (r.uniformity, r.homogeneity) == ("uniform", "homogeneous_evidence")
+    assert r.exp_membership_defect is None and r.trajectory is None
+    doc = parse_report(emit_report(r, "structured"))
+    assert doc["diagnostics"]["exp_membership_defect"] is None
 
 
 def test_polynomial_body_config_runs():
@@ -185,6 +215,11 @@ def test_cli_config_errors(tmp_path):
     assert main(["analyze", "--config", str(bad_json)]) == EXIT_CONFIG
     bad_body = write_config(tmp_path, {"body": "unknown_body"})
     assert main(["analyze", "--config", bad_body]) == EXIT_CONFIG
+    flow_cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}})
+    for options in (["--x", "a,b,c"], ["--x", "0,0,nan"], ["--x", "0,0,0", "--step", "abc"],
+                    ["--x", "0,0,0", "--step", "0"], ["--x", "0,0,0", "--step", "0.05"],
+                    ["--x", "0,0,0", "--direction", "0,0,0"]):
+        assert main(["flow", "--config", flow_cfg, "--t", "0.05", *options]) == EXIT_CONFIG
 
 
 def test_cli_flow(tmp_path):
@@ -203,6 +238,58 @@ def test_cli_flow(tmp_path):
     last = doc["records"][-1]
     assert last["t"] == pytest.approx(0.05)
     assert np.allclose(last["y"], [0.05, 0, 0], atol=1e-9)
+
+
+def test_cli_analyze_numerical_failure(tmp_path):
+    # a response that overflows to inf is a numerical failure, not a traceback
+    cfg = write_config(tmp_path, {
+        "body": {"polynomial": {"terms": [[[0] * 12, 1e308], [[2] + [0] * 11, 1e308]]}},
+        "grid": {"resolution": [3, 3, 3]},
+    })
+    assert main(["analyze", "--config", cfg]) == EXIT_NUMERICAL
+
+
+_TOLERANCE_RANGES = {
+    "rank_tol": st.floats(1e-12, 0.5),
+    "v_tol": st.floats(1e-12, 0.5),
+    "flat_tol": st.floats(1e-12, 1e3),
+    "fd_step": st.floats(1e-9, 0.05),
+}
+_OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
+                 for value in [math.inf, -math.inf, math.nan, 0.0, -1e-3]
+                 + ([1.0, 2.0] if name in ("rank_tol", "v_tol") else [])]
+
+
+@st.composite
+def config_documents(draw):
+    """3^3 config documents; about eight in nine carry one out-of-range tolerance."""
+    tolerances = {name: draw(good) for name, good in _TOLERANCE_RANGES.items()
+                  if draw(st.booleans())}
+    bad = draw(st.sampled_from(_OUT_OF_RANGE + [None] * 4))
+    if bad is not None:
+        tolerances[bad[0]] = bad[1]
+    doc = {
+        "body": draw(st.sampled_from(["homogeneous_isotropic", "uniform_fgm",
+                                      "uniform_fgm_integrable", "nonuniform"])),
+        "grid": {"resolution": [3, 3, 3], "margin": draw(st.floats(0.06, 0.95))},
+        "samples": {"count": 12, "seed": draw(st.integers(0, 2**32))},
+        "tolerances": tolerances,
+        "flags": {"emit_chart": draw(st.booleans())},
+    }
+    return doc, bad is not None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(config_documents())
+def test_cli_analyze_exit_contract(tmp_path_factory, case):
+    doc, bad = case
+    tmp = tmp_path_factory.mktemp("contract")
+    cfg = write_config(tmp, doc)
+    rc = main(["analyze", "--config", cfg, "--format", "structured",
+               "--out", str(tmp / "report.json")])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if bad:
+        assert rc == EXIT_CONFIG
 
 
 def test_cli_flow_numerical_failure(tmp_path):

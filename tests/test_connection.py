@@ -233,7 +233,7 @@ def run_verdict(body, samples, res=3):
     section = minimal_lift_section(grid, fibs)
     conn = christoffels(section)
     rep = curvature_torsion(conn)
-    return homogeneity_verdict(body, fibs, section, rep), conn
+    return homogeneity_verdict(fibs, rep), conn
 
 
 def test_homogeneity_verdicts(iso_body, fgm_body, fgm_integrable_body,
@@ -249,17 +249,16 @@ def test_homogeneity_verdicts(iso_body, fgm_body, fgm_integrable_body,
     with pytest.raises(NotUniform):
         fibs = fibers_on(nonuniform_body, grid, samples)
         rep = curvature_torsion(ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3))))
-        homogeneity_verdict(nonuniform_body, fibs, None, rep)
+        homogeneity_verdict(fibs, rep)
 
 
 def test_inconclusive_when_isotropy_nontrivial(iso_body, samples):
     """Force a non-flat report on the isotropic body: other sections may be flat."""
     grid = small_grid()
     fibs = fibers_on(iso_body, grid, samples)
-    section = minimal_lift_section(grid, fibs)
     conn = connection_from_fn(grid, curved_gamma)
     rep = curvature_torsion(conn)
-    res = homogeneity_verdict(iso_body, fibs, section, rep)
+    res = homogeneity_verdict(fibs, rep)
     assert res.verdict == "inconclusive"
 
 
