@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import DEFAULT_V_TOL, FiberBasis, anchor_rank, uniformity_verdict
-from .errors import GridTooSmall, LeftDomain, NotFlat, NotUniform
-from .flows import SectionField
+from .errors import LeftDomain, NotFlat, NotUniform
+from .flows import SectionField, _rk4_step
 from .grid import Grid, TrilinearField, grid_gradient
 from .jets import as_point
 
@@ -107,21 +107,12 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
             )
         B = f.basis_matrix()                     # (k, 12), orthonormal rows
         Bv, Ba = B[:, :3], B[:, 3:]
-        # coefficient space: solve Bv^T c = e_j, minimize |Ba^T c|
+        # Orthonormal rows give |c|^2 = |Bv^T c|^2 + |Ba^T c|^2, so among the
+        # solutions of Bv^T c = e_j the minimum-norm one minimizes |A(e_j)|.
         U, sv, Vh = f.anchor_svd                 # of Bv^T, 3 x k
-        null = Vh[rank:].T                       # (k, k - rank)
-        worst = 0.0
-        for j in range(3):
-            e = _EYE[j]
-            c0 = Vh[:rank].T @ ((U.T @ e)[:rank] / sv[:rank])
-            if null.shape[1]:
-                beta, *_ = np.linalg.lstsq(Ba.T @ null, -(Ba.T @ c0), rcond=None)
-                c = c0 + null @ beta
-            else:
-                c = c0
-            lam[p, j] = (Ba.T @ c).reshape(3, 3)
-            worst = max(worst, float(np.max(np.abs(Bv.T @ c - e))))
-        residuals[p] = worst
+        C = Vh[:rank].T @ (U[:, :rank].T / sv[:rank, None])   # column j solves e_j
+        lam[p] = (Ba.T @ C).T.reshape(3, 3, 3)
+        residuals[p] = float(np.max(np.abs(Bv.T @ C - _EYE)))
     return LinearSectionField(grid, lam, residuals)
 
 
@@ -139,8 +130,6 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     lattice-boundary points use one-sided stencils and are flagged.
     """
     grid = conn.grid
-    if min(grid.shape) < 3:
-        raise GridTooSmall(f"curvature needs >= 3 points per axis, got {grid.shape}")
     G = conn.lattice()                                   # (nx,ny,nz,3,3,3)
     dG = grid_gradient(grid, G)
     R = np.zeros(G.shape[:3] + (3, 3, 3, 3))
@@ -195,50 +184,49 @@ def homogeneity_verdict(fibers: Sequence[FiberBasis],
     return HomogeneityResult(verdict, report.max_abs_R, report.max_abs_T, iso_dims, reason)
 
 
+def _transport_field(conn: ConnectionField, substep, *points) -> tuple:
+    """Interpolated Christoffels and the RK4 substep (default min spacing / 4)."""
+    field = TrilinearField(conn.grid.axes, conn.lattice())
+    if not all(field.contains(p) for p in points):
+        raise LeftDomain("transport endpoints must lie in the grid hull")
+    return field, float(np.min(conn.grid.spacing)) / 4.0 if substep is None else substep
+
+
+def _transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> tuple:
+    """Transport frames P and integrate chart coordinates c along start -> end.
+
+    Solves dP/ds = -Gamma(y, v) P, dc/ds = P^-1 v on y = start + s v, v = end - start,
+    with n = ceil(max|v| / substep) >= 1 RK4 steps.  Stages sit at s = (k + frac)/n,
+    not at a running sum, and the last at ``end`` itself, so none leaves the segment.
+    Leading dimensions batch legs that share the same displacement.
+    """
+    v = end - start
+    n = max(1, math.ceil(float(np.max(np.abs(v))) / substep))
+
+    def rhs(frac, state):
+        s = (k + frac) / n                  # k is the step of the loop below
+        Gv = np.einsum("...kij,...j->...ki", field(end if s == 1.0 else start + s * v), v)
+        return -Gv @ state[0], np.linalg.solve(state[0], v[..., None])[..., 0]
+
+    for k in range(n):
+        P, c = _rk4_step(rhs, (P, c), 1.0 / n)
+    return P, c
+
+
 def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),
                     substep: float | None = None) -> tuple:
     """Parallel-transport a frame (and integrate the coframe) from x0 to target.
 
-    Follows the axis-ordered polyline determined by ``order``; solves
-    dP/ds = -Gamma(., dgamma) P and dc/ds = P^-1 dgamma with RK4.  Returns
-    (frame at target, chart coordinates of target).
+    Follows the axis-ordered polyline determined by ``order``, one leg per
+    axis.  Returns (frame at target, chart coordinates of target).
     """
-    grid = conn.grid
-    field = TrilinearField(grid.axes, conn.lattice())
-    x0 = as_point(x0)
-    target = as_point(target)
-    if not field.contains(x0) or not field.contains(target):
-        raise LeftDomain("transport endpoints must lie in the grid hull")
-    if substep is None:
-        substep = float(np.min(grid.spacing)) / 4.0
-    P = np.eye(3)
-    c = np.zeros(3)
-    q = x0.copy()
+    x0, target = as_point(x0), as_point(target)
+    field, substep = _transport_field(conn, substep, x0, target)
+    P, c, q = np.eye(3), np.zeros(3), x0
     for axis in order:
-        delta = target[axis] - q[axis]
-        if abs(delta) == 0.0:
-            continue
-        v = np.zeros(3)
-        v[axis] = delta                     # dgamma/ds on the unit parameter
-        n = max(1, math.ceil(abs(delta) / substep))
-        ds = 1.0 / n
-        start = q.copy()
-
-        def rhs(s, P):
-            point = start + s * v
-            Gu = np.einsum("kij,j->ki", field(point), v)
-            return -Gu @ P, np.linalg.solve(P, v)
-
-        s = 0.0
-        for _ in range(n):
-            k1P, k1c = rhs(s, P)
-            k2P, k2c = rhs(s + 0.5 * ds, P + 0.5 * ds * k1P)
-            k3P, k3c = rhs(s + 0.5 * ds, P + 0.5 * ds * k2P)
-            k4P, k4c = rhs(s + ds, P + ds * k3P)
-            P = P + (ds / 6.0) * (k1P + 2 * k2P + 2 * k3P + k4P)
-            c = c + (ds / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            s += ds
-        q[axis] = target[axis]
+        end = np.where(np.arange(3) == axis, target, q)     # q moved to target along axis
+        P, c = _transport_leg(field, q, end, P, c, substep)
+        q = end
     return P, c
 
 
@@ -247,9 +235,11 @@ def build_homogeneous_chart(conn: ConnectionField, x0,
                             substep: float | None = None) -> ChartField:
     """Coordinates in which a flat torsion-free connection has zero Christoffels.
 
-    Parallel-transports the identity frame from x0 along axis-ordered paths
-    and path-integrates the coframe.  Refuses (NotFlat) when curvature or
-    torsion exceeds flat_tol, since the result would be path-dependent.
+    Transports the identity frame from x0 and integrates the coframe along the
+    axis-ordered paths of ``transport_frame`` in one sweep: the x-line through
+    x0, the y-lines from its nodes, then the z-lines from theirs, each lattice
+    segment integrated once.  Refuses (NotFlat) when curvature or torsion
+    exceeds flat_tol, since the result would be path-dependent.
     """
     report = curvature_torsion(conn)
     if report.max_abs_R > flat_tol or report.max_abs_T > flat_tol:
@@ -257,15 +247,22 @@ def build_homogeneous_chart(conn: ConnectionField, x0,
             f"max|R| = {report.max_abs_R:.3e}, max|T| = {report.max_abs_T:.3e} "
             f"exceed flat_tol {flat_tol:g}"
         )
-    grid = conn.grid
-    n = grid.n_points
-    coords = np.zeros((n, 3))
-    frames = np.zeros((n, 3, 3))
-    for p in range(n):
-        P, c = transport_frame(conn, x0, grid.points[p], substep=substep)
-        frames[p] = P
-        coords[p] = c
-    return ChartField(grid, as_point(x0), coords, frames)
+    x0 = as_point(x0)
+    field, substep = _transport_field(conn, substep, x0)
+    points, frames, coords = x0[None], np.eye(3)[None], np.zeros((1, 3))
+    for axis, ticks in enumerate(conn.grid.axes):
+        # one line per current point; all lines walk out from x0 leg by leg together
+        line = np.repeat(points[:, None], len(ticks), axis=1)
+        line[:, :, axis] = ticks
+        line_P, line_c = np.empty(line.shape + (3,)), np.empty(line.shape)
+        j = int(np.searchsorted(ticks, x0[axis]))           # first tick >= x0
+        for walk in (range(j, len(ticks)), range(j - 1, -1, -1)):
+            q, P, c = points, frames, coords
+            for i in walk:
+                P, c = _transport_leg(field, q, line[:, i], P, c, substep)
+                q, line_P[:, i], line_c[:, i] = line[:, i], P, c
+        points, frames, coords = (a.reshape((-1,) + a.shape[2:]) for a in (line, line_P, line_c))
+    return ChartField(conn.grid, x0, coords, frames)
 
 
 def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:

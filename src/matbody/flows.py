@@ -55,29 +55,21 @@ class SectionField:
     @staticmethod
     def from_grid(axes, v_data, a_data) -> "SectionField":
         """Trilinear interpolation of lattice samples; domain is the grid hull."""
-        vf = TrilinearField(axes, np.asarray(v_data, dtype=float))
-        af = TrilinearField(axes, np.asarray(a_data, dtype=float))
-        lo = [a[0] for a in axes]
-        hi = [a[-1] for a in axes]
-        return SectionField(lambda x: (vf(x), af(x)), lo, hi)
+        vf, af = TrilinearField(axes, v_data), TrilinearField(axes, a_data)
+        return SectionField(lambda x: (vf(x), af(x)), [a[0] for a in axes], [a[-1] for a in axes])
 
 
-def _rk4_step(section: SectionField, y: np.ndarray, F: np.ndarray, dt: float) -> tuple:
-    """One RK4 step of (dy, dF) = (v(y), A(y) F)."""
+def _rk4_step(rhs: Callable, state: tuple, dt: float) -> tuple:
+    """One classical RK4 step of d(state)/dt = rhs(c, state) for a tuple of arrays.
 
-    def rhs(y, F):
-        v, A = section.value(y)
-        return v, A @ F
-
-    k1y, k1f = rhs(y, F)
-    k2y, k2f = rhs(y + 0.5 * dt * k1y, F + 0.5 * dt * k1f)
-    k3y, k3f = rhs(y + 0.5 * dt * k2y, F + 0.5 * dt * k2f)
-    k4y, k4f = rhs(y + dt * k3y, F + dt * k3f)
-    y = y + (dt / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-    F = F + (dt / 6.0) * (k1f + 2 * k2f + 2 * k3f + k4f)
-    if not section.contains(y):
-        raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-    return y, F
+    ``c`` is the stage's fraction of the step (0, 1/2 or 1), for a time-dependent rhs.
+    """
+    k1 = rhs(0.0, state)
+    k2 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k1)))
+    k3 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k2)))
+    k4 = rhs(1.0, tuple(x + dt * d for x, d in zip(state, k3)))
+    return tuple(x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
 
 
 def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> Jet1:
@@ -106,8 +98,15 @@ def exp_trajectory(section: SectionField, t: float, x,
         return records
     n = max(1, math.ceil(abs(t) / step))
     dt = t / n
+
+    def rhs(_c, state):
+        v, A = section.value(state[0])
+        return v, A @ state[1]
+
     for k in range(1, n + 1):
-        y, F = _rk4_step(section, y, F, dt)
+        y, F = _rk4_step(rhs, (y, F), dt)
+        if not section.contains(y):
+            raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
         records.append((k * dt, y.copy(), F.copy()))
     return records
 

@@ -6,10 +6,10 @@ that serializes per-point data relies on that ordering being stable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GridTooSmall, LeftDomain
 
@@ -59,27 +59,35 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
 
 
 class TrilinearField:
-    """Trilinear interpolant of lattice tensor data; refuses to extrapolate."""
+    """Trilinear interpolant of lattice tensor data at points (..., 3); never extrapolates."""
 
     def __init__(self, axes, values: np.ndarray):
         values = np.asarray(values, dtype=float)
+        self._axes = tuple(np.asarray(a, dtype=float) for a in axes)
+        self._lo, self._hi = np.array([(a[0], a[-1]) for a in self._axes]).T
         self._value_shape = values.shape[3:]
-        flat = values.reshape(values.shape[:3] + (-1,))
-        self._interp = RegularGridInterpolator(axes, flat, method="linear",
-                                               bounds_error=True)
-        self._lo = np.array([a[0] for a in axes])
-        self._hi = np.array([a[-1] for a in axes])
+        self._flat = values.reshape(values.shape[:3] + (-1,))
 
     def contains(self, x) -> bool:
         p = np.asarray(x, dtype=float)
         return bool(np.all(p >= self._lo) and np.all(p <= self._hi))
 
     def __call__(self, x) -> np.ndarray:
-        try:
-            out = self._interp(np.asarray(x, dtype=float))[0]
-        except ValueError as exc:
-            raise LeftDomain(f"point {np.asarray(x).tolist()} outside grid hull") from exc
-        return out.reshape(self._value_shape)
+        p = np.asarray(x, dtype=float)
+        if not self.contains(p):
+            raise LeftDomain(f"point {p.tolist()} outside grid hull")
+        cells, weights = [], []
+        for a, q in zip(self._axes, np.moveaxis(p, -1, 0)):
+            # points on the upper hull face fall in the last cell
+            i = np.minimum(np.searchsorted(a, q, side="right") - 1, len(a) - 2)
+            t = ((q - a[i]) / (a[i + 1] - a[i]))[..., None]
+            cells.append(i)
+            weights.append((1.0 - t, t))
+        (i, j, k), (wi, wj, wk) = cells, weights
+        out = 0.0
+        for di, dj, dk in itertools.product((0, 1), repeat=3):
+            out = out + wi[di] * wj[dj] * wk[dk] * self._flat[i + di, j + dj, k + dk]
+        return out.reshape(p.shape[:-1] + self._value_shape)
 
 
 def grid_gradient(grid: Grid, values: np.ndarray) -> list:

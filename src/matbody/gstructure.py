@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import Body, SampleSet, is_material_symmetry
 from .errors import NotMorphism, OutOfDomain, SourceTargetMismatch
-from .grid import Grid, TrilinearField, grid_gradient
+from .grid import Grid, grid_gradient
 from .jets import Frame, Jet1, as_matrix, as_point, points_close
 
 MORPHISM_TOL = 1e-9
@@ -48,11 +48,6 @@ class Parallelism:
     def constant(M, lo, hi) -> "Parallelism":
         M = np.asarray(M, dtype=float)
         return Parallelism(lambda x: M, lo, hi)
-
-    @staticmethod
-    def from_grid(axes, frames) -> "Parallelism":
-        field = TrilinearField(axes, np.asarray(frames, dtype=float))
-        return Parallelism(field, [a[0] for a in axes], [a[-1] for a in axes])
 
     def right_translate(self, Z0) -> "Parallelism":
         """The parallelism x -> P(x) Z0 (same induced groupoid section)."""

@@ -267,12 +267,17 @@ def test_inconclusive_when_isotropy_nontrivial(iso_body, samples):
 # ---------------------------------------------------------------------------
 
 def test_chart_of_zero_connection_is_identity():
-    grid = small_grid(res=4)
-    conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
-    x0 = np.zeros(3)
-    chart = build_homogeneous_chart(conn, x0)
-    assert np.max(np.abs(chart.coords - (grid.points - x0))) <= 1e-12
-    assert np.max(np.abs(chart.frames - np.eye(3))) <= 1e-12
+    grids = [(small_grid(res=4), np.zeros(3))]
+    # even and mixed resolutions from the grid centre, whose legs end on the hull
+    for res in [(6, 6, 6), (5, 6, 7), (6, 4, 3)]:
+        for margin in (0.05, 0.1, 0.2):
+            grid = make_grid(-np.ones(3), np.ones(3), res, margin)
+            grids.append((grid, grid.points[grid.n_points // 2]))
+    for grid, x0 in grids:
+        conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
+        chart = build_homogeneous_chart(conn, x0)
+        assert np.max(np.abs(chart.coords - (grid.points - x0))) <= 1e-12
+        assert np.max(np.abs(chart.frames - np.eye(3))) <= 1e-12
 
 
 def test_chart_recovers_integrable_deformation(fgm_integrable_body, samples):
@@ -310,6 +315,19 @@ def test_chart_path_independence_when_flat(fgm_integrable_body, samples):
     P2, c2 = transport_frame(conn, np.zeros(3), target, order=(2, 1, 0))
     assert np.max(np.abs(P1 - P2)) <= 1e-3
     assert np.max(np.abs(c1 - c2)) <= 1e-3
+
+
+@pytest.mark.parametrize("res, origin", [(4, "zero"), (5, "centre")])
+def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, origin):
+    """The one-sweep chart follows the axis-ordered paths of transport_frame."""
+    grid = small_grid(res=res)
+    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
+    x0 = np.zeros(3) if origin == "zero" else grid.points[grid.n_points // 2]
+    chart = build_homogeneous_chart(conn, x0)
+    for p, target in enumerate(grid.points):
+        P, c = transport_frame(conn, x0, target)
+        assert np.max(np.abs(chart.frames[p] - P)) <= 1e-10
+        assert np.max(np.abs(chart.coords[p] - c)) <= 1e-10
 
 
 def test_chart_refuses_torsion(fgm_body, samples):
