@@ -14,6 +14,7 @@ from .algebroid import (
     anchor_rank,
     constraint_rows,
     fiber,
+    fibers_at,
     isotropy_algebra,
     uniformity_verdict,
 )

@@ -13,6 +13,10 @@ nullspace yields the fiber.  The rank decision is the fragile step of the
 whole pipeline, so every fiber carries its full singular-value spectrum and
 the gap at the cut for auditing.
 
+The central-difference stencils of every sample gradient at a chunk of points
+are evaluated as two batches (F-stencils, x-stencils), and the chunk's
+nullspaces come from one stacked SVD.
+
 Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 """
 
@@ -25,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bodies import Body, SampleSet, evaluate
-from .errors import OutOfDomain
+from .errors import MatbodyError, OutOfDomain, first_true, with_index
 from .jets import as_point
 
 DEFAULT_FD_STEP = 1e-5
@@ -94,72 +98,101 @@ class FiberBasis:
         return float(sv[rank - 1] / sv[rank])
 
 
-def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
-    """Central-difference gradients (dW/dF, dW/dx) of shape (d,3,3) and (d,3).
+# About this many (F, x) pairs go into one evaluate call of the fibre stencils:
+# chunks of grid points of this size keep the stencil and response
+# temporaries near a megabyte at any grid size.
+STENCIL_PAIRS = 4096
 
-    The x-stencil must stay inside the body's box; the F-stencil has no such
-    restriction.
+# Unit steps of the 9 entries of F (E_ij, row-major) and of the 3 coordinates of x.
+_F_STEPS = np.eye(9).reshape(9, 3, 3)
+_X_STEPS = np.eye(3)
+
+
+def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
+    """Central-difference gradients (dW/dF, dW/dx) at every pair of points x and gradients F.
+
+    For x of shape (..., 3) and F of shape (..., 3, 3) the results have shapes
+    x.shape[:-1] + F.shape[:-2] + (d, 3, 3) and (..., d, 3): point axes first,
+    then gradient axes.  Each of the two stencil blocks (F, x) is one evaluate
+    call.  The x-stencil must stay inside the body's box; the F-stencil has no
+    such restriction.
     """
-    x = as_point(x)
-    if not body.contains(x, margin=fd_step):
-        raise OutOfDomain(
-            f"x = {x.tolist()} closer than fd_step {fd_step:g} to the domain boundary"
-        )
+    x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
-    d = body.output_dim
-    dWdF = np.zeros((d, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            Fp = F.copy(); Fp[i, j] += fd_step
-            Fm = F.copy(); Fm[i, j] -= fd_step
-            dWdF[:, i, j] = (evaluate(body, Fp, x) - evaluate(body, Fm, x)) / (2 * fd_step)
-    dWdx = np.zeros((d, 3))
-    for k in range(3):
-        xp = x.copy(); xp[k] += fd_step
-        xm = x.copy(); xm[k] -= fd_step
-        dWdx[:, k] = (evaluate(body, F, xp) - evaluate(body, F, xm)) / (2 * fd_step)
-    return dWdF, dWdx
+    near = ~np.all((x >= body.lo + fd_step) & (x <= body.hi - fd_step), axis=-1)
+    if near.any():
+        i = first_true(near, near.shape)
+        raise with_index(OutOfDomain(
+            f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
+    steps = np.array([fd_step, -fd_step])
+    pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
+    Fc = F[..., None, None, :, :]
+    # values on axes (points..., gradients..., sign of the step, stepped entry, d)
+    W_F = evaluate(body, Fc + steps[:, None, None, None] * _F_STEPS, pts)
+    W_x = evaluate(body, Fc, pts + steps[:, None, None] * _X_STEPS)
+    dWdF, dWdx = (np.swapaxes(W[..., 0, :, :] - W[..., 1, :, :], -1, -2) / (2 * fd_step)
+                  for W in (W_F, W_x))
+    return dWdF.reshape(dWdF.shape[:-1] + (3, 3)), dWdx
 
 
 def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """d x 12 linearized membership constraints at (F, x).
+    """Linearized membership constraints, (d, 12) rows per pair of points x and gradients F.
 
     Row m applied to [v | A] is <dW_m/dF, F A> - <dW_m/dx, v>; the A-block
     coefficients are therefore F^T dW_m/dF (row-major) and the v-block is
-    -dW_m/dx.
+    -dW_m/dx.  Shapes batch as in ``response_gradients``.
     """
     dWdF, dWdx = response_gradients(body, x, F, fd_step)
     F = np.asarray(F, dtype=float)
-    rows = np.zeros((body.output_dim, 12))
-    for m in range(body.output_dim):
-        rows[m, :3] = -dWdx[m]
-        rows[m, 3:] = (F.T @ dWdF[m]).ravel()
-    return rows
+    A = np.swapaxes(F, -1, -2)[..., None, :, :] @ dWdF
+    return np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
 
 
 def stack_constraints(body: Body, x, samples: SampleSet,
                       fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """(count*d) x 12 constraint matrix over a sample set."""
-    return np.vstack([constraint_rows(body, x, F, fd_step) for F in samples.matrices])
+    """(count*d) x 12 constraint matrix over a sample set, per point x (..., 3)."""
+    rows = constraint_rows(body, x, samples.matrices, fd_step)
+    return rows.reshape(rows.shape[:-3] + (-1, 12))
+
+
+def fibers_at(body: Body, points, samples: SampleSet,
+              rank_tol: float = DEFAULT_RANK_TOL,
+              fd_step: float = DEFAULT_FD_STEP) -> list:
+    """Fibers at each of ``points`` (n, 3): nullspaces of their stacked constraints.
+
+    Keeps singular values above rank_tol * sigma_max as range directions; the
+    remaining right-singular vectors span the fiber.  The full spectrum is
+    retained on each result so callers can audit the gap at the cut.  Points
+    go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
+    with one stacked SVD.  A failing evaluation raises with the offending
+    point's index in ``points`` as the error's ``index``.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    chunk = max(1, STENCIL_PAIRS // (18 * samples.count))
+    out = []
+    for start in range(0, len(points), chunk):
+        block = points[start:start + chunk]
+        try:
+            L = stack_constraints(body, block, samples, fd_step)
+        except MatbodyError as exc:
+            exc.index = (start + int(exc.index[0]),)
+            raise
+        _, svs, Vhs = np.linalg.svd(L)
+        for x, sv, Vh in zip(block, svs, Vhs):
+            rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
+            sv_full = np.zeros(12)
+            sv_full[: len(sv)] = sv
+            sv_full.setflags(write=False)
+            basis = tuple(AlgebroidElement.from_vector(u) for u in Vh[rank:])
+            out.append(FiberBasis(as_point(x), basis, 12 - rank, sv_full))
+    return out
 
 
 def fiber(body: Body, x, samples: SampleSet,
           rank_tol: float = DEFAULT_RANK_TOL,
           fd_step: float = DEFAULT_FD_STEP) -> FiberBasis:
-    """Numerical nullspace of the stacked constraints at x.
-
-    Keeps singular values above rank_tol * sigma_max as range directions; the
-    remaining right-singular vectors span the fiber.  The full spectrum is
-    retained on the result so callers can audit the gap at the cut.
-    """
-    L = stack_constraints(body, x, samples, fd_step)
-    _, sv, Vh = np.linalg.svd(L)
-    sv_full = np.zeros(12)
-    sv_full[: len(sv)] = sv
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
-    basis = tuple(AlgebroidElement.from_vector(u) for u in Vh[rank:])
-    sv_full.setflags(write=False)
-    return FiberBasis(as_point(x), basis, 12 - rank, sv_full)
+    """Fiber at one point x: the one-point case of ``fibers_at``."""
+    return fibers_at(body, [as_point(x)], samples, rank_tol, fd_step)[0]
 
 
 def anchor_rank(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> int:

@@ -24,7 +24,7 @@ from .algebroid import (
     DEFAULT_FD_STEP,
     DEFAULT_RANK_TOL,
     DEFAULT_V_TOL,
-    fiber,
+    fibers_at,
     uniformity_verdict,
 )
 from .bodies import (
@@ -195,12 +195,11 @@ def fiber_stage(body: Body, cfg: AnalysisConfig) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     samples = make_samples(cfg.sample_count, cfg.seed)
-    fibers = []
-    for x in grid.points:
-        try:
-            fibers.append(fiber(body, x, samples, cfg.rank_tol, cfg.fd_step))
-        except MatbodyError as exc:
-            raise type(exc)(f"at grid point {x.tolist()}: {exc}") from exc
+    try:
+        fibers = fibers_at(body, grid.points, samples, cfg.rank_tol, cfg.fd_step)
+    except MatbodyError as exc:
+        x = grid.points[exc.index[0]]
+        raise type(exc)(f"at grid point {x.tolist()}: {exc}") from exc
     return grid, samples, fibers
 
 

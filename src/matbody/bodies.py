@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteResponse, OutOfDomain, SingularMatrix
+from .errors import (ConfigError, NonFiniteResponse, OutOfDomain, SingularMatrix, first_true,
+                     with_index)
 from .jets import DET_TOL, Jet1, as_point, invert
 
 _I3 = np.eye(3)
@@ -34,7 +35,12 @@ _ANCHORS = (
 
 @dataclass(frozen=True, eq=False)
 class Body:
-    """Box chart domain plus response functional with output dimension d."""
+    """Box chart domain plus response functional with output dimension d.
+
+    ``response(F, x)`` maps F (..., 3, 3) and x (..., 3), whose leading
+    dimensions broadcast, to values (..., d).  Call it through ``evaluate``,
+    which checks the batch.
+    """
 
     name: str
     lo: np.ndarray
@@ -60,7 +66,7 @@ class Body:
 class SampleSet:
     """Finite stand-in for quantification over all deformation gradients."""
 
-    matrices: tuple
+    matrices: np.ndarray    # (count, 3, 3), read-only
     seed: int
 
     @property
@@ -74,28 +80,49 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
     Rejection keeps det(F) > 0.2 so every sample is safely invertible.
     """
     rng = np.random.default_rng(seed)
-    mats = [m.copy() for m in _ANCHORS]
+    mats = list(_ANCHORS)
     while len(mats) < n_random + len(_ANCHORS):
         f = _I3 + rng.uniform(-0.5, 0.5, size=(3, 3))
         if np.linalg.det(f) > 0.2:
             mats.append(f)
-    for m in mats:
-        m.setflags(write=False)
-    return SampleSet(tuple(mats), seed)
+    mats = np.stack(mats)
+    mats.setflags(write=False)
+    return SampleSet(mats, seed)
 
 
 def evaluate(body: Body, F, x) -> np.ndarray:
-    """Response W-hat(F, x).  Raises OutOfDomain / SingularMatrix / NonFiniteResponse."""
-    xp = np.asarray(x, dtype=float)
-    if not body.contains(xp):
-        raise OutOfDomain(f"{xp.tolist()} outside domain of body '{body.name}'")
+    """Response W-hat(F, x) of shape (..., d) for F (..., 3, 3) and x (..., 3).
+
+    The leading dimensions of F and x broadcast.  The domain box, the det floor
+    and finiteness are each checked once for the whole batch; the first
+    offending pair raises OutOfDomain, SingularMatrix or NonFiniteResponse,
+    and the error's ``index`` is that pair's index in the broadcast batch.
+    """
     Fm = np.asarray(F, dtype=float)
-    if abs(np.linalg.det(Fm)) < DET_TOL:
-        raise SingularMatrix("deformation gradient is singular")
-    val = np.asarray(body.response(Fm, xp), dtype=float).reshape(body.output_dim)
-    if not np.all(np.isfinite(val)):
-        raise NonFiniteResponse(f"response of '{body.name}' is non-finite at x={xp.tolist()}")
+    xp = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(Fm.shape[:-2], xp.shape[:-1])
+    inside = (xp >= body.lo) & (xp <= body.hi)
+    if not inside.all():
+        i = first_true(~inside.all(axis=-1), shape)
+        raise with_index(OutOfDomain(
+            f"{_point_at(xp, shape, i)} outside domain of body '{body.name}'"), i)
+    singular = np.abs(np.linalg.det(Fm)) < DET_TOL
+    if singular.any():
+        raise with_index(SingularMatrix("deformation gradient is singular"),
+                         first_true(singular, shape))
+    with np.errstate(all="ignore"):         # non-finite values are refused below
+        val = np.broadcast_to(np.asarray(body.response(Fm, xp), dtype=float),
+                              shape + (body.output_dim,))
+    if not np.isfinite(val).all():
+        i = first_true(~np.isfinite(val).all(axis=-1), shape)
+        raise with_index(NonFiniteResponse(
+            f"response of '{body.name}' is non-finite at x={_point_at(xp, shape, i)}"), i)
     return val
+
+
+def _point_at(x: np.ndarray, shape: tuple, index: tuple) -> list:
+    """The point of the pair at ``index`` of a batch with leading shape ``shape``."""
+    return np.broadcast_to(x, shape + (3,))[index].tolist()
 
 
 def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
@@ -105,21 +132,15 @@ def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
 
 def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
     """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|_inf."""
-    P = g.matrix
-    worst = 0.0
-    for F in samples.matrices:
-        d = evaluate(body, F @ P, g.source) - evaluate(body, F, g.target)
-        worst = max(worst, float(np.max(np.abs(d))))
-    return worst
+    Fs = samples.matrices
+    d = evaluate(body, Fs @ g.matrix, g.source) - evaluate(body, Fs, g.target)
+    return float(np.max(np.abs(d)))
 
 
 def membership_tol(body: Body, samples: SampleSet, points: Sequence) -> float:
     """Default membership tolerance: 1e-8 x (1 + max sample response magnitude)."""
-    mag = 0.0
-    for x in points:
-        for F in samples.matrices:
-            mag = max(mag, float(np.max(np.abs(evaluate(body, F, x)))))
-    return 1e-8 * (1.0 + mag)
+    x = np.asarray(points, dtype=float).reshape(-1, 1, 3)
+    return 1e-8 * (1.0 + float(np.max(np.abs(evaluate(body, samples.matrices, x)))))
 
 
 def is_material_isomorphism(body: Body, g: Jet1, samples: SampleSet, tol: float) -> bool:
@@ -156,29 +177,37 @@ _BOX_LO = -np.ones(3)
 _BOX_HI = np.ones(3)
 
 
-def w0_generic(F: np.ndarray) -> float:
-    """Anisotropic quartic sum_ij c_ij (F^T F - I)_ij^2 with distinct weights."""
-    D = F.T @ F - _I3
-    return float(np.sum(W0_WEIGHTS * D * D))
+def _strain(F: np.ndarray) -> np.ndarray:
+    """F^T F - I for F (..., 3, 3)."""
+    return np.swapaxes(F, -1, -2) @ F - _I3
+
+
+def w0_generic(F: np.ndarray) -> np.ndarray:
+    """Anisotropic quartic sum_ij c_ij (F^T F - I)_ij^2 with distinct weights, F (..., 3, 3)."""
+    D = _strain(F)
+    return np.sum(W0_WEIGHTS * D * D, axis=(-2, -1))
 
 
 def _isotropic_response(F, x):
-    D = F.T @ F - _I3
-    return np.array([np.sum(D * D)])
+    D = _strain(F)
+    return np.sum(D * D, axis=(-2, -1))[..., None]
 
 
 def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str, description: str = "") -> Body:
-    """Functionally graded body W-hat(F, x) = w0(F K(x)) for a given implant field K."""
+    """Functionally graded body W-hat(F, x) = w0(F K(x)) for an implant field K.
+
+    K maps points (..., 3) to matrices (..., 3, 3).
+    """
 
     def response(F, x):
-        return np.array([w0_generic(F @ K(x))])
+        return w0_generic(F @ K(x))[..., None]
 
     return Body(name, _BOX_LO, _BOX_HI, response, 1, description)
 
 
 def _nonuniform_response(F, x):
-    D = F.T @ F - _I3
-    return np.array([np.sum(D * D) + x[0] * (F[0, 0] - 1.0) ** 2])
+    D = _strain(F)
+    return (np.sum(D * D, axis=(-2, -1)) + x[..., 0] * (F[..., 0, 0] - 1.0) ** 2)[..., None]
 
 
 BUILTIN_DESCRIPTIONS = {
@@ -195,10 +224,10 @@ def builtin_body(kind: str) -> Body:
         return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response, 1,
                     BUILTIN_DESCRIPTIONS[kind])
     if kind == "uniform_fgm":
-        return fgm_body(lambda x: _I3 + x[0] * E_SHEAR_12, kind,
+        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_12, kind,
                         BUILTIN_DESCRIPTIONS[kind])
     if kind == "uniform_fgm_integrable":
-        return fgm_body(lambda x: _I3 + x[0] * E_SHEAR_21, kind,
+        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_21, kind,
                         BUILTIN_DESCRIPTIONS[kind])
     if kind == "nonuniform":
         return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response, 1,
@@ -232,15 +261,17 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             raise ConfigError(
                 f"polynomial term {k} has total degree {int(exps.sum())} > {POLY_MAX_DEGREE}"
             )
-        parsed.append((exps, coeff))
+        parsed.append((np.flatnonzero(exps), exps[exps > 0], coeff))
     if not parsed:
         raise ConfigError("polynomial body needs at least one term")
 
     def response(F, x):
-        z = np.concatenate([np.asarray(F, dtype=float).ravel(), np.asarray(x, dtype=float)])
+        shape = np.broadcast_shapes(F.shape[:-2], x.shape[:-1])
+        z = np.concatenate([np.broadcast_to(F, shape + (3, 3)).reshape(shape + (9,)),
+                            np.broadcast_to(x, shape + (3,))], axis=-1)
         acc = 0.0
-        for exps, coeff in parsed:
-            acc += coeff * float(np.prod(z ** exps))
-        return np.array([acc])
+        for vars_, exps, coeff in parsed:      # factors z^0 = 1 are skipped
+            acc = acc + coeff * np.prod(z[..., vars_] ** exps, axis=-1)
+        return acc[..., None]
 
     return Body(name, lo, hi, response, 1, "user polynomial response")

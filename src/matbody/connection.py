@@ -196,12 +196,14 @@ def _transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> t
     """Transport frames P and integrate chart coordinates c along start -> end.
 
     Solves dP/ds = -Gamma(y, v) P, dc/ds = P^-1 v on y = start + s v, v = end - start,
-    with n = ceil(max|v| / substep) >= 1 RK4 steps.  Stages sit at s = (k + frac)/n,
+    with n >= 1 RK4 steps: max|v| / substep rounded up, or to the nearest integer
+    when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
+    of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
     not at a running sum, and the last at ``end`` itself, so none leaves the segment.
     Leading dimensions batch legs that share the same displacement.
     """
     v = end - start
-    n = max(1, math.ceil(float(np.max(np.abs(v))) / substep))
+    n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
 
     def rhs(frac, state):
         s = (k + frac) / n                  # k is the step of the loop below

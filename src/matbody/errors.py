@@ -1,8 +1,27 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class MatbodyError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    A check over a batch sets ``index``: the batch index of the first
+    offending element.
+    """
+
+    index = None
+
+
+def first_true(bad, shape: tuple) -> tuple:
+    """Batch index of the first True entry of ``bad`` broadcast to ``shape``."""
+    return np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
+
+
+def with_index(exc: MatbodyError, index: tuple) -> MatbodyError:
+    """``exc`` tagged with the batch index of the element that raised it."""
+    exc.index = index
+    return exc
 
 
 class SourceTargetMismatch(MatbodyError):

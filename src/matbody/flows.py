@@ -54,9 +54,20 @@ class SectionField:
 
     @staticmethod
     def from_grid(axes, v_data, a_data) -> "SectionField":
-        """Trilinear interpolation of lattice samples; domain is the grid hull."""
-        vf, af = TrilinearField(axes, v_data), TrilinearField(axes, a_data)
-        return SectionField(lambda x: (vf(x), af(x)), [a[0] for a in axes], [a[-1] for a in axes])
+        """Trilinear interpolation of lattice samples; domain is the grid hull.
+
+        One interpolant carries the stacked (v | A) data, so each value is one
+        trilinear call; per component the arithmetic is that of two fields.
+        """
+        a_data = np.asarray(a_data, dtype=float)
+        field = TrilinearField(axes, np.concatenate(
+            [v_data, a_data.reshape(a_data.shape[:3] + (9,))], axis=-1))
+
+        def value(x):
+            va = field(x)
+            return va[..., :3], va[..., 3:].reshape(va.shape[:-1] + (3, 3))
+
+        return SectionField(value, [a[0] for a in axes], [a[-1] for a in axes])
 
 
 def _rk4_step(rhs: Callable, state: tuple, dt: float) -> tuple:

@@ -2,11 +2,20 @@
 
 Everything here is computed by a route disjoint from the library code under
 test: analytic response gradients instead of finite differences, closed-form
-tensor formulas instead of grid stencils, scipy's expm instead of RK4.
+tensor formulas instead of grid stencils, scipy's expm instead of RK4.  The
+one exception is the per-point stencil loop below, the fibre computation as it
+was before the response contract was batched: it evaluates one (F, x) pair per
+call, so it checks the batched stencils, not the response.
 """
+
+from collections import Counter
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
+
+from matbody import OutOfDomain, evaluate
+from matbody.jets import as_point
 
 I3 = np.eye(3)
 
@@ -127,3 +136,80 @@ def torsion_formula(gamma_fn, x):
             for j in range(3):
                 T[k, i, j] = G[k, i, j] - G[k, j, i]
     return T
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference for the batched fibre stage: one evaluate call per
+# stencil pair, one SVD per point.
+# ---------------------------------------------------------------------------
+
+def loop_response_gradients(body, x, F, fd_step=1e-5):
+    """Central-difference gradients (dW/dF, dW/dx) of shape (d,3,3) and (d,3).
+
+    The x-stencil must stay inside the body's box; the F-stencil has no such
+    restriction.
+    """
+    x = as_point(x)
+    if not body.contains(x, margin=fd_step):
+        raise OutOfDomain(
+            f"x = {x.tolist()} closer than fd_step {fd_step:g} to the domain boundary"
+        )
+    F = np.asarray(F, dtype=float)
+    d = body.output_dim
+    dWdF = np.zeros((d, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            Fp = F.copy(); Fp[i, j] += fd_step
+            Fm = F.copy(); Fm[i, j] -= fd_step
+            dWdF[:, i, j] = (evaluate(body, Fp, x) - evaluate(body, Fm, x)) / (2 * fd_step)
+    dWdx = np.zeros((d, 3))
+    for k in range(3):
+        xp = x.copy(); xp[k] += fd_step
+        xm = x.copy(); xm[k] -= fd_step
+        dWdx[:, k] = (evaluate(body, F, xp) - evaluate(body, F, xm)) / (2 * fd_step)
+    return dWdF, dWdx
+
+
+def loop_constraint_rows(body, x, F, fd_step=1e-5):
+    """d x 12 linearized membership constraints at (F, x).
+
+    Row m applied to [v | A] is <dW_m/dF, F A> - <dW_m/dx, v>; the A-block
+    coefficients are therefore F^T dW_m/dF (row-major) and the v-block is
+    -dW_m/dx.
+    """
+    dWdF, dWdx = loop_response_gradients(body, x, F, fd_step)
+    F = np.asarray(F, dtype=float)
+    rows = np.zeros((body.output_dim, 12))
+    for m in range(body.output_dim):
+        rows[m, :3] = -dWdx[m]
+        rows[m, 3:] = (F.T @ dWdF[m]).ravel()
+    return rows
+
+
+def loop_fiber(body, x, matrices, rank_tol=1e-6, fd_step=1e-5):
+    """(fiber dim, singular values) of the per-point stacked constraints at x."""
+    L = np.vstack([loop_constraint_rows(body, x, F, fd_step) for F in matrices])
+    _, sv, _ = np.linalg.svd(L)
+    rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
+    return 12 - rank, sv
+
+
+def isotropic_polynomial_terms():
+    """|F^T F - I|^2 as ([12 exponents], coeff) monomials over (F row-major, x): 46 terms.
+
+    Expands sum_ij (C_ij - delta_ij)^2 with C_ij = sum_k F_ki F_kj by collecting
+    exponent vectors; the 46 monomials are what a user would write out by hand.
+    """
+    total = Counter()
+    for i, j in product(range(3), repeat=2):
+        entry = Counter()                        # C_ij - delta_ij
+        for k in range(3):
+            e = [0] * 12
+            e[3 * k + i] += 1
+            e[3 * k + j] += 1
+            entry[tuple(e)] += 1.0
+        if i == j:
+            entry[(0,) * 12] -= 1.0
+        for (a, ca), (b, cb) in product(entry.items(), repeat=2):
+            total[tuple(p + q for p, q in zip(a, b))] += ca * cb
+    return [[list(m), c] for m, c in sorted(total.items()) if c != 0.0]

@@ -8,19 +8,26 @@ existed and are frozen here:
     nonuniform            : anchor rank 2 (< 3) at every probed point
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from matbody import (
     AlgebroidElement,
+    NonFiniteResponse,
     OutOfDomain,
     SectionField,
+    builtin_body,
     constraint_rows,
     exp_section,
     fiber,
+    fibers_at,
     is_material_isomorphism,
     isotropy_algebra,
+    make_grid,
     make_samples,
+    polynomial_body,
     uniformity_verdict,
 )
 from matbody.algebroid import FiberBasis, anchor_rank, stack_constraints
@@ -31,7 +38,10 @@ from oracles import (
     analytic_rows_isotropic,
     analytic_rows_nonuniform,
     anchor_rank_of,
+    isotropic_polynomial_terms,
     kernel_of,
+    loop_constraint_rows,
+    loop_fiber,
 )
 
 RANK_TOL = 1e-6
@@ -91,6 +101,25 @@ def test_fgm_fiber_element_annihilated(fgm_body, samples, rng):
 def test_rows_stencil_domain_check(iso_body):
     with pytest.raises(OutOfDomain):
         constraint_rows(iso_body, [1.0, 0, 0], np.eye(3))  # on the boundary
+
+
+def test_rows_stencil_domain_check_names_point_in_batch(iso_body):
+    x = np.zeros((4, 3))
+    x[2, 1] = 1.0 - 1e-6                                 # closer than fd_step
+    with pytest.raises(OutOfDomain) as err:
+        constraint_rows(iso_body, x, np.eye(3))
+    assert err.value.index == (2,)
+
+
+def test_batched_rows_match_per_pair_loop(fgm_body, nonuniform_body, samples, rng):
+    """Rows for points (5, 3) x gradients (7, 3, 3) equal the per-pair reference."""
+    x = rng.uniform(-0.7, 0.7, (5, 3))
+    Fs = samples.matrices[:7]
+    for body in (fgm_body, nonuniform_body):
+        rows = constraint_rows(body, x, Fs)
+        assert rows.shape == (5, 7, 1, 12)
+        for p, q in np.ndindex(5, 7):
+            assert np.max(np.abs(rows[p, q] - loop_constraint_rows(body, x[p], Fs[q]))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +194,70 @@ def test_dim_stable_under_sample_doubling(iso_body, fgm_body, fgm_integrable_bod
     ranks = {anchor_rank(fiber(nonuniform_body, x, make_samples(n, seed=6000 + n),
                                RANK_TOL)) for n in (24, 48)}
     assert ranks == {2}
+
+
+# |delta sigma| <= SV_RTOL * sigma_max against the per-point reference.  A 1-ulp
+# response difference over a 2e-5 central difference moves sigma by ~1e-13 sigma_max.
+SV_RTOL = 1e-9
+
+_FIBER_CASES = [(kind, 5) for kind in ("homogeneous_isotropic", "uniform_fgm",
+                                        "uniform_fgm_integrable", "nonuniform")]
+_FIBER_CASES.append(("polynomial", 3))
+
+
+@pytest.mark.parametrize("kind, res", _FIBER_CASES)
+def test_batched_fibers_match_per_point_loop(kind, res):
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    grid = make_grid(body.lo, body.hi, res, 0.1)
+    samples = make_samples(12, seed=31)
+    fibers = fibers_at(body, grid.points, samples, RANK_TOL)
+    assert len(fibers) == grid.n_points
+    for x, f in zip(grid.points, fibers):
+        dim, sv = loop_fiber(body, x, samples.matrices, RANK_TOL)
+        assert f.dim == dim
+        assert np.array_equal(f.point, x)
+        assert np.max(np.abs(f.singular_values - sv)) <= SV_RTOL * sv[0]
+
+
+def test_fiber_is_one_point_case_of_batch(fgm_body, samples):
+    pts = np.array([[0.1, -0.2, 0.3], [-0.5, 0.4, 0.0]])
+    for x, f in zip(pts, fibers_at(fgm_body, pts, samples)):
+        g = fiber(fgm_body, x, samples)
+        assert g.dim == f.dim
+        assert np.array_equal(g.singular_values, f.singular_values)
+        assert np.array_equal(g.basis_matrix(), f.basis_matrix())
+
+
+def test_fibers_at_names_failing_point():
+    """A non-finite response at one point of a multi-chunk batch names that point."""
+    # 1e308 (1 + x1^4) overflows only where x1^4 > ~0.8
+    body = polynomial_body([([0] * 12, 1e308), ([0] * 9 + [4, 0, 0], 1e308)])
+    pts = np.zeros((40, 3))
+    pts[33, 0] = 0.95
+    with pytest.raises(NonFiniteResponse) as err:
+        fibers_at(body, pts, make_samples(12, seed=1))
+    assert err.value.index == (33,)
+
+
+def test_fiber_stage_memory_stays_bounded():
+    """Transient allocation of the batched stencils stays under 2 MiB at any grid size.
+
+    Chunking by STENCIL_PAIRS keeps the stencil and response temporaries
+    bounded, so the benchmark's peak-RSS bound holds without running it.
+    """
+    cases = [(builtin_body("uniform_fgm"), 9, make_samples(24, seed=3)),
+             (polynomial_body(isotropic_polynomial_terms()), 5, make_samples(24, seed=3))]
+    for body, res, samples in cases:
+        grid = make_grid(body.lo, body.hi, res, 0.1)
+        tracemalloc.start()
+        try:
+            fibers = fibers_at(body, grid.points, samples)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fibers) == grid.n_points
+        assert peak - held <= 2 * 2**20, f"{body.name} {res}^3: {(peak - held) / 2**20:.2f} MiB"
 
 
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):

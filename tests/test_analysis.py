@@ -240,13 +240,15 @@ def test_cli_flow(tmp_path):
     assert np.allclose(last["y"], [0.05, 0, 0], atol=1e-9)
 
 
-def test_cli_analyze_numerical_failure(tmp_path):
+def test_cli_analyze_numerical_failure(tmp_path, capsys):
     # a response that overflows to inf is a numerical failure, not a traceback
     cfg = write_config(tmp_path, {
         "body": {"polynomial": {"terms": [[[0] * 12, 1e308], [[2] + [0] * 11, 1e308]]}},
         "grid": {"resolution": [3, 3, 3]},
     })
     assert main(["analyze", "--config", cfg]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "at grid point [-0.9, -0.9, -0.9]: response of 'polynomial' is non-finite" in err
 
 
 _TOLERANCE_RANGES = {

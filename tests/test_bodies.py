@@ -6,6 +6,7 @@ import pytest
 from matbody import (
     ConfigError,
     Jet1,
+    NonFiniteResponse,
     OutOfDomain,
     SingularMatrix,
     builtin_body,
@@ -20,7 +21,9 @@ from matbody import (
     polynomial_body,
 )
 from matbody.bodies import E_SHEAR_12, membership_tol
-from oracles import I3, E12, random_rotation, w0_value
+from oracles import I3, E12, isotropic_polynomial_terms, random_rotation, w0_value
+
+BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform")
 
 
 def K_fgm(x):
@@ -52,6 +55,49 @@ def test_evaluate_domain_and_singularity(iso_body):
         evaluate(iso_body, np.eye(3), [1.5, 0, 0])
     with pytest.raises(SingularMatrix):
         evaluate(iso_body, np.zeros((3, 3)), [0, 0, 0])
+
+
+@pytest.mark.parametrize("kind", BUILTINS + ("polynomial",))
+def test_batched_evaluate_equals_per_pair_calls(kind, rng):
+    """F (4,1,3,3) and x (7,3) broadcast to a (4,7,d) batch of independent pairs."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    F = I3 + rng.uniform(-0.4, 0.4, (4, 1, 3, 3))
+    x = rng.uniform(-0.9, 0.9, (7, 3))
+    got = evaluate(body, F, x)
+    assert got.shape == (4, 7, body.output_dim)
+    for i, j in np.ndindex(4, 7):
+        want = evaluate(body, F[i, 0], x[j])
+        assert np.max(np.abs(got[i, j] - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+
+def test_one_bad_pair_fails_the_whole_batch(iso_body):
+    """Each check refuses a batch with one offending pair and names its index."""
+    F = np.tile(I3, (4, 1, 1, 1))                        # (4, 1, 3, 3)
+    x = np.zeros((7, 3))
+    x_out = x.copy()
+    x_out[5, 2] = 1.5
+    with pytest.raises(OutOfDomain) as err:
+        evaluate(iso_body, F, x_out)
+    assert err.value.index == (0, 5)
+    x_nan = x.copy()
+    x_nan[6, 0] = np.nan
+    with pytest.raises(OutOfDomain):
+        evaluate(iso_body, F, x_nan)
+    F_sing = F.copy()
+    F_sing[2, 0] = np.diag([1.0, 1.0, 0.0])
+    with pytest.raises(SingularMatrix) as err:
+        evaluate(iso_body, F_sing, x)
+    assert err.value.index == (2, 0)
+    big = [0] * 12
+    big[0] = 2
+    body = polynomial_body([(big, 1e308)])               # inf where |F11| > ~1.34
+    F_big = F.copy()
+    F_big[3, 0, 0, 0] = 2.0
+    with pytest.raises(NonFiniteResponse) as err:
+        evaluate(body, F_big, x)
+    assert err.value.index == (3, 0)
+    assert np.all(np.isfinite(evaluate(body, F, x)))
 
 
 def test_w_inverse_identity_jet(iso_body, fgm_body):
@@ -150,6 +196,8 @@ def test_membership_reflexive_symmetric_transitive(iso_body, samples, rng):
 def test_sample_set_contents():
     s = make_samples(24, seed=11)
     assert s.count == 28             # 24 random + 4 fixed anchors
+    assert s.matrices.shape == (28, 3, 3)
+    assert not s.matrices.flags.writeable
     assert np.array_equal(s.matrices[0], np.eye(3))
     for m in s.matrices:
         assert np.linalg.det(m) > 0.2
@@ -158,6 +206,17 @@ def test_sample_set_contents():
         assert np.array_equal(a, b)
     s3 = make_samples(24, seed=12)
     assert any(not np.array_equal(a, b) for a, b in zip(s.matrices, s3.matrices))
+
+
+def test_membership_defect_is_max_over_samples(fgm_body, samples, rng):
+    """The batched defect equals the per-sample maximum of the definition."""
+    for _ in range(5):
+        g = Jet1(rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3),
+                 I3 + rng.uniform(-0.3, 0.3, (3, 3)))
+        want = max(float(np.max(np.abs(evaluate(fgm_body, F @ g.matrix, g.source)
+                                       - evaluate(fgm_body, F, g.target))))
+                   for F in samples.matrices)
+        assert membership_defect(fgm_body, g, samples) == pytest.approx(want, rel=1e-12)
 
 
 def test_membership_tol_scale(iso_body, samples):

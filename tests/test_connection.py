@@ -330,6 +330,33 @@ def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, 
         assert np.max(np.abs(chart.coords[p] - c)) <= 1e-10
 
 
+def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
+    """At 7^3 every lattice segment takes 4 RK4 steps (substep = spacing / 4)."""
+    import matbody.connection as connection
+
+    grid = make_grid(-np.ones(3), np.ones(3), 7)
+    conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
+    steps, legs = [0], []
+    rk4_step, leg = connection._rk4_step, connection._transport_leg
+
+    def counting_step(*args):
+        steps[0] += 1
+        return rk4_step(*args)
+
+    def recording_leg(field, start, end, *rest):
+        before = steps[0]
+        out = leg(field, start, end, *rest)
+        legs.append((float(np.max(np.abs(end - start))), steps[0] - before))
+        return out
+
+    monkeypatch.setattr(connection, "_rk4_step", counting_step)
+    monkeypatch.setattr(connection, "_transport_leg", recording_leg)
+    build_homogeneous_chart(conn, grid.points[grid.n_points // 2])
+    assert len(legs) == 21                      # 3 axes x (6 segments + 1 empty leg at x0)
+    assert [n for length, n in legs if length > 0] == [4] * 18
+    assert [n for length, n in legs if length == 0] == [1] * 3
+
+
 def test_chart_refuses_torsion(fgm_body, samples):
     grid = small_grid()
     conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))

@@ -204,6 +204,25 @@ def test_grid_section_interpolates_and_guards(rng):
         exp_section(s, 1.0, [0.5, 0.0, 0.0])
 
 
+def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
+    """One (v | A) interpolant gives the trajectory of separate v and A fields exactly."""
+    from matbody import TrilinearField, fibers_at, make_grid, minimal_lift_section
+
+    grid = make_grid(fgm_body.lo, fgm_body.hi, (3, 3, 3), 0.1)
+    lift = minimal_lift_section(grid, fibers_at(fgm_body, grid.points, samples))
+    u = np.array([0.6, -0.48, 0.64])
+    a_data = grid.reshape(np.einsum("pjkl,j->pkl", lift.lam, u))
+    v_data = grid.reshape(np.tile(u, (grid.n_points, 1)))
+    vf, af = TrilinearField(grid.axes, v_data), TrilinearField(grid.axes, a_data)
+    hull = (grid.points[0], grid.points[-1])
+    two = SectionField(lambda x: (vf(x), af(x)), *hull)
+    one = SectionField.from_grid(grid.axes, v_data, a_data)
+    x0 = np.array([0.1, -0.2, 0.15])
+    for (t1, y1, F1), (t2, y2, F2) in zip(exp_trajectory(one, 0.3, x0),
+                                          exp_trajectory(two, 0.3, x0), strict=True):
+        assert t1 == t2 and np.array_equal(y1, y2) and np.array_equal(F1, F2)
+
+
 # ---------------------------------------------------------------------------
 # W-inverse invariance along material flows
 # ---------------------------------------------------------------------------
