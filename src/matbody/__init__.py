@@ -68,6 +68,7 @@ from .gstructure import (
     is_integrable_parallelism,
     isotropy_group_sample,
     morphism_defect,
+    sampled_morphism_defect,
 )
 from .jets import Frame, Jet1, act_on_frame, compose, identity, invert
 

@@ -200,9 +200,12 @@ def _transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> t
     when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
     of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
     not at a running sum, and the last at ``end`` itself, so none leaves the segment.
+    A zero displacement returns (P, c) without a step.
     Leading dimensions batch legs that share the same displacement.
     """
     v = end - start
+    if not np.any(v):
+        return P, c
     n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
 
     def rhs(frac, state):

@@ -34,10 +34,12 @@ class SectionField:
         self._fn = fn
         self.lo = as_point(lo)
         self.hi = as_point(hi)
+        self._bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
+        """Whether the point x (3,) lies in the closed domain box; never for NaN."""
+        return all(lo <= q <= hi for q, (lo, hi) in
+                   zip(np.asarray(x, dtype=float).reshape(3).tolist(), self._bounds))
 
     def value(self, x) -> tuple:
         p = np.asarray(x, dtype=float)
@@ -104,7 +106,7 @@ def exp_trajectory(section: SectionField, t: float, x,
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
     x = as_point(x)
     y, F = x.copy(), np.eye(3)
-    records = [(0.0, y.copy(), F.copy())]
+    records = [(0.0, y, F)]
     if t == 0.0:
         return records
     n = max(1, math.ceil(abs(t) / step))
@@ -118,7 +120,7 @@ def exp_trajectory(section: SectionField, t: float, x,
         y, F = _rk4_step(rhs, (y, F), dt)
         if not section.contains(y):
             raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-        records.append((k * dt, y.copy(), F.copy()))
+        records.append((k * dt, y, F))          # _rk4_step returns new arrays
     return records
 
 

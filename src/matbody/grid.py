@@ -7,6 +7,7 @@ that serializes per-point data relies on that ordering being stable.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,17 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
 
 
 class TrilinearField:
-    """Trilinear interpolant of lattice tensor data at points (..., 3); never extrapolates."""
+    """Trilinear interpolant of lattice tensor data at points (..., 3); never extrapolates.
+
+    A single point (3,) takes a path on Python floats that is bitwise equal to
+    the batched one: same cell, same weights, same accumulation order.
+    """
 
     def __init__(self, axes, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         self._axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self._lo, self._hi = np.array([(a[0], a[-1]) for a in self._axes]).T
+        self._ticks = tuple(a.tolist() for a in self._axes)
         self._value_shape = values.shape[3:]
         self._flat = values.reshape(values.shape[:3] + (-1,))
 
@@ -74,6 +80,8 @@ class TrilinearField:
 
     def __call__(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
+        if p.shape == (3,):
+            return self._at_point(p)
         if not self.contains(p):
             raise LeftDomain(f"point {p.tolist()} outside grid hull")
         cells, weights = [], []
@@ -85,9 +93,31 @@ class TrilinearField:
             weights.append((1.0 - t, t))
         (i, j, k), (wi, wj, wk) = cells, weights
         out = 0.0
-        for di, dj, dk in itertools.product((0, 1), repeat=3):
+        for di, dj, dk in _CORNERS:
             out = out + wi[di] * wj[dj] * wk[dk] * self._flat[i + di, j + dj, k + dk]
         return out.reshape(p.shape[:-1] + self._value_shape)
+
+    def _at_point(self, p: np.ndarray) -> np.ndarray:
+        cells, weights = [], []
+        for q, ticks in zip(p.tolist(), self._ticks):
+            if not ticks[0] <= q <= ticks[-1]:          # false for NaN too
+                raise LeftDomain(f"point {p.tolist()} outside grid hull")
+            i = bisect_right(ticks, q) - 1
+            if i == len(ticks) - 1:                     # upper hull face: last cell
+                i -= 1
+            t = (q - ticks[i]) / (ticks[i + 1] - ticks[i])
+            cells.append(i)
+            weights.append((1.0 - t, t))
+        (i, j, k), (wi, wj, wk) = cells, weights
+        w = np.array([wi[di] * wj[dj] * wk[dk] for di, dj, dk in _CORNERS])
+        terms = w[:, None] * self._flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1)
+        # running sum in corner order, as the loop above adds them; reduce would
+        # sum a lone column pairwise.  + 0.0 maps an all -0.0 sum to the loop's 0.0
+        return (np.add.accumulate(terms)[-1] + 0.0).reshape(self._value_shape)
+
+
+# cell corners (di, dj, dk) in the order both paths add them up
+_CORNERS = tuple(itertools.product((0, 1), repeat=3))
 
 
 def grid_gradient(grid: Grid, values: np.ndarray) -> list:

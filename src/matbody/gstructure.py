@@ -11,6 +11,7 @@ decided by the commutativity of its frame vector fields.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,13 +75,26 @@ class GroupoidSection:
         return GroupoidSection(lambda x, y: g_map(P, x, y))
 
 
-def morphism_defect(S: GroupoidSection, triples: Sequence) -> float:
-    """Worst violation of S(y,z) S(x,y) = S(x,z) over the given triples."""
+def _composition_defect(matrix: Callable, triples) -> float:
+    """Worst |g(y,z) g(x,y) - g(x,z)| over triples, for g given by its matrices."""
     worst = 0.0
     for (x, y, z) in triples:
-        lhs = S(y, z).matrix @ S(x, y).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - S(x, z).matrix))))
+        lhs = matrix(y, z) @ matrix(x, y)
+        worst = max(worst, float(np.max(np.abs(lhs - matrix(x, z)))))
     return worst
+
+
+def morphism_defect(S: GroupoidSection, triples: Sequence) -> float:
+    """Worst violation of S(y,z) S(x,y) = S(x,z) over the given triples."""
+    return _composition_defect(lambda x, y: S(x, y).matrix, triples)
+
+
+def sampled_morphism_defect(S: GroupoidSection, points: Sequence) -> float:
+    """morphism_defect over all ordered triples of ``points``, evaluating S once per pair."""
+    pts = [as_point(p) for p in points]
+    table = {(a, b): S(x, y).matrix for a, x in enumerate(pts) for b, y in enumerate(pts)}
+    return _composition_defect(lambda a, b: table[a, b],
+                               itertools.product(range(len(pts)), repeat=3))
 
 
 def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence,
@@ -92,8 +106,7 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence,
     """
     z = as_point(z)
     pts = [as_point(p) for p in points]
-    triples = [(a, b, c) for a in pts for b in pts for c in pts]
-    defect = morphism_defect(S, triples)
+    defect = sampled_morphism_defect(S, pts)
     if defect > tol:
         raise NotMorphism(f"composition-law defect {defect:.3e} > {tol:g} on sampled triples")
     lo = np.min(np.stack(pts + [z]), axis=0)

@@ -2,19 +2,22 @@
 
 Everything here is computed by a route disjoint from the library code under
 test: analytic response gradients instead of finite differences, closed-form
-tensor formulas instead of grid stencils, scipy's expm instead of RK4.  The
-one exception is the per-point stencil loop below, the fibre computation as it
-was before the response contract was batched: it evaluates one (F, x) pair per
-call, so it checks the batched stencils, not the response.
+tensor formulas instead of grid stencils, scipy's expm instead of RK4.  Two
+exceptions are kept as references for faster library paths: the per-point
+stencil loop, the fibre computation as it was before the response contract
+was batched (it evaluates one (F, x) pair per call, so it checks the batched
+stencils, not the response), and ``loop_trilinear``, the trilinear
+interpolant as it was before it gained a single-point path.
 """
 
+import itertools
 from collections import Counter
 from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
 
-from matbody import OutOfDomain, evaluate
+from matbody import LeftDomain, OutOfDomain, evaluate
 from matbody.jets import as_point
 
 I3 = np.eye(3)
@@ -213,3 +216,31 @@ def isotropic_polynomial_terms():
         for (a, ca), (b, cb) in product(entry.items(), repeat=2):
             total[tuple(p + q for p, q in zip(a, b))] += ca * cb
     return [[list(m), c] for m, c in sorted(total.items()) if c != 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Reference for TrilinearField: the batched interpolant, one code path for
+# every input shape.
+# ---------------------------------------------------------------------------
+
+def loop_trilinear(axes, values, x):
+    """Trilinear interpolant of lattice data ``values`` on ``axes`` at points (..., 3)."""
+    values = np.asarray(values, dtype=float)
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    lo, hi = np.array([(a[0], a[-1]) for a in axes]).T
+    flat = values.reshape(values.shape[:3] + (-1,))
+    p = np.asarray(x, dtype=float)
+    if not bool(np.all(p >= lo) and np.all(p <= hi)):
+        raise LeftDomain(f"point {p.tolist()} outside grid hull")
+    cells, weights = [], []
+    for a, q in zip(axes, np.moveaxis(p, -1, 0)):
+        # points on the upper hull face fall in the last cell
+        i = np.minimum(np.searchsorted(a, q, side="right") - 1, len(a) - 2)
+        t = ((q - a[i]) / (a[i + 1] - a[i]))[..., None]
+        cells.append(i)
+        weights.append((1.0 - t, t))
+    (i, j, k), (wi, wj, wk) = cells, weights
+    out = 0.0
+    for di, dj, dk in itertools.product((0, 1), repeat=3):
+        out = out + wi[di] * wj[dj] * wk[dk] * flat[i + di, j + dj, k + dk]
+    return out.reshape(p.shape[:-1] + values.shape[3:])

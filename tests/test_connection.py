@@ -354,7 +354,7 @@ def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
     build_homogeneous_chart(conn, grid.points[grid.n_points // 2])
     assert len(legs) == 21                      # 3 axes x (6 segments + 1 empty leg at x0)
     assert [n for length, n in legs if length > 0] == [4] * 18
-    assert [n for length, n in legs if length == 0] == [1] * 3
+    assert [n for length, n in legs if length == 0] == [0] * 3
 
 
 def test_chart_refuses_torsion(fgm_body, samples):

@@ -1,6 +1,12 @@
 """Exponential flows: group laws, RK4 convergence, the induced derivation,
 and invariance of W-inverse along material flows."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -17,7 +23,8 @@ from matbody import (
     identity,
     one_parameter_check,
 )
-from oracles import E12, matrix_exp
+import matbody
+from oracles import E12, loop_trilinear, matrix_exp
 
 LO, HI = -np.ones(3), np.ones(3)
 
@@ -221,6 +228,55 @@ def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
     for (t1, y1, F1), (t2, y2, F2) in zip(exp_trajectory(one, 0.3, x0),
                                           exp_trajectory(two, 0.3, x0), strict=True):
         assert t1 == t2 and np.array_equal(y1, y2) and np.array_equal(F1, F2)
+
+
+def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, samples):
+    """200 RK4 steps through the point path retrace the reference interpolant exactly."""
+    from matbody import fibers_at, make_grid, minimal_lift_section
+
+    grid = make_grid(fgm_body.lo, fgm_body.hi, (3, 3, 3), 0.1)
+    lift = minimal_lift_section(grid, fibers_at(fgm_body, grid.points, samples))
+    u = np.array([0.6, -0.48, 0.64])
+    a_data = grid.reshape(np.einsum("pjkl,j->pkl", lift.lam, u))
+    v_data = grid.reshape(np.tile(u, (grid.n_points, 1)))
+    fast = SectionField.from_grid(grid.axes, v_data, a_data)
+    ref = SectionField(lambda x: (loop_trilinear(grid.axes, v_data, x),
+                                  loop_trilinear(grid.axes, a_data, x)),
+                       grid.points[0], grid.points[-1])
+    x0 = np.array([0.1, -0.2, 0.15])
+    got, want = (exp_trajectory(s, 0.2, x0) for s in (fast, ref))
+    assert len(got) == 201
+    assert ([(t, y.tobytes(), F.tobytes()) for t, y, F in got]
+            == [(t, y.tobytes(), F.tobytes()) for t, y, F in want])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_section_refuses_non_finite_points(bad):
+    s = SectionField.constant(np.zeros(3), np.zeros((3, 3)), LO, HI)
+    for axis in range(3):
+        x = np.zeros(3)
+        x[axis] = bad
+        assert not s.contains(x)
+        with pytest.raises(LeftDomain):
+            s.value(x)
+    assert s.contains(HI) and s.contains(LO)
+
+
+def test_cli_flow_output_is_stable(tmp_path):
+    """Two `matbody flow` processes print the same document, byte for byte."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}}))
+    src = str(Path(matbody.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = [sys.executable, "-m", "matbody.cli", "flow", "--config", str(cfg), "--t", "0.05",
+            "--x", "0.1,0.2,-0.1", "--direction", "1,0.5,0"]
+    runs = [subprocess.run(argv, env=env, capture_output=True, timeout=120)
+            for _ in range(2)]
+    for done in runs:
+        assert done.returncode == 0, done.stderr.decode()
+    assert runs[0].stdout == runs[1].stdout
+    assert len(json.loads(runs[0].stdout)["records"]) == 51
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matbody
 from matbody import LeftDomain, TrilinearField, make_grid
+from oracles import loop_trilinear
 
 
 def multilinear(coef, x):
@@ -42,16 +45,59 @@ def test_trilinear_reproduces_multilinear_field():
 
 
 def test_trilinear_refuses_points_outside_hull():
+    """One spacing outside, NaN and +-inf are refused by the point and the batched path."""
     grid = make_grid(-np.ones(3), np.ones(3), (3, 4, 5), margin=0.1)
     field = TrilinearField(grid.axes, np.zeros(grid.shape + (3,)))
     for axis in range(3):
+        outside = []
         for corner, sign in ((grid.points[-1], 1.0), (grid.points[0], -1.0)):
             x = corner.copy()
             x[axis] += sign * grid.spacing[axis]
+            outside.append(x)
+        for bad in (np.nan, np.inf, -np.inf):
+            x = grid.points[grid.n_points // 2].copy()
+            x[axis] = bad
+            outside.append(x)
+        for x in outside:
             with pytest.raises(LeftDomain):
                 field(x)
             with pytest.raises(LeftDomain):
                 field(np.stack([grid.points[0], x]))
+
+
+@st.composite
+def lattices_and_points(draw):
+    """Non-uniform axes, lattice data with signed zeros, and a point in the hull."""
+    ticks = st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=2, max_size=5,
+                     unique=True).map(sorted)
+    axes = [np.array(draw(ticks)) for _ in range(3)]
+    value_shape = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(len(a) for a in axes) + value_shape
+    values = rng.normal(size=shape) * rng.choice([-1.0, 1.0, 0.0, -0.0, 1e-300], size=shape)
+    coords = []
+    for a in axes:
+        tick = st.integers(0, len(a) - 1).map(lambda i, a=a: a[i])
+        inside = st.floats(0.0, 1.0).map(lambda f, a=a: min(a[-1], a[0] + f * (a[-1] - a[0])))
+        coords.append(draw(st.one_of(tick, inside)))
+    return axes, values, np.array(coords)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lattices_and_points())
+def test_point_path_is_bitwise_the_batched_path(case):
+    """field(p) equals the batched call and the reference loop bit for bit, signed zeros too."""
+    axes, values, p = case
+    field = TrilinearField(axes, values)
+    lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
+    points = [p] + [np.where(np.arange(3) == axis, hi, p) for axis in range(3)]   # upper faces
+    points += [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
+    for x in points:
+        got = field(x)
+        for want in (field(x[None])[0], loop_trilinear(axes, values, x)):
+            assert got.shape == want.shape == values.shape[3:]
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_import_does_not_load_scipy():

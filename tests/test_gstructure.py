@@ -1,6 +1,8 @@
 """Parallelism/G-structure bridge: the induced-section map, its inversion,
 sampled isotropy groups, and frame-field integrability."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from matbody import (
     isotropy_group_sample,
     make_grid,
     morphism_defect,
+    sampled_morphism_defect,
 )
 from oracles import E12, E21, I3, random_invertible, random_rotation
 
@@ -103,6 +106,31 @@ def test_invert_g_map_rejects_non_morphism(rng):
     S = GroupoidSection(jet_fn)
     with pytest.raises(NotMorphism):
         invert_g_map(S, np.zeros(3), Frame(np.zeros(3), I3), sample_points(rng, 3))
+
+
+def test_sampled_defect_is_the_all_triples_defect(rng):
+    """One S call per ordered pair gives morphism_defect over every ordered triple."""
+    implant = Parallelism(lambda x: I3 + x[0] * E12, LO, HI)      # uniform_fgm's K(x)
+    mats = {}
+
+    def arbitrary(x, y):
+        key = (tuple(np.round(x, 6)), tuple(np.round(y, 6)))
+        if key not in mats:
+            mats[key] = random_invertible(rng)
+        return Jet1(x, y, mats[key])
+
+    pts = [np.full(3, -0.8), np.full(3, 0.8)] + sample_points(rng, 3)
+    triples = list(itertools.product(pts, repeat=3))
+    for jet_fn, morphism in ((lambda x, y: g_map(implant, x, y), True), (arbitrary, False)):
+        calls = []
+        S = GroupoidSection(lambda x, y: calls.append(1) or jet_fn(x, y))
+        defect = sampled_morphism_defect(S, pts)
+        assert len(calls) == len(pts) ** 2
+        assert defect == morphism_defect(S, triples)
+        assert (defect <= 1e-12) == morphism
+        if not morphism:
+            with pytest.raises(NotMorphism):
+                invert_g_map(S, pts[2], Frame(pts[2], I3), pts)
 
 
 def test_quotient_law(rng):
