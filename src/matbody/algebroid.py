@@ -23,7 +23,6 @@ Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,37 +64,35 @@ class AlgebroidElement:
 
 @dataclass(frozen=True, eq=False)
 class FiberBasis:
-    """Orthonormal basis of a computed fiber plus its singular-value audit trail."""
+    """Orthonormal basis of a computed fiber plus its singular-value audit trail.
+
+    ``anchor_svd`` is the SVD (U, sv, Vh) of the anchor block basis[:, :3]^T
+    (3 x dim): anchor rank, isotropy algebra and minimal lift read it with their
+    v_tol cut.  ``fibers_at`` passes it in from one stacked SVD per fiber dim.
+    """
 
     point: np.ndarray
-    basis: tuple            # of AlgebroidElement, orthonormal as 12-vectors
+    basis: np.ndarray       # (dim, 12): orthonormal basis vectors [v | A row-major]
     dim: int
     singular_values: np.ndarray
+    anchor_svd: tuple = None
 
-    def basis_matrix(self) -> np.ndarray:
-        """Basis vectors as rows of a (dim, 12) matrix."""
-        if self.dim == 0:
-            return np.zeros((0, 12))
-        return np.stack([e.to_vector() for e in self.basis])
-
-    @cached_property
-    def anchor_svd(self) -> tuple:
-        """SVD (U, sv, Vh) of the anchor block B[:, :3]^T (3 x dim), computed once.
-
-        Anchor rank, isotropy algebra and minimal lift are three readings of
-        this one decomposition; each only applies its v_tol cut to ``sv``.
-        """
-        return np.linalg.svd(self.basis_matrix()[:, :3].T)
+    def __post_init__(self):
+        if self.anchor_svd is None:
+            object.__setattr__(self, "anchor_svd", np.linalg.svd(self.basis[:, :3].T))
 
     def sv_gap(self) -> float:
         """Ratio of smallest kept to largest dropped singular value (inf if clean)."""
-        sv = self.singular_values
-        rank = 12 - self.dim
-        if rank == 0 or rank >= len(sv):
-            return float("inf")
-        if sv[rank] == 0.0:
-            return float("inf")
-        return float(sv[rank - 1] / sv[rank])
+        return float(sv_gaps(self.singular_values[None], [self.dim])[0])
+
+
+def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """``FiberBasis.sv_gap`` of each row of spectra (n, 12) with fiber dims (n,)."""
+    rank = 12 - np.asarray(dims)
+    rows, cut = np.arange(len(rank)), np.clip(rank, 1, 11)
+    kept, dropped = singular_values[rows, cut - 1], singular_values[rows, cut]
+    clean = (rank == 0) | (rank == 12) | (dropped == 0.0)
+    return np.divide(kept, dropped, out=np.full(len(rank), np.inf), where=~clean)
 
 
 # About this many (F, x) pairs go into one evaluate call of the fibre stencils:
@@ -164,27 +161,32 @@ def fibers_at(body: Body, points, samples: SampleSet,
     remaining right-singular vectors span the fiber.  The full spectrum is
     retained on each result so callers can audit the gap at the cut.  Points
     go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
-    with one stacked SVD.  A failing evaluation raises with the offending
-    point's index in ``points`` as the error's ``index``.
+    with one stacked SVD; then the anchor blocks of all points with the same
+    fiber dim go through one more.  A failing evaluation raises with the
+    offending point's index in ``points`` as the error's ``index``.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    points = np.array(points, dtype=float).reshape(-1, 3)
+    points.setflags(write=False)
     chunk = max(1, STENCIL_PAIRS // (18 * samples.count))
-    out = []
+    sv, Vh = np.zeros((len(points), 12)), np.empty((len(points), 12, 12))
     for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
         try:
-            L = stack_constraints(body, block, samples, fd_step)
+            L = stack_constraints(body, points[start:start + chunk], samples, fd_step)
         except MatbodyError as exc:
             exc.index = (start + int(exc.index[0]),)
             raise
-        _, svs, Vhs = np.linalg.svd(L)
-        for x, sv, Vh in zip(block, svs, Vhs):
-            rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
-            sv_full = np.zeros(12)
-            sv_full[: len(sv)] = sv
-            sv_full.setflags(write=False)
-            basis = tuple(AlgebroidElement.from_vector(u) for u in Vh[rank:])
-            out.append(FiberBasis(as_point(x), basis, 12 - rank, sv_full))
+        _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
+        sv[start:start + chunk, :s.shape[-1]] = s
+    sv.setflags(write=False)
+    ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
+    out = [None] * len(points)
+    for rank in np.unique(ranks).tolist():
+        idx = np.flatnonzero(ranks == rank)
+        rows = Vh[idx, rank:]                   # (m, dim, 12)
+        rows.setflags(write=False)
+        anchor = zip(*np.linalg.svd(np.swapaxes(rows[..., :3], -1, -2)))
+        for p, B, svd in zip(idx.tolist(), rows, anchor):
+            out[p] = FiberBasis(points[p], B, 12 - rank, sv[p], svd)
     return out
 
 
@@ -207,10 +209,8 @@ def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
     the v-projection give the elements with v = 0.
     """
     rank = anchor_rank(f, v_tol)
-    B = f.basis_matrix()
     coeffs = f.anchor_svd[2][rank:]            # (dim - rank, dim)
-    elements = tuple(AlgebroidElement.from_vector(c @ B) for c in coeffs)
-    return FiberBasis(f.point, elements, f.dim - rank, f.singular_values)
+    return FiberBasis(f.point, coeffs @ f.basis, f.dim - rank, f.singular_values)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .algebroid import (
     DEFAULT_RANK_TOL,
     DEFAULT_V_TOL,
     fibers_at,
+    sv_gaps,
     uniformity_verdict,
 )
 from .bodies import (
@@ -254,7 +255,7 @@ def _native(obj):
         return _native(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        return None if not np.isfinite(v) else v
+        return v if math.isfinite(v) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     return obj
@@ -270,32 +271,25 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     timings["fibers_s"] = time.perf_counter() - t0
 
     uni = uniformity_verdict(fibers, cfg.v_tol)
-    records, ambiguous = [], []
-    for p, (f, rank) in enumerate(zip(fibers, uni.anchor_ranks)):
-        idx = [int(i) for i in grid.index_of(p)]
-        gap = f.sv_gap()
-        rec = {
-            "index": idx,
-            "x": grid.points[p].tolist(),
-            "fiber_dim": f.dim,
-            "isotropy_dim": f.dim - rank,
-            "anchor_rank": rank,
-            "sv_gap": gap,
-        }
-        if cfg.emit_singular_values:
-            rec["singular_values"] = f.singular_values.tolist()
-        records.append(rec)
-        if gap < RANK_GAP_FLOOR:
-            ambiguous.append(idx)
+    dims = [f.dim for f in fibers]
+    spectra = np.stack([f.singular_values for f in fibers])
+    index = np.stack(grid.index_of(np.arange(grid.n_points)), axis=-1).tolist()
+    gaps = sv_gaps(spectra, dims).tolist()
+    records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": dim - rank,
+                "anchor_rank": rank, "sv_gap": gap}
+               for idx, x, dim, rank, gap in zip(index, grid.points.tolist(), dims,
+                                                 uni.anchor_ranks, gaps)]
+    for rec, sv in zip(records, spectra.tolist() if cfg.emit_singular_values else ()):
+        rec["singular_values"] = sv
 
     out = dict(
         body_name=body.name,
         grid_shape=grid.shape,
         point_records=records,
         uniformity=uni.verdict,
-        offending_points=sorted(list(grid.index_of(p)) for p in uni.offending),
-        rank_ambiguous_points=ambiguous,
-        fiber_dim_levels=sorted({f.dim for f in fibers}),
+        offending_points=sorted(index[p] for p in uni.offending),
+        rank_ambiguous_points=[idx for idx, gap in zip(index, gaps) if gap < RANK_GAP_FLOOR],
+        fiber_dim_levels=sorted(set(dims)),
         membership_tol_used=cfg.membership_tol,
     )
     if uni.uniform:

@@ -12,6 +12,7 @@ inverse, W-hat(P^-1, y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -261,17 +262,22 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             raise ConfigError(
                 f"polynomial term {k} has total degree {int(exps.sum())} > {POLY_MAX_DEGREE}"
             )
-        parsed.append((np.flatnonzero(exps), exps[exps > 0], coeff))
+        parsed.append(([(v, int(exps[v])) for v in np.flatnonzero(exps).tolist()], coeff))
     if not parsed:
         raise ConfigError("polynomial body needs at least one term")
+    # (variable, k) for k = 1 .. the highest power of each variable that a term uses
+    powers = sorted({(v, k) for factors, _ in parsed for v, e in factors for k in range(1, e + 1)})
 
     def response(F, x):
-        shape = np.broadcast_shapes(F.shape[:-2], x.shape[:-1])
-        z = np.concatenate([np.broadcast_to(F, shape + (3, 3)).reshape(shape + (9,)),
-                            np.broadcast_to(x, shape + (3,))], axis=-1)
+        # Powers by repeated multiplication on views of F and x; each term is the
+        # product of its factors in variable order, and terms are summed in order.
+        z = [F[..., v // 3, v % 3] for v in range(9)] + [x[..., v] for v in range(3)]
+        power = {}
+        for v, k in powers:
+            power[v, k] = z[v] if k == 1 else power[v, k - 1] * z[v]
         acc = 0.0
-        for vars_, exps, coeff in parsed:      # factors z^0 = 1 are skipped
-            acc = acc + coeff * np.prod(z[..., vars_] ** exps, axis=-1)
-        return acc[..., None]
+        for factors, coeff in parsed:
+            acc = acc + coeff * math.prod(power[f] for f in factors)
+        return np.asarray(acc)[..., None]
 
     return Body(name, lo, hi, response, 1, "user polynomial response")

@@ -95,24 +95,26 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
 
     At each point and each j, A(e_j) is the matrix part of smallest norm among
     fiber elements with anchor part e_j.  Requires anchor rank 3 everywhere.
+    Points of one fiber dim are solved together in stacked matmuls.
     """
-    n = grid.n_points
-    lam = np.zeros((n, 3, 3, 3))
-    residuals = np.zeros(n)
-    for p, f in enumerate(fibers):
-        rank = anchor_rank(f, v_tol)
-        if rank < 3:
-            raise NotUniform(
-                f"anchor rank < 3 at grid point {p} ({f.point.tolist()}); no lift exists"
-            )
-        B = f.basis_matrix()                     # (k, 12), orthonormal rows
-        Bv, Ba = B[:, :3], B[:, 3:]
-        # Orthonormal rows give |c|^2 = |Bv^T c|^2 + |Ba^T c|^2, so among the
-        # solutions of Bv^T c = e_j the minimum-norm one minimizes |A(e_j)|.
-        U, sv, Vh = f.anchor_svd                 # of Bv^T, 3 x k
-        C = Vh[:rank].T @ (U[:, :rank].T / sv[:rank, None])   # column j solves e_j
-        lam[p] = (Ba.T @ C).T.reshape(3, 3, 3)
-        residuals[p] = float(np.max(np.abs(Bv.T @ C - _EYE)))
+    lam, residuals = np.zeros((grid.n_points, 3, 3, 3)), np.zeros(grid.n_points)
+    dims = np.array([f.dim for f in fibers])
+    for dim in np.unique(dims).tolist():
+        idx = np.flatnonzero(dims == dim)
+        group = [fibers[p] for p in idx.tolist()]
+        U, sv, Vh = (np.stack(a) for a in zip(*(f.anchor_svd for f in group)))
+        if np.any(np.sum(sv > v_tol, axis=1) < 3):
+            p = next(p for p, f in enumerate(fibers) if anchor_rank(f, v_tol) < 3)
+            raise NotUniform(f"anchor rank < 3 at grid point {p} "
+                             f"({fibers[p].point.tolist()}); no lift exists")
+        B = np.stack([f.basis for f in group])  # (m, k, 12), orthonormal rows
+        Bv, Ba = np.swapaxes(B[..., :3], -1, -2), np.swapaxes(B[..., 3:], -1, -2)
+        # Orthonormal rows give |c|^2 = |Bv c|^2 + |Ba c|^2, so among the
+        # solutions of Bv c = e_j the minimum-norm one minimizes |A(e_j)|.
+        # U, sv, Vh decompose Bv (3 x k); column j of C solves e_j.
+        C = np.swapaxes(Vh[:, :3], -1, -2) @ (np.swapaxes(U, -1, -2) / sv[:, :, None])
+        lam[idx] = np.swapaxes(Ba @ C, -1, -2).reshape(-1, 3, 3, 3)
+        residuals[idx] = np.max(np.abs(Bv @ C - _EYE), axis=(-2, -1))
     return LinearSectionField(grid, lam, residuals)
 
 
@@ -131,11 +133,8 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     """
     grid = conn.grid
     G = conn.lattice()                                   # (nx,ny,nz,3,3,3)
-    dG = grid_gradient(grid, G)
-    R = np.zeros(G.shape[:3] + (3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            R[..., :, :, i, j] = dG[i][..., :, :, j] - dG[j][..., :, :, i]
+    dG = grid_gradient(grid, G)                           # [..., l, k, j, i] = d_i G^l_kj
+    R = np.swapaxes(dG, -1, -2) - dG
     R += np.einsum("...lmi,...mkj->...lkij", G, G)
     R -= np.einsum("...lmj,...mki->...lkij", G, G)
     T = G - np.swapaxes(G, -2, -1)
@@ -280,13 +279,9 @@ def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:
     """
     grid = conn.grid
     G = conn.lattice()
-    c_lat = grid.reshape(chart.coords)                    # (nx,ny,nz,3)
-    dc = grid_gradient(grid, c_lat)
-    J = np.stack(dc, axis=-1)                             # [..., g, i]
-    dJ = grid_gradient(grid, J)
-    dJ_stack = np.stack(dJ, axis=-1)                      # [..., g, i, j]
+    J = grid_gradient(grid, grid.reshape(chart.coords))   # [..., g, i]
     Jinv = np.linalg.inv(J)                               # [..., i, g]
-    bracket = np.einsum("...gk,...kij->...gij", J, G) - dJ_stack
+    bracket = np.einsum("...gk,...kij->...gij", J, G) - grid_gradient(grid, J)
     gamma_p = np.einsum("...ia,...jb,...gij->...gab", Jinv, Jinv, bracket)
     interior = grid.interior_mask()
     interior_max = float(np.max(np.abs(gamma_p[interior]))) if interior.any() else 0.0

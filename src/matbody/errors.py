@@ -37,7 +37,7 @@ class OutOfDomain(MatbodyError):
 
 
 class NonFiniteResponse(MatbodyError, ValueError):
-    """A body's response evaluated to inf or NaN."""
+    """A body's response, or an exponential flow, evaluated to inf or NaN."""
 
 
 class GridTooSmall(MatbodyError):

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import LeftDomain, StepTooLarge
+from .errors import LeftDomain, NonFiniteResponse, StepTooLarge
 from .grid import TrilinearField
 from .jets import Jet1, as_point
 
@@ -100,7 +100,8 @@ def exp_trajectory(section: SectionField, t: float, x,
                    step: float = DEFAULT_STEP) -> list:
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
-    exp_section returns the jet of the final record.
+    exp_section returns the jet of the final record.  Raises LeftDomain when y
+    leaves the section's hull and NonFiniteResponse when F overflows.
     """
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
@@ -116,11 +117,15 @@ def exp_trajectory(section: SectionField, t: float, x,
         v, A = section.value(state[0])
         return v, A @ state[1]
 
-    for k in range(1, n + 1):
-        y, F = _rk4_step(rhs, (y, F), dt)
-        if not section.contains(y):
-            raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-        records.append((k * dt, y, F))          # _rk4_step returns new arrays
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
+        for k in range(1, n + 1):
+            y, F = _rk4_step(rhs, (y, F), dt)
+            if not section.contains(y):
+                raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
+            records.append((k * dt, y, F))      # _rk4_step returns new arrays
+    # Non-finite entries never turn finite again, so the last step shows them all.
+    if not np.isfinite(F).all():
+        raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
 
 

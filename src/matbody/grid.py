@@ -120,13 +120,13 @@ class TrilinearField:
 _CORNERS = tuple(itertools.product((0, 1), repeat=3))
 
 
-def grid_gradient(grid: Grid, values: np.ndarray) -> list:
+def grid_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Per-axis derivatives of lattice data, central inside, one-sided at edges.
 
-    ``values`` is lattice-shaped with arbitrary trailing dimensions; returns a
-    list of three arrays of the same shape.  Second-order one-sided stencils
-    keep edge derivatives exact for quadratic fields.
+    ``values`` is lattice-shaped with arbitrary trailing dimensions; the result
+    appends an axis holding d/dx_i at index i.  Second-order one-sided
+    stencils keep edge derivatives exact for quadratic fields.
     """
     if min(grid.shape) < 3:
         raise GridTooSmall(f"gradient needs >= 3 points per axis, got {grid.shape}")
-    return list(np.gradient(values, *grid.spacing, axis=(0, 1, 2), edge_order=2))
+    return np.stack(np.gradient(values, *grid.spacing, axis=(0, 1, 2), edge_order=2), axis=-1)

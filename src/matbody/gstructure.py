@@ -147,10 +147,9 @@ def frame_bracket_defect(P: Parallelism, grid: Grid) -> float:
     """
     frames = np.stack([P.matrix(x) for x in grid.points])
     E = grid.reshape(frames)                       # (nx,ny,nz,3(k),3(col i))
-    dE = grid_gradient(grid, E)
-    dE_stack = np.stack(dE, axis=-1)               # [..., k, i, l]
-    # bracket[..., k, i, j] = sum_l E[..., l, i] dE[l][..., k, j] - (i <-> j)
-    term = np.einsum("...li,...kjl->...kij", E, dE_stack)
+    dE = grid_gradient(grid, E)                    # [..., k, i, l]
+    # bracket[..., k, i, j] = sum_l E[..., l, i] dE[..., k, j, l] - (i <-> j)
+    term = np.einsum("...li,...kjl->...kij", E, dE)
     bracket = term - np.swapaxes(term, -1, -2)
     interior = grid.interior_mask()
     return float(np.max(np.abs(bracket[interior])))

@@ -2,12 +2,15 @@
 
 Everything here is computed by a route disjoint from the library code under
 test: analytic response gradients instead of finite differences, closed-form
-tensor formulas instead of grid stencils, scipy's expm instead of RK4.  Two
+tensor formulas instead of grid stencils, scipy's expm instead of RK4.  A few
 exceptions are kept as references for faster library paths: the per-point
 stencil loop, the fibre computation as it was before the response contract
 was batched (it evaluates one (F, x) pair per call, so it checks the batched
-stencils, not the response), and ``loop_trilinear``, the trilinear
-interpolant as it was before it gained a single-point path.
+stencils, not the response), ``loop_trilinear``, the trilinear interpolant
+as it was before it gained a single-point path, and ``loop_polynomial_response``
+and ``loop_minimal_lift``, the polynomial response and the minimal lift as
+they were before they were computed from a power table and in stacked
+matmuls.
 """
 
 import itertools
@@ -17,7 +20,8 @@ from itertools import product
 import numpy as np
 from scipy.linalg import expm
 
-from matbody import LeftDomain, OutOfDomain, evaluate
+from matbody import LeftDomain, NotUniform, OutOfDomain, evaluate
+from matbody.algebroid import anchor_rank
 from matbody.jets import as_point
 
 I3 = np.eye(3)
@@ -244,3 +248,43 @@ def loop_trilinear(axes, values, x):
     for di, dj, dk in itertools.product((0, 1), repeat=3):
         out = out + wi[di] * wj[dj] * wk[dk] * flat[i + di, j + dj, k + dk]
     return out.reshape(p.shape[:-1] + values.shape[3:])
+
+
+# ---------------------------------------------------------------------------
+# References for the polynomial response and the minimal lift as they were
+# before the power-table kernel and the stacked lift.
+# ---------------------------------------------------------------------------
+
+def loop_polynomial_response(terms, F, x):
+    """Polynomial response with one fancy-index copy, pow and prod per term."""
+    parsed = []
+    for exps, coeff in terms:
+        exps = np.array(exps, dtype=int).reshape(12)
+        parsed.append((np.flatnonzero(exps), exps[exps > 0], float(coeff)))
+    shape = np.broadcast_shapes(F.shape[:-2], x.shape[:-1])
+    z = np.concatenate([np.broadcast_to(F, shape + (3, 3)).reshape(shape + (9,)),
+                        np.broadcast_to(x, shape + (3,))], axis=-1)
+    acc = 0.0
+    for vars_, exps, coeff in parsed:      # factors z^0 = 1 are skipped
+        acc = acc + coeff * np.prod(z[..., vars_] ** exps, axis=-1)
+    return acc[..., None]
+
+
+def loop_minimal_lift(fibers, v_tol=1e-8):
+    """(lam, residuals) of the minimal lift, one point at a time."""
+    n = len(fibers)
+    lam = np.zeros((n, 3, 3, 3))
+    residuals = np.zeros(n)
+    for p, f in enumerate(fibers):
+        rank = anchor_rank(f, v_tol)
+        if rank < 3:
+            raise NotUniform(
+                f"anchor rank < 3 at grid point {p} ({f.point.tolist()}); no lift exists"
+            )
+        B = f.basis                              # (k, 12), orthonormal rows
+        Bv, Ba = B[:, :3], B[:, 3:]
+        U, sv, Vh = f.anchor_svd                 # of Bv^T, 3 x k
+        C = Vh[:rank].T @ (U[:, :rank].T / sv[:rank, None])   # column j solves e_j
+        lam[p] = (Ba.T @ C).T.reshape(3, 3, 3)
+        residuals[p] = float(np.max(np.abs(Bv.T @ C - I3)))
+    return lam, residuals

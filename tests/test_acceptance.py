@@ -239,7 +239,7 @@ def test_criterion_7_w_inverse_flow_invariance():
         a_data = np.zeros((grid.n_points, 3, 3))
         for p, xp in enumerate(grid.points):
             f = fiber(body, xp, samples, RANK_TOL)
-            B = f.basis_matrix()
+            B = f.basis
             proj = B.T @ (B @ u0)
             v_data[p] = proj[:3]
             a_data[p] = proj[3:].reshape(3, 3)

@@ -15,6 +15,7 @@ import pytest
 
 from matbody import (
     AlgebroidElement,
+    AnalysisConfig,
     NonFiniteResponse,
     OutOfDomain,
     SectionField,
@@ -28,9 +29,10 @@ from matbody import (
     make_grid,
     make_samples,
     polynomial_body,
+    run_analysis,
     uniformity_verdict,
 )
-from matbody.algebroid import FiberBasis, anchor_rank, stack_constraints
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, stack_constraints
 from oracles import (
     E12,
     I3,
@@ -149,7 +151,7 @@ def test_fiber_dims_match_oracle(iso_body, fgm_body, nonuniform_body, samples, r
 def test_fiber_basis_orthonormal_and_in_kernel(iso_body, samples, rng):
     x = np.array([0.2, 0.2, 0.2])
     f = fiber(iso_body, x, samples, RANK_TOL)
-    B = f.basis_matrix()
+    B = f.basis
     assert np.max(np.abs(B @ B.T - np.eye(f.dim))) <= 1e-10
     L = stack_constraints(iso_body, x, samples)
     sigma_max = np.linalg.svd(L, compute_uv=False)[0]
@@ -165,7 +167,7 @@ def test_fiber_residual_on_fresh_samples(iso_body, fgm_body, samples):
         f = fiber(body, x, samples, RANK_TOL)
         L = stack_constraints(body, x, fresh)
         sigma_max = np.linalg.svd(L, compute_uv=False)[0]
-        for u in f.basis_matrix():
+        for u in f.basis:
             assert np.linalg.norm(L @ u) <= 10 * RANK_TOL * sigma_max
 
 
@@ -173,13 +175,13 @@ def test_isotropy_elements_are_skew(iso_body, samples):
     f = fiber(iso_body, np.zeros(3), samples, RANK_TOL)
     iso = isotropy_algebra(f)
     assert iso.dim == 3
-    for e in iso.basis:
+    for e in map(AlgebroidElement.from_vector, iso.basis):
         assert np.max(np.abs(e.v)) <= 1e-10
         assert np.max(np.abs(e.A + e.A.T)) <= 1e-8
 
 
 def test_empty_fiber_isotropy():
-    f = FiberBasis(np.zeros(3), (), 0, np.ones(12))
+    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12))
     assert isotropy_algebra(f).dim == 0
     assert anchor_rank(f) == 0
 
@@ -226,7 +228,7 @@ def test_fiber_is_one_point_case_of_batch(fgm_body, samples):
         g = fiber(fgm_body, x, samples)
         assert g.dim == f.dim
         assert np.array_equal(g.singular_values, f.singular_values)
-        assert np.array_equal(g.basis_matrix(), f.basis_matrix())
+        assert np.array_equal(g.basis, f.basis)
 
 
 def test_fibers_at_names_failing_point():
@@ -260,6 +262,25 @@ def test_fiber_stage_memory_stays_bounded():
         assert peak - held <= 2 * 2**20, f"{body.name} {res}^3: {(peak - held) / 2**20:.2f} MiB"
 
 
+def test_run_analysis_svd_count(monkeypatch):
+    """One SVD per fibre chunk and one per fibre-dim level, not one per point."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    cfg = AnalysisConfig(body_kind="uniform_fgm")
+    report = run_analysis(cfg)
+    n = int(np.prod(cfg.resolution))
+    count = make_samples(cfg.sample_count, cfg.seed).count      # anchors included
+    chunks = -(-n // max(1, STENCIL_PAIRS // (18 * count)))
+    assert report.homogeneity == "obstructed"
+    assert len(calls) <= chunks + len(report.fiber_dim_levels) == 17
+
+
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):
     for body in (iso_body, fgm_body):
         f = fiber(body, np.array([0.1, 0.4, -0.2]), samples, RANK_TOL)
@@ -291,7 +312,7 @@ def test_uniformity_verdicts(iso_body, fgm_body, nonuniform_body, samples, rng):
 def test_fiber_elements_exponentiate_to_isomorphisms(iso_body, samples):
     x = np.array([0.0, 0.1, -0.1])
     f = fiber(iso_body, x, samples, RANK_TOL)
-    for e in f.basis:
+    for e in map(AlgebroidElement.from_vector, f.basis):
         s = SectionField.constant(e.v, e.A, iso_body.lo, iso_body.hi)
         g = exp_section(s, 0.1, x)
         assert is_material_isomorphism(iso_body, g, samples, 1e-5)

@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matbody
 from matbody import (
     AnalysisConfig,
     ConfigError,
@@ -249,6 +254,32 @@ def test_cli_analyze_numerical_failure(tmp_path, capsys):
     assert main(["analyze", "--config", cfg]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "at grid point [-0.9, -0.9, -0.9]: response of 'polynomial' is non-finite" in err
+
+
+def test_cli_cross_check_overflow_is_quiet(tmp_path):
+    """An exponential cross-check whose RK4 state overflows reads null, silently."""
+    # v_tol at the smallest subnormal counts nonuniform's rank-2 anchor as rank 3,
+    # so the lift divides by singular values of 1e-13..1e-10 and the flow overflows.
+    cfg = write_config(tmp_path, {
+        "body": "nonuniform",
+        "grid": {"resolution": [3, 3, 3]},
+        "samples": {"count": 12},
+        "tolerances": {"v_tol": 5e-324},
+    })
+    src = str(Path(matbody.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "matbody.cli", "analyze", "--config", cfg,
+                           "--format", "structured"], env=env, capture_output=True, timeout=120)
+    assert done.returncode == EXIT_OK
+    assert done.stderr == b""
+    doc = parse_report(done.stdout)
+    assert doc["uniformity"]["verdict"] == "uniform"
+    assert doc["diagnostics"]["exp_membership_defect"] is None
+    assert doc["trajectory"] is None
+    # the flow command refuses the same non-finite trajectory
+    rc = main(["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"])
+    assert rc == EXIT_NUMERICAL
 
 
 _TOLERANCE_RANGES = {

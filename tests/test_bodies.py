@@ -21,7 +21,8 @@ from matbody import (
     polynomial_body,
 )
 from matbody.bodies import E_SHEAR_12, membership_tol
-from oracles import I3, E12, isotropic_polynomial_terms, random_rotation, w0_value
+from oracles import (I3, E12, isotropic_polynomial_terms, loop_polynomial_response,
+                     random_rotation, w0_value)
 
 BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform")
 
@@ -259,3 +260,42 @@ def test_polynomial_body_validation():
         polynomial_body([(negative, 1.0)])
     with pytest.raises(ConfigError):
         polynomial_body([])
+
+
+# |kernel - reference| <= POLY_RTOL * (1 + sum over terms of |c * term|), fixed
+# before the power-table kernel was written: each term is a product of at most
+# four factors and a coefficient, so the two routes differ by a few roundings
+# of each term's own magnitude.
+POLY_RTOL = 1e-14
+
+
+def random_terms(rng, count):
+    """A constant term, cubes and fourth powers of F entries and x coordinates,
+    then random monomials of degree 1..4 over all 12 variables."""
+    terms = [([0] * 12, rng.normal())]
+    for v, e in ((0, 3), (4, 4), (9, 3), (11, 4), (5, 2)):
+        exps = [0] * 12
+        exps[v] = e
+        terms.append((exps, rng.normal()))
+    while len(terms) < count:
+        exps = np.bincount(rng.integers(0, 12, size=rng.integers(1, 5)), minlength=12)
+        terms.append((exps.tolist(), rng.normal()))
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_kernel_matches_loop_reference(seed):
+    rng = np.random.default_rng([seed, 77])
+    terms = random_terms(rng, 40)
+    body = polynomial_body(terms)
+    abs_terms = [(e, abs(c)) for e, c in terms]
+    # (leading shape of F, shape of x); the last is the fibre F-stencil layout
+    shapes = [((7,), (3,)), ((), (5, 3)), ((6, 4), (6, 1, 3)), ((12, 2, 9), (5, 1, 1, 1, 3))]
+    for f_lead, x_shape in shapes:
+        F = I3 + rng.uniform(-0.5, 0.5, f_lead + (3, 3))
+        x = rng.uniform(-1.0, 1.0, x_shape)
+        got = evaluate(body, F, x)
+        want = loop_polynomial_response(terms, F, x)
+        scale = loop_polynomial_response(abs_terms, np.abs(F), np.abs(x))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= POLY_RTOL * (1.0 + scale))

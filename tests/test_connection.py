@@ -7,6 +7,8 @@ combinations) for hand-differentiable test fields, and the Christoffels are
 cross-checked against the derivation extracted from exponential flows.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,18 +18,21 @@ from matbody import (
     NotUniform,
     SectionField,
     build_homogeneous_chart,
+    builtin_body,
     chart_christoffels,
     christoffels,
     curvature_torsion,
     derivation_matrix,
     fiber,
+    fibers_at,
     homogeneity_verdict,
     make_grid,
+    make_samples,
     minimal_lift_section,
     transport_frame,
 )
 from matbody.connection import LinearSectionField
-from oracles import E12, E21, I3, curvature_formula, torsion_formula
+from oracles import E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula
 
 RANK_TOL = 1e-6
 
@@ -65,6 +70,46 @@ def test_minimal_lift_fgm_matches_hand_value(fgm_body, samples):
         assert np.max(np.abs(section.lam[p, 1])) <= 1e-6
         assert np.max(np.abs(section.lam[p, 2])) <= 1e-6
     assert np.max(section.residuals) <= 1e-9
+
+
+def assert_lift_is_the_point_loop(grid, fibers):
+    """The stacked lift equals the per-point loop bit for bit, or both refuse alike."""
+    try:
+        lam, residuals = loop_minimal_lift(fibers)
+    except NotUniform as exc:
+        with pytest.raises(NotUniform, match=re.escape(str(exc))):
+            minimal_lift_section(grid, fibers)
+        return
+    section = minimal_lift_section(grid, fibers)
+    assert section.lam.tobytes() == lam.tobytes()
+    assert section.residuals.tobytes() == residuals.tobytes()
+
+
+_BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform")
+
+
+@pytest.mark.parametrize("kind", _BUILTINS)
+def test_stacked_lift_is_bitwise_the_point_loop(kind):
+    body = builtin_body(kind)
+    grid = make_grid(body.lo, body.hi, 5, 0.1)
+    assert_lift_is_the_point_loop(grid, fibers_at(body, grid.points, make_samples(24, 8)))
+
+
+def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
+    """Fibers of dims 6 and 3 interleaved: each dim group lands on its own points.
+    With rank-deficient fibers in two groups, the error names the lowest point,
+    which lies in the group solved second."""
+    grid = small_grid()
+    samples = make_samples(16, 9)
+    by_kind = {kind: fibers_at(builtin_body(kind), grid.points, samples)
+               for kind in ("homogeneous_isotropic", "uniform_fgm", "nonuniform")}
+    mixed = [by_kind["uniform_fgm" if p % 3 else "homogeneous_isotropic"][p]
+             for p in range(grid.n_points)]
+    assert {f.dim for f in mixed} == {3, 6}
+    assert_lift_is_the_point_loop(grid, mixed)
+    mixed[13], mixed[20] = by_kind["nonuniform"][13], by_kind["nonuniform"][20]
+    assert (mixed[13].dim, mixed[20].dim) == (5, 3)     # x1 = 0 and x1 = 0.9
+    assert_lift_is_the_point_loop(grid, mixed)
 
 
 def test_minimal_lift_requires_uniformity(nonuniform_body, samples):

@@ -294,7 +294,7 @@ def test_w_inverse_constant_along_material_flow(iso_body, samples, rng):
     a_data = np.zeros((grid.n_points, 3, 3))
     for p, x in enumerate(grid.points):
         f = fiber(iso_body, x, samples)
-        B = f.basis_matrix()
+        B = f.basis
         proj = B.T @ (B @ u0)
         v_data[p] = proj[:3]
         a_data[p] = proj[3:].reshape(3, 3)
