@@ -132,10 +132,15 @@ def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
 
 
 def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
-    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|_inf."""
+    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|_inf.
+
+    Both sides are one ``evaluate`` of the stacked (2, n) batch: (F P, x) in
+    row 0, (F, y) in row 1.  An error's ``index`` is (side, sample), side 0
+    the source and 1 the target.
+    """
     Fs = samples.matrices
-    d = evaluate(body, Fs @ g.matrix, g.source) - evaluate(body, Fs, g.target)
-    return float(np.max(np.abs(d)))
+    w = evaluate(body, np.stack((Fs @ g.matrix, Fs)), np.stack((g.source, g.target))[:, None])
+    return float(np.max(np.abs(w[0] - w[1])))
 
 
 def membership_tol(body: Body, samples: SampleSet, points: Sequence) -> float:

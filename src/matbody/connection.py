@@ -191,30 +191,34 @@ def _transport_field(conn: ConnectionField, substep, *points) -> tuple:
     return field, float(np.min(conn.grid.spacing)) / 4.0 if substep is None else substep
 
 
-def _transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> tuple:
+def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> np.ndarray:
     """Transport frames P and integrate chart coordinates c along start -> end.
 
+    ``state`` holds (P row-major | c) on its last axis, 12 entries.
     Solves dP/ds = -Gamma(y, v) P, dc/ds = P^-1 v on y = start + s v, v = end - start,
     with n >= 1 RK4 steps: max|v| / substep rounded up, or to the nearest integer
     when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
     of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
     not at a running sum, and the last at ``end`` itself, so none leaves the segment.
-    A zero displacement returns (P, c) without a step.
+    A zero displacement returns ``state`` without a step.
     Leading dimensions batch legs that share the same displacement.
     """
     v = end - start
     if not np.any(v):
-        return P, c
+        return state
     n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
+    lead = state.shape[:-1]
 
     def rhs(frac, state):
         s = (k + frac) / n                  # k is the step of the loop below
         Gv = np.einsum("...kij,...j->...ki", field(end if s == 1.0 else start + s * v), v)
-        return -Gv @ state[0], np.linalg.solve(state[0], v[..., None])[..., 0]
+        P = state[..., :9].reshape(lead + (3, 3))
+        return np.concatenate(((-Gv @ P).reshape(lead + (9,)),
+                               np.linalg.solve(P, v[..., None])[..., 0]), axis=-1)
 
     for k in range(n):
-        P, c = _rk4_step(rhs, (P, c), 1.0 / n)
-    return P, c
+        state = _rk4_step(rhs, state, 1.0 / n)
+    return state
 
 
 def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),
@@ -226,12 +230,12 @@ def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),
     """
     x0, target = as_point(x0), as_point(target)
     field, substep = _transport_field(conn, substep, x0, target)
-    P, c, q = np.eye(3), np.zeros(3), x0
+    state, q = np.concatenate((_EYE.ravel(), np.zeros(3))), x0
     for axis in order:
         end = np.where(np.arange(3) == axis, target, q)     # q moved to target along axis
-        P, c = _transport_leg(field, q, end, P, c, substep)
+        state = _transport_leg(field, q, end, state, substep)
         q = end
-    return P, c
+    return state[:9].reshape(3, 3), state[9:]
 
 
 def build_homogeneous_chart(conn: ConnectionField, x0,
@@ -253,20 +257,21 @@ def build_homogeneous_chart(conn: ConnectionField, x0,
         )
     x0 = as_point(x0)
     field, substep = _transport_field(conn, substep, x0)
-    points, frames, coords = x0[None], np.eye(3)[None], np.zeros((1, 3))
+    points, states = x0[None], np.concatenate((_EYE.ravel(), np.zeros(3)))[None]
     for axis, ticks in enumerate(conn.grid.axes):
         # one line per current point; all lines walk out from x0 leg by leg together
         line = np.repeat(points[:, None], len(ticks), axis=1)
         line[:, :, axis] = ticks
-        line_P, line_c = np.empty(line.shape + (3,)), np.empty(line.shape)
+        line_states = np.empty(line.shape[:-1] + (12,))
         j = int(np.searchsorted(ticks, x0[axis]))           # first tick >= x0
         for walk in (range(j, len(ticks)), range(j - 1, -1, -1)):
-            q, P, c = points, frames, coords
+            q, s = points, states
             for i in walk:
-                P, c = _transport_leg(field, q, line[:, i], P, c, substep)
-                q, line_P[:, i], line_c[:, i] = line[:, i], P, c
-        points, frames, coords = (a.reshape((-1,) + a.shape[2:]) for a in (line, line_P, line_c))
-    return ChartField(conn.grid, x0, coords, frames)
+                s = _transport_leg(field, q, line[:, i], s, substep)
+                q, line_states[:, i] = line[:, i], s
+        points, states = line.reshape(-1, 3), line_states.reshape(-1, 12)
+    frames = np.ascontiguousarray(states[:, :9]).reshape(-1, 3, 3)
+    return ChartField(conn.grid, x0, np.ascontiguousarray(states[:, 9:]), frames)
 
 
 def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:

@@ -5,7 +5,11 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
 
     dy/dt = v(y),        dF/dt = A(y) F,        y(0) = x,  F(0) = I,
 
-with classical fixed-step RK4.  Differentiating the pullback of the flow on
+with classical fixed-step RK4 on one array state, the 12-vector
+(y | F row-major).  A SectionField is one callable x -> (v | A row-major)
+behind its domain check, so an RK4 stage makes one call and one check; for a
+grid-backed section that callable is the stacked TrilinearField, whose hull
+check is the domain check.  Differentiating the pullback of the flow on
 the coordinate frame at t = 0 recovers (-A(x), v(x)); that finite-difference
 check is the sign-convention lock used by the connection module.
 """
@@ -28,13 +32,26 @@ DEFAULT_PULLBACK_H = 1e-5
 
 
 class SectionField:
-    """Assignment x -> (v(x), A(x)), analytic or interpolated from a lattice."""
+    """Assignment x -> (v(x), A(x)), analytic or interpolated from a lattice.
+
+    Held as one callable x -> (v | A row-major), a 12-vector, that raises
+    LeftDomain outside the domain box: one domain check per evaluation.
+    """
 
     def __init__(self, fn: Callable[[np.ndarray], tuple], lo, hi):
-        self._fn = fn
         self.lo = as_point(lo)
         self.hi = as_point(hi)
         self._bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
+
+        def stacked(x):
+            p = np.asarray(x, dtype=float)
+            if not self.contains(p):
+                raise LeftDomain(f"point {p.tolist()} outside section domain")
+            v, A = fn(p)
+            return np.concatenate((np.asarray(v, dtype=float).reshape(3),
+                                   np.asarray(A, dtype=float).reshape(9)))
+
+        self._stacked = stacked
 
     def contains(self, x) -> bool:
         """Whether the point x (3,) lies in the closed domain box; never for NaN."""
@@ -42,11 +59,9 @@ class SectionField:
                    zip(np.asarray(x, dtype=float).reshape(3).tolist(), self._bounds))
 
     def value(self, x) -> tuple:
-        p = np.asarray(x, dtype=float)
-        if not self.contains(p):
-            raise LeftDomain(f"point {p.tolist()} outside section domain")
-        v, A = self._fn(p)
-        return np.asarray(v, dtype=float), np.asarray(A, dtype=float)
+        """(v(x), A(x)) as views of the stacked value."""
+        va = self._stacked(x)
+        return va[:3], va[3:].reshape(3, 3)
 
     @staticmethod
     def constant(v, A, lo, hi) -> "SectionField":
@@ -58,31 +73,28 @@ class SectionField:
     def from_grid(axes, v_data, a_data) -> "SectionField":
         """Trilinear interpolation of lattice samples; domain is the grid hull.
 
-        One interpolant carries the stacked (v | A) data, so each value is one
-        trilinear call; per component the arithmetic is that of two fields.
+        The stacked value is one interpolant over the (v | A) lattice data, whose
+        hull check is the domain check; per component the arithmetic is that of
+        two fields.
         """
         a_data = np.asarray(a_data, dtype=float)
         field = TrilinearField(axes, np.concatenate(
             [v_data, a_data.reshape(a_data.shape[:3] + (9,))], axis=-1))
-
-        def value(x):
-            va = field(x)
-            return va[..., :3], va[..., 3:].reshape(va.shape[:-1] + (3, 3))
-
-        return SectionField(value, [a[0] for a in axes], [a[-1] for a in axes])
+        section = SectionField(None, [a[0] for a in axes], [a[-1] for a in axes])
+        section._stacked = field        # its hull check replaces the wrapper's domain check
+        return section
 
 
-def _rk4_step(rhs: Callable, state: tuple, dt: float) -> tuple:
-    """One classical RK4 step of d(state)/dt = rhs(c, state) for a tuple of arrays.
+def _rk4_step(rhs: Callable, x: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of dx/dt = rhs(c, x) for an array state x.
 
     ``c`` is the stage's fraction of the step (0, 1/2 or 1), for a time-dependent rhs.
     """
-    k1 = rhs(0.0, state)
-    k2 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k1)))
-    k3 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k2)))
-    k4 = rhs(1.0, tuple(x + dt * d for x, d in zip(state, k3)))
-    return tuple(x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+    k1 = rhs(0.0, x)
+    k2 = rhs(0.5, x + 0.5 * dt * k1)
+    k3 = rhs(0.5, x + 0.5 * dt * k2)
+    k4 = rhs(1.0, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> Jet1:
@@ -106,25 +118,27 @@ def exp_trajectory(section: SectionField, t: float, x,
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
     x = as_point(x)
-    y, F = x.copy(), np.eye(3)
-    records = [(0.0, y, F)]
+    state = np.concatenate((x, np.eye(3).ravel()))          # (y | F row-major)
+    records = [(0.0, state[:3], state[3:].reshape(3, 3))]
     if t == 0.0:
         return records
     n = max(1, math.ceil(abs(t) / step))
     dt = t / n
+    stacked = section._stacked
 
-    def rhs(_c, state):
-        v, A = section.value(state[0])
-        return v, A @ state[1]
+    def rhs(_c, s):
+        va = stacked(s[:3])
+        return np.concatenate((va[:3], (va[3:].reshape(3, 3) @ s[3:].reshape(3, 3)).ravel()))
 
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for k in range(1, n + 1):
-            y, F = _rk4_step(rhs, (y, F), dt)
+            state = _rk4_step(rhs, state, dt)               # a new array each step
+            y = state[:3]
             if not section.contains(y):
                 raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-            records.append((k * dt, y, F))      # _rk4_step returns new arrays
+            records.append((k * dt, y, state[3:].reshape(3, 3)))
     # Non-finite entries never turn finite again, so the last step shows them all.
-    if not np.isfinite(F).all():
+    if not np.isfinite(state[3:]).all():
         raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
 

@@ -67,12 +67,15 @@ class TrilinearField:
     """
 
     def __init__(self, axes, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        # a read-only copy: the corner blocks cached below must not go stale
+        values = np.array(values, dtype=float)
+        values.setflags(write=False)
         self._axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self._lo, self._hi = np.array([(a[0], a[-1]) for a in self._axes]).T
         self._ticks = tuple(a.tolist() for a in self._axes)
         self._value_shape = values.shape[3:]
         self._flat = values.reshape(values.shape[:3] + (-1,))
+        self._blocks = {}       # cell (i, j, k) -> its contiguous (8, m) corner block
 
     def contains(self, x) -> bool:
         p = np.asarray(x, dtype=float)
@@ -109,8 +112,11 @@ class TrilinearField:
             cells.append(i)
             weights.append((1.0 - t, t))
         (i, j, k), (wi, wj, wk) = cells, weights
+        block = self._blocks.get((i, j, k))
+        if block is None:
+            block = self._blocks[i, j, k] = self._flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1)
         w = np.array([wi[di] * wj[dj] * wk[dk] for di, dj, dk in _CORNERS])
-        terms = w[:, None] * self._flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1)
+        terms = w[:, None] * block
         # running sum in corner order, as the loop above adds them; reduce would
         # sum a lone column pairwise.  + 0.0 maps an all -0.0 sum to the loop's 0.0
         return (np.add.accumulate(terms)[-1] + 0.0).reshape(self._value_shape)

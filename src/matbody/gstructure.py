@@ -34,16 +34,17 @@ class Parallelism:
 
     def contains(self, x) -> bool:
         p = np.asarray(x, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
+        return bool((p >= self.lo).all() and (p <= self.hi).all())
 
     def frame(self, x) -> Frame:
+        return Frame(x, self.matrix(x))
+
+    def matrix(self, x) -> np.ndarray:
+        """The frame's matrix at x, validated once: read-only and invertible."""
         p = as_point(x)
         if not self.contains(p):
             raise OutOfDomain(f"{p.tolist()} outside parallelism domain")
-        return Frame(p, as_matrix(self._fn(p), invertible=True))
-
-    def matrix(self, x) -> np.ndarray:
-        return self.frame(x).matrix
+        return as_matrix(self._fn(p), invertible=True)
 
     @staticmethod
     def constant(M, lo, hi) -> "Parallelism":

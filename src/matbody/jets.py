@@ -26,7 +26,7 @@ DET_TOL = 1e-12
 def as_point(x) -> np.ndarray:
     """Coerce to an immutable finite 3-vector of chart coordinates."""
     p = np.array(x, dtype=float).reshape(3)
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError(f"point has non-finite coordinates: {p}")
     p.setflags(write=False)
     return p
@@ -35,10 +35,14 @@ def as_point(x) -> np.ndarray:
 def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     """Coerce to an immutable finite 3x3 matrix, optionally requiring |det| >= DET_TOL."""
     a = np.array(m, dtype=float).reshape(3, 3)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    if invertible and abs(np.linalg.det(a)) < DET_TOL:
-        raise SingularMatrix(f"|det| = {abs(np.linalg.det(a)):.3e} < {DET_TOL:.0e}")
+    if invertible:
+        # closed-form cofactor expansion on floats; np.linalg.det costs an LU call
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.tolist()
+        det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        if abs(det) < DET_TOL:
+            raise SingularMatrix(f"|det| = {abs(det):.3e} < {DET_TOL:.0e}")
     a.setflags(write=False)
     return a
 

@@ -7,21 +7,27 @@ exceptions are kept as references for faster library paths: the per-point
 stencil loop, the fibre computation as it was before the response contract
 was batched (it evaluates one (F, x) pair per call, so it checks the batched
 stencils, not the response), ``loop_trilinear``, the trilinear interpolant
-as it was before it gained a single-point path, and ``loop_polynomial_response``
+as it was before it gained a single-point path, ``loop_polynomial_response``
 and ``loop_minimal_lift``, the polynomial response and the minimal lift as
 they were before they were computed from a power table and in stacked
-matmuls.
+matmuls, and ``tuple_exp_trajectory`` and ``tuple_chart``, the exponential
+flow and the chart sweep as they were when RK4 carried a tuple of arrays.
 """
 
 import itertools
+import math
 from collections import Counter
 from itertools import product
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
 
-from matbody import LeftDomain, NotUniform, OutOfDomain, evaluate
+from matbody import LeftDomain, NonFiniteResponse, NotUniform, OutOfDomain, StepTooLarge, evaluate
 from matbody.algebroid import anchor_rank
+from matbody.connection import ChartField, _transport_field
+from matbody.flows import DEFAULT_STEP, MAX_STEP, SectionField
+from matbody.grid import TrilinearField
 from matbody.jets import as_point
 
 I3 = np.eye(3)
@@ -288,3 +294,101 @@ def loop_minimal_lift(fibers, v_tol=1e-8):
         lam[p] = (Ba.T @ C).T.reshape(3, 3, 3)
         residuals[p] = float(np.max(np.abs(Bv.T @ C - I3)))
     return lam, residuals
+
+
+# ---------------------------------------------------------------------------
+# References for the single-array RK4 state: the tuple-of-arrays RK4, the
+# exponential flow and the transport leg that used it, and the chart sweep
+# over those legs, verbatim but for their names.
+# ---------------------------------------------------------------------------
+
+def tuple_rk4_step(rhs: Callable, state: tuple, dt: float) -> tuple:
+    """One classical RK4 step of d(state)/dt = rhs(c, state) for a tuple of arrays.
+
+    ``c`` is the stage's fraction of the step (0, 1/2 or 1), for a time-dependent rhs.
+    """
+    k1 = rhs(0.0, state)
+    k2 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k1)))
+    k3 = rhs(0.5, tuple(x + 0.5 * dt * d for x, d in zip(state, k2)))
+    k4 = rhs(1.0, tuple(x + dt * d for x, d in zip(state, k3)))
+    return tuple(x + (dt / 6.0) * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+
+def tuple_exp_trajectory(section: SectionField, t: float, x,
+                         step: float = DEFAULT_STEP) -> list:
+    """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
+
+    exp_section returns the jet of the final record.  Raises LeftDomain when y
+    leaves the section's hull and NonFiniteResponse when F overflows.
+    """
+    if step > MAX_STEP:
+        raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
+    x = as_point(x)
+    y, F = x.copy(), np.eye(3)
+    records = [(0.0, y, F)]
+    if t == 0.0:
+        return records
+    n = max(1, math.ceil(abs(t) / step))
+    dt = t / n
+
+    def rhs(_c, state):
+        v, A = section.value(state[0])
+        return v, A @ state[1]
+
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
+        for k in range(1, n + 1):
+            y, F = tuple_rk4_step(rhs, (y, F), dt)
+            if not section.contains(y):
+                raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
+            records.append((k * dt, y, F))      # _rk4_step returns new arrays
+    # Non-finite entries never turn finite again, so the last step shows them all.
+    if not np.isfinite(F).all():
+        raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
+    return records
+
+
+def tuple_transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> tuple:
+    """Transport frames P and integrate chart coordinates c along start -> end.
+
+    Solves dP/ds = -Gamma(y, v) P, dc/ds = P^-1 v on y = start + s v, v = end - start,
+    with n >= 1 RK4 steps: max|v| / substep rounded up, or to the nearest integer
+    when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
+    of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
+    not at a running sum, and the last at ``end`` itself, so none leaves the segment.
+    A zero displacement returns (P, c) without a step.
+    Leading dimensions batch legs that share the same displacement.
+    """
+    v = end - start
+    if not np.any(v):
+        return P, c
+    n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
+
+    def rhs(frac, state):
+        s = (k + frac) / n                  # k is the step of the loop below
+        Gv = np.einsum("...kij,...j->...ki", field(end if s == 1.0 else start + s * v), v)
+        return -Gv @ state[0], np.linalg.solve(state[0], v[..., None])[..., 0]
+
+    for k in range(n):
+        P, c = tuple_rk4_step(rhs, (P, c), 1.0 / n)
+    return P, c
+
+
+def tuple_chart(conn, x0, substep=None) -> ChartField:
+    """The chart sweep of build_homogeneous_chart over tuple_transport_leg, no flatness check."""
+    x0 = as_point(x0)
+    field, substep = _transport_field(conn, substep, x0)
+    points, frames, coords = x0[None], np.eye(3)[None], np.zeros((1, 3))
+    for axis, ticks in enumerate(conn.grid.axes):
+        # one line per current point; all lines walk out from x0 leg by leg together
+        line = np.repeat(points[:, None], len(ticks), axis=1)
+        line[:, :, axis] = ticks
+        line_P, line_c = np.empty(line.shape + (3,)), np.empty(line.shape)
+        j = int(np.searchsorted(ticks, x0[axis]))           # first tick >= x0
+        for walk in (range(j, len(ticks)), range(j - 1, -1, -1)):
+            q, P, c = points, frames, coords
+            for i in walk:
+                P, c = tuple_transport_leg(field, q, line[:, i], P, c, substep)
+                q, line_P[:, i], line_c[:, i] = line[:, i], P, c
+        points, frames, coords = (a.reshape((-1,) + a.shape[2:]) for a in (line, line_P, line_c))
+    return ChartField(conn.grid, x0, coords, frames)

@@ -20,7 +20,7 @@ from matbody import (
     membership_defect,
     polynomial_body,
 )
-from matbody.bodies import E_SHEAR_12, membership_tol
+from matbody.bodies import E_SHEAR_12, Body, membership_tol
 from oracles import (I3, E12, isotropic_polynomial_terms, loop_polynomial_response,
                      random_rotation, w0_value)
 
@@ -218,6 +218,47 @@ def test_membership_defect_is_max_over_samples(fgm_body, samples, rng):
                                        - evaluate(fgm_body, F, g.target))))
                    for F in samples.matrices)
         assert membership_defect(fgm_body, g, samples) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", BUILTINS + ("polynomial",))
+def test_fused_membership_defect_is_bitwise_the_two_call_defect(kind, samples, rng):
+    """One stacked evaluate gives the defect of one evaluate per side, bit for bit."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    for _ in range(20):
+        g = Jet1(rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3),
+                 I3 + rng.uniform(-0.3, 0.3, (3, 3)))
+        Fs = samples.matrices
+        want = float(np.max(np.abs(evaluate(body, Fs @ g.matrix, g.source)
+                                   - evaluate(body, Fs, g.target))))
+        assert membership_defect(body, g, samples) == want
+
+
+def test_fused_membership_defect_error_contract(iso_body, samples):
+    """Each side keeps its error class; ``index`` is (side, sample) in the (2, n) batch."""
+    inside, outside = np.zeros(3), np.array([0.0, 1.5, 0.0])
+    with pytest.raises(OutOfDomain) as err:
+        membership_defect(iso_body, Jet1(outside, inside, I3), samples)
+    assert err.value.index == (0, 0)
+    with pytest.raises(OutOfDomain) as err:
+        membership_defect(iso_body, Jet1(inside, outside, I3), samples)
+    assert err.value.index == (1, 0)
+    # |det P| = 1.5e-12 passes the jet's floor, but F P falls below it where det F < 2/3
+    P = np.diag([1e-4, 1e-4, 1.5e-4])
+    first_small = int(np.argmax(np.linalg.det(samples.matrices) < 2 / 3))
+    assert first_small > 0
+    with pytest.raises(SingularMatrix) as err:
+        membership_defect(iso_body, Jet1(inside, inside, P), samples)
+    assert err.value.index == (0, first_small)
+
+    def nan_beyond_half(F, x):
+        return np.where(x[..., 0] > 0.5, np.nan, 1.0)[..., None] + 0.0 * F[..., 0, :1]
+
+    body = Body("nan", -np.ones(3), np.ones(3), nan_beyond_half)
+    assert membership_defect(body, Jet1(inside, inside, I3), samples) == 0.0
+    with pytest.raises(NonFiniteResponse) as err:
+        membership_defect(body, Jet1(inside, np.array([0.7, 0.0, 0.0]), I3), samples)
+    assert err.value.index == (1, 0)
 
 
 def test_membership_tol_scale(iso_body, samples):

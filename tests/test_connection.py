@@ -32,7 +32,8 @@ from matbody import (
     transport_frame,
 )
 from matbody.connection import LinearSectionField
-from oracles import E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula
+from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula,
+                     tuple_chart, tuple_transport_leg)
 
 RANK_TOL = 1e-6
 
@@ -373,6 +374,29 @@ def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, 
         P, c = transport_frame(conn, x0, target)
         assert np.max(np.abs(chart.frames[p] - P)) <= 1e-10
         assert np.max(np.abs(chart.coords[p] - c)) <= 1e-10
+
+
+def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
+    """At 7^3 the (P | c) state sweep gives the tuple-state frames and coords bit for bit."""
+    from matbody.connection import _transport_field
+
+    grid = small_grid(res=7)
+    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
+    x0 = grid.points[grid.n_points // 2]
+    got, want = build_homogeneous_chart(conn, x0), tuple_chart(conn, x0)
+    assert got.frames.shape == want.frames.shape and got.coords.shape == want.coords.shape
+    assert got.frames.tobytes() == want.frames.tobytes()
+    assert got.coords.tobytes() == want.coords.tobytes()
+    # the single-point legs of transport_frame too
+    field, substep = _transport_field(conn, None, x0)
+    for target in grid.points[[0, 100, grid.n_points - 1]]:
+        P, c, q = np.eye(3), np.zeros(3), x0
+        for axis in range(3):
+            end = np.where(np.arange(3) == axis, target, q)
+            P, c = tuple_transport_leg(field, q, end, P, c, substep)
+            q = end
+        got_P, got_c = transport_frame(conn, x0, target)
+        assert got_P.tobytes() == P.tobytes() and got_c.tobytes() == c.tobytes()
 
 
 def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):

@@ -9,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from matbody import (
     LeftDomain,
+    MatbodyError,
     SectionField,
     StepTooLarge,
     derivation_matrix,
@@ -24,7 +27,7 @@ from matbody import (
     one_parameter_check,
 )
 import matbody
-from oracles import E12, loop_trilinear, matrix_exp
+from oracles import E12, loop_trilinear, matrix_exp, tuple_exp_trajectory
 
 LO, HI = -np.ones(3), np.ones(3)
 
@@ -248,6 +251,92 @@ def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, sa
     assert len(got) == 201
     assert ([(t, y.tobytes(), F.tobytes()) for t, y, F in got]
             == [(t, y.tobytes(), F.tobytes()) for t, y, F in want])
+
+
+# ---------------------------------------------------------------------------
+# single-array RK4 state against the tuple-of-arrays reference
+# ---------------------------------------------------------------------------
+
+ORACLE_AXES = tuple(np.linspace(-0.9, 0.9, 5) for _ in range(3))   # cell faces at 0, +-0.45
+_lattice = np.random.default_rng(41)
+ORACLE_V_NOISE = 0.2 * _lattice.uniform(-1.0, 1.0, (5, 5, 5, 3))
+ORACLE_A_DATA = 0.5 * _lattice.uniform(-1.0, 1.0, (5, 5, 5, 3, 3))
+
+
+def oracle_sections(u):
+    """From-grid, constant and analytic sections that move along u."""
+    def analytic(x):
+        return (u + 0.2 * np.array([x[1], -x[0], x[2]]),
+                0.5 * E12 * x[0] + skew(0.2, 0.1 * x[2], -0.3))
+
+    return {
+        "from_grid": SectionField.from_grid(ORACLE_AXES, u + ORACLE_V_NOISE, ORACLE_A_DATA),
+        "constant": SectionField.constant(u, skew(0.5, -0.4, 0.3) + 0.2 * np.eye(3), LO, HI),
+        "analytic": SectionField(analytic, LO, HI),
+    }
+
+
+def recorded(trajectory, section, t, x0, step):
+    """Records as (t, y bytes, F bytes), or the class of the error the flow raised."""
+    try:
+        return [(t_k, y.tobytes(), F.tobytes()) for t_k, y, F in trajectory(section, t, x0, step)]
+    except MatbodyError as exc:
+        return type(exc)
+
+
+points = st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3).map(np.array)
+directions = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+              .filter(lambda u: np.linalg.norm(u) > 0.1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(x0=points, u=directions, t=st.sampled_from([0.0, 0.05, -0.2, 0.4]),
+       step=st.sampled_from([1e-3, 4e-3, 1e-2]))
+@example(x0=np.array([-0.1, 0.0, 0.4]), u=np.array([1.0, 0.3, 0.3]), t=0.4, step=4e-3)
+@example(x0=np.array([0.0, 0.45, 0.0]), u=np.array([-0.6, 0.8, 0.0]), t=0.4, step=1e-2)
+@example(x0=np.array([0.8, 0.0, 0.0]), u=np.array([1.0, 0.0, 0.0]), t=0.4, step=1e-2)
+def test_exp_trajectory_is_bitwise_the_tuple_rk4(x0, u, t, step):
+    """Every record, or the error class, equals the tuple-state reference bit for bit.
+
+    The explicit examples cross cell faces (and start on one) or leave the hull.
+    """
+    for name, section in oracle_sections(u).items():
+        got = recorded(exp_trajectory, section, t, x0, step)
+        assert got == recorded(tuple_exp_trajectory, section, t, x0, step), name
+
+
+def test_oracle_examples_cross_cell_faces_and_leave_the_hull():
+    """The explicit examples above exercise what they claim to."""
+    ticks = ORACLE_AXES[0]
+    section = oracle_sections(np.array([1.0, 0.3, 0.3]))["from_grid"]
+    ys = np.array([y for _, y, _ in exp_trajectory(section, 0.4, [-0.1, 0.0, 0.4], 4e-3)])
+    cells = np.searchsorted(ticks, ys, side="right")
+    assert len({tuple(c) for c in cells}) >= 3
+    with pytest.raises(LeftDomain):
+        exp_trajectory(oracle_sections(np.array([1.0, 0.0, 0.0]))["from_grid"], 0.4,
+                       [0.8, 0.0, 0.0], 1e-2)
+
+
+@pytest.mark.parametrize("kind", ["from_grid", "analytic"])
+def test_rk4_stage_outside_the_domain_raises_even_when_the_step_ends_inside(kind):
+    """v = lam (y - p) with lam dt = -2 puts the fourth stage at 2p - x0, outside.
+
+    The step itself ends at p + (x0 - p) / 3, inside, so only a per-stage domain
+    check refuses it.
+    """
+    lam, p, x0, dt = -200.0, np.array([0.9, 0.0, 0.0]), np.array([0.7, 0.0, 0.0]), 1e-2
+    if kind == "from_grid":
+        axes = tuple(np.linspace(-1.0, 1.0, 5) for _ in range(3))
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        section = SectionField.from_grid(axes, lam * (nodes - p), np.zeros((5, 5, 5, 3, 3)))
+    else:
+        section = SectionField(lambda x: (lam * (x - p), np.zeros((3, 3))), LO, HI)
+    for trajectory in (exp_trajectory, tuple_exp_trajectory):
+        with pytest.raises(LeftDomain):
+            trajectory(section, dt, x0, dt)
+    wide = SectionField(lambda x: (lam * (x - p), np.zeros((3, 3))), 2 * LO, 2 * HI)
+    (_, y, _), = exp_trajectory(wide, dt, x0, dt)[1:]
+    assert np.max(np.abs(y - (p + (x0 - p) / 3))) <= 1e-12 and section.contains(y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

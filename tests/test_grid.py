@@ -100,6 +100,36 @@ def test_point_path_is_bitwise_the_batched_path(case):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_field_keeps_its_own_copy_of_the_lattice_data():
+    """Mutating the caller's array after construction moves neither path, cached or not."""
+    rng = np.random.default_rng(8)
+    grid = make_grid(-np.ones(3), np.ones(3), (4, 3, 5), margin=0.1)
+    values = rng.normal(size=grid.shape + (3, 3))
+    original = values.copy()
+    field = TrilinearField(grid.axes, values)
+    pts = rng.uniform(grid.points[0], grid.points[-1], size=(6, 3))
+    warm = [field(x) for x in pts[:3]]                  # cells of the first half cached
+    values[...] = 7.0
+    for x in pts:
+        assert np.array_equal(field(x), loop_trilinear(grid.axes, original, x))
+    assert np.array_equal(field(pts), loop_trilinear(grid.axes, original, pts))
+    assert all(np.array_equal(field(x), w) for x, w in zip(pts[:3], warm))
+
+
+def test_point_cache_holds_one_block_per_visited_cell():
+    rng = np.random.default_rng(9)
+    grid = make_grid(-np.ones(3), np.ones(3), (4, 4, 4), margin=0.1)
+    field = TrilinearField(grid.axes, rng.normal(size=grid.shape + (2,)))
+    pts = rng.uniform(grid.points[0], grid.points[-1], size=(40, 3))
+    pts = np.concatenate([pts, pts[:10], grid.points[-1:]])     # repeats and the far corner
+    for x in pts:
+        field(x)
+    cells = {tuple(min(int(np.searchsorted(a, q, side="right")) - 1, len(a) - 2)
+                   for a, q in zip(grid.axes, x)) for x in pts}
+    assert set(field._blocks) == cells
+    assert all(b.shape == (8, 2) and b.flags.c_contiguous for b in field._blocks.values())
+
+
 def test_import_does_not_load_scipy():
     """numpy is the only runtime dependency; scipy serves the test oracles only."""
     src = str(Path(matbody.__file__).resolve().parents[1])

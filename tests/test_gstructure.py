@@ -2,6 +2,8 @@
 sampled isotropy groups, and frame-field integrability."""
 
 import itertools
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from matbody import (
     GroupoidSection,
     Jet1,
     NotMorphism,
+    OutOfDomain,
     Parallelism,
     g_map,
     invert_g_map,
@@ -19,8 +22,10 @@ from matbody import (
     isotropy_group_sample,
     make_grid,
     morphism_defect,
+    SingularMatrix,
     sampled_morphism_defect,
 )
+from matbody.gstructure import frame_bracket_defect
 from oracles import E12, E21, I3, random_invertible, random_rotation
 
 LO, HI = -np.ones(3), np.ones(3)
@@ -215,6 +220,46 @@ def test_chart_parallelism_integrable():
     P = Parallelism(lambda x: np.linalg.inv(phi_jacobian(x)), LO, HI)
     ok, defect = is_integrable_parallelism(P, grid, 1e-5)
     assert ok and defect <= 1e-5
+
+
+def test_parallelism_matrix_validates_once():
+    P = Parallelism(lambda x: I3 + x[0] * E12, LO, HI)
+    M = P.matrix([0.5, 0.0, 0.0])
+    assert np.array_equal(M, I3 + 0.5 * E12) and not M.flags.writeable
+    assert np.array_equal(P.frame([0.5, 0.0, 0.0]).matrix, M)
+    with pytest.raises(OutOfDomain):
+        P.matrix([1.5, 0.0, 0.0])
+    with pytest.raises(SingularMatrix):
+        Parallelism(lambda x: np.diag([1.0, 1.0, x[0]]), LO, HI).matrix([1e-13, 0.0, 0.0])
+
+
+def test_bridge_pass_validator_counts(monkeypatch):
+    """A bridge pass (two implant frames, five points, a 5^3 bracket grid) validates
+    1154 matrices and 2084 points; building a Frame in every matrix lookup took
+    2004 and 2934."""
+    import matbody.jets as jets
+
+    counts = Counter()
+    for name in ("as_matrix", "as_point"):
+        original = getattr(jets, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("matbody") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    rng = np.random.default_rng(7)
+    corners = [np.full(3, -0.8), np.full(3, 0.8)]
+    grid = make_grid(corners[0], corners[1], (5, 5, 5), 0.1)
+    for E in (E12, E21):
+        z = rng.uniform(-0.5, 0.5, 3)
+        pts = corners + [rng.uniform(-0.8, 0.8, 3) for _ in range(3)]
+        P = Parallelism(lambda x, E=E: I3 + x[0] * E, LO, HI)
+        Q = invert_g_map(GroupoidSection.of_parallelism(P), z, P.frame(z), pts)
+        frame_bracket_defect(Q, grid)
+    assert dict(counts) == {"as_matrix": 1154, "as_point": 2084}
 
 
 def test_identity_parallelism_lands_in_material_groupoid(iso_body, samples, rng):

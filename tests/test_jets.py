@@ -17,6 +17,7 @@ from matbody import (
     identity,
     invert,
 )
+from matbody.jets import DET_TOL, as_matrix, as_point
 from oracles import random_invertible
 
 
@@ -64,6 +65,34 @@ def test_invert_examples():
 def test_singular_matrix_rejected():
     with pytest.raises(SingularMatrix):
         Jet1([0, 0, 0], [0, 0, 0], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validators_reject_non_finite_values(bad):
+    for axis in range(3):
+        x = np.zeros(3)
+        x[axis] = bad
+        with pytest.raises(ValueError):
+            as_point(x)
+    m = np.eye(3)
+    m[1, 2] = bad
+    for invertible in (False, True):
+        with pytest.raises(ValueError):
+            as_matrix(m, invertible=invertible)
+
+
+def test_det_floor(rng):
+    """|det| below DET_TOL is refused, above it passes, for diagonal and dense matrices."""
+    with pytest.raises(SingularMatrix):
+        as_matrix(np.diag([1e-5, 1e-5, 1e-3]), invertible=True)           # |det| = 1e-13
+    ok = as_matrix(np.diag([1e-4, 1e-4, 1e-3]), invertible=True)          # |det| = 1e-11
+    assert not ok.flags.writeable
+    for _ in range(20):
+        M = random_invertible(rng)
+        unit = M / np.cbrt(abs(np.linalg.det(M)))                          # |det| = 1
+        with pytest.raises(SingularMatrix):
+            as_matrix(np.cbrt(0.5 * DET_TOL) * unit, invertible=True)
+        as_matrix(np.cbrt(2.0 * DET_TOL) * unit, invertible=True)
 
 
 def test_identity_and_unit_laws(rng):
