@@ -39,10 +39,6 @@ class SectionField:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], tuple], lo, hi):
-        self.lo = as_point(lo)
-        self.hi = as_point(hi)
-        self._bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
-
         def stacked(x):
             p = np.asarray(x, dtype=float)
             if not self.contains(p):
@@ -51,6 +47,13 @@ class SectionField:
             return np.concatenate((np.asarray(v, dtype=float).reshape(3),
                                    np.asarray(A, dtype=float).reshape(9)))
 
+        self._hold(stacked, lo, hi)
+
+    def _hold(self, stacked: Callable[[np.ndarray], np.ndarray], lo, hi) -> None:
+        """Set the domain box and the stacked callable, which raises LeftDomain outside it."""
+        self.lo = as_point(lo)
+        self.hi = as_point(hi)
+        self._bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
         self._stacked = stacked
 
     def contains(self, x) -> bool:
@@ -80,8 +83,8 @@ class SectionField:
         a_data = np.asarray(a_data, dtype=float)
         field = TrilinearField(axes, np.concatenate(
             [v_data, a_data.reshape(a_data.shape[:3] + (9,))], axis=-1))
-        section = SectionField(None, [a[0] for a in axes], [a[-1] for a in axes])
-        section._stacked = field        # its hull check replaces the wrapper's domain check
+        section = object.__new__(SectionField)     # no wrapper: the hull check is the domain check
+        section._hold(field, [a[0] for a in axes], [a[-1] for a in axes])
         return section
 
 

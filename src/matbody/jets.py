@@ -11,6 +11,7 @@ module is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
         # closed-form cofactor expansion on floats; np.linalg.det costs an LU call
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.tolist()
         det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        if not math.isfinite(det):      # the products overflowed; LU with pivoting does not
+            det = float(np.linalg.det(a))
         if abs(det) < DET_TOL:
             raise SingularMatrix(f"|det| = {abs(det):.3e} < {DET_TOL:.0e}")
     a.setflags(write=False)

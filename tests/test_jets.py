@@ -93,6 +93,12 @@ def test_det_floor(rng):
         with pytest.raises(SingularMatrix):
             as_matrix(np.cbrt(0.5 * DET_TOL) * unit, invertible=True)
         as_matrix(np.cbrt(2.0 * DET_TOL) * unit, invertible=True)
+    # huge finite entries overflow the closed form (inf - inf, or inf); judged as by LU
+    for m in ([[1e200, 1e200, 0], [1e200, 1e200, 0], [0, 0, 1]],
+              [[1e200, 2e200, 0], [5e199, 1e200, 0], [0, 0, 1e-300]]):
+        with pytest.raises(SingularMatrix):
+            as_matrix(m, invertible=True)
+    as_matrix([[1e-250, 0, 0], [0, 1e200, 0], [0, 0, 1e200]], invertible=True)   # det 1e150
 
 
 def test_identity_and_unit_laws(rng):
