@@ -9,7 +9,6 @@ the equivalent parallelism/G-structure formulation.
 """
 
 from .algebroid import (
-    AlgebroidElement,
     FiberBasis,
     anchor_rank,
     constraint_rows,

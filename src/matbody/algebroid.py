@@ -39,30 +39,6 @@ DEFAULT_V_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebroidElement:
-    """Fiber element (v, A): anchor part v in R^3, matrix part A in R^{3x3}."""
-
-    v: np.ndarray
-    A: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=float).reshape(3)
-        A = np.array(self.A, dtype=float).reshape(3, 3)
-        v.setflags(write=False)
-        A.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "A", A)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.v, self.A.ravel()])
-
-    @staticmethod
-    def from_vector(u) -> "AlgebroidElement":
-        u = np.asarray(u, dtype=float).reshape(12)
-        return AlgebroidElement(u[:3], u[3:].reshape(3, 3))
-
-
-@dataclass(frozen=True, eq=False)
 class FiberBasis:
     """Orthonormal basis of a computed fiber plus its singular-value audit trail.
 
@@ -81,13 +57,13 @@ class FiberBasis:
         if self.anchor_svd is None:
             object.__setattr__(self, "anchor_svd", np.linalg.svd(self.basis[:, :3].T))
 
-    def sv_gap(self) -> float:
-        """Ratio of smallest kept to largest dropped singular value (inf if clean)."""
-        return float(sv_gaps(self.singular_values[None], [self.dim])[0])
-
 
 def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """``FiberBasis.sv_gap`` of each row of spectra (n, 12) with fiber dims (n,)."""
+    """Smallest kept over largest dropped singular value (inf if clean), per row.
+
+    ``singular_values`` holds one spectrum (12,) per row and ``dims`` the fiber
+    dim of each row, so the cut sits at rank 12 - dim.
+    """
     rank = 12 - np.asarray(dims)
     rows, cut = np.arange(len(rank)), np.clip(rank, 1, 11)
     kept, dropped = singular_values[rows, cut - 1], singular_values[rows, cut]
@@ -215,9 +191,12 @@ def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
 
 @dataclass(frozen=True)
 class UniformityResult:
+    """Per-point anchor ranks and isotropy dims under one v_tol cut, and the verdict."""
+
     verdict: str                  # "uniform" | "not_uniform"
     anchor_ranks: tuple
     offending: tuple              # flat indices of points with anchor rank < 3
+    isotropy_dims: tuple          # fiber dim - anchor rank, per point
 
     @property
     def uniform(self) -> bool:
@@ -226,8 +205,13 @@ class UniformityResult:
 
 def uniformity_verdict(fibers: Sequence[FiberBasis],
                        v_tol: float = DEFAULT_V_TOL) -> UniformityResult:
-    """Uniform iff the anchor projection has rank 3 at every grid point."""
+    """Uniform iff the anchor projection has rank 3 at every grid point.
+
+    The one place the v_tol cut becomes per-point ranks and isotropy dims;
+    ``homogeneity_verdict`` and the report read them from the result.
+    """
     ranks = tuple(anchor_rank(f, v_tol) for f in fibers)
     offending = tuple(i for i, r in enumerate(ranks) if r < 3)
     verdict = "uniform" if not offending else "not_uniform"
-    return UniformityResult(verdict, ranks, offending)
+    return UniformityResult(verdict, ranks, offending,
+                            tuple(f.dim - r for f, r in zip(fibers, ranks)))

@@ -70,7 +70,11 @@ def _coerce(value, kind):
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 # rank_tol cuts sv / sv_max and v_tol the singular values of an orthonormal basis's
 # anchor block; both lie in [0, 1], so a tolerance >= 1 would discard every direction.
-_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+# The floors of these two and of fd_step are the lowest values at which no verdict
+# moved in a sweep over the built-ins and a 46-term polynomial (3^3 and 5^3, six
+# seeds, 12 to 40 samples); rank_tol 3e-12, v_tol 1e-11 and fd_step 3e-8 each flip one.
+_UNIT = (lambda v: 1e-10 <= v < 1, "in [1e-10, 1)")
+_FD_STEP = (lambda v: 1e-7 <= v < math.inf, "finite and >= 1e-7")
 
 
 def _setting(default, path: str, kind, check=None):
@@ -101,7 +105,7 @@ class AnalysisConfig:
     rank_tol: float = _setting(DEFAULT_RANK_TOL, "tolerances.rank_tol", float, _UNIT)
     v_tol: float = _setting(DEFAULT_V_TOL, "tolerances.v_tol", float, _UNIT)
     flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _POSITIVE)
-    fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _POSITIVE)
+    fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _FD_STEP)
     # None selects the relative default rule (see bodies.membership_tol).
     membership_tol: Optional[float] = _setting(None, "tolerances.membership_tol", float,
                                                _POSITIVE)
@@ -246,7 +250,11 @@ class AnalysisReport:
 
 
 def _native(obj):
-    """Recursively convert numpy scalars/arrays so json emits native types."""
+    """Recursively convert numpy scalars/arrays so json emits native types.
+
+    Non-finite floats become None.  ``run_analysis`` passes its results through
+    this once, so a report's fields already hold JSON-native values.
+    """
     if isinstance(obj, dict):
         return {k: _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -275,10 +283,10 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     spectra = np.stack([f.singular_values for f in fibers])
     index = np.stack(grid.index_of(np.arange(grid.n_points)), axis=-1).tolist()
     gaps = sv_gaps(spectra, dims).tolist()
-    records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": dim - rank,
+    records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": iso,
                 "anchor_rank": rank, "sv_gap": gap}
-               for idx, x, dim, rank, gap in zip(index, grid.points.tolist(), dims,
-                                                 uni.anchor_ranks, gaps)]
+               for idx, x, dim, iso, rank, gap in zip(index, grid.points.tolist(), dims,
+                                                      uni.isotropy_dims, uni.anchor_ranks, gaps)]
     for rec, sv in zip(records, spectra.tolist() if cfg.emit_singular_values else ()):
         rec["singular_values"] = sv
 
@@ -297,7 +305,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         section = minimal_lift_section(grid, fibers, cfg.v_tol)
         conn = christoffels(section)
         report = curvature_torsion(conn)
-        hom = homogeneity_verdict(fibers, report, cfg.flat_tol, cfg.v_tol)
+        hom = homogeneity_verdict(uni, report, cfg.flat_tol)
         timings["connection_s"] = time.perf_counter() - t0
         out.update(
             homogeneity=hom.verdict,
@@ -366,7 +374,7 @@ def trajectory_records(records) -> list:
 def emit_report(report: AnalysisReport, format: str = "structured") -> bytes:
     """Render a report: canonical JSON ('structured') or human tables ('text')."""
     if format == "structured":
-        doc = _native(report.to_canonical_dict())
+        doc = report.to_canonical_dict()
         return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
     if format == "text":
         return _text_report(report).encode("utf-8")
@@ -374,9 +382,15 @@ def emit_report(report: AnalysisReport, format: str = "structured") -> bytes:
 
 
 def parse_report(data: bytes) -> dict:
-    """Parse a structured report; the inverse of emit_report('structured')."""
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("schema") != SCHEMA_NAME:
+    """Parse a structured report; the inverse of emit_report('structured').
+
+    Bytes that are not UTF-8 JSON holding an object of this schema raise ConfigError.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError:                  # UnicodeDecodeError and JSONDecodeError
+        doc = None
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_NAME:
         raise ConfigError(f"not a {SCHEMA_NAME} document")
     return doc
 

@@ -259,7 +259,7 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             exps, coeff = term
             exps = np.array(exps, dtype=int).reshape(12)
             coeff = float(coeff)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"polynomial term {k} must be ([12 ints], coeff): {exc}")
         if np.any(exps < 0):
             raise ConfigError(f"polynomial term {k} has a negative exponent")

@@ -36,7 +36,7 @@ def _load_config(path: str) -> AnalysisConfig:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:           # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     return AnalysisConfig.from_dict(raw)
 
@@ -46,7 +46,10 @@ def _write_out(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        Path(out).write_bytes(data)
+        try:
+            Path(out).write_bytes(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}")
 
 
 def _cmd_analyze(args) -> int:

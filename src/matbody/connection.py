@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import DEFAULT_V_TOL, FiberBasis, anchor_rank, uniformity_verdict
+from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult, anchor_rank
 from .errors import LeftDomain, NotFlat, NotUniform
 from .flows import SectionField, _rk4_step
 from .grid import Grid, TrilinearField, grid_gradient
@@ -73,9 +73,6 @@ class CurvatureTorsionReport:
 @dataclass(frozen=True)
 class HomogeneityResult:
     verdict: str             # homogeneous_evidence | obstructed | inconclusive
-    max_abs_R: float
-    max_abs_T: float
-    isotropy_dims: tuple
     reason: str
 
 
@@ -154,41 +151,40 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     )
 
 
-def homogeneity_verdict(fibers: Sequence[FiberBasis],
+def homogeneity_verdict(uni: UniformityResult,
                         report: CurvatureTorsionReport,
-                        flat_tol: float = DEFAULT_FLAT_TOL,
-                        v_tol: float = DEFAULT_V_TOL) -> HomogeneityResult:
+                        flat_tol: float = DEFAULT_FLAT_TOL) -> HomogeneityResult:
     """Decide homogeneity evidence from the tested section's flatness.
 
+    ``uni`` is the uniformity result of the fibers the section was lifted
+    from; its isotropy dims decide between obstructed and inconclusive.
     Flat and torsion-free: homogeneous_evidence.  Obstructed only when the
     isotropy algebra is trivial everywhere, since then the material connection
     is unique and its obstruction is decisive.  With nontrivial isotropy an
     untested section could still be flat, so the verdict is inconclusive.
     """
-    uni = uniformity_verdict(fibers, v_tol)
     if not uni.uniform:
         raise NotUniform(f"anchor rank < 3 at grid point {uni.offending[0]}; "
                          "body is not uniform")
-    iso_dims = tuple(f.dim - r for f, r in zip(fibers, uni.anchor_ranks))
     if report.max_abs_R <= flat_tol and report.max_abs_T <= flat_tol:
         verdict = "homogeneous_evidence"
         reason = f"curvature and torsion below flat_tol {flat_tol:g} for the minimal lift"
-    elif all(d == 0 for d in iso_dims):
+    elif all(d == 0 for d in uni.isotropy_dims):
         verdict = "obstructed"
         reason = "unique material connection (trivial isotropy) has nonzero torsion or curvature"
     else:
         verdict = "inconclusive"
         reason = ("tested section is obstructed but nontrivial isotropy leaves other "
                   "sections untested")
-    return HomogeneityResult(verdict, report.max_abs_R, report.max_abs_T, iso_dims, reason)
+    return HomogeneityResult(verdict, reason)
 
 
-def _transport_field(conn: ConnectionField, substep, *points) -> tuple:
-    """Interpolated Christoffels and the RK4 substep (default min spacing / 4)."""
+def _transport_field(conn: ConnectionField, *points) -> tuple:
+    """Interpolated Christoffels and the RK4 substep, min spacing / 4."""
     field = TrilinearField(conn.grid.axes, conn.lattice())
     if not all(field.contains(p) for p in points):
         raise LeftDomain("transport endpoints must lie in the grid hull")
-    return field, float(np.min(conn.grid.spacing)) / 4.0 if substep is None else substep
+    return field, float(np.min(conn.grid.spacing)) / 4.0
 
 
 def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> np.ndarray:
@@ -221,15 +217,14 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
     return state
 
 
-def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),
-                    substep: float | None = None) -> tuple:
+def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2)) -> tuple:
     """Parallel-transport a frame (and integrate the coframe) from x0 to target.
 
     Follows the axis-ordered polyline determined by ``order``, one leg per
     axis.  Returns (frame at target, chart coordinates of target).
     """
     x0, target = as_point(x0), as_point(target)
-    field, substep = _transport_field(conn, substep, x0, target)
+    field, substep = _transport_field(conn, x0, target)
     state, q = np.concatenate((_EYE.ravel(), np.zeros(3))), x0
     for axis in order:
         end = np.where(np.arange(3) == axis, target, q)     # q moved to target along axis
@@ -239,8 +234,7 @@ def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2),
 
 
 def build_homogeneous_chart(conn: ConnectionField, x0,
-                            flat_tol: float = DEFAULT_FLAT_TOL,
-                            substep: float | None = None) -> ChartField:
+                            flat_tol: float = DEFAULT_FLAT_TOL) -> ChartField:
     """Coordinates in which a flat torsion-free connection has zero Christoffels.
 
     Transports the identity frame from x0 and integrates the coframe along the
@@ -256,7 +250,7 @@ def build_homogeneous_chart(conn: ConnectionField, x0,
             f"exceed flat_tol {flat_tol:g}"
         )
     x0 = as_point(x0)
-    field, substep = _transport_field(conn, substep, x0)
+    field, substep = _transport_field(conn, x0)
     points, states = x0[None], np.concatenate((_EYE.ravel(), np.zeros(3)))[None]
     for axis, ticks in enumerate(conn.grid.axes):
         # one line per current point; all lines walk out from x0 leg by leg together

@@ -374,10 +374,10 @@ def tuple_transport_leg(field: TrilinearField, start, end, P, c, substep: float)
     return P, c
 
 
-def tuple_chart(conn, x0, substep=None) -> ChartField:
+def tuple_chart(conn, x0) -> ChartField:
     """The chart sweep of build_homogeneous_chart over tuple_transport_leg, no flatness check."""
     x0 = as_point(x0)
-    field, substep = _transport_field(conn, substep, x0)
+    field, substep = _transport_field(conn, x0)
     points, frames, coords = x0[None], np.eye(3)[None], np.zeros((1, 3))
     for axis, ticks in enumerate(conn.grid.axes):
         # one line per current point; all lines walk out from x0 leg by leg together

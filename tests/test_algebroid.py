@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from matbody import (
-    AlgebroidElement,
     AnalysisConfig,
     NonFiniteResponse,
     OutOfDomain,
@@ -32,7 +31,7 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, stack_constraints
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, stack_constraints, sv_gaps
 from oracles import (
     E12,
     I3,
@@ -175,9 +174,10 @@ def test_isotropy_elements_are_skew(iso_body, samples):
     f = fiber(iso_body, np.zeros(3), samples, RANK_TOL)
     iso = isotropy_algebra(f)
     assert iso.dim == 3
-    for e in map(AlgebroidElement.from_vector, iso.basis):
-        assert np.max(np.abs(e.v)) <= 1e-10
-        assert np.max(np.abs(e.A + e.A.T)) <= 1e-8
+    for u in iso.basis:                      # rows [v | A row-major]
+        v, A = u[:3], u[3:].reshape(3, 3)
+        assert np.max(np.abs(v)) <= 1e-10
+        assert np.max(np.abs(A + A.T)) <= 1e-8
 
 
 def test_empty_fiber_isotropy():
@@ -284,7 +284,7 @@ def test_run_analysis_svd_count(monkeypatch):
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):
     for body in (iso_body, fgm_body):
         f = fiber(body, np.array([0.1, 0.4, -0.2]), samples, RANK_TOL)
-        assert f.sv_gap() > 1e6
+        assert sv_gaps(f.singular_values[None], [f.dim])[0] > 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +298,7 @@ def test_uniformity_verdicts(iso_body, fgm_body, nonuniform_body, samples, rng):
         fibers = [fiber(body, x, samples, RANK_TOL) for x in pts]
         res = uniformity_verdict(fibers)
         assert res.verdict == expect
+        assert res.isotropy_dims == tuple(f.dim - r for f, r in zip(fibers, res.anchor_ranks))
         if expect == "uniform":
             assert res.offending == ()
             assert all(r == 3 for r in res.anchor_ranks)
@@ -312,13 +313,7 @@ def test_uniformity_verdicts(iso_body, fgm_body, nonuniform_body, samples, rng):
 def test_fiber_elements_exponentiate_to_isomorphisms(iso_body, samples):
     x = np.array([0.0, 0.1, -0.1])
     f = fiber(iso_body, x, samples, RANK_TOL)
-    for e in map(AlgebroidElement.from_vector, f.basis):
-        s = SectionField.constant(e.v, e.A, iso_body.lo, iso_body.hi)
+    for u in f.basis:
+        s = SectionField.constant(u[:3], u[3:].reshape(3, 3), iso_body.lo, iso_body.hi)
         g = exp_section(s, 0.1, x)
         assert is_material_isomorphism(iso_body, g, samples, 1e-5)
-
-
-def test_algebroid_element_vector_round_trip(rng):
-    u = rng.uniform(-1, 1, 12)
-    e = AlgebroidElement.from_vector(u)
-    assert np.array_equal(e.to_vector(), u)

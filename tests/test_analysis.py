@@ -2,24 +2,25 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matbody
 from matbody import (
     AnalysisConfig,
     ConfigError,
+    MatbodyError,
     emit_report,
+    exp_trajectory,
+    minimal_lift_section,
     parse_report,
     run_analysis,
+    uniformity_verdict,
 )
+from matbody.analysis import _exponential_cross_check, fiber_stage, resolve_body
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
@@ -65,11 +66,27 @@ def test_config_defaults_round_trip():
     # silent coercions
     {"grid": {"resolution": [3.7, 3, 3]}},
     {"flags": {"emit_chart": "no"}},
+    # numbers too large for a float or a C integer
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 10**400]]}}},
+    {"body": {"polynomial": {"terms": [[[10**400] + [0] * 11, 1.0]]}}},
 ])
 def test_config_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
         cfg = AnalysisConfig.from_dict(raw)
         run_analysis(cfg)
+
+
+@pytest.mark.parametrize("key, floor, flipped_at", [
+    ("fd_step", 1e-7, 3e-8),        # nonuniform read uniform
+    ("rank_tol", 1e-10, 3e-12),     # uniform_fgm read not_uniform
+    ("v_tol", 1e-10, 1e-11),        # nonuniform read uniform
+])
+def test_tolerance_floors(key, floor, flipped_at):
+    """A tolerance below its floor is refused; the floor itself is accepted."""
+    assert getattr(AnalysisConfig.from_dict({"tolerances": {key: floor}}), key) == floor
+    for value in (flipped_at, floor * (1 - 1e-12)):
+        with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
+            AnalysisConfig.from_dict({"tolerances": {key: value}})
 
 
 def test_cross_check_leaving_grid_hull_is_null():
@@ -128,6 +145,36 @@ def test_report_structure_and_round_trip():
     # timings never enter the canonical payload
     assert "timings" not in doc
     assert r.timings
+
+
+def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
+    """One anchor_rank call per grid point and one _native walk per analyze."""
+    import matbody.algebroid as algebroid
+    import matbody.analysis as analysis
+
+    anchor_rank, native = algebroid.anchor_rank, analysis._native
+    ranks, walks, depth = [], [], [0]
+
+    def counting_rank(*args):
+        ranks.append(1)
+        return anchor_rank(*args)
+
+    def counting_native(obj):
+        walks.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return native(obj)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(algebroid, "anchor_rank", counting_rank)
+    monkeypatch.setattr(analysis, "_native", counting_native)
+    cfg = AnalysisConfig(body_kind="uniform_fgm_integrable", emit_chart=True,
+                         emit_singular_values=True, emit_trajectories=True, **FAST)
+    doc = parse_report(emit_report(run_analysis(cfg), "structured"))
+    assert doc["homogeneity"]["verdict"] == "homogeneous_evidence" and doc["chart"]
+    assert len(ranks) == 27
+    assert sum(walks) == 1
 
 
 def test_singular_values_flag():
@@ -218,6 +265,9 @@ def test_cli_config_errors(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
     assert main(["analyze", "--config", str(bad_json)]) == EXIT_CONFIG
+    bad_utf8 = tmp_path / "bad_utf8.json"
+    bad_utf8.write_bytes(b"\xff{}")
+    assert main(["analyze", "--config", str(bad_utf8)]) == EXIT_CONFIG
     bad_body = write_config(tmp_path, {"body": "unknown_body"})
     assert main(["analyze", "--config", bad_body]) == EXIT_CONFIG
     flow_cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}})
@@ -225,6 +275,24 @@ def test_cli_config_errors(tmp_path):
                     ["--x", "0,0,0", "--step", "0"], ["--x", "0,0,0", "--step", "0.05"],
                     ["--x", "0,0,0", "--direction", "0,0,0"]):
         assert main(["flow", "--config", flow_cfg, "--t", "0.05", *options]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, options", [
+    ("analyze", ["--format", "structured"]),
+    ("flow", ["--t", "0.05", "--x", "0,0,0"]),
+])
+def test_cli_write_errors_are_config_errors(tmp_path, capsys, command, options):
+    cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]},
+                                  "samples": {"count": 12, "seed": 5}})
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main([command, "--config", cfg, *options, "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [b"[]", b"{not json", b"\xff", b'{"schema": "other"}'])
+def test_parse_report_refuses_other_documents(data):
+    with pytest.raises(ConfigError, match="not a matbody.report.v1 document"):
+        parse_report(data)
 
 
 def test_cli_flow(tmp_path):
@@ -260,37 +328,35 @@ def test_cli_cross_check_overflow_is_quiet(tmp_path):
     """An exponential cross-check whose RK4 state overflows reads null, silently."""
     # v_tol at the smallest subnormal counts nonuniform's rank-2 anchor as rank 3,
     # so the lift divides by singular values of 1e-13..1e-10 and the flow overflows.
-    cfg = write_config(tmp_path, {
-        "body": "nonuniform",
-        "grid": {"resolution": [3, 3, 3]},
-        "samples": {"count": 12},
-        "tolerances": {"v_tol": 5e-324},
-    })
-    src = str(Path(matbody.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-m", "matbody.cli", "analyze", "--config", cfg,
-                           "--format", "structured"], env=env, capture_output=True, timeout=120)
-    assert done.returncode == EXIT_OK
-    assert done.stderr == b""
-    doc = parse_report(done.stdout)
-    assert doc["uniformity"]["verdict"] == "uniform"
-    assert doc["diagnostics"]["exp_membership_defect"] is None
-    assert doc["trajectory"] is None
-    # the flow command refuses the same non-finite trajectory
-    rc = main(["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"])
-    assert rc == EXIT_NUMERICAL
+    # The CLI refuses a v_tol below its floor, so the library path is checked.
+    doc = {"body": "nonuniform", "grid": {"resolution": [3, 3, 3]}, "samples": {"count": 12},
+           "tolerances": {"v_tol": 5e-324}}
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+    cfg = AnalysisConfig(body_kind="nonuniform", resolution=(3, 3, 3), sample_count=12)
+    body = resolve_body(cfg)
+    grid, samples, fibers = fiber_stage(body, cfg)
+    assert uniformity_verdict(fibers, 5e-324).uniform
+    section = minimal_lift_section(grid, fibers, v_tol=5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        center = grid.points[grid.n_points // 2]
+        assert _exponential_cross_check(body, section, samples, center,
+                                        keep_records=True) == (None, None)
+        # the flow command's trajectory refuses the same non-finite flow: exit 3
+        with pytest.raises(MatbodyError):
+            exp_trajectory(section.flow_field([1.0, 0.0, 0.0]), 0.1, np.zeros(3))
 
 
 _TOLERANCE_RANGES = {
-    "rank_tol": st.floats(1e-12, 0.5),
-    "v_tol": st.floats(1e-12, 0.5),
+    "rank_tol": st.floats(1e-10, 0.5),
+    "v_tol": st.floats(1e-10, 0.5),
     "flat_tol": st.floats(1e-12, 1e3),
-    "fd_step": st.floats(1e-9, 0.05),
+    "fd_step": st.floats(1e-7, 0.05),
 }
 _OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
                  for value in [math.inf, -math.inf, math.nan, 0.0, -1e-3]
-                 + ([1.0, 2.0] if name in ("rank_tol", "v_tol") else [])]
+                 + ([1.0, 2.0, 1e-11] if name in ("rank_tol", "v_tol") else [])
+                 + ([1e-8] if name == "fd_step" else [])]
 
 
 @st.composite

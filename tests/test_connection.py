@@ -30,6 +30,7 @@ from matbody import (
     make_samples,
     minimal_lift_section,
     transport_frame,
+    uniformity_verdict,
 )
 from matbody.connection import LinearSectionField
 from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula,
@@ -278,24 +279,24 @@ def run_verdict(body, samples, res=3):
     fibs = fibers_on(body, grid, samples)
     section = minimal_lift_section(grid, fibs)
     conn = christoffels(section)
-    rep = curvature_torsion(conn)
-    return homogeneity_verdict(fibs, rep), conn
+    uni = uniformity_verdict(fibs)
+    return homogeneity_verdict(uni, curvature_torsion(conn)), uni
 
 
 def test_homogeneity_verdicts(iso_body, fgm_body, fgm_integrable_body,
                               nonuniform_body, samples):
     res, _ = run_verdict(iso_body, samples)
     assert res.verdict == "homogeneous_evidence"
-    res, _ = run_verdict(fgm_body, samples)
+    res, uni = run_verdict(fgm_body, samples)
     assert res.verdict == "obstructed"
-    assert all(d == 0 for d in res.isotropy_dims)
+    assert all(d == 0 for d in uni.isotropy_dims)
     res, _ = run_verdict(fgm_integrable_body, samples)
     assert res.verdict == "homogeneous_evidence"
     grid = small_grid()
     with pytest.raises(NotUniform):
         fibs = fibers_on(nonuniform_body, grid, samples)
         rep = curvature_torsion(ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3))))
-        homogeneity_verdict(fibs, rep)
+        homogeneity_verdict(uniformity_verdict(fibs), rep)
 
 
 def test_inconclusive_when_isotropy_nontrivial(iso_body, samples):
@@ -304,7 +305,9 @@ def test_inconclusive_when_isotropy_nontrivial(iso_body, samples):
     fibs = fibers_on(iso_body, grid, samples)
     conn = connection_from_fn(grid, curved_gamma)
     rep = curvature_torsion(conn)
-    res = homogeneity_verdict(fibs, rep)
+    uni = uniformity_verdict(fibs)
+    assert uni.uniform and min(uni.isotropy_dims) == 3
+    res = homogeneity_verdict(uni, rep)
     assert res.verdict == "inconclusive"
 
 
@@ -388,7 +391,7 @@ def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
     assert got.frames.tobytes() == want.frames.tobytes()
     assert got.coords.tobytes() == want.coords.tobytes()
     # the single-point legs of transport_frame too
-    field, substep = _transport_field(conn, None, x0)
+    field, substep = _transport_field(conn, x0)
     for target in grid.points[[0, 100, grid.n_points - 1]]:
         P, c, q = np.eye(3), np.zeros(3), x0
         for axis in range(3):
