@@ -3,8 +3,8 @@
 An infinitesimal material automorphism at x is a pair (v, A): a velocity of
 the base point and a velocity of the matrix part.  Linearizing the sampled
 membership condition W-hat(F P, x) = W-hat(F, y) along the flow
-(x, F) -> (x + t v, F (I + t A)) gives, per sample gradient F and response
-component, one scalar constraint
+(x, F) -> (x + t v, F (I + t A)) gives, per sample gradient F, one scalar
+constraint
 
     <dW/dF(F, x), F A>  -  <dW/dx(F, x), v>  =  0.
 
@@ -85,7 +85,7 @@ def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
     """Central-difference gradients (dW/dF, dW/dx) at every pair of points x and gradients F.
 
     For x of shape (..., 3) and F of shape (..., 3, 3) the results have shapes
-    x.shape[:-1] + F.shape[:-2] + (d, 3, 3) and (..., d, 3): point axes first,
+    x.shape[:-1] + F.shape[:-2] + (3, 3) and (..., 3): point axes first,
     then gradient axes.  Each of the two stencil blocks (F, x) is one evaluate
     call.  The x-stencil must stay inside the body's box; the F-stencil has no
     such restriction.
@@ -100,32 +100,24 @@ def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
     steps = np.array([fd_step, -fd_step])
     pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
     Fc = F[..., None, None, :, :]
-    # values on axes (points..., gradients..., sign of the step, stepped entry, d)
+    # values on axes (points..., gradients..., sign of the step, stepped entry)
     W_F = evaluate(body, Fc + steps[:, None, None, None] * _F_STEPS, pts)
     W_x = evaluate(body, Fc, pts + steps[:, None, None] * _X_STEPS)
-    dWdF, dWdx = (np.swapaxes(W[..., 0, :, :] - W[..., 1, :, :], -1, -2) / (2 * fd_step)
-                  for W in (W_F, W_x))
+    dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
     return dWdF.reshape(dWdF.shape[:-1] + (3, 3)), dWdx
 
 
 def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Linearized membership constraints, (d, 12) rows per pair of points x and gradients F.
+    """Linearized membership constraints, one 12-row per pair of points x and gradients F.
 
-    Row m applied to [v | A] is <dW_m/dF, F A> - <dW_m/dx, v>; the A-block
-    coefficients are therefore F^T dW_m/dF (row-major) and the v-block is
-    -dW_m/dx.  Shapes batch as in ``response_gradients``.
+    The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>; the A-block
+    coefficients are therefore F^T dW/dF (row-major) and the v-block is
+    -dW/dx.  Shapes batch as in ``response_gradients``, so the gradients of a
+    sample set give each point its (count, 12) constraint matrix.
     """
     dWdF, dWdx = response_gradients(body, x, F, fd_step)
-    F = np.asarray(F, dtype=float)
-    A = np.swapaxes(F, -1, -2)[..., None, :, :] @ dWdF
+    A = np.swapaxes(np.asarray(F, dtype=float), -1, -2) @ dWdF
     return np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
-
-
-def stack_constraints(body: Body, x, samples: SampleSet,
-                      fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """(count*d) x 12 constraint matrix over a sample set, per point x (..., 3)."""
-    rows = constraint_rows(body, x, samples.matrices, fd_step)
-    return rows.reshape(rows.shape[:-3] + (-1, 12))
 
 
 def fibers_at(body: Body, points, samples: SampleSet,
@@ -147,7 +139,7 @@ def fibers_at(body: Body, points, samples: SampleSet,
     sv, Vh = np.zeros((len(points), 12)), np.empty((len(points), 12, 12))
     for start in range(0, len(points), chunk):
         try:
-            L = stack_constraints(body, points[start:start + chunk], samples, fd_step)
+            L = constraint_rows(body, points[start:start + chunk], samples.matrices, fd_step)
         except MatbodyError as exc:
             exc.index = (start + int(exc.index[0]),)
             raise

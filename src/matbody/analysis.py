@@ -330,7 +330,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         if cfg.emit_chart and hom.verdict == "homogeneous_evidence":
             t0 = time.perf_counter()
             chart = build_homogeneous_chart(conn, center, cfg.flat_tol)
-            _, interior_max, full_max = chart_christoffels(conn, chart)
+            interior_max, full_max = chart_christoffels(conn, chart)
             out["chart"] = {
                 "x0": chart.x0.tolist(),
                 "coords": chart.coords.tolist(),

@@ -36,18 +36,17 @@ _ANCHORS = (
 
 @dataclass(frozen=True, eq=False)
 class Body:
-    """Box chart domain plus response functional with output dimension d.
+    """Box chart domain plus scalar response functional.
 
     ``response(F, x)`` maps F (..., 3, 3) and x (..., 3), whose leading
-    dimensions broadcast, to values (..., d).  Call it through ``evaluate``,
-    which checks the batch.
+    dimensions broadcast, to one value W per pair, shape (...).  Call it
+    through ``evaluate``, which checks the batch.
     """
 
     name: str
     lo: np.ndarray
     hi: np.ndarray
     response: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    output_dim: int = 1
     description: str = ""
 
     def __post_init__(self):
@@ -55,12 +54,10 @@ class Body:
         object.__setattr__(self, "hi", as_point(self.hi))
         if np.any(self.hi <= self.lo):
             raise ValueError("domain box must have positive extent on every axis")
-        if self.output_dim < 1:
-            raise ValueError("output_dim must be a positive integer")
 
-    def contains(self, x, margin: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         p = np.asarray(x, dtype=float)
-        return bool(np.all(p >= self.lo + margin) and np.all(p <= self.hi - margin))
+        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +89,7 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
 
 
 def evaluate(body: Body, F, x) -> np.ndarray:
-    """Response W-hat(F, x) of shape (..., d) for F (..., 3, 3) and x (..., 3).
+    """Response W-hat(F, x) of shape (...) for F (..., 3, 3) and x (..., 3).
 
     The leading dimensions of F and x broadcast.  The domain box, the det floor
     and finiteness are each checked once for the whole batch; the first
@@ -112,10 +109,10 @@ def evaluate(body: Body, F, x) -> np.ndarray:
         raise with_index(SingularMatrix("deformation gradient is singular"),
                          first_true(singular, shape))
     with np.errstate(all="ignore"):         # non-finite values are refused below
-        val = np.broadcast_to(np.asarray(body.response(Fm, xp), dtype=float),
-                              shape + (body.output_dim,))
-    if not np.isfinite(val).all():
-        i = first_true(~np.isfinite(val).all(axis=-1), shape)
+        val = np.broadcast_to(np.asarray(body.response(Fm, xp), dtype=float), shape)
+    finite = np.isfinite(val)
+    if not finite.all():
+        i = first_true(~finite, shape)
         raise with_index(NonFiniteResponse(
             f"response of '{body.name}' is non-finite at x={_point_at(xp, shape, i)}"), i)
     return val
@@ -132,7 +129,7 @@ def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
 
 
 def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
-    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|_inf.
+    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|.
 
     Both sides are one ``evaluate`` of the stacked (2, n) batch: (F P, x) in
     row 0, (F, y) in row 1.  An error's ``index`` is (side, sample), side 0
@@ -196,7 +193,7 @@ def w0_generic(F: np.ndarray) -> np.ndarray:
 
 def _isotropic_response(F, x):
     D = _strain(F)
-    return np.sum(D * D, axis=(-2, -1))[..., None]
+    return np.sum(D * D, axis=(-2, -1))
 
 
 def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str, description: str = "") -> Body:
@@ -206,14 +203,14 @@ def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str, description: str 
     """
 
     def response(F, x):
-        return w0_generic(F @ K(x))[..., None]
+        return w0_generic(F @ K(x))
 
-    return Body(name, _BOX_LO, _BOX_HI, response, 1, description)
+    return Body(name, _BOX_LO, _BOX_HI, response, description)
 
 
 def _nonuniform_response(F, x):
     D = _strain(F)
-    return (np.sum(D * D, axis=(-2, -1)) + x[..., 0] * (F[..., 0, 0] - 1.0) ** 2)[..., None]
+    return np.sum(D * D, axis=(-2, -1)) + x[..., 0] * (F[..., 0, 0] - 1.0) ** 2
 
 
 BUILTIN_DESCRIPTIONS = {
@@ -227,8 +224,7 @@ BUILTIN_DESCRIPTIONS = {
 def builtin_body(kind: str) -> Body:
     """Construct one of the named analytic test bodies on the box [-1, 1]^3."""
     if kind == "homogeneous_isotropic":
-        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response, 1,
-                    BUILTIN_DESCRIPTIONS[kind])
+        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response, BUILTIN_DESCRIPTIONS[kind])
     if kind == "uniform_fgm":
         return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_12, kind,
                         BUILTIN_DESCRIPTIONS[kind])
@@ -236,8 +232,7 @@ def builtin_body(kind: str) -> Body:
         return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_21, kind,
                         BUILTIN_DESCRIPTIONS[kind])
     if kind == "nonuniform":
-        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response, 1,
-                    BUILTIN_DESCRIPTIONS[kind])
+        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response, BUILTIN_DESCRIPTIONS[kind])
     raise ConfigError(f"unknown builtin body '{kind}'; known: {sorted(BUILTIN_DESCRIPTIONS)}")
 
 
@@ -283,6 +278,6 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
         acc = 0.0
         for factors, coeff in parsed:
             acc = acc + coeff * math.prod(power[f] for f in factors)
-        return np.asarray(acc)[..., None]
+        return acc
 
-    return Body(name, lo, hi, response, 1, "user polynomial response")
+    return Body(name, lo, hi, response, "user polynomial response")

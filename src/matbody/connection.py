@@ -67,7 +67,6 @@ class CurvatureTorsionReport:
     max_abs_T: float
     interior_max_abs_R: float
     interior_max_abs_T: float
-    boundary_mask: np.ndarray  # (n,) True where one-sided differences were used
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
 
     R^l_kij = d_i G^l_kj - d_j G^l_ki + sum_m (G^l_mi G^m_kj - G^l_mj G^m_ki),
     T^k_ij  = G^k_ij - G^k_ji.  Grid derivatives are central differences;
-    lattice-boundary points use one-sided stencils and are flagged.
+    lattice-boundary points use one-sided stencils, so the interior maxima
+    leave them out.
     """
     grid = conn.grid
     G = conn.lattice()                                   # (nx,ny,nz,3,3,3)
@@ -136,18 +136,14 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     R -= np.einsum("...lmj,...mki->...lkij", G, G)
     T = G - np.swapaxes(G, -2, -1)
 
-    interior = grid.interior_mask()
-    max_R = float(np.max(np.abs(R)))
-    max_T = float(np.max(np.abs(T)))
-    int_R = float(np.max(np.abs(R[interior]))) if interior.any() else max_R
-    int_T = float(np.max(np.abs(T[interior]))) if interior.any() else max_T
+    interior = grid.interior_mask()          # never empty: grid_gradient needs 3 points per axis
     n = grid.n_points
     return CurvatureTorsionReport(
         grid,
         R.reshape((n,) + R.shape[3:]),
         T.reshape((n,) + T.shape[3:]),
-        max_R, max_T, int_R, int_T,
-        ~interior.reshape(n),
+        float(np.max(np.abs(R))), float(np.max(np.abs(T))),
+        float(np.max(np.abs(R[interior]))), float(np.max(np.abs(T[interior]))),
     )
 
 
@@ -274,7 +270,7 @@ def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:
     Uses the lattice Jacobian J of the integrated coordinates (central
     differences) and the transformation
     Gamma'^g_ab = (J^-1)^i_a (J^-1)^j_b [J^g_k Gamma^k_ij - d_j J^g_i].
-    Returns (gamma_prime flat (n,3,3,3), interior max-abs, full max-abs).
+    Returns (interior max-abs, full max-abs) of Gamma'.
     """
     grid = conn.grid
     G = conn.lattice()
@@ -282,7 +278,4 @@ def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:
     Jinv = np.linalg.inv(J)                               # [..., i, g]
     bracket = np.einsum("...gk,...kij->...gij", J, G) - grid_gradient(grid, J)
     gamma_p = np.einsum("...ia,...jb,...gij->...gab", Jinv, Jinv, bracket)
-    interior = grid.interior_mask()
-    interior_max = float(np.max(np.abs(gamma_p[interior]))) if interior.any() else 0.0
-    full_max = float(np.max(np.abs(gamma_p)))
-    return gamma_p.reshape((grid.n_points, 3, 3, 3)), interior_max, full_max
+    return float(np.max(np.abs(gamma_p[grid.interior_mask()]))), float(np.max(np.abs(gamma_p)))

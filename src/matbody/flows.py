@@ -116,7 +116,8 @@ def exp_trajectory(section: SectionField, t: float, x,
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
     exp_section returns the jet of the final record.  Raises LeftDomain when y
-    leaves the section's hull and NonFiniteResponse when F overflows.
+    leaves the section's hull, and NonFiniteResponse when F overflows or the
+    step count |t| / step does not fit in a float.
     """
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
@@ -125,7 +126,10 @@ def exp_trajectory(section: SectionField, t: float, x,
     records = [(0.0, state[:3], state[3:].reshape(3, 3))]
     if t == 0.0:
         return records
-    n = max(1, math.ceil(abs(t) / step))
+    steps = abs(t) / step
+    if not math.isfinite(steps):
+        raise NonFiniteResponse(f"step count |t| / step = {steps:g} for t = {t:g}")
+    n = max(1, math.ceil(steps))
     dt = t / n
     stacked = section._stacked
 

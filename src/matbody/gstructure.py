@@ -98,8 +98,7 @@ def sampled_morphism_defect(S: GroupoidSection, points: Sequence) -> float:
                                itertools.product(range(len(pts)), repeat=3))
 
 
-def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence,
-                 tol: float = MORPHISM_TOL) -> Parallelism:
+def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Parallelism:
     """Parallelism P(x) = S(z, x) . Z, defined when S obeys the morphism law.
 
     The law is checked on all ordered triples drawn from ``points``; by
@@ -108,8 +107,9 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence,
     z = as_point(z)
     pts = [as_point(p) for p in points]
     defect = sampled_morphism_defect(S, pts)
-    if defect > tol:
-        raise NotMorphism(f"composition-law defect {defect:.3e} > {tol:g} on sampled triples")
+    if defect > MORPHISM_TOL:
+        raise NotMorphism(
+            f"composition-law defect {defect:.3e} > {MORPHISM_TOL:g} on sampled triples")
     lo = np.min(np.stack(pts + [z]), axis=0)
     hi = np.max(np.stack(pts + [z]), axis=0)
     Zm = Z.matrix

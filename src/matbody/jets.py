@@ -50,8 +50,8 @@ def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     return a
 
 
-def points_close(a: np.ndarray, b: np.ndarray, tol: float = POINT_TOL) -> bool:
-    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= tol)
+def points_close(a: np.ndarray, b: np.ndarray) -> bool:
+    return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= POINT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +88,9 @@ def identity(x) -> Jet1:
     return Jet1(x, x, np.eye(3))
 
 
-def compose(g: Jet1, h: Jet1, tol: float = POINT_TOL) -> Jet1:
+def compose(g: Jet1, h: Jet1) -> Jet1:
     """Jet composition g . h (h applied first).  Requires h.target == g.source."""
-    if not points_close(h.target, g.source, tol):
+    if not points_close(h.target, g.source):
         raise SourceTargetMismatch(
             f"h.target {h.target.tolist()} != g.source {g.source.tolist()}"
         )
@@ -102,9 +102,9 @@ def invert(g: Jet1) -> Jet1:
     return Jet1(g.target, g.source, np.linalg.inv(g.matrix))
 
 
-def act_on_frame(g: Jet1, z: Frame, tol: float = POINT_TOL) -> Frame:
+def act_on_frame(g: Jet1, z: Frame) -> Frame:
     """Move a frame along a jet: base goes to g.target, matrix composes."""
-    if not points_close(z.base, g.source, tol):
+    if not points_close(z.base, g.source):
         raise SourceTargetMismatch(
             f"frame base {z.base.tolist()} != g.source {g.source.tolist()}"
         )

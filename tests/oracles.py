@@ -157,46 +157,41 @@ def torsion_formula(gamma_fn, x):
 # ---------------------------------------------------------------------------
 
 def loop_response_gradients(body, x, F, fd_step=1e-5):
-    """Central-difference gradients (dW/dF, dW/dx) of shape (d,3,3) and (d,3).
+    """Central-difference gradients (dW/dF, dW/dx) of shape (3, 3) and (3,).
 
     The x-stencil must stay inside the body's box; the F-stencil has no such
     restriction.
     """
     x = as_point(x)
-    if not body.contains(x, margin=fd_step):
+    if not (np.all(x >= body.lo + fd_step) and np.all(x <= body.hi - fd_step)):
         raise OutOfDomain(
             f"x = {x.tolist()} closer than fd_step {fd_step:g} to the domain boundary"
         )
     F = np.asarray(F, dtype=float)
-    d = body.output_dim
-    dWdF = np.zeros((d, 3, 3))
+    dWdF = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
             Fp = F.copy(); Fp[i, j] += fd_step
             Fm = F.copy(); Fm[i, j] -= fd_step
-            dWdF[:, i, j] = (evaluate(body, Fp, x) - evaluate(body, Fm, x)) / (2 * fd_step)
-    dWdx = np.zeros((d, 3))
+            dWdF[i, j] = (evaluate(body, Fp, x) - evaluate(body, Fm, x)) / (2 * fd_step)
+    dWdx = np.zeros(3)
     for k in range(3):
         xp = x.copy(); xp[k] += fd_step
         xm = x.copy(); xm[k] -= fd_step
-        dWdx[:, k] = (evaluate(body, F, xp) - evaluate(body, F, xm)) / (2 * fd_step)
+        dWdx[k] = (evaluate(body, F, xp) - evaluate(body, F, xm)) / (2 * fd_step)
     return dWdF, dWdx
 
 
 def loop_constraint_rows(body, x, F, fd_step=1e-5):
-    """d x 12 linearized membership constraints at (F, x).
+    """The 12-row linearized membership constraint at (F, x).
 
-    Row m applied to [v | A] is <dW_m/dF, F A> - <dW_m/dx, v>; the A-block
-    coefficients are therefore F^T dW_m/dF (row-major) and the v-block is
-    -dW_m/dx.
+    Applied to [v | A] it is <dW/dF, F A> - <dW/dx, v>; the A-block
+    coefficients are therefore F^T dW/dF (row-major) and the v-block is
+    -dW/dx.
     """
     dWdF, dWdx = loop_response_gradients(body, x, F, fd_step)
     F = np.asarray(F, dtype=float)
-    rows = np.zeros((body.output_dim, 12))
-    for m in range(body.output_dim):
-        rows[m, :3] = -dWdx[m]
-        rows[m, 3:] = (F.T @ dWdF[m]).ravel()
-    return rows
+    return np.concatenate([-dWdx, (F.T @ dWdF).ravel()])
 
 
 def loop_fiber(body, x, matrices, rank_tol=1e-6, fd_step=1e-5):
@@ -273,7 +268,7 @@ def loop_polynomial_response(terms, F, x):
     acc = 0.0
     for vars_, exps, coeff in parsed:      # factors z^0 = 1 are skipped
         acc = acc + coeff * np.prod(z[..., vars_] ** exps, axis=-1)
-    return acc[..., None]
+    return acc
 
 
 def loop_minimal_lift(fibers, v_tol=1e-8):

@@ -176,7 +176,7 @@ def test_criterion_5_homogeneity_verdicts():
     conn = christoffels(minimal_lift_section(grid, fibs))
     rep = curvature_torsion(conn)
     chart = build_homogeneous_chart(conn, np.zeros(3), flat_tol=1e-4)
-    _, interior_max, _ = chart_christoffels(conn, chart)
+    interior_max, _ = chart_christoffels(conn, chart)
     ok = ok and rep.max_abs_R <= 1e-4 and rep.max_abs_T <= 1e-4
     ok = ok and interior_max <= 1e-3
     lines.append(f"integrable chart max|Gamma'| = {interior_max:.2e} (tol 1e-3)")

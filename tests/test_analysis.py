@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from matbody import (
     AnalysisConfig,
     ConfigError,
     MatbodyError,
+    NonFiniteResponse,
+    SectionField,
     emit_report,
     exp_trajectory,
     minimal_lift_section,
@@ -20,7 +24,7 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.analysis import _exponential_cross_check, fiber_stage, resolve_body
+from matbody.analysis import _SETTINGS, _exponential_cross_check, fiber_stage, resolve_body
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
@@ -39,6 +43,19 @@ def test_config_defaults_round_trip():
     for key in ("rank_tol", "v_tol", "flat_tol", "fd_step", "membership_tol"):
         assert key in echo["tolerances"]
     assert "point_tol" in echo["constants"] and "det_tol" in echo["constants"]
+
+
+def test_readme_config_section_matches_schema():
+    """The README's config example parses to the defaults and its key table,
+    with ``flags.*`` expanded to the example's flags, lists exactly the schema keys."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file (JSON)\n", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert AnalysisConfig.from_dict(example) == AnalysisConfig()
+    keys = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    keys.remove("flags.*")
+    keys += [f"flags.{k}" for k in example["flags"]]
+    assert sorted(keys) == sorted(f.metadata["path"] for f in _SETTINGS)
 
 
 @pytest.mark.parametrize("raw", [
@@ -391,12 +408,18 @@ def test_cli_analyze_exit_contract(tmp_path_factory, case):
         assert rc == EXIT_CONFIG
 
 
-def test_cli_flow_numerical_failure(tmp_path):
+def test_cli_flow_numerical_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "body": "uniform_fgm",
         "grid": {"resolution": [3, 3, 3]},
         "samples": {"count": 12, "seed": 5},
     })
-    # start outside the grid hull: LeftDomain -> exit 3
-    rc = main(["flow", "--config", cfg, "--t", "0.5", "--x", "0.95,0,0"])
-    assert rc == EXIT_NUMERICAL
+    # start outside the grid hull: LeftDomain; |t| / step overflows: NonFiniteResponse
+    for t, x in (("0.5", "0.95,0,0"), ("1e308", "0,0,0")):
+        rc = main(["flow", "--config", cfg, "--t", t, "--x", x])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("numerical failure:")
+    still = SectionField.constant(np.zeros(3), np.zeros((3, 3)), -np.ones(3), np.ones(3))
+    for t in (1e308, -math.inf):
+        with pytest.raises(NonFiniteResponse):
+            exp_trajectory(still, t, np.zeros(3))

@@ -48,7 +48,7 @@ def test_fgm_matches_definitional_identity(fgm_body, rng):
         x = rng.uniform(-0.9, 0.9, 3)
         F = I3 + rng.uniform(-0.4, 0.4, (3, 3))
         expected = w0_value(F @ K_fgm(x))
-        assert evaluate(fgm_body, F, x)[0] == pytest.approx(expected, rel=1e-13)
+        assert evaluate(fgm_body, F, x) == pytest.approx(expected, rel=1e-13)
 
 
 def test_evaluate_domain_and_singularity(iso_body):
@@ -60,15 +60,16 @@ def test_evaluate_domain_and_singularity(iso_body):
 
 @pytest.mark.parametrize("kind", BUILTINS + ("polynomial",))
 def test_batched_evaluate_equals_per_pair_calls(kind, rng):
-    """F (4,1,3,3) and x (7,3) broadcast to a (4,7,d) batch of independent pairs."""
+    """F (4,1,3,3) and x (7,3) broadcast to a (4,7) batch of independent pairs."""
     body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
             else builtin_body(kind))
     F = I3 + rng.uniform(-0.4, 0.4, (4, 1, 3, 3))
     x = rng.uniform(-0.9, 0.9, (7, 3))
     got = evaluate(body, F, x)
-    assert got.shape == (4, 7, body.output_dim)
+    assert got.shape == (4, 7)
     for i, j in np.ndindex(4, 7):
         want = evaluate(body, F[i, 0], x[j])
+        assert want.shape == ()                          # one W value per pair
         assert np.max(np.abs(got[i, j] - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
@@ -252,7 +253,7 @@ def test_fused_membership_defect_error_contract(iso_body, samples):
     assert err.value.index == (0, first_small)
 
     def nan_beyond_half(F, x):
-        return np.where(x[..., 0] > 0.5, np.nan, 1.0)[..., None] + 0.0 * F[..., 0, :1]
+        return np.where(x[..., 0] > 0.5, np.nan, 1.0) + 0.0 * F[..., 0, 0]
 
     body = Body("nan", -np.ones(3), np.ones(3), nan_beyond_half)
     assert membership_defect(body, Jet1(inside, inside, I3), samples) == 0.0
@@ -271,7 +272,6 @@ def test_membership_tol_scale(iso_body, samples):
 
 
 def test_builtin_registry():
-    assert builtin_body("homogeneous_isotropic").output_dim == 1
     with pytest.raises(ConfigError):
         builtin_body("no_such_body")
     assert np.array_equal(E_SHEAR_12, E12)
@@ -288,7 +288,7 @@ def test_polynomial_body_evaluation():
     body = polynomial_body([(e1, 1.0), (e2, 3.0)])
     F = np.array([[1.0, 2, 3], [4, 5, 6], [7, 8, 10]])
     x = np.array([0.5, 0, 0])
-    val = evaluate(body, F, x)[0]
+    val = evaluate(body, F, x)
     assert val == pytest.approx(F[0, 0] ** 2 * 0.5 + 3.0 * F[1, 2])
 
 
