@@ -116,7 +116,7 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
     sample set give each point its (count, 12) constraint matrix.
     """
     dWdF, dWdx = response_gradients(body, x, F, fd_step)
-    A = np.swapaxes(np.asarray(F, dtype=float), -1, -2) @ dWdF
+    A = np.ascontiguousarray(np.swapaxes(np.asarray(F, dtype=float), -1, -2)) @ dWdF
     return np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
 
 

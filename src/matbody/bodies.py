@@ -181,8 +181,8 @@ _BOX_HI = np.ones(3)
 
 
 def _strain(F: np.ndarray) -> np.ndarray:
-    """F^T F - I for F (..., 3, 3)."""
-    return np.swapaxes(F, -1, -2) @ F - _I3
+    """F^T F - I for F (..., 3, 3); a contiguous F^T takes matmul's fast path."""
+    return np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ F - _I3
 
 
 def w0_generic(F: np.ndarray) -> np.ndarray:

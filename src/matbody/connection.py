@@ -192,7 +192,9 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
     when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
     of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
     not at a running sum, and the last at ``end`` itself, so none leaves the segment.
-    A zero displacement returns ``state`` without a step.
+    Gamma depends on s alone, so its 2n + 1 distinct stage values (the two
+    midpoint stages share one, and a step's last stage is the next one's first)
+    come from one field call.  A zero displacement returns ``state`` without a step.
     Leading dimensions batch legs that share the same displacement.
     """
     v = end - start
@@ -200,10 +202,12 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
         return state
     n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
     lead = state.shape[:-1]
+    # row m at s = m / 2n, the same float as (k + frac)/n; the last row is ``end``
+    G = field(np.stack([start + m / (2 * n) * v for m in range(2 * n)] + [end]))
 
     def rhs(frac, state):
-        s = (k + frac) / n                  # k is the step of the loop below
-        Gv = np.einsum("...kij,...j->...ki", field(end if s == 1.0 else start + s * v), v)
+        # k is the step of the loop below
+        Gv = np.einsum("...kij,...j->...ki", G[2 * k + int(2 * frac)], v)
         P = state[..., :9].reshape(lead + (3, 3))
         return np.concatenate(((-Gv @ P).reshape(lead + (9,)),
                                np.linalg.solve(P, v[..., None])[..., 0]), axis=-1)

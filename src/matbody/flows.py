@@ -29,6 +29,7 @@ MAX_STEP = 1e-2
 DEFAULT_STEP = 1e-3
 MAX_PULLBACK_H = 1e-4
 DEFAULT_PULLBACK_H = 1e-5
+MAX_FLOW_STEPS = 10**6
 
 
 class SectionField:
@@ -117,7 +118,7 @@ def exp_trajectory(section: SectionField, t: float, x,
 
     exp_section returns the jet of the final record.  Raises LeftDomain when y
     leaves the section's hull, and NonFiniteResponse when F overflows or the
-    step count |t| / step does not fit in a float.
+    step count |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
     """
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
@@ -127,8 +128,9 @@ def exp_trajectory(section: SectionField, t: float, x,
     if t == 0.0:
         return records
     steps = abs(t) / step
-    if not math.isfinite(steps):
-        raise NonFiniteResponse(f"step count |t| / step = {steps:g} for t = {t:g}")
+    if not steps <= MAX_FLOW_STEPS:                         # NaN too
+        raise NonFiniteResponse(f"step count |t| / step = {steps:g} for t = {t:g} "
+                                f"exceeds MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     n = max(1, math.ceil(steps))
     dt = t / n
     stacked = section._stacked

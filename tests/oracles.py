@@ -121,6 +121,21 @@ def random_invertible(rng, lo=-2.0, hi=2.0, min_det=0.1):
             return M
 
 
+def matrix_stack_layouts(F):
+    """A stack F (..., 3, 3) held contiguous, broadcast along its first axis, and strided.
+
+    The strided copies equal F: every other entry of a doubled stack, and a
+    transposed (Fortran-ordered) view of F^T.
+    """
+    F = np.ascontiguousarray(F)
+    return {
+        "contiguous": F,
+        "broadcast": np.broadcast_to(F[:1], F.shape),
+        "every_other": np.repeat(F, 2, axis=0)[::2],
+        "fortran": np.swapaxes(np.ascontiguousarray(np.swapaxes(F, -1, -2)), -1, -2),
+    }
+
+
 def curvature_formula(gamma_fn, dgamma_fn, x):
     """Direct evaluation of the coordinate curvature formula at a point.
 

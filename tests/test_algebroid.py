@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matbody import (
     AnalysisConfig,
@@ -31,7 +33,7 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, sv_gaps
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, response_gradients, sv_gaps
 from oracles import (
     E12,
     I3,
@@ -43,6 +45,7 @@ from oracles import (
     kernel_of,
     loop_constraint_rows,
     loop_fiber,
+    matrix_stack_layouts,
 )
 
 RANK_TOL = 1e-6
@@ -121,6 +124,22 @@ def test_batched_rows_match_per_pair_loop(fgm_body, nonuniform_body, samples, rn
         assert rows.shape == (5, 7, 12)
         for p, q in np.ndindex(5, 7):
             assert np.max(np.abs(rows[p, q] - loop_constraint_rows(body, x[p], Fs[q]))) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([(28,), (2, 28)]))
+def test_rows_are_bitwise_the_swapaxes_product(fgm_body, seed, n, shape):
+    """The rows' F^T dW/dF block is the strided-transpose product bit for bit, in any layout."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.7, 0.7, (n, 3))
+    F = I3 + rng.uniform(-0.3, 0.3, shape + (3, 3))
+    for name, G in matrix_stack_layouts(F).items():
+        dWdF, dWdx = response_gradients(fgm_body, x, G)
+        A = np.swapaxes(G, -1, -2) @ dWdF
+        want = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
+        got = constraint_rows(fgm_body, x, G)
+        assert got.shape == want.shape == (n,) + shape + (12,), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

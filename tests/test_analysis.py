@@ -414,12 +414,14 @@ def test_cli_flow_numerical_failure(tmp_path, capsys):
         "grid": {"resolution": [3, 3, 3]},
         "samples": {"count": 12, "seed": 5},
     })
-    # start outside the grid hull: LeftDomain; |t| / step overflows: NonFiniteResponse
-    for t, x in (("0.5", "0.95,0,0"), ("1e308", "0,0,0")):
-        rc = main(["flow", "--config", cfg, "--t", t, "--x", x])
+    # start outside the grid hull: LeftDomain; |t| / step overflows, or exceeds
+    # MAX_FLOW_STEPS while a sub-ulp direction keeps y inside: NonFiniteResponse
+    for t, x, u in (("0.5", "0.95,0,0", "1,0,0"), ("1e308", "0,0,0", "1,0,0"),
+                    ("1e20", "0,0,0", "1e-300,0,0")):
+        rc = main(["flow", "--config", cfg, "--t", t, "--x", x, "--direction", u])
         assert rc == EXIT_NUMERICAL
         assert capsys.readouterr().err.startswith("numerical failure:")
     still = SectionField.constant(np.zeros(3), np.zeros((3, 3)), -np.ones(3), np.ones(3))
-    for t in (1e308, -math.inf):
+    for t in (1e308, 1e20, -math.inf):
         with pytest.raises(NonFiniteResponse):
             exp_trajectory(still, t, np.zeros(3))

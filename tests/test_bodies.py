@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matbody import (
     ConfigError,
@@ -20,9 +22,9 @@ from matbody import (
     membership_defect,
     polynomial_body,
 )
-from matbody.bodies import E_SHEAR_12, Body, membership_tol
+from matbody.bodies import E_SHEAR_12, Body, _strain, membership_tol
 from oracles import (I3, E12, isotropic_polynomial_terms, loop_polynomial_response,
-                     random_rotation, w0_value)
+                     matrix_stack_layouts, random_rotation, w0_value)
 
 BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform")
 
@@ -71,6 +73,17 @@ def test_batched_evaluate_equals_per_pair_calls(kind, rng):
         want = evaluate(body, F[i, 0], x[j])
         assert want.shape == ()                          # one W value per pair
         assert np.max(np.abs(got[i, j] - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 28), (1, 28, 2, 9), (3, 28, 2, 9)]))
+def test_strain_is_bitwise_the_swapaxes_product(seed, shape):
+    """F^T F - I equals the strided-transpose product bit for bit, whatever F's layout."""
+    F = I3 + np.random.default_rng(seed).uniform(-0.5, 0.5, shape + (3, 3))
+    for name, G in matrix_stack_layouts(F).items():
+        got, want = _strain(G), np.swapaxes(G, -1, -2) @ G - I3
+        assert got.shape == want.shape == shape + (3, 3), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_one_bad_pair_fails_the_whole_batch(iso_body):

@@ -33,6 +33,7 @@ from matbody import (
     uniformity_verdict,
 )
 from matbody.connection import LinearSectionField
+from matbody.grid import TrilinearField
 from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula,
                      tuple_chart, tuple_transport_leg)
 
@@ -403,30 +404,40 @@ def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
 
 
 def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
-    """At 7^3 every lattice segment takes 4 RK4 steps (substep = spacing / 4)."""
+    """At 7^3 every lattice segment takes 4 RK4 steps (substep = spacing / 4) and
+    one Christoffel-field call; the 3 empty legs at x0 take neither."""
     import matbody.connection as connection
 
     grid = make_grid(-np.ones(3), np.ones(3), 7)
     conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
-    steps, legs = [0], []
+    steps, calls, legs = [0], [], []
     rk4_step, leg = connection._rk4_step, connection._transport_leg
+    interpolate = TrilinearField.__call__
 
     def counting_step(*args):
         steps[0] += 1
         return rk4_step(*args)
 
+    def recording_call(field, x):
+        calls.append(np.shape(x))
+        return interpolate(field, x)
+
     def recording_leg(field, start, end, *rest):
-        before = steps[0]
+        before, called = steps[0], len(calls)
         out = leg(field, start, end, *rest)
-        legs.append((float(np.max(np.abs(end - start))), steps[0] - before))
+        legs.append((float(np.max(np.abs(end - start))), steps[0] - before,
+                     calls[called:], np.shape(start)[:-1]))
         return out
 
     monkeypatch.setattr(connection, "_rk4_step", counting_step)
+    monkeypatch.setattr(TrilinearField, "__call__", recording_call)
     monkeypatch.setattr(connection, "_transport_leg", recording_leg)
     build_homogeneous_chart(conn, grid.points[grid.n_points // 2])
     assert len(legs) == 21                      # 3 axes x (6 segments + 1 empty leg at x0)
-    assert [n for length, n in legs if length > 0] == [4] * 18
-    assert [n for length, n in legs if length == 0] == [0] * 3
+    assert [n for length, n, _, _ in legs if length > 0] == [4] * 18
+    assert [n for length, n, _, _ in legs if length == 0] == [0] * 3
+    for length, _, called, lines in legs:       # one call, 2n + 1 = 9 stage points per line
+        assert called == ([(9,) + lines + (3,)] if length > 0 else [])
 
 
 def test_chart_refuses_torsion(fgm_body, samples):
