@@ -58,7 +58,7 @@ from .errors import (
     StepTooLarge,
 )
 from .flows import SectionField, derivation_matrix, exp_section, exp_trajectory, one_parameter_check
-from .grid import Grid, TrilinearField, make_grid
+from .grid import Box, Grid, TrilinearField, make_grid
 from .gstructure import (
     GroupoidSection,
     Parallelism,

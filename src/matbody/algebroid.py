@@ -43,19 +43,15 @@ class FiberBasis:
     """Orthonormal basis of a computed fiber plus its singular-value audit trail.
 
     ``anchor_svd`` is the SVD (U, sv, Vh) of the anchor block basis[:, :3]^T
-    (3 x dim): anchor rank, isotropy algebra and minimal lift read it with their
-    v_tol cut.  ``fibers_at`` passes it in from one stacked SVD per fiber dim.
+    (3 x dim), which anchor rank, isotropy algebra and minimal lift cut at v_tol;
+    ``fibers_at`` takes it from one stacked SVD per fiber dim, ``isotropy_algebra`` its own.
     """
 
     point: np.ndarray
     basis: np.ndarray       # (dim, 12): orthonormal basis vectors [v | A row-major]
     dim: int
     singular_values: np.ndarray
-    anchor_svd: tuple = None
-
-    def __post_init__(self):
-        if self.anchor_svd is None:
-            object.__setattr__(self, "anchor_svd", np.linalg.svd(self.basis[:, :3].T))
+    anchor_svd: tuple
 
 
 def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -92,7 +88,7 @@ def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
     """
     x = np.asarray(x, dtype=float)
     F = np.asarray(F, dtype=float)
-    near = ~np.all((x >= body.lo + fd_step) & (x <= body.hi - fd_step), axis=-1)
+    near = ~body.box.inset(fd_step).mask(x)
     if near.any():
         i = first_true(near, near.shape)
         raise with_index(OutOfDomain(
@@ -177,8 +173,8 @@ def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
     the v-projection give the elements with v = 0.
     """
     rank = anchor_rank(f, v_tol)
-    coeffs = f.anchor_svd[2][rank:]            # (dim - rank, dim)
-    return FiberBasis(f.point, coeffs @ f.basis, f.dim - rank, f.singular_values)
+    B = f.anchor_svd[2][rank:] @ f.basis       # (dim - rank, 12): the elements with v = 0
+    return FiberBasis(f.point, B, f.dim - rank, f.singular_values, np.linalg.svd(B[:, :3].T))
 
 
 @dataclass(frozen=True)

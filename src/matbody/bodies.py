@@ -13,14 +13,15 @@ inverse, W-hat(P^-1, y).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (ConfigError, NonFiniteResponse, OutOfDomain, SingularMatrix, first_true,
                      with_index)
-from .jets import DET_TOL, Jet1, as_point, invert
+from .grid import Box
+from .jets import DET_TOL, Jet1, invert
 
 _I3 = np.eye(3)
 
@@ -48,16 +49,14 @@ class Body:
     hi: np.ndarray
     response: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str = ""
+    box: Box = field(init=False, repr=False)     # the domain; lo and hi are its bounds
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_point(self.lo))
-        object.__setattr__(self, "hi", as_point(self.hi))
+        object.__setattr__(self, "box", Box(self.lo, self.hi))
+        object.__setattr__(self, "lo", self.box.lo)
+        object.__setattr__(self, "hi", self.box.hi)
         if np.any(self.hi <= self.lo):
             raise ValueError("domain box must have positive extent on every axis")
-
-    def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float)
-        return bool(np.all(p >= self.lo) and np.all(p <= self.hi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +98,9 @@ def evaluate(body: Body, F, x) -> np.ndarray:
     Fm = np.asarray(F, dtype=float)
     xp = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(Fm.shape[:-2], xp.shape[:-1])
-    inside = (xp >= body.lo) & (xp <= body.hi)
+    inside = body.box.mask(xp)
     if not inside.all():
-        i = first_true(~inside.all(axis=-1), shape)
+        i = first_true(~inside, shape)
         raise with_index(OutOfDomain(
             f"{_point_at(xp, shape, i)} outside domain of body '{body.name}'"), i)
     singular = np.abs(np.linalg.det(Fm)) < DET_TOL

@@ -178,7 +178,7 @@ def homogeneity_verdict(uni: UniformityResult,
 def _transport_field(conn: ConnectionField, *points) -> tuple:
     """Interpolated Christoffels and the RK4 substep, min spacing / 4."""
     field = TrilinearField(conn.grid.axes, conn.lattice())
-    if not all(field.contains(p) for p in points):
+    if not all(field.box.contains(p) for p in points):
         raise LeftDomain("transport endpoints must lie in the grid hull")
     return field, float(np.min(conn.grid.spacing)) / 4.0
 

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import LeftDomain, NonFiniteResponse, StepTooLarge
-from .grid import TrilinearField
+from .grid import Box, TrilinearField
 from .jets import Jet1, as_point
 
 MAX_STEP = 1e-2
@@ -36,31 +36,20 @@ class SectionField:
     """Assignment x -> (v(x), A(x)), analytic or interpolated from a lattice.
 
     Held as one callable x -> (v | A row-major), a 12-vector, that raises
-    LeftDomain outside the domain box: one domain check per evaluation.
+    LeftDomain outside the domain ``box``: one domain check per evaluation.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], tuple], lo, hi):
         def stacked(x):
             p = np.asarray(x, dtype=float)
-            if not self.contains(p):
+            if not self.box.contains(p):
                 raise LeftDomain(f"point {p.tolist()} outside section domain")
             v, A = fn(p)
             return np.concatenate((np.asarray(v, dtype=float).reshape(3),
                                    np.asarray(A, dtype=float).reshape(9)))
 
-        self._hold(stacked, lo, hi)
-
-    def _hold(self, stacked: Callable[[np.ndarray], np.ndarray], lo, hi) -> None:
-        """Set the domain box and the stacked callable, which raises LeftDomain outside it."""
-        self.lo = as_point(lo)
-        self.hi = as_point(hi)
-        self._bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
+        self.box = Box(lo, hi)
         self._stacked = stacked
-
-    def contains(self, x) -> bool:
-        """Whether the point x (3,) lies in the closed domain box; never for NaN."""
-        return all(lo <= q <= hi for q, (lo, hi) in
-                   zip(np.asarray(x, dtype=float).reshape(3).tolist(), self._bounds))
 
     def value(self, x) -> tuple:
         """(v(x), A(x)) as views of the stacked value."""
@@ -85,7 +74,7 @@ class SectionField:
         field = TrilinearField(axes, np.concatenate(
             [v_data, a_data.reshape(a_data.shape[:3] + (9,))], axis=-1))
         section = object.__new__(SectionField)     # no wrapper: the hull check is the domain check
-        section._hold(field, [a[0] for a in axes], [a[-1] for a in axes])
+        section.box, section._stacked = field.box, field
         return section
 
 
@@ -143,7 +132,7 @@ def exp_trajectory(section: SectionField, t: float, x,
         for k in range(1, n + 1):
             state = _rk4_step(rhs, state, dt)               # a new array each step
             y = state[:3]
-            if not section.contains(y):
+            if not section.box.contains(y):
                 raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
             records.append((k * dt, y, state[3:].reshape(3, 3)))
     # Non-finite entries never turn finite again, so the last step shows them all.

@@ -1,4 +1,4 @@
-"""Uniform lattices inside a box chart and trilinear interpolation on them.
+"""The domain box, uniform lattices inside it and trilinear interpolation on them.
 
 Grid points are enumerated in C order (x slowest, z fastest); every module
 that serializes per-point data relies on that ordering being stable.
@@ -13,6 +13,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmall, LeftDomain
+from .jets import as_point
+
+
+@dataclass(frozen=True, eq=False)
+class Box:
+    """Closed box lo <= x <= hi of chart coordinates with finite bounds: the one domain rule."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", as_point(self.lo))
+        object.__setattr__(self, "hi", as_point(self.hi))
+        # (lo, hi) per axis as Python floats: contains is on the flows' hot path
+        object.__setattr__(self, "_bounds", tuple(zip(self.lo.tolist(), self.hi.tolist())))
+
+    def contains(self, x) -> bool:
+        """Whether the point x (3,) lies in the box; never with a NaN or +-inf coordinate."""
+        return all(lo <= q <= hi for q, (lo, hi) in
+                   zip(np.asarray(x, dtype=float).reshape(3).tolist(), self._bounds))
+
+    def mask(self, x) -> np.ndarray:
+        """``contains`` for each point of x (..., 3), shape (...)."""
+        return ((x >= self.lo) & (x <= self.hi)).all(axis=-1)
+
+    def inset(self, margin: float) -> "Box":
+        return Box(self.lo + margin, self.hi - margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,14 +71,13 @@ class Grid:
 
 def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
     """Uniform lattice of ``resolution`` points per axis, inset by ``margin``."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
     res = tuple(int(r) for r in np.broadcast_to(resolution, 3))
     if min(res) < 3:
         raise GridTooSmall(f"need >= 3 points per axis, got {res}")
-    if np.any(lo + 2 * margin >= hi):
+    box = Box(lo, hi).inset(margin)
+    if np.any(box.lo >= box.hi):
         raise ValueError("margin leaves an empty box")
-    axes = tuple(np.linspace(lo[i] + margin, hi[i] - margin, res[i]) for i in range(3))
+    axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i]) for i in range(3))
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
     points.setflags(write=False)
@@ -71,21 +97,17 @@ class TrilinearField:
         values = np.array(values, dtype=float)
         values.setflags(write=False)
         self._axes = tuple(np.asarray(a, dtype=float) for a in axes)
-        self._lo, self._hi = np.array([(a[0], a[-1]) for a in self._axes]).T
+        self.box = Box([a[0] for a in self._axes], [a[-1] for a in self._axes])    # the hull
         self._ticks = tuple(a.tolist() for a in self._axes)
         self._value_shape = values.shape[3:]
         self._flat = values.reshape(values.shape[:3] + (-1,))
         self._blocks = {}       # cell (i, j, k) -> its contiguous (8, m) corner block
 
-    def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float)
-        return bool(np.all(p >= self._lo) and np.all(p <= self._hi))
-
     def __call__(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
         if p.shape == (3,):
             return self._at_point(p)
-        if not self.contains(p):
+        if not self.box.mask(p).all():
             raise LeftDomain(f"point {p.tolist()} outside grid hull")
         cells, weights = [], []
         for a, q in zip(self._axes, np.moveaxis(p, -1, 0)):

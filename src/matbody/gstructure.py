@@ -18,23 +18,18 @@ import numpy as np
 
 from .bodies import Body, SampleSet, is_material_symmetry
 from .errors import NotMorphism, OutOfDomain, SourceTargetMismatch
-from .grid import Grid, grid_gradient
+from .grid import Box, Grid, grid_gradient
 from .jets import Frame, Jet1, as_matrix, as_point, points_close
 
 MORPHISM_TOL = 1e-9
 
 
 class Parallelism:
-    """Global frame field: x -> Frame(x, M(x)) with M(x) invertible."""
+    """Global frame field on the domain ``box``: x -> Frame(x, M(x)) with M(x) invertible."""
 
     def __init__(self, matrix_fn: Callable[[np.ndarray], np.ndarray], lo, hi):
         self._fn = matrix_fn
-        self.lo = as_point(lo)
-        self.hi = as_point(hi)
-
-    def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float)
-        return bool((p >= self.lo).all() and (p <= self.hi).all())
+        self.box = Box(lo, hi)
 
     def frame(self, x) -> Frame:
         return Frame(x, self.matrix(x))
@@ -42,7 +37,7 @@ class Parallelism:
     def matrix(self, x) -> np.ndarray:
         """The frame's matrix at x, validated once: read-only and invertible."""
         p = as_point(x)
-        if not self.contains(p):
+        if not self.box.contains(p):
             raise OutOfDomain(f"{p.tolist()} outside parallelism domain")
         return as_matrix(self._fn(p), invertible=True)
 
@@ -54,7 +49,7 @@ class Parallelism:
     def right_translate(self, Z0) -> "Parallelism":
         """The parallelism x -> P(x) Z0 (same induced groupoid section)."""
         Z0 = np.asarray(Z0, dtype=float)
-        return Parallelism(lambda x: self._fn(x) @ Z0, self.lo, self.hi)
+        return Parallelism(lambda x: self._fn(x) @ Z0, self.box.lo, self.box.hi)
 
 
 def g_map(P: Parallelism, x, y) -> Jet1:
@@ -110,10 +105,9 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Paralleli
     if defect > MORPHISM_TOL:
         raise NotMorphism(
             f"composition-law defect {defect:.3e} > {MORPHISM_TOL:g} on sampled triples")
-    lo = np.min(np.stack(pts + [z]), axis=0)
-    hi = np.max(np.stack(pts + [z]), axis=0)
+    hull = np.stack(pts + [z])
     Zm = Z.matrix
-    return Parallelism(lambda x: S(z, x).matrix @ Zm, lo, hi)
+    return Parallelism(lambda x: S(z, x).matrix @ Zm, hull.min(axis=0), hull.max(axis=0))
 
 
 def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
@@ -124,7 +118,7 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
     the body at z0, read through the reference frame Z0.
     """
     z0 = as_point(z0)
-    if not body.contains(z0):
+    if not body.box.contains(z0):
         raise OutOfDomain(f"{z0.tolist()} outside domain of body '{body.name}'")
     if not points_close(Z0.base, z0):
         raise SourceTargetMismatch(

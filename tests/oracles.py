@@ -349,7 +349,7 @@ def tuple_exp_trajectory(section: SectionField, t: float, x,
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for k in range(1, n + 1):
             y, F = tuple_rk4_step(rhs, (y, F), dt)
-            if not section.contains(y):
+            if not section.box.contains(y):
                 raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
             records.append((k * dt, y, F))      # _rk4_step returns new arrays
     # Non-finite entries never turn finite again, so the last step shows them all.

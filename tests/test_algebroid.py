@@ -200,7 +200,8 @@ def test_isotropy_elements_are_skew(iso_body, samples):
 
 
 def test_empty_fiber_isotropy():
-    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12))
+    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12),
+                   np.linalg.svd(np.zeros((3, 0))))
     assert isotropy_algebra(f).dim == 0
     assert anchor_rank(f) == 0
 

@@ -336,7 +336,7 @@ def test_rk4_stage_outside_the_domain_raises_even_when_the_step_ends_inside(kind
             trajectory(section, dt, x0, dt)
     wide = SectionField(lambda x: (lam * (x - p), np.zeros((3, 3))), 2 * LO, 2 * HI)
     (_, y, _), = exp_trajectory(wide, dt, x0, dt)[1:]
-    assert np.max(np.abs(y - (p + (x0 - p) / 3))) <= 1e-12 and section.contains(y)
+    assert np.max(np.abs(y - (p + (x0 - p) / 3))) <= 1e-12 and section.box.contains(y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -345,10 +345,10 @@ def test_section_refuses_non_finite_points(bad):
     for axis in range(3):
         x = np.zeros(3)
         x[axis] = bad
-        assert not s.contains(x)
+        assert not s.box.contains(x)
         with pytest.raises(LeftDomain):
             s.value(x)
-    assert s.contains(HI) and s.contains(LO)
+    assert s.box.contains(HI) and s.box.contains(LO)
 
 
 def test_cli_flow_output_is_stable(tmp_path):

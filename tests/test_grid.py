@@ -1,5 +1,6 @@
-"""Lattices and trilinear interpolation, and the package's runtime imports."""
+"""Lattices, the domain box, trilinear interpolation, and the package's runtime imports."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matbody
-from matbody import LeftDomain, TrilinearField, make_grid
+from matbody import (Body, Box, LeftDomain, OutOfDomain, Parallelism, SectionField,
+                     TrilinearField, evaluate, make_grid)
 from oracles import loop_trilinear
 
 
@@ -22,6 +24,81 @@ def multilinear(coef, x):
         mono = np.prod(np.where(np.array(c, dtype=bool), x, 1.0), axis=-1)
         out = out + mono[..., None, None] * coef[c]
     return out
+
+
+@pytest.mark.parametrize("lo, hi, margin", [
+    ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], 0.1),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.nan),
+    ([0.0, 0.0, 0.0], [np.inf, 1.0, 1.0], 0.1),
+])
+def test_make_grid_refuses_non_finite_bounds_and_margin(lo, hi, margin):
+    with pytest.raises(ValueError):
+        make_grid(lo, hi, 3, margin)
+
+
+@st.composite
+def boxes_and_points(draw):
+    """Box bounds (inverted too), a margin, and points inside the box, on a face,
+    one ulp off a face, or with a non-finite coordinate."""
+    bound = st.floats(-1e3, 1e3, allow_nan=False)
+    lo, hi = (np.array(draw(st.lists(bound, min_size=3, max_size=3))) for _ in range(2))
+
+    def coordinate(a, b):
+        near = [np.nextafter(f, to) for f in (a, b) for to in (f, -np.inf, np.inf)]
+        return st.one_of(st.floats(min(a, b), max(a, b)),
+                         st.sampled_from(near + [np.nan, np.inf, -np.inf]))
+
+    point = st.tuples(*(coordinate(a, b) for a, b in zip(lo, hi)))
+    points = np.array(draw(st.lists(point, min_size=1, max_size=8)), dtype=float)
+    return lo, hi, draw(st.floats(-1.0, 1.0)), points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(boxes_and_points())
+def test_box_contains_is_its_mask_and_the_closed_box_rule(case):
+    lo, hi, margin, points = case
+    box = Box(lo, hi)
+    mask = box.mask(points)
+    assert mask.shape == points.shape[:-1]
+    for p, inside in zip(points, mask):
+        assert box.contains(p) == bool(inside) == bool(box.mask(p))
+        closed = bool(np.all(p >= lo) and np.all(p <= hi))
+        assert inside == (closed and bool(np.isfinite(p).all()))
+    want = np.all((points >= lo + margin) & (points <= hi - margin), axis=-1)
+    assert np.array_equal(box.inset(margin).mask(points), want)
+
+
+def test_every_domain_check_refuses_the_same_points():
+    """evaluate, SectionField.value, Parallelism.matrix and both TrilinearField paths
+    refuse exactly the points outside one closed box, corners and faces +- 1 ulp."""
+    lo, hi = np.array([-1.0, -0.5, 0.25]), np.array([0.75, 1.0, 2.0])
+    body = Body("box", lo, hi,
+                lambda F, x: np.zeros(np.broadcast_shapes(F.shape[:-2], x.shape[:-1])))
+    section = SectionField(lambda x: (np.zeros(3), np.zeros((3, 3))), lo, hi)
+    frames = Parallelism(lambda x: np.eye(3), lo, hi)
+    field = TrilinearField([np.linspace(a, b, 3) for a, b in zip(lo, hi)], np.zeros((3, 3, 3, 2)))
+    checks = ((OutOfDomain, lambda p: evaluate(body, np.eye(3), p)),
+              (LeftDomain, section.value),
+              (OutOfDomain, frames.matrix),
+              (LeftDomain, field),                                  # the point path
+              (LeftDomain, lambda p: field(p[None])))               # the batched path
+    corners = [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
+    centres = [np.where(np.arange(3) == axis, face, (lo + hi) / 2)
+               for axis, face in itertools.product(range(3), (lo, hi))]
+    points = []
+    for p, axis in itertools.product(corners + centres, range(3)):
+        for to in (-np.inf, np.inf):
+            points.append(np.where(np.arange(3) == axis, np.nextafter(p, to), p))
+    points += corners + centres
+    inside = [bool(np.all(p >= lo) and np.all(p <= hi)) for p in points]
+    assert 0 < sum(inside) < len(points)
+    for p, ok in zip(points, inside):
+        for error, check in checks:
+            if ok:
+                check(p)
+            else:
+                with pytest.raises(error):
+                    check(p)
 
 
 def test_trilinear_reproduces_multilinear_field():
