@@ -127,6 +127,16 @@ class AnalysisConfig:
     def validate(self) -> "AnalysisConfig":
         if (self.body_kind is None) == (self.body_polynomial is None):
             raise ConfigError("config must select exactly one of builtin body or polynomial")
+        poly = self.body_polynomial
+        if poly is not None:
+            # resolve_body reads only these keys, and echo() copies the object whole
+            if not isinstance(poly, dict) or "terms" not in poly:
+                raise ConfigError("polynomial body needs a 'terms' list")
+            unknown = set(poly) - {"terms", "lo", "hi", "name"}
+            if unknown:
+                raise ConfigError(f"unknown keys in 'body.polynomial': {sorted(unknown)}")
+            if not isinstance(poly.get("name", ""), str):
+                raise ConfigError(f"body.polynomial.name must be a string, got {poly['name']!r}")
         for f in _SETTINGS:
             value, check = getattr(self, f.name), f.metadata["check"]
             if check and value is not None and not check[0](value):
@@ -183,8 +193,6 @@ def resolve_body(cfg: AnalysisConfig) -> Body:
     if cfg.body_kind is not None:
         return builtin_body(cfg.body_kind)
     poly = cfg.body_polynomial
-    if not isinstance(poly, dict) or "terms" not in poly:
-        raise ConfigError("polynomial body needs a 'terms' list")
     try:
         return polynomial_body(
             poly["terms"], poly.get("lo"), poly.get("hi"), poly.get("name", "polynomial")
@@ -249,17 +257,29 @@ class AnalysisReport:
         return doc
 
 
+# The element-type sets of lists that convert and write without a per-item walk.
+_FLOAT, _INT = frozenset([float]), frozenset([int])
+
+
 def _native(obj):
-    """Recursively convert numpy scalars/arrays so json emits native types.
+    """Recursively convert numpy scalars/arrays to JSON-native values for the report.
 
     Non-finite floats become None.  ``run_analysis`` passes its results through
-    this once, so a report's fields already hold JSON-native values.
+    this once, so a report's fields already hold JSON-native values.  A float
+    array with only finite entries is one ``tolist()``, and a list of only
+    floats (with a finite sum, so no NaN or +-inf) or only ints is copied as it
+    is; both tests run in C.
     """
     if isinstance(obj, dict):
         return {k: _native(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == _INT or (kinds <= _FLOAT and math.isfinite(sum(obj))):
+            return list(obj)
         return [_native(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()
         return _native(obj.tolist())
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -333,8 +353,8 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
             interior_max, full_max = chart_christoffels(conn, chart)
             out["chart"] = {
                 "x0": chart.x0.tolist(),
-                "coords": chart.coords.tolist(),
-                "frames": chart.frames.tolist(),
+                "coords": chart.coords,
+                "frames": chart.frames,
                 "gamma_prime_interior_max": interior_max,
                 "gamma_prime_max": full_max,
             }
@@ -371,11 +391,66 @@ def trajectory_records(records) -> list:
 # Serialization
 # ---------------------------------------------------------------------------
 
+_encode_str = json.encoder.encode_basestring_ascii
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v: float) -> str:
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+# JSON text of each exactly-typed scalar (repr is the type's __repr__ there, and
+# cheaper to call); subclasses of str, int and float take the isinstance chain.
+_SCALAR_TEXT = {str: _encode_str, int: repr, float: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _encode(obj, pad: str) -> str:
+    """JSON text of obj whose nested lines start with ``pad`` ("\\n" + indent)."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    inner = f"{pad}  "
+    sep = f",{inner}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if (kinds == _FLOAT and math.isfinite(sum(obj))) or kinds == _INT:
+            body = sep.join(map(repr, obj))
+        else:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return f"[{inner}{body}{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join([f"{_encode_str(k)}: {_encode(obj[k], inner)}" for k in sorted(obj)])
+        return f"{{{inner}{body}{pad}}}"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def canonical_json(doc) -> bytes:
+    """The bytes of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` in UTF-8.
+
+    ``doc`` is made of dicts with str keys, lists, tuples, str, int, float, bool
+    and None.  json's indented encoder runs in Python, one generator step per
+    value; this writer formats a whole list of finite floats, or of ints, with
+    one ``repr`` map and one join, both in C.
+    """
+    return (_encode(doc, "\n") + "\n").encode("utf-8")
+
+
 def emit_report(report: AnalysisReport, format: str = "structured") -> bytes:
     """Render a report: canonical JSON ('structured') or human tables ('text')."""
     if format == "structured":
-        doc = report.to_canonical_dict()
-        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return canonical_json(report.to_canonical_dict())
     if format == "text":
         return _text_report(report).encode("utf-8")
     raise ConfigError(f"unknown report format '{format}'")

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (AnalysisConfig, emit_report, fiber_stage, resolve_body, run_analysis,
-                       trajectory_records)
+from .analysis import (AnalysisConfig, canonical_json, emit_report, fiber_stage, resolve_body,
+                       run_analysis, trajectory_records)
 from .bodies import BUILTIN_DESCRIPTIONS
 from .connection import minimal_lift_section
 from .errors import ConfigError, MatbodyError
@@ -101,8 +101,7 @@ def _cmd_flow(args) -> int:
         "step": step,
         "records": records,
     }
-    _write_out((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8"),
-               args.out)
+    _write_out(canonical_json(doc), args.out)
     return EXIT_OK
 
 

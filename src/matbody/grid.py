@@ -28,6 +28,8 @@ class Box:
         object.__setattr__(self, "hi", as_point(self.hi))
         # (lo, hi) per axis as Python floats: contains is on the flows' hot path
         object.__setattr__(self, "_bounds", tuple(zip(self.lo.tolist(), self.hi.tolist())))
+        # inset boxes by margin: response_gradients asks for the same fd_step inset per call
+        object.__setattr__(self, "_insets", {})
 
     def contains(self, x) -> bool:
         """Whether the point x (3,) lies in the box; never with a NaN or +-inf coordinate."""
@@ -39,7 +41,10 @@ class Box:
         return ((x >= self.lo) & (x <= self.hi)).all(axis=-1)
 
     def inset(self, margin: float) -> "Box":
-        return Box(self.lo + margin, self.hi - margin)
+        box = self._insets.get(margin)
+        if box is None:
+            box = self._insets[margin] = Box(self.lo + margin, self.hi - margin)
+        return box
 
 
 @dataclass(frozen=True, eq=False)

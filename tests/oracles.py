@@ -12,9 +12,12 @@ and ``loop_minimal_lift``, the polynomial response and the minimal lift as
 they were before they were computed from a power table and in stacked
 matmuls, and ``tuple_exp_trajectory`` and ``tuple_chart``, the exponential
 flow and the chart sweep as they were when RK4 carried a tuple of arrays.
+``json_dumps_document`` and ``item_native`` are the report writer and the
+JSON-native conversion as they were before they gained C fast paths.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from itertools import product
@@ -402,3 +405,24 @@ def tuple_chart(conn, x0) -> ChartField:
                 q, line_P[:, i], line_c[:, i] = line[:, i], P, c
         points, frames, coords = (a.reshape((-1,) + a.shape[2:]) for a in (line, line_P, line_c))
     return ChartField(conn.grid, x0, coords, frames)
+
+
+def json_dumps_document(doc) -> bytes:
+    """A structured document's bytes as json's indented encoder writes them."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def item_native(obj):
+    """Numpy scalars/arrays as JSON-native values, visiting every item; non-finite -> None."""
+    if isinstance(obj, dict):
+        return {k: item_native(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [item_native(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return item_native(obj.tolist())
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    return obj

@@ -34,6 +34,7 @@ from matbody import (
     uniformity_verdict,
 )
 from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, response_gradients, sv_gaps
+from matbody.grid import Box
 from oracles import (
     E12,
     I3,
@@ -337,3 +338,22 @@ def test_fiber_elements_exponentiate_to_isomorphisms(iso_body, samples):
         s = SectionField.constant(u[:3], u[3:].reshape(3, 3), iso_body.lo, iso_body.hi)
         g = exp_section(s, 0.1, x)
         assert is_material_isomorphism(iso_body, g, samples, 1e-5)
+
+
+def test_fiber_calls_build_the_inset_box_once(monkeypatch, samples):
+    """The stencil domain check reuses the body's fd_step inset instead of building it per call."""
+    body = builtin_body("uniform_fgm")
+    built = []
+    post_init = Box.__post_init__
+
+    def counting(self):
+        built.append((self.lo.copy(), self.hi.copy()))
+        post_init(self)
+
+    monkeypatch.setattr(Box, "__post_init__", counting)
+    first = fiber(body, [0.1, -0.2, 0.3], samples, fd_step=1e-5)
+    for _ in range(9):
+        again = fiber(body, [0.1, -0.2, 0.3], samples, fd_step=1e-5)
+        assert np.array_equal(again.basis, first.basis)
+    assert len(built) == 1
+    assert np.array_equal(built[0][0], body.lo + 1e-5) and np.array_equal(built[0][1], body.hi - 1e-5)

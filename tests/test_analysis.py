@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matbody import (
@@ -24,8 +24,10 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.analysis import _SETTINGS, _exponential_cross_check, fiber_stage, resolve_body
+from matbody.analysis import (_SETTINGS, _exponential_cross_check, _native, canonical_json,
+                              fiber_stage, resolve_body)
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from oracles import isotropic_polynomial_terms, item_native, json_dumps_document
 
 FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
 
@@ -86,6 +88,10 @@ def test_readme_config_section_matches_schema():
     # numbers too large for a float or a C integer
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 10**400]]}}},
     {"body": {"polynomial": {"terms": [[[10**400] + [0] * 11, 1.0]]}}},
+    # polynomial keys the body never reads, which the config echo would copy
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "nmae": "iso"}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "note": math.nan}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "name": 3}}},
 ])
 def test_config_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
@@ -149,7 +155,6 @@ def test_report_structure_and_round_trip():
     r = run_analysis(AnalysisConfig(body_kind="uniform_fgm", **FAST))
     blob = emit_report(r, "structured")
     doc = parse_report(blob)
-    from matbody.analysis import _native
     assert doc == _native(r.to_canonical_dict())
     assert doc["uniformity"]["verdict"] == "uniform"
     assert doc["homogeneity"]["verdict"] == "obstructed"
@@ -235,6 +240,101 @@ def test_trajectory_flag():
     r = run_analysis(cfg)
     assert r.trajectory is not None and len(r.trajectory) > 10
     assert set(r.trajectory[0]) == {"t", "y", "F"}
+
+
+# ---------------------------------------------------------------------------
+# canonical writer and JSON-native conversion
+# ---------------------------------------------------------------------------
+
+class _Float(float):
+    def __repr__(self):
+        return "not a JSON number"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not a JSON number"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+                1e-7, 1e-4, 0.1, 1e308, -1e308, 1.7976931348623157e308]
+_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS + [math.nan, math.inf, -math.inf]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(10**30, 10**40).map(lambda n: -n),
+    st.integers(10**30, 10**40), _floats, st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é ñ ∂Γ", "\U0001f600", '"\\/\b\n\t', "\ud800"]))
+_leaves = st.one_of(
+    _scalars,
+    st.lists(_floats, max_size=8),                               # float-list fast path
+    st.lists(st.sampled_from([1e308, 1.5e308, -1e308]), min_size=2, max_size=4),  # sum overflows
+    st.lists(st.one_of(st.integers(), st.integers(10**30, 10**40)), max_size=8),
+    st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0]), max_size=6),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(st.lists(kids, max_size=5), st.tuples(kids, kids),
+                           st.dictionaries(st.text(max_size=6), kids, max_size=5)),
+    max_leaves=40)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_documents)
+@example({})
+@example([[], {}, (), [[]], {"": {}}])
+@example([1e308, 1e308])
+@example([1e16, 1e-7, -0.0, 5e-324, math.nan, math.inf, -math.inf])
+@example([True, 1, 1.0, False, 0, 0.0, None])
+@example({"b": (10**31, -(10**35)), "a": "é\x00", "é": [_Float(0.5), _Int(7)]})
+@example([_Float(1.5), _Float(2.5)])
+def test_canonical_json_is_the_json_dumps_layout(doc):
+    assert canonical_json(doc) == json_dumps_document(doc)
+
+
+def test_canonical_json_refuses_what_json_refuses():
+    """Values outside the JSON-native types raise TypeError, as json.dumps does."""
+    for doc in ({"x": object()}, [1.0, {1, 2}], {"x": b"raw"}, [np.int64(3)]):
+        for write in (canonical_json, json_dumps_document):
+            with pytest.raises(TypeError):
+                write(doc)
+
+
+@pytest.mark.parametrize("body", ["homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable",
+                                  "nonuniform", "polynomial"])
+def test_reports_are_the_json_dumps_layout(body):
+    flags = {"emit_chart": True, "emit_singular_values": True, "emit_trajectories": True}
+    raw = {"grid": {"resolution": [3, 3, 3]}, "flags": flags,
+           "body": ({"polynomial": {"terms": isotropic_polynomial_terms(), "name": "iso_poly"}}
+                    if body == "polynomial" else body)}
+    doc = run_analysis(AnalysisConfig.from_dict(raw)).to_canonical_dict()
+    assert canonical_json(doc) == json_dumps_document(doc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([np.float64, np.float32]),
+       st.sampled_from([(7,), (4, 3), (2, 3, 3), ()]),
+       st.data())
+def test_native_maps_exactly_the_non_finite_entries_to_none(dtype, shape, data):
+    n = int(np.prod(shape))
+    values = np.array(data.draw(st.lists(st.floats(-1e30, 1e30), min_size=n, max_size=n)))
+    bad = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True)) if n else []
+    for i in bad:
+        values[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    a = values.astype(dtype).reshape(shape)
+    got = _native(a)
+    assert repr(got) == repr(item_native(a))
+    flat = np.ravel(np.array(got, dtype=object))
+    assert [i for i, v in enumerate(flat) if v is None] == sorted(bad)
+    # the same values as nested lists of Python floats take the list path
+    assert repr(_native(a.tolist())) == repr(got)
+
+
+@pytest.mark.parametrize("obj", [
+    np.arange(6).reshape(2, 3), np.arange(4, dtype=np.int32), [[1, 2], [3, 10**40]], (1, 2),
+    [[1.5, -0.0], [2.5, 1e308]], [1e308, 1e308], [True, 1, 1.0], [], [[]], np.zeros((0, 3)),
+    {"a": [np.float64(0.5), np.int64(3)], "b": (np.nan, 1.0)}, [np.float32(0.1), 0.1],
+])
+def test_native_converts_ints_and_nested_lists_as_each_item_would(obj):
+    assert repr(_native(obj)) == repr(item_native(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +428,21 @@ def test_cli_flow(tmp_path):
     last = doc["records"][-1]
     assert last["t"] == pytest.approx(0.05)
     assert np.allclose(last["y"], [0.05, 0, 0], atol=1e-9)
+
+
+def test_cli_documents_are_the_json_dumps_layout(tmp_path):
+    cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}})
+    outs = []
+    for t in ("0.05", "0.5"):
+        outs.append(tmp_path / f"flow_{t}.json")
+        assert main(["flow", "--config", cfg, "--t", t, "--x", "0.1,0.2,-0.1",
+                     "--direction", "1,0.5,0", "--out", str(outs[-1])]) == EXIT_OK
+    outs.append(tmp_path / "report.json")
+    assert main(["analyze", "--config", cfg, "--format", "structured",
+                 "--out", str(outs[-1])]) == EXIT_OK
+    for out in outs:
+        data = out.read_bytes()
+        assert data == json_dumps_document(json.loads(data)), out.name
 
 
 def test_cli_analyze_numerical_failure(tmp_path, capsys):
