@@ -94,6 +94,7 @@ def evaluate(body: Body, F, x) -> np.ndarray:
     and finiteness are each checked once for the whole batch; the first
     offending pair raises OutOfDomain, SingularMatrix or NonFiniteResponse,
     and the error's ``index`` is that pair's index in the broadcast batch.
+    The result is read-only.
     """
     Fm = np.asarray(F, dtype=float)
     xp = np.asarray(x, dtype=float)
@@ -108,12 +109,19 @@ def evaluate(body: Body, F, x) -> np.ndarray:
         raise with_index(SingularMatrix("deformation gradient is singular"),
                          first_true(singular, shape))
     with np.errstate(all="ignore"):         # non-finite values are refused below
-        val = np.broadcast_to(np.asarray(body.response(Fm, xp), dtype=float), shape)
-    finite = np.isfinite(val)
-    if not finite.all():
-        i = first_true(~finite, shape)
-        raise with_index(NonFiniteResponse(
-            f"response of '{body.name}' is non-finite at x={_point_at(xp, shape, i)}"), i)
+        raw = np.asarray(body.response(Fm, xp), dtype=float)
+        # a read-only view, so the response's own array stays writeable; an
+        # x-independent response lacks the batch shape and is broadcast to it
+        val = raw.view() if raw.shape == shape else np.broadcast_to(raw, shape)
+        val.flags.writeable = False
+        # a finite sum proves every value finite; finite values can overflow it
+        finite_sum = math.isfinite(raw.sum())
+    if not finite_sum:
+        finite = np.isfinite(val)
+        if not finite.all():
+            i = first_true(~finite, shape)
+            raise with_index(NonFiniteResponse(
+                f"response of '{body.name}' is non-finite at x={_point_at(xp, shape, i)}"), i)
     return val
 
 
@@ -135,7 +143,7 @@ def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
     the source and 1 the target.
     """
     Fs = samples.matrices
-    w = evaluate(body, np.stack((Fs @ g.matrix, Fs)), np.stack((g.source, g.target))[:, None])
+    w = evaluate(body, np.array((Fs @ g.matrix, Fs)), np.array((g.source, g.target))[:, None])
     return float(np.max(np.abs(w[0] - w[1])))
 
 
@@ -255,6 +263,8 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             coeff = float(coeff)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"polynomial term {k} must be ([12 ints], coeff): {exc}")
+        if not math.isfinite(coeff):
+            raise ConfigError(f"polynomial term {k} has a non-finite coefficient {coeff}")
         if np.any(exps < 0):
             raise ConfigError(f"polynomial term {k} has a negative exponent")
         if int(exps.sum()) > POLY_MAX_DEGREE:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import Body, SampleSet, is_material_symmetry
+from .bodies import Body, SampleSet, evaluate
 from .errors import NotMorphism, OutOfDomain, SourceTargetMismatch
 from .grid import Box, Grid, grid_gradient
 from .jets import Frame, Jet1, as_matrix, as_point, points_close
@@ -115,7 +115,12 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
     """Conjugated material symmetries Z0^-1 P Z0 for candidates P that pass.
 
     Realizes the associated-group construction: the sampled isotropy group of
-    the body at z0, read through the reference frame Z0.
+    the body at z0, read through the reference frame Z0.  P passes when the
+    jet (z0 -> z0, P) passes ``is_material_symmetry``.  Every candidate is
+    validated as an invertible matrix first; then one ``evaluate`` of the
+    (candidates + 1, samples) batch at z0 gives W(F P, z0) for each candidate
+    in its row and the shared target W(F, z0) in the last, so an error's
+    ``index`` is (candidate, sample).
     """
     z0 = as_point(z0)
     if not body.box.contains(z0):
@@ -125,12 +130,13 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
             f"reference frame based at {Z0.base.tolist()}, not at z0 = {z0.tolist()}"
         )
     Zi = np.linalg.inv(Z0.matrix)
-    out = []
-    for P in candidates:
-        P = np.asarray(P, dtype=float)
-        if is_material_symmetry(body, z0, P, samples, tol):
-            out.append(Zi @ P @ Z0.matrix)
-    return out
+    mats = [as_matrix(P, invertible=True) for P in candidates]
+    if not mats:
+        return []
+    Fs = samples.matrices
+    w = evaluate(body, np.array([Fs @ P for P in mats] + [Fs]), z0)
+    defects = np.max(np.abs(w[:-1] - w[-1]), axis=1).tolist()
+    return [Zi @ P @ Z0.matrix for P, defect in zip(mats, defects) if defect <= tol]
 
 
 def frame_bracket_defect(P: Parallelism, grid: Grid) -> float:

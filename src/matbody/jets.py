@@ -24,10 +24,20 @@ POINT_TOL = 1e-9
 DET_TOL = 1e-12
 
 
+def _all_finite(values: list) -> bool:
+    """Whether every float in ``values`` is finite.
+
+    A finite sum proves it at the cost of one addition per value; a sum that
+    is inf or NaN falls back to the exact test, because finite values can
+    overflow it (1e308 + 1e308).
+    """
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 def as_point(x) -> np.ndarray:
     """Coerce to an immutable finite 3-vector of chart coordinates."""
     p = np.array(x, dtype=float).reshape(3)
-    if not np.isfinite(p).all():
+    if not _all_finite(p.tolist()):
         raise ValueError(f"point has non-finite coordinates: {p}")
     p.setflags(write=False)
     return p
@@ -36,11 +46,12 @@ def as_point(x) -> np.ndarray:
 def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     """Coerce to an immutable finite 3x3 matrix, optionally requiring |det| >= DET_TOL."""
     a = np.array(m, dtype=float).reshape(3, 3)
-    if not np.isfinite(a).all():
+    entries = a.ravel().tolist()
+    if not _all_finite(entries):
         raise ValueError("matrix has non-finite entries")
     if invertible:
         # closed-form cofactor expansion on floats; np.linalg.det costs an LU call
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.tolist()
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = entries
         det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
         if not math.isfinite(det):      # the products overflowed; LU with pivoting does not
             det = float(np.linalg.det(a))

@@ -88,6 +88,9 @@ def test_readme_config_section_matches_schema():
     # numbers too large for a float or a C integer
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 10**400]]}}},
     {"body": {"polynomial": {"terms": [[[10**400] + [0] * 11, 1.0]]}}},
+    # non-finite coefficients, which used to surface as a non-finite response
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, math.nan]]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1e400]]}}},
     # polynomial keys the body never reads, which the config echo would copy
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "nmae": "iso"}}},
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "note": math.nan}}},
@@ -392,6 +395,17 @@ def test_cli_config_errors(tmp_path):
                     ["--x", "0,0,0", "--step", "0"], ["--x", "0,0,0", "--step", "0.05"],
                     ["--x", "0,0,0", "--direction", "0,0,0"]):
         assert main(["flow", "--config", flow_cfg, "--t", "0.05", *options]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("coeff", ["NaN", "1e400", "-Infinity"])
+def test_cli_refuses_non_finite_polynomial_coefficient(tmp_path, capsys, coeff):
+    """A config error, exit 2 naming the term, not a numerical failure (exit 3)."""
+    doc = {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0], [[0] * 12, "COEFF"]]}},
+           "grid": {"resolution": [3, 3, 3]}}
+    cfg = tmp_path / "poly.json"
+    cfg.write_text(json.dumps(doc).replace('"COEFF"', coeff))   # the literal JSON text
+    assert main(["analyze", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "polynomial term 1 has a non-finite coefficient" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, options", [

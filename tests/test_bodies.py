@@ -1,5 +1,7 @@
 """Response functionals, W-inverse, and sampled material-groupoid membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,34 @@ def test_one_bad_pair_fails_the_whole_batch(iso_body):
         evaluate(body, F_big, x)
     assert err.value.index == (3, 0)
     assert np.all(np.isfinite(evaluate(body, F, x)))
+
+
+def _fixed_response_body(values: np.ndarray) -> Body:
+    """A body whose response ignores its input and returns ``values`` itself."""
+    return Body("fixed", -np.ones(3), np.ones(3), lambda F, x: values)
+
+
+@pytest.mark.parametrize("lead", [(4, 7), (4, 1)], ids=["full", "x_independent"])
+def test_evaluate_finiteness_and_read_only_result(lead):
+    """Values whose sum overflows pass without a warning; a NaN or inf is named by
+    its first pair in the (4, 7) batch; the result is a read-only view and the
+    response's own array stays writeable."""
+    F = np.tile(I3, (4, 1, 1, 1))                        # (4, 1, 3, 3)
+    x = np.zeros((7, 3))
+    big = np.full(lead, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate(_fixed_response_body(big), F, x)
+    assert got.shape == (4, 7) and np.all(got == 1e308)
+    assert not got.flags.writeable and big.flags.writeable
+    bad = big.copy()
+    bad[2, -1] = np.nan
+    bad[3, 0] = -np.inf
+    with pytest.raises(NonFiniteResponse) as err:
+        evaluate(_fixed_response_body(bad), F, x)
+    # the first offending pair in C order of the broadcast batch
+    assert err.value.index == ((2, 6) if lead == (4, 7) else (2, 0))
+    assert bad.flags.writeable
 
 
 def test_w_inverse_identity_jet(iso_body, fgm_body):

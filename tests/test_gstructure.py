@@ -18,15 +18,21 @@ from matbody import (
     g_map,
     invert_g_map,
     is_integrable_parallelism,
+    builtin_body,
     is_material_isomorphism,
+    is_material_symmetry,
     isotropy_group_sample,
     make_grid,
+    membership_defect,
     morphism_defect,
+    NonFiniteResponse,
     SingularMatrix,
+    polynomial_body,
     sampled_morphism_defect,
 )
+from matbody.bodies import Body
 from matbody.gstructure import frame_bracket_defect
-from oracles import E12, E21, I3, random_invertible, random_rotation
+from oracles import E12, E21, I3, isotropic_polynomial_terms, random_invertible, random_rotation
 
 LO, HI = -np.ones(3), np.ones(3)
 
@@ -192,6 +198,106 @@ def test_isotropy_conjugation_covariance(iso_body, samples, rng):
     Ci = np.linalg.inv(C)
     for b, m in zip(base, moved):
         assert np.max(np.abs(m - Ci @ b @ C)) <= 1e-12
+
+
+def recorded_evaluate_calls(monkeypatch) -> list:
+    """Route every matbody ``evaluate`` through a wrapper; returns the list of
+    (F, x, result) it appends one entry per call to."""
+    import matbody.bodies as bodies
+
+    calls, original = [], bodies.evaluate
+
+    def recording(body, F, x):
+        calls.append((F, x, original(body, F, x)))
+        return calls[-1][2]
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("matbody") and getattr(mod, "evaluate", None) is original:
+            monkeypatch.setattr(mod, "evaluate", recording)
+    return calls
+
+
+def isotropy_candidates(rng, z0) -> list:
+    """Rotations, rotations about e1, sign flips and their implant conjugates,
+    stretches and shears: members and non-members of every built-in's group."""
+    cands = [random_rotation(rng) for _ in range(4)]
+    for a in rng.uniform(0.2, 6.0, 3):
+        c, s = np.cos(a), np.sin(a)
+        cands.append(np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]))
+    for K in (I3 + z0[0] * E12, I3 + z0[0] * E21):
+        Ki = np.linalg.inv(K)
+        cands += [K @ np.diag(d) @ Ki for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0])]
+    cands += [np.diag(rng.uniform(0.7, 1.3, 3)), I3 + 0.3 * E12, I3]
+    return cands
+
+
+@pytest.mark.parametrize("kind", ["homogeneous_isotropic", "uniform_fgm",
+                                  "uniform_fgm_integrable", "nonuniform", "polynomial"])
+def test_isotropy_batch_is_the_per_candidate_filter(kind, samples, rng, monkeypatch):
+    """One evaluate over (candidates + 1, samples) pairs keeps the candidates the
+    per-jet symmetry test keeps, with the same defect bit for bit."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    z0 = np.array([0.45, -0.3, 0.2])
+    Z0 = random_invertible(rng)
+    cands = isotropy_candidates(rng, z0)
+    tol = 1e-7
+    Zi = np.linalg.inv(Z0)
+    want = [Zi @ P @ Z0 for P in cands if is_material_symmetry(body, z0, P, samples, tol)]
+    defects = [membership_defect(body, Jet1(z0, z0, P), samples) for P in cands]
+    assert 0 < len(want) < len(cands)
+    calls = recorded_evaluate_calls(monkeypatch)
+    got = isotropy_group_sample(body, z0, Frame(z0, Z0), cands, samples, tol)
+    assert len(calls) == 1
+    F, x, w = calls[0]
+    assert w.shape == (len(cands) + 1, samples.count)
+    assert np.array_equal(F[-1], samples.matrices) and np.array_equal(x, z0)
+    assert np.max(np.abs(w[:-1] - w[-1]), axis=1).tolist() == defects
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, h) for g, h in zip(got, want))
+
+
+def test_isotropy_sample_makes_one_evaluate_call(iso_body, samples, rng, monkeypatch):
+    """The shared target row W(F, z0) is evaluated once, not once per candidate."""
+    calls = recorded_evaluate_calls(monkeypatch)
+    z0 = np.zeros(3)
+    for n in (1, 5, 19):
+        isotropy_group_sample(iso_body, z0, Frame(z0, I3),
+                              [random_rotation(rng) for _ in range(n)], samples, 1e-8)
+    assert [w.shape for _F, _x, w in calls] == [(n + 1, samples.count) for n in (1, 5, 19)]
+
+
+def test_isotropy_sample_validates_before_evaluating(iso_body, samples, monkeypatch):
+    calls = recorded_evaluate_calls(monkeypatch)
+    z0 = np.zeros(3)
+    with pytest.raises(SingularMatrix):
+        isotropy_group_sample(iso_body, z0, Frame(z0, I3), [I3, np.zeros((3, 3))], samples, 1e-8)
+    with pytest.raises(ValueError):
+        isotropy_group_sample(iso_body, z0, Frame(z0, I3), [I3, np.full((3, 3), np.nan)],
+                              samples, 1e-8)
+    assert isotropy_group_sample(iso_body, z0, Frame(z0, I3), [], samples, 1e-8) == []
+    assert calls == []
+
+
+def test_isotropy_sample_error_index(samples):
+    """``index`` is (candidate, sample); the last row is the shared target W(F, z0)."""
+    z0 = np.zeros(3)
+
+    def nan_body(bad):
+        return Body("nan", -np.ones(3), np.ones(3),
+                    lambda F, x: np.where(bad(F[..., 0, 0]), np.nan, 1.0) + 0.0 * x[..., 0])
+
+    # the first sample is the identity and every sample has F11 in [0.5, 2], so
+    # (F P)11 = 4 F11 >= 2 on the rows of P = diag(4, 1, 1/4) and F11 < 2 on the target's
+    P = np.diag([4.0, 1.0, 0.25])
+    with pytest.raises(NonFiniteResponse) as err:
+        isotropy_group_sample(nan_body(lambda f: f > 3.0), z0, Frame(z0, I3), [I3, P, P],
+                              samples, 1e-8)
+    assert err.value.index == (1, 0)
+    with pytest.raises(NonFiniteResponse) as err:
+        isotropy_group_sample(nan_body(lambda f: f < 1.9), z0, Frame(z0, I3), [P, P],
+                              samples, 1e-8)
+    assert err.value.index == (2, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ the whole content of the chain rule for 1-jets in a single chart.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matbody import (
     Frame,
@@ -67,18 +69,51 @@ def test_singular_matrix_rejected():
         Jet1([0, 0, 0], [0, 0, 0], np.zeros((3, 3)))
 
 
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -1.5, 1e308, -1e308, np.finfo(float).max, np.nan, np.inf, -np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _refuses(build) -> bool:
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
+def _check_validators_refuse_exactly_non_finite(values):
+    v = np.array(values, dtype=float)
+    assert _refuses(lambda: as_point(v[:3])) == (not np.isfinite(v[:3]).all())
+    assert _refuses(lambda: as_matrix(v)) == (not np.isfinite(v).all())
+    # unit upper triangle: the closed-form det is exactly 1 for finite entries
+    m = np.eye(3)
+    m[np.triu_indices(3, 1)] = v[6:]
+    assert _refuses(lambda: Jet1(v[:3], v[3:6], m)) == (not np.isfinite(v).all())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validators_reject_non_finite_values(bad):
-    for axis in range(3):
-        x = np.zeros(3)
-        x[axis] = bad
-        with pytest.raises(ValueError):
-            as_point(x)
+    for k in range(9):
+        for base in (0.0, 1e308):                 # 1e308: the finite sum overflows too
+            values = [base] * 9
+            values[k] = bad
+            _check_validators_refuse_exactly_non_finite(values)
     m = np.eye(3)
     m[1, 2] = bad
     for invertible in (False, True):
         with pytest.raises(ValueError):
             as_matrix(m, invertible=invertible)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_VALUES, min_size=9, max_size=9))
+@example([1e308, 1e308, -1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308])
+@example([-1e308, -1e308, 1.0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308])
+def test_validators_refuse_exactly_non_finite_values(values):
+    """as_point, as_matrix and Jet1 refuse exactly what np.isfinite(...).all() refuses,
+    also finite values whose float sum overflows to inf."""
+    _check_validators_refuse_exactly_non_finite(values)
 
 
 def test_det_floor(rng):
