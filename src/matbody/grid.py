@@ -33,8 +33,13 @@ class Box:
 
     def contains(self, x) -> bool:
         """Whether the point x (3,) lies in the box; never with a NaN or +-inf coordinate."""
-        return all(lo <= q <= hi for q, (lo, hi) in
-                   zip(np.asarray(x, dtype=float).reshape(3).tolist(), self._bounds))
+        return self.contains_floats(np.asarray(x, dtype=float).reshape(3).tolist())
+
+    def contains_floats(self, q) -> bool:
+        """``contains`` for a point given as three Python floats."""
+        (lo0, hi0), (lo1, hi1), (lo2, hi2) = self._bounds
+        q0, q1, q2 = q
+        return lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2
 
     def mask(self, x) -> np.ndarray:
         """``contains`` for each point of x (..., 3), shape (...)."""
@@ -93,12 +98,12 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
 class TrilinearField:
     """Trilinear interpolant of lattice tensor data at points (..., 3); never extrapolates.
 
-    A single point (3,) takes a path on Python floats that is bitwise equal to
-    the batched one: same cell, same weights, same accumulation order.
+    A single point (3,) takes the point path, on Python floats, which is bitwise
+    equal to the batched one: same cell, same weights, same accumulation order.
     """
 
     def __init__(self, axes, values: np.ndarray):
-        # a read-only copy: the corner blocks cached below must not go stale
+        # a read-only copy: corner values a point path caches must not go stale
         values = np.array(values, dtype=float)
         values.setflags(write=False)
         self._axes = tuple(np.asarray(a, dtype=float) for a in axes)
@@ -106,12 +111,11 @@ class TrilinearField:
         self._ticks = tuple(a.tolist() for a in self._axes)
         self._value_shape = values.shape[3:]
         self._flat = values.reshape(values.shape[:3] + (-1,))
-        self._blocks = {}       # cell (i, j, k) -> its contiguous (8, m) corner block
 
     def __call__(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
         if p.shape == (3,):
-            return self._at_point(p)
+            return np.array(self.point_path()(*p.tolist())).reshape(self._value_shape)
         if not self.box.mask(p).all():
             raise LeftDomain(f"point {p.tolist()} outside grid hull")
         cells, weights = [], []
@@ -127,26 +131,44 @@ class TrilinearField:
             out = out + wi[di] * wj[dj] * wk[dk] * self._flat[i + di, j + dj, k + dk]
         return out.reshape(p.shape[:-1] + self._value_shape)
 
-    def _at_point(self, p: np.ndarray) -> np.ndarray:
-        cells, weights = [], []
-        for q, ticks in zip(p.tolist(), self._ticks):
-            if not ticks[0] <= q <= ticks[-1]:          # false for NaN too
-                raise LeftDomain(f"point {p.tolist()} outside grid hull")
-            i = bisect_right(ticks, q) - 1
-            if i == len(ticks) - 1:                     # upper hull face: last cell
-                i -= 1
-            t = (q - ticks[i]) / (ticks[i + 1] - ticks[i])
-            cells.append(i)
-            weights.append((1.0 - t, t))
-        (i, j, k), (wi, wj, wk) = cells, weights
-        block = self._blocks.get((i, j, k))
-        if block is None:
-            block = self._blocks[i, j, k] = self._flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1)
-        w = np.array([wi[di] * wj[dj] * wk[dk] for di, dj, dk in _CORNERS])
-        terms = w[:, None] * block
-        # running sum in corner order, as the loop above adds them; reduce would
-        # sum a lone column pairwise.  + 0.0 maps an all -0.0 sum to the loop's 0.0
-        return (np.add.accumulate(terms)[-1] + 0.0).reshape(self._value_shape)
+    def point_path(self):
+        """A new function q0, q1, q2 -> the flat values at that point as Python floats.
+
+        It caches the corner values of each cell it visits for as long as it
+        lives, so a caller bounds that cache by how long it keeps the function:
+        a flow keeps one for one trajectory.  ``blocks`` exposes the cache.
+        """
+        (tx, ty, tz), flat, blocks = self._ticks, self._flat, {}
+        inside = self.box.contains_floats
+
+        def at(q0, q1, q2):
+            if not inside((q0, q1, q2)):
+                raise LeftDomain(f"point {[q0, q1, q2]} outside grid hull")
+            i, a0, a1 = _cell(tx, q0)
+            j, b0, b1 = _cell(ty, q1)
+            k, c0, c1 = _cell(tz, q2)
+            columns = blocks.get((i, j, k))
+            if columns is None:     # per value, its 8 corners in _CORNERS order
+                columns = blocks[i, j, k] = flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1).T.tolist()
+            ab00, ab01, ab10, ab11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+            w0, w1, w2, w3 = ab00 * c0, ab00 * c1, ab01 * c0, ab01 * c1
+            w4, w5, w6, w7 = ab10 * c0, ab10 * c1, ab11 * c0, ab11 * c1
+            # the running sum in corner order, as the batched path adds; its first
+            # term is 0.0 + the first product, hence the trailing + 0.0 (-0.0 -> 0.0)
+            return [w0 * v0 + w1 * v1 + w2 * v2 + w3 * v3 + w4 * v4 + w5 * v5 + w6 * v6
+                    + w7 * v7 + 0.0 for v0, v1, v2, v3, v4, v5, v6, v7 in columns]
+
+        at.blocks = blocks
+        return at
+
+
+def _cell(ticks: list, q: float) -> tuple:
+    """(i, 1 - t, t): the cell of coordinate q, ticks[0] <= q <= ticks[-1], and q's weights."""
+    i = bisect_right(ticks, q) - 1
+    if i == len(ticks) - 1:                         # upper hull face: last cell
+        i -= 1
+    t = (q - ticks[i]) / (ticks[i + 1] - ticks[i])
+    return i, 1.0 - t, t
 
 
 # cell corners (di, dj, dk) in the order both paths add them up

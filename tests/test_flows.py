@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from matbody import (
     one_parameter_check,
 )
 import matbody
+from matbody.flows import BLOCK_STEPS
+from matbody.grid import TrilinearField
 from oracles import E12, loop_trilinear, matrix_exp, tuple_exp_trajectory
 
 LO, HI = -np.ones(3), np.ones(3)
@@ -71,11 +74,13 @@ def test_constant_matrix_flow_matches_expm(rng):
 
 
 def test_step_guards():
+    """Steps outside (0, MAX_STEP] and pullback steps outside (0, MAX_PULLBACK_H] are refused."""
     s = SectionField.constant(np.zeros(3), np.zeros((3, 3)), LO, HI)
-    with pytest.raises(StepTooLarge):
-        exp_section(s, 0.1, np.zeros(3), step=0.1)
-    with pytest.raises(StepTooLarge):
-        derivation_matrix(s, np.zeros(3), h=1e-3)
+    for step, h in [(0.1, 1e-3), (0.0, 0.0), (-1e-3, -1e-5), (np.nan, np.nan)]:
+        with pytest.raises(StepTooLarge, match=r"is not in \(0, 0\.01\]"):
+            exp_trajectory(s, 0.5, np.zeros(3), step)
+        with pytest.raises(StepTooLarge, match=r"is not in \(0, 0\.0001\]"):
+            derivation_matrix(s, np.zeros(3), h=h)
 
 
 def test_left_domain(rng):
@@ -215,7 +220,7 @@ def test_grid_section_interpolates_and_guards(rng):
 
 
 def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
-    """One (v | A) interpolant gives the trajectory of separate v and A fields exactly."""
+    """The from-grid section's two passes retrace an analytic section over the same fields."""
     from matbody import TrilinearField, fibers_at, make_grid, minimal_lift_section
 
     grid = make_grid(fgm_body.lo, fgm_body.hi, (3, 3, 3), 0.1)
@@ -315,6 +320,66 @@ def test_oracle_examples_cross_cell_faces_and_leave_the_hull():
     with pytest.raises(LeftDomain):
         exp_trajectory(oracle_sections(np.array([1.0, 0.0, 0.0]))["from_grid"], 0.4,
                        [0.8, 0.0, 0.0], 1e-2)
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """The shape of the argument of every TrilinearField call, in order."""
+    shapes = []
+    interpolate = TrilinearField.__call__
+
+    def recording_call(self, x):
+        shapes.append(np.shape(x))
+        return interpolate(self, x)
+
+    monkeypatch.setattr(TrilinearField, "__call__", recording_call)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 1])
+def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
+    """Flows of n steps around the block edges equal the reference bit for bit.
+
+    A from-grid flow makes one batched A-field call per block, over its 4 stage
+    points per step, and no call with a single point.
+    """
+    x0, step = np.array([-0.4, -0.1, 0.0]), 1e-3
+    t = (n - 0.5) * step                                    # n steps, whatever the rounding
+    blocks = [min(BLOCK_STEPS, n - first) for first in range(0, n, BLOCK_STEPS)]
+    for name, section in oracle_sections(np.array([0.8, 0.2, 0.1])).items():
+        field_calls.clear()
+        got = recorded(exp_trajectory, section, t, x0, step)
+        if name == "from_grid":
+            assert field_calls == [(4 * m, 3) for m in blocks]
+        assert len(got) == n + 1, name
+        assert got == recorded(tuple_exp_trajectory, section, t, x0, step), name
+
+
+def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
+    """A stage point of the second block leaves the hull, after the first block's matrix pass."""
+    section = oracle_sections(np.array([1.0, 0.0, 0.0]))["from_grid"]
+    x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
+    with pytest.raises(LeftDomain):
+        exp_trajectory(section, 0.2, x0, step)
+    assert field_calls == [(4 * BLOCK_STEPS, 3)]
+    assert recorded(tuple_exp_trajectory, section, 0.2, x0, step) is LeftDomain
+
+
+def test_point_cache_lives_for_one_trajectory(monkeypatch):
+    """Each from-grid flow takes its own point path, and none outlives the flow."""
+    paths = []
+    point_path = TrilinearField.point_path
+
+    def recording_path(self):
+        at = point_path(self)
+        paths.append(weakref.ref(at))
+        return at
+
+    monkeypatch.setattr(TrilinearField, "point_path", recording_path)
+    section = oracle_sections(np.array([1.0, 0.3, 0.3]))["from_grid"]
+    records = [exp_trajectory(section, 0.3, [-0.1, 0.0, 0.4], 1e-3) for _ in range(2)]
+    assert [len(r) for r in records] == [301, 301]
+    assert len(paths) == 2 and all(ref() is None for ref in paths)
 
 
 @pytest.mark.parametrize("kind", ["from_grid", "analytic"])

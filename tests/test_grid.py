@@ -194,17 +194,24 @@ def test_field_keeps_its_own_copy_of_the_lattice_data():
 
 
 def test_point_cache_holds_one_block_per_visited_cell():
+    """Each point path caches one block per visited cell; the field itself keeps none."""
     rng = np.random.default_rng(9)
     grid = make_grid(-np.ones(3), np.ones(3), (4, 4, 4), margin=0.1)
     field = TrilinearField(grid.axes, rng.normal(size=grid.shape + (2,)))
+    state = dict(vars(field))
     pts = rng.uniform(grid.points[0], grid.points[-1], size=(40, 3))
     pts = np.concatenate([pts, pts[:10], grid.points[-1:]])     # repeats and the far corner
+    at = field.point_path()
     for x in pts:
-        field(x)
+        assert at(*x.tolist()) == field(x).tolist()
     cells = {tuple(min(int(np.searchsorted(a, q, side="right")) - 1, len(a) - 2)
                    for a, q in zip(grid.axes, x)) for x in pts}
-    assert set(field._blocks) == cells
-    assert all(b.shape == (8, 2) and b.flags.c_contiguous for b in field._blocks.values())
+    assert set(at.blocks) == cells
+    assert all(len(columns) == 2 and all(len(c) == 8 for c in columns)
+               for columns in at.blocks.values())
+    assert field.point_path().blocks == {}
+    assert vars(field).keys() == state.keys()
+    assert all(vars(field)[name] is value for name, value in state.items())
 
 
 def test_import_does_not_load_scipy():
