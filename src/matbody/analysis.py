@@ -53,6 +53,8 @@ SCHEMA_NAME = "matbody.report.v1"
 
 # Gap threshold below which the rank decision at a point is flagged ambiguous.
 RANK_GAP_FLOOR = 10.0
+# Flow time of the exponential cross-check in direction e1 from the grid centre.
+CROSS_CHECK_T = 0.1
 
 
 def _coerce(value, kind):
@@ -157,12 +159,12 @@ class AnalysisConfig:
         body = raw.get("body", "homogeneous_isotropic")
         if isinstance(body, str):
             kwargs = {"body_kind": body}
-        elif isinstance(body, dict) and "builtin" in body:
+        elif isinstance(body, dict) and body.keys() == {"builtin"}:
             kwargs = {"body_kind": body["builtin"]}
-        elif isinstance(body, dict) and "polynomial" in body:
+        elif isinstance(body, dict) and body.keys() == {"polynomial"}:
             kwargs = {"body_kind": None, "body_polynomial": body["polynomial"]}
         else:
-            raise ConfigError("body must be a builtin name or {'polynomial': {...}}")
+            raise ConfigError("body must be a name, {'builtin': name} or {'polynomial': {...}}")
 
         for name, keys in sections.items():
             user = raw.get(name, {})
@@ -324,8 +326,8 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         t0 = time.perf_counter()
         section = minimal_lift_section(grid, fibers, cfg.v_tol)
         conn = christoffels(section)
-        report = curvature_torsion(conn)
-        hom = homogeneity_verdict(uni, report, cfg.flat_tol)
+        report = curvature_torsion(conn, cfg.flat_tol)
+        hom = homogeneity_verdict(uni, report)
         timings["connection_s"] = time.perf_counter() - t0
         out.update(
             homogeneity=hom.verdict,
@@ -347,10 +349,10 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         )
         timings["cross_check_s"] = time.perf_counter() - t0
 
-        if cfg.emit_chart and hom.verdict == "homogeneous_evidence":
+        if cfg.emit_chart and report.flat:
             t0 = time.perf_counter()
-            chart = build_homogeneous_chart(conn, center, cfg.flat_tol)
-            interior_max, full_max = chart_christoffels(conn, chart)
+            chart = build_homogeneous_chart(report, center)
+            interior_max, full_max = chart_christoffels(chart)
             out["chart"] = {
                 "x0": chart.x0.tolist(),
                 "coords": chart.coords,
@@ -364,7 +366,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
 
 
 def _exponential_cross_check(body: Body, section, samples, center,
-                             t: float = 0.1, keep_records: bool = False) -> tuple:
+                             keep_records: bool = False) -> tuple:
     """Membership defect of the exponentiated lift in direction e1 at the grid center.
 
     Links the infinitesimal fiber computation back to the finite membership
@@ -374,7 +376,7 @@ def _exponential_cross_check(body: Body, section, samples, center,
     or non-finite -- it yields (None, None).
     """
     try:
-        records = exp_trajectory(section.flow_field([1.0, 0.0, 0.0]), t, center)
+        records = exp_trajectory(section.flow_field([1.0, 0.0, 0.0]), CROSS_CHECK_T, center)
         t_end, y_end, f_end = records[-1]
         defect = membership_defect(body, jets.Jet1(center, y_end, f_end), samples)
     except (LeftDomain, SingularMatrix, ValueError):

@@ -60,13 +60,21 @@ class ConnectionField:
 
 @dataclass(frozen=True, eq=False)
 class CurvatureTorsionReport:
-    grid: Grid
+    """Curvature and torsion of ``conn`` on its grid, and the one flatness decision."""
+
+    conn: ConnectionField
+    flat_tol: float
     R: np.ndarray            # (n, 3, 3, 3, 3) indexed [l, k, i, j]
     T: np.ndarray            # (n, 3, 3, 3)    indexed [k, i, j]
     max_abs_R: float
     max_abs_T: float
     interior_max_abs_R: float
     interior_max_abs_T: float
+
+    @property
+    def flat(self) -> bool:
+        """max|R| and max|T| both <= flat_tol: the one rule the verdict and the chart read."""
+        return self.max_abs_R <= self.flat_tol and self.max_abs_T <= self.flat_tol
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,9 @@ class HomogeneityResult:
 
 @dataclass(frozen=True, eq=False)
 class ChartField:
-    """Per grid point: new coordinates and the parallel-transported frame."""
+    """Per grid point of ``conn``: new coordinates and the parallel-transported frame."""
 
-    grid: Grid
+    conn: ConnectionField
     x0: np.ndarray
     coords: np.ndarray       # (n, 3)
     frames: np.ndarray       # (n, 3, 3)
@@ -120,13 +128,14 @@ def christoffels(section: LinearSectionField) -> ConnectionField:
     return ConnectionField(section.grid, gamma)
 
 
-def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
+def curvature_torsion(conn: ConnectionField,
+                      flat_tol: float = DEFAULT_FLAT_TOL) -> CurvatureTorsionReport:
     """Curvature and torsion tensors of the connection on its grid.
 
     R^l_kij = d_i G^l_kj - d_j G^l_ki + sum_m (G^l_mi G^m_kj - G^l_mj G^m_ki),
     T^k_ij  = G^k_ij - G^k_ji.  Grid derivatives are central differences;
     lattice-boundary points use one-sided stencils, so the interior maxima
-    leave them out.
+    leave them out.  The report's ``flat`` decides flatness at ``flat_tol``.
     """
     grid = conn.grid
     G = conn.lattice()                                   # (nx,ny,nz,3,3,3)
@@ -139,7 +148,7 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
     interior = grid.interior_mask()          # never empty: grid_gradient needs 3 points per axis
     n = grid.n_points
     return CurvatureTorsionReport(
-        grid,
+        conn, flat_tol,
         R.reshape((n,) + R.shape[3:]),
         T.reshape((n,) + T.shape[3:]),
         float(np.max(np.abs(R))), float(np.max(np.abs(T))),
@@ -148,23 +157,22 @@ def curvature_torsion(conn: ConnectionField) -> CurvatureTorsionReport:
 
 
 def homogeneity_verdict(uni: UniformityResult,
-                        report: CurvatureTorsionReport,
-                        flat_tol: float = DEFAULT_FLAT_TOL) -> HomogeneityResult:
+                        report: CurvatureTorsionReport) -> HomogeneityResult:
     """Decide homogeneity evidence from the tested section's flatness.
 
     ``uni`` is the uniformity result of the fibers the section was lifted
     from; its isotropy dims decide between obstructed and inconclusive.
-    Flat and torsion-free: homogeneous_evidence.  Obstructed only when the
-    isotropy algebra is trivial everywhere, since then the material connection
-    is unique and its obstruction is decisive.  With nontrivial isotropy an
+    Flat and torsion-free (``report.flat``): homogeneous_evidence.  Obstructed
+    only when the isotropy algebra is trivial everywhere, since then the
+    material connection is unique and its obstruction is decisive.  With nontrivial isotropy an
     untested section could still be flat, so the verdict is inconclusive.
     """
     if not uni.uniform:
         raise NotUniform(f"anchor rank < 3 at grid point {uni.offending[0]}; "
                          "body is not uniform")
-    if report.max_abs_R <= flat_tol and report.max_abs_T <= flat_tol:
+    if report.flat:
         verdict = "homogeneous_evidence"
-        reason = f"curvature and torsion below flat_tol {flat_tol:g} for the minimal lift"
+        reason = f"curvature and torsion below flat_tol {report.flat_tol:g} for the minimal lift"
     elif all(d == 0 for d in uni.isotropy_dims):
         verdict = "obstructed"
         reason = "unique material connection (trivial isotropy) has nonzero torsion or curvature"
@@ -233,23 +241,21 @@ def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2)) -> tuple
     return state[:9].reshape(3, 3), state[9:]
 
 
-def build_homogeneous_chart(conn: ConnectionField, x0,
-                            flat_tol: float = DEFAULT_FLAT_TOL) -> ChartField:
-    """Coordinates in which a flat torsion-free connection has zero Christoffels.
+def build_homogeneous_chart(report: CurvatureTorsionReport, x0) -> ChartField:
+    """Coordinates in which the flat torsion-free ``report.conn`` has zero Christoffels.
 
     Transports the identity frame from x0 and integrates the coframe along the
     axis-ordered paths of ``transport_frame`` in one sweep: the x-line through
     x0, the y-lines from its nodes, then the z-lines from theirs, each lattice
-    segment integrated once.  Refuses (NotFlat) when curvature or torsion
-    exceeds flat_tol, since the result would be path-dependent.
+    segment integrated once.  Refuses (NotFlat) unless ``report.flat``, since
+    the result would be path-dependent.
     """
-    report = curvature_torsion(conn)
-    if report.max_abs_R > flat_tol or report.max_abs_T > flat_tol:
+    if not report.flat:
         raise NotFlat(
             f"max|R| = {report.max_abs_R:.3e}, max|T| = {report.max_abs_T:.3e} "
-            f"exceed flat_tol {flat_tol:g}"
+            f"exceed flat_tol {report.flat_tol:g}"
         )
-    x0 = as_point(x0)
+    conn, x0 = report.conn, as_point(x0)
     field, substep = _transport_field(conn, x0)
     points, states = x0[None], np.concatenate((_EYE.ravel(), np.zeros(3)))[None]
     for axis, ticks in enumerate(conn.grid.axes):
@@ -265,19 +271,19 @@ def build_homogeneous_chart(conn: ConnectionField, x0,
                 q, line_states[:, i] = line[:, i], s
         points, states = line.reshape(-1, 3), line_states.reshape(-1, 12)
     frames = np.ascontiguousarray(states[:, :9]).reshape(-1, 3, 3)
-    return ChartField(conn.grid, x0, np.ascontiguousarray(states[:, 9:]), frames)
+    return ChartField(conn, x0, np.ascontiguousarray(states[:, 9:]), frames)
 
 
-def chart_christoffels(conn: ConnectionField, chart: ChartField) -> tuple:
-    """Christoffel symbols of the connection re-expressed in the chart.
+def chart_christoffels(chart: ChartField) -> tuple:
+    """Christoffel symbols of the chart's connection re-expressed in the chart.
 
     Uses the lattice Jacobian J of the integrated coordinates (central
     differences) and the transformation
     Gamma'^g_ab = (J^-1)^i_a (J^-1)^j_b [J^g_k Gamma^k_ij - d_j J^g_i].
     Returns (interior max-abs, full max-abs) of Gamma'.
     """
-    grid = conn.grid
-    G = conn.lattice()
+    grid = chart.conn.grid
+    G = chart.conn.lattice()
     J = grid_gradient(grid, grid.reshape(chart.coords))   # [..., g, i]
     Jinv = np.linalg.inv(J)                               # [..., i, g]
     bracket = np.einsum("...gk,...kij->...gij", J, G) - grid_gradient(grid, J)

@@ -98,8 +98,8 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
 class TrilinearField:
     """Trilinear interpolant of lattice tensor data at points (..., 3); never extrapolates.
 
-    A single point (3,) takes the point path, on Python floats, which is bitwise
-    equal to the batched one: same cell, same weights, same accumulation order.
+    ``point_path()`` evaluates one point given as Python floats, bitwise equal
+    to this batched call: same cell, same weights, same accumulation order.
     """
 
     def __init__(self, axes, values: np.ndarray):
@@ -114,8 +114,6 @@ class TrilinearField:
 
     def __call__(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
-        if p.shape == (3,):
-            return np.array(self.point_path()(*p.tolist())).reshape(self._value_shape)
         if not self.box.mask(p).all():
             raise LeftDomain(f"point {p.tolist()} outside grid hull")
         cells, weights = [], []

@@ -404,7 +404,7 @@ def tuple_chart(conn, x0) -> ChartField:
                 P, c = tuple_transport_leg(field, q, line[:, i], P, c, substep)
                 q, line_P[:, i], line_c[:, i] = line[:, i], P, c
         points, frames, coords = (a.reshape((-1,) + a.shape[2:]) for a in (line, line_P, line_c))
-    return ChartField(conn.grid, x0, coords, frames)
+    return ChartField(conn, x0, coords, frames)
 
 
 def json_dumps_document(doc) -> bytes:

@@ -174,9 +174,9 @@ def test_criterion_5_homogeneity_verdicts():
     body = builtin_body("uniform_fgm_integrable")
     fibs = [fiber(body, x, samples, RANK_TOL) for x in grid.points]
     conn = christoffels(minimal_lift_section(grid, fibs))
-    rep = curvature_torsion(conn)
-    chart = build_homogeneous_chart(conn, np.zeros(3), flat_tol=1e-4)
-    interior_max, _ = chart_christoffels(conn, chart)
+    rep = curvature_torsion(conn, flat_tol=1e-4)
+    chart = build_homogeneous_chart(rep, np.zeros(3))
+    interior_max, _ = chart_christoffels(chart)
     ok = ok and rep.max_abs_R <= 1e-4 and rep.max_abs_T <= 1e-4
     ok = ok and interior_max <= 1e-3
     lines.append(f"integrable chart max|Gamma'| = {interior_max:.2e} (tol 1e-3)")

@@ -1,8 +1,11 @@
 """Pipeline configuration, report serialization, determinism, and the CLI."""
 
+import ast
+import io
 import json
 import math
 import re
+import tokenize
 import warnings
 from pathlib import Path
 
@@ -60,6 +63,27 @@ def test_readme_config_section_matches_schema():
     assert sorted(keys) == sorted(f.metadata["path"] for f in _SETTINGS)
 
 
+def test_readme_quick_tour_runs_as_commented():
+    """The README's library quick tour runs, and each expression line whose comment
+    starts with a Python literal (before any '; ') evaluates to that literal."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick tour\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {tok.start[0]: tok.string[1:].strip().split("; ", 1)[0]
+                for tok in tokenize.generate_tokens(io.StringIO(code).readline)
+                if tok.type == tokenize.COMMENT}
+    scope, checked = {}, 0
+    for stmt in ast.parse(code).body:
+        comment = comments.get(stmt.end_lineno, "")
+        if isinstance(stmt, ast.Expr) and re.match(r"[-\d'\"(\[{]|True\b|False\b", comment):
+            got = eval(compile(ast.Expression(stmt.value), "README", "eval"), scope)
+            assert got == ast.literal_eval(comment), ast.unparse(stmt)
+            checked += 1
+        else:
+            exec(compile(ast.Module(body=[stmt], type_ignores=[]), "README", "exec"), scope)
+    assert checked >= 6
+
+
 @pytest.mark.parametrize("raw", [
     {"grid": {"resolution": [2, 5, 5]}},
     {"samples": {"count": 8}},
@@ -95,6 +119,10 @@ def test_readme_config_section_matches_schema():
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "nmae": "iso"}}},
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "note": math.nan}}},
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "name": 3}}},
+    # body objects hold exactly one key, builtin or polynomial
+    {"body": {"builtin": "uniform_fgm", "typo": 1}},
+    {"body": {"builtin": "uniform_fgm", "polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}, "extra": 3}},
 ])
 def test_config_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
@@ -173,16 +201,23 @@ def test_report_structure_and_round_trip():
 
 
 def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
-    """One anchor_rank call per grid point and one _native walk per analyze."""
+    """One anchor_rank call per grid point, one curvature/torsion pass for both the
+    verdict and the chart, and one _native walk per analyze."""
     import matbody.algebroid as algebroid
     import matbody.analysis as analysis
+    import matbody.connection as connection
 
     anchor_rank, native = algebroid.anchor_rank, analysis._native
-    ranks, walks, depth = [], [], [0]
+    curvature_torsion = connection.curvature_torsion
+    ranks, passes, walks, depth = [], [], [], [0]
 
     def counting_rank(*args):
         ranks.append(1)
         return anchor_rank(*args)
+
+    def counting_pass(*args):
+        passes.append(1)
+        return curvature_torsion(*args)
 
     def counting_native(obj):
         walks.append(depth[0] == 0)
@@ -194,11 +229,14 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
 
     monkeypatch.setattr(algebroid, "anchor_rank", counting_rank)
     monkeypatch.setattr(analysis, "_native", counting_native)
+    for module in (analysis, connection):
+        monkeypatch.setattr(module, "curvature_torsion", counting_pass)
     cfg = AnalysisConfig(body_kind="uniform_fgm_integrable", emit_chart=True,
                          emit_singular_values=True, emit_trajectories=True, **FAST)
     doc = parse_report(emit_report(run_analysis(cfg), "structured"))
     assert doc["homogeneity"]["verdict"] == "homogeneous_evidence" and doc["chart"]
     assert len(ranks) == 27
+    assert len(passes) == 1
     assert sum(walks) == 1
 
 
@@ -390,6 +428,10 @@ def test_cli_config_errors(tmp_path):
     assert main(["analyze", "--config", str(bad_utf8)]) == EXIT_CONFIG
     bad_body = write_config(tmp_path, {"body": "unknown_body"})
     assert main(["analyze", "--config", bad_body]) == EXIT_CONFIG
+    extra_key = write_config(tmp_path, {"body": {"builtin": "uniform_fgm", "typo": 1}},
+                             name="extra.json")
+    assert main(["analyze", "--config", extra_key]) == EXIT_CONFIG
+    assert main(["flow", "--config", extra_key, "--t", "0.05", "--x", "0,0,0"]) == EXIT_CONFIG
     flow_cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}})
     for options in (["--x", "a,b,c"], ["--x", "0,0,nan"], ["--x", "0,0,0", "--step", "abc"],
                     ["--x", "0,0,0", "--step", "0"], ["--x", "0,0,0", "--step", "0.05"],

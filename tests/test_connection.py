@@ -325,7 +325,7 @@ def test_chart_of_zero_connection_is_identity():
             grids.append((grid, grid.points[grid.n_points // 2]))
     for grid, x0 in grids:
         conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
-        chart = build_homogeneous_chart(conn, x0)
+        chart = build_homogeneous_chart(curvature_torsion(conn), x0)
         assert np.max(np.abs(chart.coords - (grid.points - x0))) <= 1e-12
         assert np.max(np.abs(chart.frames - np.eye(3))) <= 1e-12
 
@@ -336,9 +336,9 @@ def test_chart_recovers_integrable_deformation(fgm_integrable_body, samples):
     grid = small_grid(res=5)
     fibs = fibers_on(fgm_integrable_body, grid, samples)
     conn = christoffels(minimal_lift_section(grid, fibs))
-    chart = build_homogeneous_chart(conn, np.zeros(3))
+    chart = build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))
 
-    interior_max, _ = chart_christoffels(conn, chart)
+    interior_max, _ = chart_christoffels(chart)
     assert interior_max <= 1e-3
 
     # phi(x) = (x1, x2 + x1^2/2, x3) has K = Dphi; the flat chart is an affine
@@ -373,7 +373,7 @@ def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, 
     grid = small_grid(res=res)
     conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
     x0 = np.zeros(3) if origin == "zero" else grid.points[grid.n_points // 2]
-    chart = build_homogeneous_chart(conn, x0)
+    chart = build_homogeneous_chart(curvature_torsion(conn), x0)
     for p, target in enumerate(grid.points):
         P, c = transport_frame(conn, x0, target)
         assert np.max(np.abs(chart.frames[p] - P)) <= 1e-10
@@ -387,7 +387,7 @@ def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
     grid = small_grid(res=7)
     conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
     x0 = grid.points[grid.n_points // 2]
-    got, want = build_homogeneous_chart(conn, x0), tuple_chart(conn, x0)
+    got, want = build_homogeneous_chart(curvature_torsion(conn), x0), tuple_chart(conn, x0)
     assert got.frames.shape == want.frames.shape and got.coords.shape == want.coords.shape
     assert got.frames.tobytes() == want.frames.tobytes()
     assert got.coords.tobytes() == want.coords.tobytes()
@@ -432,7 +432,7 @@ def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
     monkeypatch.setattr(connection, "_rk4_step", counting_step)
     monkeypatch.setattr(TrilinearField, "__call__", recording_call)
     monkeypatch.setattr(connection, "_transport_leg", recording_leg)
-    build_homogeneous_chart(conn, grid.points[grid.n_points // 2])
+    build_homogeneous_chart(curvature_torsion(conn), grid.points[grid.n_points // 2])
     assert len(legs) == 21                      # 3 axes x (6 segments + 1 empty leg at x0)
     assert [n for length, n, _, _ in legs if length > 0] == [4] * 18
     assert [n for length, n, _, _ in legs if length == 0] == [0] * 3
@@ -440,8 +440,28 @@ def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
         assert called == ([(9,) + lines + (3,)] if length > 0 else [])
 
 
+def test_verdict_and_chart_take_one_flatness_decision(fgm_body, samples):
+    """At flat_tol = max(max|R|, max|T|) of the torsion lift both read flat; one ulp
+    below, neither does, and the chart names the report's flat_tol."""
+    grid = small_grid()
+    fibs = fibers_on(fgm_body, grid, samples)
+    conn = christoffels(minimal_lift_section(grid, fibs))
+    uni = uniformity_verdict(fibs)
+    rep = curvature_torsion(conn)
+    edge = max(rep.max_abs_R, rep.max_abs_T)
+    assert edge == rep.max_abs_T and abs(edge - 1.0) <= 1e-6
+    at, below = curvature_torsion(conn, edge), curvature_torsion(conn, np.nextafter(edge, 0))
+    assert at.flat and at.conn is conn
+    assert homogeneity_verdict(uni, at).verdict == "homogeneous_evidence"
+    assert build_homogeneous_chart(at, np.zeros(3)).conn is conn
+    assert not below.flat
+    assert homogeneity_verdict(uni, below).verdict != "homogeneous_evidence"
+    with pytest.raises(NotFlat, match=re.escape(f"exceed flat_tol {below.flat_tol:g}")):
+        build_homogeneous_chart(below, np.zeros(3))
+
+
 def test_chart_refuses_torsion(fgm_body, samples):
     grid = small_grid()
     conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))
     with pytest.raises(NotFlat):
-        build_homogeneous_chart(conn, np.zeros(3))
+        build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))

@@ -80,8 +80,8 @@ def test_every_domain_check_refuses_the_same_points():
     checks = ((OutOfDomain, lambda p: evaluate(body, np.eye(3), p)),
               (LeftDomain, section.value),
               (OutOfDomain, frames.matrix),
-              (LeftDomain, field),                                  # the point path
-              (LeftDomain, lambda p: field(p[None])))               # the batched path
+              (LeftDomain, lambda p: field.point_path()(*p.tolist())),  # the point path
+              (LeftDomain, field))                                      # the batched path
     corners = [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
     centres = [np.where(np.arange(3) == axis, face, (lo + hi) / 2)
                for axis, face in itertools.product(range(3), (lo, hi))]
@@ -137,7 +137,7 @@ def test_trilinear_refuses_points_outside_hull():
             outside.append(x)
         for x in outside:
             with pytest.raises(LeftDomain):
-                field(x)
+                field.point_path()(*x.tolist())
             with pytest.raises(LeftDomain):
                 field(np.stack([grid.points[0], x]))
 
@@ -163,15 +163,17 @@ def lattices_and_points(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(lattices_and_points())
 def test_point_path_is_bitwise_the_batched_path(case):
-    """field(p) equals the batched call and the reference loop bit for bit, signed zeros too."""
+    """The point path equals the batched call, on (3,) and (1, 3), and the reference
+    loop bit for bit, signed zeros too."""
     axes, values, p = case
     field = TrilinearField(axes, values)
+    at = field.point_path()
     lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
     points = [p] + [np.where(np.arange(3) == axis, hi, p) for axis in range(3)]   # upper faces
     points += [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
     for x in points:
-        got = field(x)
-        for want in (field(x[None])[0], loop_trilinear(axes, values, x)):
+        got = np.array(at(*x.tolist())).reshape(values.shape[3:])
+        for want in (field(x), field(x[None])[0], loop_trilinear(axes, values, x)):
             assert got.shape == want.shape == values.shape[3:]
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -184,13 +186,14 @@ def test_field_keeps_its_own_copy_of_the_lattice_data():
     values = rng.normal(size=grid.shape + (3, 3))
     original = values.copy()
     field = TrilinearField(grid.axes, values)
+    at = field.point_path()
     pts = rng.uniform(grid.points[0], grid.points[-1], size=(6, 3))
-    warm = [field(x) for x in pts[:3]]                  # cells of the first half cached
+    warm = [at(*x.tolist()) for x in pts[:3]]           # cells of the first half cached
     values[...] = 7.0
     for x in pts:
-        assert np.array_equal(field(x), loop_trilinear(grid.axes, original, x))
+        assert at(*x.tolist()) == loop_trilinear(grid.axes, original, x).ravel().tolist()
     assert np.array_equal(field(pts), loop_trilinear(grid.axes, original, pts))
-    assert all(np.array_equal(field(x), w) for x, w in zip(pts[:3], warm))
+    assert all(at(*x.tolist()) == w for x, w in zip(pts[:3], warm))
 
 
 def test_point_cache_holds_one_block_per_visited_cell():
