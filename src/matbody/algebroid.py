@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bodies import Body, SampleSet, evaluate
-from .errors import MatbodyError, OutOfDomain, first_true, with_index
+from .errors import MatbodyError, NonFiniteResponse, OutOfDomain, first_true, with_index
 from .jets import as_point
 
 DEFAULT_FD_STEP = 1e-5
@@ -64,7 +64,8 @@ def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
     rows, cut = np.arange(len(rank)), np.clip(rank, 1, 11)
     kept, dropped = singular_values[rows, cut - 1], singular_values[rows, cut]
     clean = (rank == 0) | (rank == 12) | (dropped == 0.0)
-    return np.divide(kept, dropped, out=np.full(len(rank), np.inf), where=~clean)
+    with np.errstate(over="ignore"):        # a ratio beyond the float range is clean too
+        return np.divide(kept, dropped, out=np.full(len(rank), np.inf), where=~clean)
 
 
 # About this many (F, x) pairs go into one evaluate call of the fibre stencils:
@@ -109,11 +110,18 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
     The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>; the A-block
     coefficients are therefore F^T dW/dF (row-major) and the v-block is
     -dW/dx.  Shapes batch as in ``response_gradients``, so the gradients of a
-    sample set give each point its (count, 12) constraint matrix.
+    sample set give each point its (count, 12) constraint matrix.  Rows that
+    overflow raise NonFiniteResponse indexed by the first offending pair.
     """
-    dWdF, dWdx = response_gradients(body, x, F, fd_step)
-    A = np.ascontiguousarray(np.swapaxes(np.asarray(F, dtype=float), -1, -2)) @ dWdF
-    return np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
+        dWdF, dWdx = response_gradients(body, x, F, fd_step)
+        A = np.ascontiguousarray(np.swapaxes(np.asarray(F, dtype=float), -1, -2)) @ dWdF
+    rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
+    bad = ~np.isfinite(rows).all(axis=-1)
+    if bad.any():
+        raise with_index(NonFiniteResponse(f"constraint rows of '{body.name}' are non-finite"),
+                         first_true(bad, bad.shape))
+    return rows
 
 
 def fibers_at(body: Body, points, samples: SampleSet,
@@ -126,8 +134,8 @@ def fibers_at(body: Body, points, samples: SampleSet,
     retained on each result so callers can audit the gap at the cut.  Points
     go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
     with one stacked SVD; then the anchor blocks of all points with the same
-    fiber dim go through one more.  A failing evaluation raises with the
-    offending point's index in ``points`` as the error's ``index``.
+    fiber dim go through one more.  An evaluation, rows or a spectrum that fail
+    raise with the offending point's index in ``points`` as the error's ``index``.
     """
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
@@ -141,6 +149,10 @@ def fibers_at(body: Body, points, samples: SampleSet,
             raise
         _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
         sv[start:start + chunk, :s.shape[-1]] = s
+    bad = ~np.isfinite(sv).all(axis=1)
+    if bad.any():
+        raise with_index(NonFiniteResponse("singular values of the constraint rows overflow"),
+                         (int(np.argmax(bad)),))
     sv.setflags(write=False)
     ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
     out = [None] * len(points)

@@ -179,6 +179,7 @@ class AnalysisConfig:
     def echo(self) -> dict:
         """Full configuration echo, including the package-level constants."""
         doc = _nest((f.metadata["path"], getattr(self, f.name)) for f in _SETTINGS)
+        doc["grid"]["resolution"] = list(self.resolution)
         doc["body"] = self.body_kind if self.body_kind else {"polynomial": self.body_polynomial}
         doc["constants"] = {
             "point_tol": jets.POINT_TOL,
@@ -225,7 +226,7 @@ def _entry(path: str, **kw):
 
 @dataclass
 class AnalysisReport:
-    """Pipeline results; each field declares its place in the canonical document."""
+    """Pipeline results, JSON-native as made; each field declares its place in the document."""
 
     config: AnalysisConfig
     body_name: str = _entry("body")
@@ -259,38 +260,6 @@ class AnalysisReport:
         return doc
 
 
-# The element-type sets of lists that convert and write without a per-item walk.
-_FLOAT, _INT = frozenset([float]), frozenset([int])
-
-
-def _native(obj):
-    """Recursively convert numpy scalars/arrays to JSON-native values for the report.
-
-    Non-finite floats become None.  ``run_analysis`` passes its results through
-    this once, so a report's fields already hold JSON-native values.  A float
-    array with only finite entries is one ``tolist()``, and a list of only
-    floats (with a finite sum, so no NaN or +-inf) or only ints is copied as it
-    is; both tests run in C.
-    """
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if kinds == _INT or (kinds <= _FLOAT and math.isfinite(sum(obj))):
-            return list(obj)
-        return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()
-        return _native(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     """Full uniformity/homogeneity pipeline; deterministic for a fixed config."""
     body = resolve_body(cfg)
@@ -304,21 +273,22 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     dims = [f.dim for f in fibers]
     spectra = np.stack([f.singular_values for f in fibers])
     index = np.stack(grid.index_of(np.arange(grid.n_points)), axis=-1).tolist()
-    gaps = sv_gaps(spectra, dims).tolist()
+    gaps = sv_gaps(spectra, dims)
     records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": iso,
-                "anchor_rank": rank, "sv_gap": gap}
+                "anchor_rank": rank, "sv_gap": gap if gap < math.inf else None}  # null: a clean cut
                for idx, x, dim, iso, rank, gap in zip(index, grid.points.tolist(), dims,
-                                                      uni.isotropy_dims, uni.anchor_ranks, gaps)]
+                                                      uni.isotropy_dims, uni.anchor_ranks,
+                                                      gaps.tolist())]
     for rec, sv in zip(records, spectra.tolist() if cfg.emit_singular_values else ()):
         rec["singular_values"] = sv
 
     out = dict(
         body_name=body.name,
-        grid_shape=grid.shape,
+        grid_shape=list(grid.shape),
         point_records=records,
         uniformity=uni.verdict,
         offending_points=sorted(index[p] for p in uni.offending),
-        rank_ambiguous_points=[idx for idx, gap in zip(index, gaps) if gap < RANK_GAP_FLOOR],
+        rank_ambiguous_points=[index[p] for p in np.flatnonzero(gaps < RANK_GAP_FLOOR)],
         fiber_dim_levels=sorted(set(dims)),
         membership_tol_used=cfg.membership_tol,
     )
@@ -355,14 +325,14 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
             interior_max, full_max = chart_christoffels(chart)
             out["chart"] = {
                 "x0": chart.x0.tolist(),
-                "coords": chart.coords,
-                "frames": chart.frames,
+                "coords": chart.coords.tolist(),
+                "frames": chart.frames.tolist(),
                 "gamma_prime_interior_max": interior_max,
                 "gamma_prime_max": full_max,
             }
             timings["chart_s"] = time.perf_counter() - t0
 
-    return AnalysisReport(cfg, **_native(out), timings=timings)
+    return AnalysisReport(cfg, **out, timings=timings)
 
 
 def _exponential_cross_check(body: Body, section, samples, center,
@@ -406,6 +376,8 @@ def _float_text(v: float) -> str:
 # cheaper to call); subclasses of str, int and float take the isinstance chain.
 _SCALAR_TEXT = {str: _encode_str, int: repr, float: _float_text,
                 bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+# The element-type sets of lists that are written with one repr map, without a per-item walk.
+_FLOAT, _INT = frozenset([float]), frozenset([int])
 
 
 def _encode(obj, pad: str) -> str:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult, anchor_rank
-from .errors import LeftDomain, NotFlat, NotUniform
+from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
 from .flows import SectionField, _rk4_step
 from .grid import Grid, TrilinearField, grid_gradient
 from .jets import as_point
@@ -203,7 +203,8 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
     Gamma depends on s alone, so its 2n + 1 distinct stage values (the two
     midpoint stages share one, and a step's last stage is the next one's first)
     come from one field call.  A zero displacement returns ``state`` without a step.
-    Leading dimensions batch legs that share the same displacement.
+    Leading dimensions batch legs that share the same displacement.  A frame that
+    turns singular raises SingularMatrix, a state that overflows NonFiniteResponse.
     """
     v = end - start
     if not np.any(v):
@@ -220,8 +221,15 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
         return np.concatenate(((-Gv @ P).reshape(lead + (9,)),
                                np.linalg.solve(P, v[..., None])[..., 0]), axis=-1)
 
-    for k in range(n):
-        state = _rk4_step(rhs, state, 1.0 / n)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
+            for k in range(n):
+                state = _rk4_step(rhs, state, 1.0 / n)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("chart transport: the transported frame became singular") from None
+    # Non-finite entries never turn finite again, so the last step shows them all.
+    if not np.isfinite(state).all():
+        raise NonFiniteResponse("chart transport became non-finite")
     return state
 
 

@@ -37,7 +37,7 @@ class OutOfDomain(MatbodyError):
 
 
 class NonFiniteResponse(MatbodyError, ValueError):
-    """A body's response, or an exponential flow, evaluated to inf or NaN."""
+    """A response, or a stage built on it (rows, spectra, flows), evaluated to inf or NaN."""
 
 
 class GridTooSmall(MatbodyError):

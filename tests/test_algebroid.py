@@ -263,6 +263,40 @@ def test_fibers_at_names_failing_point():
     assert err.value.index == (33,)
 
 
+def test_rows_that_overflow_are_refused_at_their_pair():
+    """Finite responses whose gradients overflow raise, indexed (point, gradient)."""
+    # W = 1.7e308 F00 x0^2 is finite in the box, but dW/dx0 = 3.4e308 F00 x0
+    # overflows where |F00 x0| > ~0.53
+    body = polynomial_body([([1] + [0] * 8 + [2, 0, 0], 1.7e308)])
+    F = np.stack([np.diag([a, 1.0, 1.0]) for a in (0.5, 0.55, 0.7, 1.2)])
+    x = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.9, 0, 0]])
+    with pytest.raises(NonFiniteResponse,
+                       match="constraint rows of 'polynomial' are non-finite") as err:
+        constraint_rows(body, x, F)
+    assert err.value.index == (1, 3)    # 0.5 x 1.2 is the first product past 0.53
+    pts = np.zeros((40, 3))
+    pts[33, 0] = 0.7
+    with pytest.raises(NonFiniteResponse) as err:
+        constraint_rows(body, pts, make_samples(12, seed=1).matrices)
+    assert err.value.index[0] == 33
+    with pytest.raises(NonFiniteResponse) as err:
+        fibers_at(body, pts, make_samples(12, seed=1))      # several chunks
+    assert err.value.index == (33,)
+
+
+def test_spectra_that_overflow_are_refused_at_their_point():
+    """Finite constraint rows whose norms overflow the SVD name their point."""
+    body = polynomial_body([([0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0], 1.7e308),
+                            ([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1], 1e300)])
+    samples = make_samples(12, seed=5)
+    pts = np.zeros((40, 3))
+    pts[33, 1] = 0.9
+    assert np.isfinite(constraint_rows(body, pts, samples.matrices)).all()
+    with pytest.raises(NonFiniteResponse, match="singular values of the constraint rows") as err:
+        fibers_at(body, pts, samples)
+    assert err.value.index == (33,)
+
+
 def test_fiber_stage_memory_stays_bounded():
     """Transient allocation of the batched stencils stays under 2 MiB at any grid size.
 

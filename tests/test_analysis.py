@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import tokenize
 import warnings
 from pathlib import Path
@@ -20,6 +21,7 @@ from matbody import (
     MatbodyError,
     NonFiniteResponse,
     SectionField,
+    SingularMatrix,
     emit_report,
     exp_trajectory,
     minimal_lift_section,
@@ -27,10 +29,10 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.analysis import (_SETTINGS, _exponential_cross_check, _native, canonical_json,
-                              fiber_stage, resolve_body)
+from matbody.analysis import (_SETTINGS, _exponential_cross_check, canonical_json, fiber_stage,
+                              resolve_body)
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from oracles import isotropic_polynomial_terms, item_native, json_dumps_document
+from oracles import isotropic_polynomial_terms, json_dumps_document
 
 FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
 
@@ -186,7 +188,7 @@ def test_report_structure_and_round_trip():
     r = run_analysis(AnalysisConfig(body_kind="uniform_fgm", **FAST))
     blob = emit_report(r, "structured")
     doc = parse_report(blob)
-    assert doc == _native(r.to_canonical_dict())
+    assert doc == r.to_canonical_dict()
     assert doc["uniformity"]["verdict"] == "uniform"
     assert doc["homogeneity"]["verdict"] == "obstructed"
     assert len(doc["points"]) == 27
@@ -201,15 +203,15 @@ def test_report_structure_and_round_trip():
 
 
 def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
-    """One anchor_rank call per grid point, one curvature/torsion pass for both the
-    verdict and the chart, and one _native walk per analyze."""
+    """One anchor_rank call per grid point, and one curvature/torsion pass for both
+    the verdict and the chart.  The report needs no conversion pass: its values are
+    JSON-native as built (see test_report_structure_and_round_trip)."""
     import matbody.algebroid as algebroid
     import matbody.analysis as analysis
     import matbody.connection as connection
 
-    anchor_rank, native = algebroid.anchor_rank, analysis._native
-    curvature_torsion = connection.curvature_torsion
-    ranks, passes, walks, depth = [], [], [], [0]
+    anchor_rank, curvature_torsion = algebroid.anchor_rank, connection.curvature_torsion
+    ranks, passes = [], []
 
     def counting_rank(*args):
         ranks.append(1)
@@ -219,16 +221,7 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
         passes.append(1)
         return curvature_torsion(*args)
 
-    def counting_native(obj):
-        walks.append(depth[0] == 0)
-        depth[0] += 1
-        try:
-            return native(obj)
-        finally:
-            depth[0] -= 1
-
     monkeypatch.setattr(algebroid, "anchor_rank", counting_rank)
-    monkeypatch.setattr(analysis, "_native", counting_native)
     for module in (analysis, connection):
         monkeypatch.setattr(module, "curvature_torsion", counting_pass)
     cfg = AnalysisConfig(body_kind="uniform_fgm_integrable", emit_chart=True,
@@ -237,7 +230,6 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
     assert doc["homogeneity"]["verdict"] == "homogeneous_evidence" and doc["chart"]
     assert len(ranks) == 27
     assert len(passes) == 1
-    assert sum(walks) == 1
 
 
 def test_singular_values_flag():
@@ -284,7 +276,7 @@ def test_trajectory_flag():
 
 
 # ---------------------------------------------------------------------------
-# canonical writer and JSON-native conversion
+# canonical writer
 # ---------------------------------------------------------------------------
 
 class _Float(float):
@@ -348,34 +340,6 @@ def test_reports_are_the_json_dumps_layout(body):
                     if body == "polynomial" else body)}
     doc = run_analysis(AnalysisConfig.from_dict(raw)).to_canonical_dict()
     assert canonical_json(doc) == json_dumps_document(doc)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([np.float64, np.float32]),
-       st.sampled_from([(7,), (4, 3), (2, 3, 3), ()]),
-       st.data())
-def test_native_maps_exactly_the_non_finite_entries_to_none(dtype, shape, data):
-    n = int(np.prod(shape))
-    values = np.array(data.draw(st.lists(st.floats(-1e30, 1e30), min_size=n, max_size=n)))
-    bad = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n, unique=True)) if n else []
-    for i in bad:
-        values[i] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    a = values.astype(dtype).reshape(shape)
-    got = _native(a)
-    assert repr(got) == repr(item_native(a))
-    flat = np.ravel(np.array(got, dtype=object))
-    assert [i for i, v in enumerate(flat) if v is None] == sorted(bad)
-    # the same values as nested lists of Python floats take the list path
-    assert repr(_native(a.tolist())) == repr(got)
-
-
-@pytest.mark.parametrize("obj", [
-    np.arange(6).reshape(2, 3), np.arange(4, dtype=np.int32), [[1, 2], [3, 10**40]], (1, 2),
-    [[1.5, -0.0], [2.5, 1e308]], [1e308, 1e308], [True, 1, 1.0], [], [[]], np.zeros((0, 3)),
-    {"a": [np.float64(0.5), np.int64(3)], "b": (np.nan, 1.0)}, [np.float32(0.1), 0.1],
-])
-def test_native_converts_ints_and_nested_lists_as_each_item_would(obj):
-    assert repr(_native(obj)) == repr(item_native(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +497,63 @@ def test_cli_cross_check_overflow_is_quiet(tmp_path):
         # the flow command's trajectory refuses the same non-finite flow: exit 3
         with pytest.raises(MatbodyError):
             exp_trajectory(section.flow_field([1.0, 0.0, 0.0]), 0.1, np.zeros(3))
+
+
+# homogeneous_evidence (max|Gamma| = 1e6), but the frame transported for its chart turns singular
+SINGULAR_CHART_TERMS = [[[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0], 1e306],
+                        [[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], 1e300],
+                        [[0] * 12, 1e-300]]
+# kept over dropped singular value past the float range at some points
+WIDE_GAP_TERMS = [[[0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1], 1e-8],
+                  [[0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0], 1e300]]
+
+
+@pytest.mark.parametrize("terms, flags, message", [
+    ([[[4] + [0] * 11, 1e307]], {}, "constraint rows of 'polynomial' are non-finite"),
+    ([[[0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0], 1.7e308], [[0] * 7 + [1, 0, 0, 0, 1], 1e300]], {},
+     "singular values of the constraint rows overflow"),
+    (SINGULAR_CHART_TERMS, {"emit_chart": True}, "the transported frame became singular"),
+])
+def test_cli_refuses_overflow_with_one_line(tmp_path, capsys, terms, flags, message):
+    """Overflowing rows or spectra (analyze and flow) and a singular chart transport
+    exit 3 with one line on stderr: no traceback, no RuntimeWarning."""
+    cfg = write_config(tmp_path, {"body": {"polynomial": {"terms": terms}},
+                                  "grid": {"resolution": [3, 3, 3]}, "flags": flags})
+    commands = [["analyze", "--config", cfg, "--format", "structured"]]
+    if not flags:
+        commands.append(["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"])
+    for command in commands:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+
+def test_singular_chart_transport_is_refused_not_nulled():
+    body = dict(body_kind=None, body_polynomial={"terms": SINGULAR_CHART_TERMS})
+    r = run_analysis(AnalysisConfig(resolution=(3, 3, 3), **body))
+    assert r.homogeneity == "homogeneous_evidence" and r.max_abs_gamma == pytest.approx(1e6)
+    with pytest.raises(SingularMatrix):
+        run_analysis(AnalysisConfig(resolution=(3, 3, 3), emit_chart=True, **body))
+
+
+def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
+    """Where kept / dropped overflows, sv_gap is null (a clean cut), silently."""
+    cfg = AnalysisConfig(body_kind=None, body_polynomial={"terms": WIDE_GAP_TERMS},
+                         resolution=(3, 3, 3), emit_singular_values=True)
+    overflowed = 0
+    for rec in run_analysis(cfg).point_records:      # a RuntimeWarning would raise here
+        sv, cut = rec["singular_values"], 12 - rec["fiber_dim"]
+        if rec["sv_gap"] is None and sv[cut] > 0:
+            assert sv[cut - 1] / sv[cut] > sys.float_info.max
+            overflowed += 1
+    assert overflowed > 0
+    doc = {"body": {"polynomial": {"terms": WIDE_GAP_TERMS}}, "grid": {"resolution": [3, 3, 3]}}
+    assert main(["analyze", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 _TOLERANCE_RANGES = {

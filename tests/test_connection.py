@@ -14,9 +14,11 @@ import pytest
 
 from matbody import (
     ConnectionField,
+    NonFiniteResponse,
     NotFlat,
     NotUniform,
     SectionField,
+    SingularMatrix,
     build_homogeneous_chart,
     builtin_body,
     chart_christoffels,
@@ -465,3 +467,30 @@ def test_chart_refuses_torsion(fgm_body, samples):
     conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))
     with pytest.raises(NotFlat):
         build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))
+
+
+def test_transport_refuses_a_singular_frame():
+    """Gamma(v) = g (v . 1) ones(3, 3) has rank 1, so the frame collapses onto one line."""
+    conn = ConnectionField(small_grid(), np.full((27, 3, 3, 3), 50.0))
+    with pytest.raises(SingularMatrix, match="transported frame became singular"):
+        transport_frame(conn, np.zeros(3), np.full(3, 0.9))
+    # the chart sweep takes the same legs; a huge flat_tol lets it run
+    with pytest.raises(SingularMatrix):
+        build_homogeneous_chart(curvature_torsion(conn, flat_tol=1e300), np.zeros(3))
+
+
+@pytest.mark.parametrize("g, finite", [(1e3, True), (1e30, False)])
+def test_transport_refuses_a_frame_that_overflows(g, finite):
+    """Gamma^k_ij = g delta_ki scales the frame by exp(g s (v . 1)): large, but finite
+    at g = 1e3 over this path, and past the float range at g = 1e30."""
+    gamma = np.zeros((27, 3, 3, 3))
+    for k in range(3):
+        gamma[:, k, k, :] = g
+    conn = ConnectionField(small_grid(), gamma)
+    start, target = np.full(3, 0.9), np.full(3, -0.9)
+    if finite:
+        P, c = transport_frame(conn, start, target)
+        assert np.isfinite(P).all() and np.isfinite(c).all() and P[0, 0] > 1e190
+    else:
+        with pytest.raises(NonFiniteResponse, match="chart transport became non-finite"):
+            transport_frame(conn, start, target)
