@@ -55,6 +55,10 @@ SCHEMA_NAME = "matbody.report.v1"
 RANK_GAP_FLOOR = 10.0
 # Flow time of the exponential cross-check in direction e1 from the grid centre.
 CROSS_CHECK_T = 0.1
+# Package constants no setting changes; a config echo writes them and from_dict accepts
+# a `constants` section only when it holds exactly these values.
+CONSTANTS = {"point_tol": jets.POINT_TOL, "det_tol": jets.DET_TOL,
+             "rank_gap_floor": RANK_GAP_FLOOR}
 
 
 def _coerce(value, kind):
@@ -97,8 +101,8 @@ def _nest(pairs) -> dict:
 class AnalysisConfig:
     """Analysis settings; each field declares its config key, type and range once."""
 
-    body_kind: Optional[str] = "homogeneous_isotropic"
-    body_polynomial: Optional[dict] = None
+    # A built-in name or {"polynomial": {...}}, as the config document writes it.
+    body: object = "homogeneous_isotropic"
     resolution: tuple = _setting((5, 5, 5), "grid.resolution", tuple,
                                  (lambda r: min(r) >= 3, "3 integers >= 3"))
     margin: float = _setting(0.1, "grid.margin", float, _POSITIVE)
@@ -116,21 +120,9 @@ class AnalysisConfig:
     emit_trajectories: bool = _setting(False, "flags.emit_trajectories", bool)
 
     def __post_init__(self):
-        for f in _SETTINGS:
-            value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
-            try:
-                object.__setattr__(self, f.name, _coerce(value, f.metadata["kind"]))
-            except (TypeError, OverflowError) as exc:
-                raise ConfigError(f"malformed {f.metadata['path']} = {value!r}: {exc}") from None
-        self.validate()
-
-    def validate(self) -> "AnalysisConfig":
-        if (self.body_kind is None) == (self.body_polynomial is None):
-            raise ConfigError("config must select exactly one of builtin body or polynomial")
-        poly = self.body_polynomial
-        if poly is not None:
+        body = self.body
+        if isinstance(body, dict) and body.keys() == {"polynomial"}:
+            poly = body["polynomial"]
             # resolve_body reads only these keys, and echo() copies the object whole
             if not isinstance(poly, dict) or "terms" not in poly:
                 raise ConfigError("polynomial body needs a 'terms' list")
@@ -139,33 +131,39 @@ class AnalysisConfig:
                 raise ConfigError(f"unknown keys in 'body.polynomial': {sorted(unknown)}")
             if not isinstance(poly.get("name", ""), str):
                 raise ConfigError(f"body.polynomial.name must be a string, got {poly['name']!r}")
+        elif not isinstance(body, str):
+            raise ConfigError("body must be a name, {'builtin': name} or {'polynomial': {...}}")
         for f in _SETTINGS:
-            value, check = getattr(self, f.name), f.metadata["check"]
-            if check and value is not None and not check[0](value):
-                raise ConfigError(f"{f.metadata['path']} must be {check[1]}, got {value!r}")
+            path, check = f.metadata["path"], f.metadata["check"]
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            try:
+                value = _coerce(value, f.metadata["kind"])
+            except (TypeError, OverflowError) as exc:
+                raise ConfigError(f"malformed {path} = {value!r}: {exc}") from None
+            if check and not check[0](value):
+                raise ConfigError(f"{path} must be {check[1]}, got {value!r}")
+            object.__setattr__(self, f.name, value)
         if self.margin <= self.fd_step:
             raise ConfigError("grid margin must exceed fd_step so stencils stay in the box")
-        return self
 
     @staticmethod
     def from_dict(raw: dict) -> "AnalysisConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config document must be a JSON object")
         sections = _nest((f.metadata["path"], f.name) for f in _SETTINGS)
-        unknown = set(raw) - set(sections) - {"body"}
+        unknown = set(raw) - set(sections) - {"body", "constants"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        # The echo of a report carries the constants it ran with; they are not settings.
+        if raw.get("constants", CONSTANTS) != CONSTANTS:
+            raise ConfigError(f"constants are fixed at {CONSTANTS}, got {raw['constants']!r}")
 
         body = raw.get("body", "homogeneous_isotropic")
-        if isinstance(body, str):
-            kwargs = {"body_kind": body}
-        elif isinstance(body, dict) and body.keys() == {"builtin"}:
-            kwargs = {"body_kind": body["builtin"]}
-        elif isinstance(body, dict) and body.keys() == {"polynomial"}:
-            kwargs = {"body_kind": None, "body_polynomial": body["polynomial"]}
-        else:
-            raise ConfigError("body must be a name, {'builtin': name} or {'polynomial': {...}}")
-
+        if isinstance(body, dict) and body.keys() == {"builtin"}:
+            body = body["builtin"]
+        kwargs = {"body": body}
         for name, keys in sections.items():
             user = raw.get(name, {})
             if not isinstance(user, dict):
@@ -177,15 +175,10 @@ class AnalysisConfig:
         return AnalysisConfig(**kwargs)
 
     def echo(self) -> dict:
-        """Full configuration echo, including the package-level constants."""
+        """Full configuration echo, including the package-level constants; a valid config."""
         doc = _nest((f.metadata["path"], getattr(self, f.name)) for f in _SETTINGS)
         doc["grid"]["resolution"] = list(self.resolution)
-        doc["body"] = self.body_kind if self.body_kind else {"polynomial": self.body_polynomial}
-        doc["constants"] = {
-            "point_tol": jets.POINT_TOL,
-            "det_tol": jets.DET_TOL,
-            "rank_gap_floor": RANK_GAP_FLOOR,
-        }
+        doc.update(body=self.body, constants=dict(CONSTANTS))
         return doc
 
 
@@ -193,9 +186,9 @@ _SETTINGS = tuple(f for f in fields(AnalysisConfig) if "path" in f.metadata)
 
 
 def resolve_body(cfg: AnalysisConfig) -> Body:
-    if cfg.body_kind is not None:
-        return builtin_body(cfg.body_kind)
-    poly = cfg.body_polynomial
+    if isinstance(cfg.body, str):
+        return builtin_body(cfg.body)
+    poly = cfg.body["polynomial"]
     try:
         return polynomial_body(
             poly["terms"], poly.get("lo"), poly.get("hi"), poly.get("name", "polynomial")
@@ -219,45 +212,12 @@ def fiber_stage(body: Body, cfg: AnalysisConfig) -> tuple:
     return grid, samples, fibers
 
 
-def _entry(path: str, **kw):
-    """Report field stored at ``path`` of the canonical document."""
-    return field(metadata={"path": path}, **kw)
-
-
 @dataclass
 class AnalysisReport:
-    """Pipeline results, JSON-native as made; each field declares its place in the document."""
+    """A run's canonical document, JSON-native as made, and its wall-clock timings."""
 
-    config: AnalysisConfig
-    body_name: str = _entry("body")
-    grid_shape: list = _entry("grid_shape")
-    point_records: list = _entry("points")
-    uniformity: str = _entry("uniformity.verdict")
-    offending_points: list = _entry("uniformity.offending_points")
-    rank_ambiguous_points: list = _entry("diagnostics.rank_ambiguous_points")
-    fiber_dim_levels: list = _entry("diagnostics.fiber_dim_levels")
-    membership_tol_used: Optional[float] = _entry("diagnostics.membership_tol")
-    homogeneity: str = _entry("homogeneity.verdict", default="n/a")
-    homogeneity_reason: str = _entry(
-        "homogeneity.reason", default="body is not uniform; no material connection exists")
-    max_abs_gamma: Optional[float] = _entry("connection.max_abs_gamma", default=None)
-    lift_residual_max: Optional[float] = _entry("connection.lift_residual_max", default=None)
-    max_abs_R: Optional[float] = _entry("flatness.max_abs_R", default=None)
-    max_abs_T: Optional[float] = _entry("flatness.max_abs_T", default=None)
-    interior_max_abs_R: Optional[float] = _entry("flatness.interior_max_abs_R", default=None)
-    interior_max_abs_T: Optional[float] = _entry("flatness.interior_max_abs_T", default=None)
-    exp_membership_defect: Optional[float] = _entry("diagnostics.exp_membership_defect",
-                                                    default=None)
-    chart: Optional[dict] = _entry("chart", default=None)
-    trajectory: Optional[list] = _entry("trajectory", default=None)
+    document: dict
     timings: dict = field(default_factory=dict)
-
-    def to_canonical_dict(self) -> dict:
-        """Deterministic payload: everything except wall-clock timings."""
-        doc = _nest((f.metadata["path"], getattr(self, f.name))
-                    for f in fields(self) if "path" in f.metadata)
-        doc.update(schema=SCHEMA_NAME, config=self.config.echo())
-        return doc
 
 
 def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
@@ -282,16 +242,29 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     for rec, sv in zip(records, spectra.tolist() if cfg.emit_singular_values else ()):
         rec["singular_values"] = sv
 
-    out = dict(
-        body_name=body.name,
-        grid_shape=list(grid.shape),
-        point_records=records,
-        uniformity=uni.verdict,
-        offending_points=sorted(index[p] for p in uni.offending),
-        rank_ambiguous_points=[index[p] for p in np.flatnonzero(gaps < RANK_GAP_FLOOR)],
-        fiber_dim_levels=sorted(set(dims)),
-        membership_tol_used=cfg.membership_tol,
-    )
+    # The not-uniform document; the uniform branch overwrites what it computes.
+    doc = {
+        "schema": SCHEMA_NAME,
+        "config": cfg.echo(),
+        "body": body.name,
+        "grid_shape": list(grid.shape),
+        "points": records,
+        "uniformity": {"verdict": uni.verdict,
+                       "offending_points": sorted(index[p] for p in uni.offending)},
+        "homogeneity": {"verdict": "n/a",
+                        "reason": "body is not uniform; no material connection exists"},
+        "connection": {"max_abs_gamma": None, "lift_residual_max": None},
+        "flatness": dict.fromkeys(["max_abs_R", "max_abs_T",
+                                   "interior_max_abs_R", "interior_max_abs_T"]),
+        "diagnostics": {
+            "rank_ambiguous_points": [index[p] for p in np.flatnonzero(gaps < RANK_GAP_FLOOR)],
+            "fiber_dim_levels": sorted(set(dims)),
+            "membership_tol": cfg.membership_tol,
+            "exp_membership_defect": None,
+        },
+        "chart": None,
+        "trajectory": None,
+    }
     if uni.uniform:
         t0 = time.perf_counter()
         section = minimal_lift_section(grid, fibers, cfg.v_tol)
@@ -299,22 +272,20 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         report = curvature_torsion(conn, cfg.flat_tol)
         hom = homogeneity_verdict(uni, report)
         timings["connection_s"] = time.perf_counter() - t0
-        out.update(
-            homogeneity=hom.verdict,
-            homogeneity_reason=hom.reason,
-            max_abs_gamma=conn.max_abs(),
-            lift_residual_max=float(np.max(section.residuals)),
-            max_abs_R=report.max_abs_R,
-            max_abs_T=report.max_abs_T,
-            interior_max_abs_R=report.interior_max_abs_R,
-            interior_max_abs_T=report.interior_max_abs_T,
-        )
+        doc["homogeneity"] = {"verdict": hom.verdict, "reason": hom.reason}
+        doc["connection"] = {"max_abs_gamma": conn.max_abs(),
+                             "lift_residual_max": float(np.max(section.residuals))}
+        doc["flatness"] = {"max_abs_R": report.max_abs_R, "max_abs_T": report.max_abs_T,
+                           "interior_max_abs_R": report.interior_max_abs_R,
+                           "interior_max_abs_T": report.interior_max_abs_T}
 
         t0 = time.perf_counter()
-        center = grid.points[grid.n_points // 2]
+        # The lattice node at index n // 2 on every axis, for odd and even resolutions.
+        center = grid.points[np.ravel_multi_index([n // 2 for n in grid.shape], grid.shape)]
+        diagnostics = doc["diagnostics"]
         if cfg.membership_tol is None:
-            out["membership_tol_used"] = membership_tol(body, samples, [center])
-        out["exp_membership_defect"], out["trajectory"] = _exponential_cross_check(
+            diagnostics["membership_tol"] = membership_tol(body, samples, [center])
+        diagnostics["exp_membership_defect"], doc["trajectory"] = _exponential_cross_check(
             body, section, samples, center, keep_records=cfg.emit_trajectories
         )
         timings["cross_check_s"] = time.perf_counter() - t0
@@ -323,7 +294,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
             t0 = time.perf_counter()
             chart = build_homogeneous_chart(report, center)
             interior_max, full_max = chart_christoffels(chart)
-            out["chart"] = {
+            doc["chart"] = {
                 "x0": chart.x0.tolist(),
                 "coords": chart.coords.tolist(),
                 "frames": chart.frames.tolist(),
@@ -332,7 +303,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
             }
             timings["chart_s"] = time.perf_counter() - t0
 
-    return AnalysisReport(cfg, **out, timings=timings)
+    return AnalysisReport(doc, timings)
 
 
 def _exponential_cross_check(body: Body, section, samples, center,
@@ -424,7 +395,7 @@ def canonical_json(doc) -> bytes:
 def emit_report(report: AnalysisReport, format: str = "structured") -> bytes:
     """Render a report: canonical JSON ('structured') or human tables ('text')."""
     if format == "structured":
-        return canonical_json(report.to_canonical_dict())
+        return canonical_json(report.document)
     if format == "text":
         return _text_report(report).encode("utf-8")
     raise ConfigError(f"unknown report format '{format}'")
@@ -445,10 +416,13 @@ def parse_report(data: bytes) -> dict:
 
 
 def _text_report(r: AnalysisReport) -> str:
-    nx, ny, nz = r.grid_shape
-    recs = {tuple(rec["index"]): rec for rec in r.point_records}
+    doc = r.document
+    nx, ny, nz = doc["grid_shape"]
+    recs = {tuple(rec["index"]): rec for rec in doc["points"]}
+    uni, hom, diag = doc["uniformity"], doc["homogeneity"], doc["diagnostics"]
+    conn, flat, chart = doc["connection"], doc["flatness"], doc["chart"]
     lines = []
-    lines.append(f"matbody analysis: body = {r.body_name}")
+    lines.append(f"matbody analysis: body = {doc['body']}")
     lines.append(f"grid {nx}x{ny}x{nz}; cells show fiber dim / isotropy dim / anchor rank")
     for ix in range(nx):
         lines.append(f"-- slice ix={ix} (rows iy, cols iz) " + "-" * 28)
@@ -459,28 +433,29 @@ def _text_report(r: AnalysisReport) -> str:
                 cells.append(f"{rec['fiber_dim']}/{rec['isotropy_dim']}/{rec['anchor_rank']}")
             lines.append("  " + "  ".join(f"{c:>7}" for c in cells))
     lines.append("")
-    lines.append(f"uniformity verdict : {r.uniformity}")
-    if r.offending_points:
+    lines.append(f"uniformity verdict : {uni['verdict']}")
+    if uni["offending_points"]:
         lines.append("offending grid points (anchor rank < 3), lexicographic:")
-        for idx in sorted(r.offending_points):
+        for idx in sorted(uni["offending_points"]):
             rec = recs[tuple(idx)]
             lines.append(f"  index {idx}  x = {rec['x']}  anchor_rank = {rec['anchor_rank']}")
-    if r.max_abs_gamma is not None:
-        lines.append(f"connection         : max|Gamma| = {r.max_abs_gamma:.6e}, "
-                     f"lift residual max = {r.lift_residual_max:.3e}")
-        lines.append(f"flatness           : max|R| = {r.max_abs_R:.6e}, "
-                     f"max|T| = {r.max_abs_T:.6e}")
-    lines.append(f"homogeneity verdict: {r.homogeneity}")
-    lines.append(f"  reason: {r.homogeneity_reason}")
-    if r.rank_ambiguous_points:
-        lines.append(f"rank-ambiguous points (sv gap < {RANK_GAP_FLOOR:g}x): "
-                     f"{sorted(r.rank_ambiguous_points)}")
-    if r.exp_membership_defect is not None:
-        lines.append(f"exponential cross-check: membership defect {r.exp_membership_defect:.3e} "
-                     f"(tol {r.membership_tol_used:.3e})")
-    if r.chart is not None:
+    if conn["max_abs_gamma"] is not None:
+        lines.append(f"connection         : max|Gamma| = {conn['max_abs_gamma']:.6e}, "
+                     f"lift residual max = {conn['lift_residual_max']:.3e}")
+        lines.append(f"flatness           : max|R| = {flat['max_abs_R']:.6e}, "
+                     f"max|T| = {flat['max_abs_T']:.6e}")
+    lines.append(f"homogeneity verdict: {hom['verdict']}")
+    lines.append(f"  reason: {hom['reason']}")
+    if diag["rank_ambiguous_points"]:
+        floor = doc["config"]["constants"]["rank_gap_floor"]
+        lines.append(f"rank-ambiguous points (sv gap < {floor:g}x): "
+                     f"{sorted(diag['rank_ambiguous_points'])}")
+    if diag["exp_membership_defect"] is not None:
+        lines.append(f"exponential cross-check: membership defect "
+                     f"{diag['exp_membership_defect']:.3e} (tol {diag['membership_tol']:.3e})")
+    if chart is not None:
         lines.append(f"chart: recomputed interior max|Gamma'| = "
-                     f"{r.chart['gamma_prime_interior_max']:.3e}")
+                     f"{chart['gamma_prime_interior_max']:.3e}")
     if r.timings:
         stamps = ", ".join(f"{k} = {v:.3f}" for k, v in sorted(r.timings.items()))
         lines.append(f"timings (s): {stamps}")

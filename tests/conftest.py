@@ -3,10 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from matbody import builtin_body, make_samples
+
+# Property tests are deterministic and untimed; each test sets only its max_examples.
+settings.register_profile("matbody", deadline=None, derandomize=True, database=None)
+settings.load_profile("matbody")
 
 
 @pytest.fixture(scope="session")

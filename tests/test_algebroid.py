@@ -127,7 +127,7 @@ def test_batched_rows_match_per_pair_loop(fgm_body, nonuniform_body, samples, rn
             assert np.max(np.abs(rows[p, q] - loop_constraint_rows(body, x[p], Fs[q]))) <= 1e-12
 
 
-@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@settings(max_examples=20)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([(28,), (2, 28)]))
 def test_rows_are_bitwise_the_swapaxes_product(fgm_body, seed, n, shape):
     """The rows' F^T dW/dF block is the strided-transpose product bit for bit, in any layout."""
@@ -327,13 +327,13 @@ def test_run_analysis_svd_count(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
-    cfg = AnalysisConfig(body_kind="uniform_fgm")
+    cfg = AnalysisConfig(body="uniform_fgm")
     report = run_analysis(cfg)
     n = int(np.prod(cfg.resolution))
     count = make_samples(cfg.sample_count, cfg.seed).count      # anchors included
     chunks = -(-n // max(1, STENCIL_PAIRS // (18 * count)))
-    assert report.homogeneity == "obstructed"
-    assert len(calls) <= chunks + len(report.fiber_dim_levels) == 17
+    assert report.document["homogeneity"]["verdict"] == "obstructed"
+    assert len(calls) <= chunks + len(report.document["diagnostics"]["fiber_dim_levels"]) == 17
 
 
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from matbody import (
     AnalysisConfig,
+    AnalysisReport,
     ConfigError,
     MatbodyError,
     NonFiniteResponse,
@@ -43,7 +44,7 @@ FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
 
 def test_config_defaults_round_trip():
     cfg = AnalysisConfig.from_dict({})
-    assert cfg.body_kind == "homogeneous_isotropic"
+    assert cfg.body == "homogeneous_isotropic"
     assert cfg.resolution == (5, 5, 5)
     assert cfg.sample_count == 24
     echo = cfg.echo()
@@ -150,10 +151,45 @@ def test_cross_check_leaving_grid_hull_is_null():
     r = run_analysis(AnalysisConfig.from_dict(
         {"grid": {"resolution": [3, 3, 3], "margin": 0.9},
          "flags": {"emit_trajectories": True}}))
-    assert (r.uniformity, r.homogeneity) == ("uniform", "homogeneous_evidence")
-    assert r.exp_membership_defect is None and r.trajectory is None
+    assert (r.document["uniformity"]["verdict"],
+            r.document["homogeneity"]["verdict"]) == ("uniform", "homogeneous_evidence")
+    assert (r.document["diagnostics"]["exp_membership_defect"] is None
+            and r.document["trajectory"] is None)
     doc = parse_report(emit_report(r, "structured"))
     assert doc["diagnostics"]["exp_membership_defect"] is None
+
+
+@pytest.mark.parametrize("body", ["uniform_fgm", "polynomial"])
+def test_config_echo_reruns_to_identical_bytes(tmp_path, capsys, body):
+    """A report's config echo is a config: fed back, through the library or the CLI,
+    it reproduces the report's bytes; constants other than the fixed ones exit 2."""
+    if body == "polynomial":
+        body = {"polynomial": {"terms": isotropic_polynomial_terms(), "name": "iso_poly"}}
+    raw = {"body": body, "grid": {"resolution": [3, 3, 3]}, "samples": {"count": 12}}
+    blob = emit_report(run_analysis(AnalysisConfig.from_dict(raw)), "structured")
+    echo = parse_report(blob)["config"]
+    assert emit_report(run_analysis(AnalysisConfig.from_dict(echo)), "structured") == blob
+    out = tmp_path / "rerun.json"
+    assert main(["analyze", "--config", write_config(tmp_path, echo), "--format", "structured",
+                 "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == blob
+    echo["constants"]["det_tol"] *= 10
+    assert main(["analyze", "--config", write_config(tmp_path, echo)]) == EXIT_CONFIG
+    assert "config error: constants are fixed at {'point_tol': 1e-09" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="constants are fixed at"):
+        AnalysisConfig.from_dict(echo)
+
+
+@pytest.mark.parametrize("resolution", [(4, 4, 4), (5, 4, 5)])
+def test_grid_centre_is_the_middle_node_on_even_grids(resolution):
+    """The cross-check and the chart start at the node at index n // 2 on every axis."""
+    cfg = AnalysisConfig(body="uniform_fgm_integrable", resolution=resolution, sample_count=12,
+                         emit_chart=True, emit_trajectories=True)
+    doc = run_analysis(cfg).document
+    middle = [n // 2 for n in resolution]
+    centre = next(rec["x"] for rec in doc["points"] if rec["index"] == middle)
+    assert doc["chart"]["x0"] == centre
+    assert doc["trajectory"][0]["y"] == centre
 
 
 def test_polynomial_body_config_runs():
@@ -165,8 +201,8 @@ def test_polynomial_body_config_runs():
         "samples": {"count": 12, "seed": 3},
     })
     report = run_analysis(cfg)
-    assert report.body_name == "f12sq"
-    assert report.uniformity == "uniform"      # no x dependence anywhere
+    assert report.document["body"] == "f12sq"
+    assert report.document["uniformity"]["verdict"] == "uniform"      # no x dependence anywhere
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +216,15 @@ def test_verdict_table_fast():
         "nonuniform": ("not_uniform", "n/a"),
     }
     for kind, (uni, hom) in expected.items():
-        r = run_analysis(AnalysisConfig(body_kind=kind, **FAST))
-        assert (r.uniformity, r.homogeneity) == (uni, hom), kind
+        doc = run_analysis(AnalysisConfig(body=kind, **FAST)).document
+        assert (doc["uniformity"]["verdict"], doc["homogeneity"]["verdict"]) == (uni, hom), kind
 
 
 def test_report_structure_and_round_trip():
-    r = run_analysis(AnalysisConfig(body_kind="uniform_fgm", **FAST))
+    r = run_analysis(AnalysisConfig(body="uniform_fgm", **FAST))
     blob = emit_report(r, "structured")
     doc = parse_report(blob)
-    assert doc == r.to_canonical_dict()
+    assert doc == r.document
     assert doc["uniformity"]["verdict"] == "uniform"
     assert doc["homogeneity"]["verdict"] == "obstructed"
     assert len(doc["points"]) == 27
@@ -200,6 +236,17 @@ def test_report_structure_and_round_trip():
     # timings never enter the canonical payload
     assert "timings" not in doc
     assert r.timings
+    # the document is the report's one representation: a stored report renders
+    # the same text as the run that wrote it, less the timings line
+    for kind in ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform"):
+        r = run_analysis(AnalysisConfig(body=kind, emit_chart=True, **FAST))
+        blob = emit_report(r, "structured")
+        assert parse_report(blob) == r.document, kind
+        text = emit_report(r, "text").decode().splitlines(keepends=True)
+        untimed = [line for line in text if not line.startswith("timings (s): ")]
+        assert len(untimed) == len(text) - 1
+        stored = emit_report(AnalysisReport(parse_report(blob)), "text").decode()
+        assert stored == "".join(untimed), kind
 
 
 def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
@@ -224,7 +271,7 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
     monkeypatch.setattr(algebroid, "anchor_rank", counting_rank)
     for module in (analysis, connection):
         monkeypatch.setattr(module, "curvature_torsion", counting_pass)
-    cfg = AnalysisConfig(body_kind="uniform_fgm_integrable", emit_chart=True,
+    cfg = AnalysisConfig(body="uniform_fgm_integrable", emit_chart=True,
                          emit_singular_values=True, emit_trajectories=True, **FAST)
     doc = parse_report(emit_report(run_analysis(cfg), "structured"))
     assert doc["homogeneity"]["verdict"] == "homogeneous_evidence" and doc["chart"]
@@ -233,46 +280,47 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
 
 
 def test_singular_values_flag():
-    cfg = AnalysisConfig(body_kind="homogeneous_isotropic",
+    cfg = AnalysisConfig(body="homogeneous_isotropic",
                          emit_singular_values=True, **FAST)
     doc = parse_report(emit_report(run_analysis(cfg), "structured"))
     assert len(doc["points"][0]["singular_values"]) == 12
 
 
 def test_determinism_byte_identical():
-    cfg1 = AnalysisConfig(body_kind="uniform_fgm", **FAST)
-    cfg2 = AnalysisConfig(body_kind="uniform_fgm", **FAST)
+    cfg1 = AnalysisConfig(body="uniform_fgm", **FAST)
+    cfg2 = AnalysisConfig(body="uniform_fgm", **FAST)
     b1 = emit_report(run_analysis(cfg1), "structured")
     b2 = emit_report(run_analysis(cfg2), "structured")
     assert b1 == b2
 
 
 def test_text_report_lists_offenders_sorted():
-    r = run_analysis(AnalysisConfig(body_kind="nonuniform", **FAST))
+    r = run_analysis(AnalysisConfig(body="nonuniform", **FAST))
     text = emit_report(r, "text").decode()
     assert "not_uniform" in text
     lines = [ln for ln in text.splitlines() if ln.strip().startswith("index")]
     indices = [json.loads(ln.split("index", 1)[1].split("x =")[0]) for ln in lines]
     assert indices == sorted(indices)
-    assert len(indices) == len(r.offending_points)
+    assert len(indices) == len(r.document["uniformity"]["offending_points"])
 
 
 def test_chart_in_report():
-    cfg = AnalysisConfig(body_kind="uniform_fgm_integrable", emit_chart=True, **FAST)
+    cfg = AnalysisConfig(body="uniform_fgm_integrable", emit_chart=True, **FAST)
     r = run_analysis(cfg)
-    assert r.homogeneity == "homogeneous_evidence"
-    assert r.chart is not None
-    assert r.chart["gamma_prime_interior_max"] <= 1e-3
+    assert r.document["homogeneity"]["verdict"] == "homogeneous_evidence"
+    assert r.document["chart"] is not None
+    assert r.document["chart"]["gamma_prime_interior_max"] <= 1e-3
     doc = parse_report(emit_report(r, "structured"))
     assert doc["chart"]["gamma_prime_interior_max"] <= 1e-3
 
 
 def test_trajectory_flag():
-    cfg = AnalysisConfig(body_kind="homogeneous_isotropic",
+    cfg = AnalysisConfig(body="homogeneous_isotropic",
                          emit_trajectories=True, **FAST)
     r = run_analysis(cfg)
-    assert r.trajectory is not None and len(r.trajectory) > 10
-    assert set(r.trajectory[0]) == {"t", "y", "F"}
+    trajectory = r.document["trajectory"]
+    assert trajectory is not None and len(trajectory) > 10
+    assert set(trajectory[0]) == {"t", "y", "F"}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +358,7 @@ _documents = st.recursive(
     max_leaves=40)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(_documents)
 @example({})
 @example([[], {}, (), [[]], {"": {}}])
@@ -338,7 +386,7 @@ def test_reports_are_the_json_dumps_layout(body):
     raw = {"grid": {"resolution": [3, 3, 3]}, "flags": flags,
            "body": ({"polynomial": {"terms": isotropic_polynomial_terms(), "name": "iso_poly"}}
                     if body == "polynomial" else body)}
-    doc = run_analysis(AnalysisConfig.from_dict(raw)).to_canonical_dict()
+    doc = run_analysis(AnalysisConfig.from_dict(raw)).document
     assert canonical_json(doc) == json_dumps_document(doc)
 
 
@@ -484,7 +532,7 @@ def test_cli_cross_check_overflow_is_quiet(tmp_path):
     doc = {"body": "nonuniform", "grid": {"resolution": [3, 3, 3]}, "samples": {"count": 12},
            "tolerances": {"v_tol": 5e-324}}
     assert main(["analyze", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
-    cfg = AnalysisConfig(body_kind="nonuniform", resolution=(3, 3, 3), sample_count=12)
+    cfg = AnalysisConfig(body="nonuniform", resolution=(3, 3, 3), sample_count=12)
     body = resolve_body(cfg)
     grid, samples, fibers = fiber_stage(body, cfg)
     assert uniformity_verdict(fibers, 5e-324).uniform
@@ -533,19 +581,20 @@ def test_cli_refuses_overflow_with_one_line(tmp_path, capsys, terms, flags, mess
 
 
 def test_singular_chart_transport_is_refused_not_nulled():
-    body = dict(body_kind=None, body_polynomial={"terms": SINGULAR_CHART_TERMS})
-    r = run_analysis(AnalysisConfig(resolution=(3, 3, 3), **body))
-    assert r.homogeneity == "homogeneous_evidence" and r.max_abs_gamma == pytest.approx(1e6)
+    body = dict(body={"polynomial": {"terms": SINGULAR_CHART_TERMS}})
+    doc = run_analysis(AnalysisConfig(resolution=(3, 3, 3), **body)).document
+    assert (doc["homogeneity"]["verdict"] == "homogeneous_evidence"
+            and doc["connection"]["max_abs_gamma"] == pytest.approx(1e6))
     with pytest.raises(SingularMatrix):
         run_analysis(AnalysisConfig(resolution=(3, 3, 3), emit_chart=True, **body))
 
 
 def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
     """Where kept / dropped overflows, sv_gap is null (a clean cut), silently."""
-    cfg = AnalysisConfig(body_kind=None, body_polynomial={"terms": WIDE_GAP_TERMS},
+    cfg = AnalysisConfig(body={"polynomial": {"terms": WIDE_GAP_TERMS}},
                          resolution=(3, 3, 3), emit_singular_values=True)
     overflowed = 0
-    for rec in run_analysis(cfg).point_records:      # a RuntimeWarning would raise here
+    for rec in run_analysis(cfg).document["points"]:      # a RuntimeWarning would raise here
         sv, cut = rec["singular_values"], 12 - rec["fiber_dim"]
         if rec["sv_gap"] is None and sv[cut] > 0:
             assert sv[cut - 1] / sv[cut] > sys.float_info.max
@@ -587,7 +636,7 @@ def config_documents(draw):
     return doc, bad is not None
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(config_documents())
 def test_cli_analyze_exit_contract(tmp_path_factory, case):
     doc, bad = case

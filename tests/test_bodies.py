@@ -77,7 +77,7 @@ def test_batched_evaluate_equals_per_pair_calls(kind, rng):
         assert np.max(np.abs(got[i, j] - want)) <= 1e-15 * (1.0 + np.max(np.abs(want)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 28), (1, 28, 2, 9), (3, 28, 2, 9)]))
 def test_strain_is_bitwise_the_swapaxes_product(seed, shape):
     """F^T F - I equals the strided-transpose product bit for bit, whatever F's layout."""

@@ -30,7 +30,7 @@ _terms = st.lists(
     min_size=1, max_size=3)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_terms)
 # singular values overflow: read from null spectra as not_uniform before they were refused
 @example([[[0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0], 1.7e308],

@@ -294,7 +294,7 @@ directions = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.arra
               .filter(lambda u: np.linalg.norm(u) > 0.1))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(x0=points, u=directions, t=st.sampled_from([0.0, 0.05, -0.2, 0.4]),
        step=st.sampled_from([1e-3, 4e-3, 1e-2]))
 @example(x0=np.array([-0.1, 0.0, 0.4]), u=np.array([1.0, 0.3, 0.3]), t=0.4, step=4e-3)

@@ -53,7 +53,7 @@ def boxes_and_points(draw):
     return lo, hi, draw(st.floats(-1.0, 1.0)), points
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(boxes_and_points())
 def test_box_contains_is_its_mask_and_the_closed_box_rule(case):
     lo, hi, margin, points = case
@@ -160,7 +160,7 @@ def lattices_and_points(draw):
     return axes, values, np.array(coords)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(lattices_and_points())
 def test_point_path_is_bitwise_the_batched_path(case):
     """The point path equals the batched call, on (3,) and (1, 3), and the reference

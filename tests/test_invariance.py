@@ -72,7 +72,7 @@ def test_fixed_affine_chart_keeps_the_verdicts(kind):
     assert verdicts(affine_chart(builtin_body(kind), S, b)) == reference(kind)
 
 
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@settings(max_examples=24)
 @given(st.sampled_from(KINDS),
        st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
        st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3))

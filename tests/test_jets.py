@@ -106,7 +106,7 @@ def test_validators_reject_non_finite_values(bad):
             as_matrix(m, invertible=invertible)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.lists(_VALUES, min_size=9, max_size=9))
 @example([1e308, 1e308, -1e308, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308])
 @example([-1e308, -1e308, 1.0, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308])
