@@ -32,12 +32,10 @@ from .bodies import (
 )
 from .connection import (
     ChartField,
-    ConnectionField,
     CurvatureTorsionReport,
     LinearSectionField,
     build_homogeneous_chart,
     chart_christoffels,
-    christoffels,
     curvature_torsion,
     homogeneity_verdict,
     minimal_lift_section,
@@ -64,7 +62,6 @@ from .gstructure import (
     Parallelism,
     g_map,
     invert_g_map,
-    is_integrable_parallelism,
     isotropy_group_sample,
     morphism_defect,
     sampled_morphism_defect,

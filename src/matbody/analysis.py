@@ -15,7 +15,6 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .connection import (
     DEFAULT_FLAT_TOL,
     build_homogeneous_chart,
     chart_christoffels,
-    christoffels,
     curvature_torsion,
     homogeneity_verdict,
     minimal_lift_section,
@@ -112,9 +110,6 @@ class AnalysisConfig:
     v_tol: float = _setting(DEFAULT_V_TOL, "tolerances.v_tol", float, _UNIT)
     flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _POSITIVE)
     fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _FD_STEP)
-    # None selects the relative default rule (see bodies.membership_tol).
-    membership_tol: Optional[float] = _setting(None, "tolerances.membership_tol", float,
-                                               _POSITIVE)
     emit_singular_values: bool = _setting(False, "flags.emit_singular_values", bool)
     emit_chart: bool = _setting(False, "flags.emit_chart", bool)
     emit_trajectories: bool = _setting(False, "flags.emit_trajectories", bool)
@@ -136,8 +131,6 @@ class AnalysisConfig:
         for f in _SETTINGS:
             path, check = f.metadata["path"], f.metadata["check"]
             value = getattr(self, f.name)
-            if value is None and f.default is None:
-                continue
             try:
                 value = _coerce(value, f.metadata["kind"])
             except (TypeError, OverflowError) as exc:
@@ -259,7 +252,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         "diagnostics": {
             "rank_ambiguous_points": [index[p] for p in np.flatnonzero(gaps < RANK_GAP_FLOOR)],
             "fiber_dim_levels": sorted(set(dims)),
-            "membership_tol": cfg.membership_tol,
+            "membership_tol": None,
             "exp_membership_defect": None,
         },
         "chart": None,
@@ -268,12 +261,11 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     if uni.uniform:
         t0 = time.perf_counter()
         section = minimal_lift_section(grid, fibers, cfg.v_tol)
-        conn = christoffels(section)
-        report = curvature_torsion(conn, cfg.flat_tol)
+        report = curvature_torsion(section, cfg.flat_tol)
         hom = homogeneity_verdict(uni, report)
         timings["connection_s"] = time.perf_counter() - t0
         doc["homogeneity"] = {"verdict": hom.verdict, "reason": hom.reason}
-        doc["connection"] = {"max_abs_gamma": conn.max_abs(),
+        doc["connection"] = {"max_abs_gamma": section.max_abs(),
                              "lift_residual_max": float(np.max(section.residuals))}
         doc["flatness"] = {"max_abs_R": report.max_abs_R, "max_abs_T": report.max_abs_T,
                            "interior_max_abs_R": report.interior_max_abs_R,
@@ -283,8 +275,7 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         # The lattice node at index n // 2 on every axis, for odd and even resolutions.
         center = grid.points[np.ravel_multi_index([n // 2 for n in grid.shape], grid.shape)]
         diagnostics = doc["diagnostics"]
-        if cfg.membership_tol is None:
-            diagnostics["membership_tol"] = membership_tol(body, samples, [center])
+        diagnostics["membership_tol"] = membership_tol(body, samples, [center])
         diagnostics["exp_membership_defect"], doc["trajectory"] = _exponential_cross_check(
             body, section, samples, center, keep_records=cfg.emit_trajectories
         )

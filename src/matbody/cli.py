@@ -6,7 +6,7 @@ Subcommands:
   flow     integrate one exponential trajectory of the material lift
 
 Exit codes: 0 analysis completed (whatever the verdicts), 2 config error,
-3 numerical failure.
+3 numerical failure (out of memory included).
 """
 
 from __future__ import annotations
@@ -141,6 +141,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MatbodyError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

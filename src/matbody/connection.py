@@ -1,18 +1,20 @@
-"""Material connections: linear lifts of the anchor, their Christoffel symbols,
-curvature/torsion, homogeneity verdicts, and flat-chart construction.
+"""Material connections: linear lifts of the anchor, their curvature/torsion,
+homogeneity verdicts, and flat-chart construction.
 
 A linear section assigns to each coordinate direction e_j a matrix A(e_j)
-with (e_j, A(e_j)) in the computed fiber; its Christoffel symbols are
-Gamma^k_ij = -A(e_j)^k_i.  Vanishing curvature and torsion of that connection
-is the computable evidence for local homogeneity: it is exactly the condition
-under which coordinates with identically zero Christoffels exist, and such
-coordinates realize a constant section of the material groupoid.
+with (e_j, A(e_j)) in the computed fiber.  It is the material connection,
+with Christoffel symbols Gamma^k_ij = -A(e_j)^k_i.  Vanishing curvature and
+torsion of that connection is the computable evidence for local homogeneity:
+it is exactly the condition under which coordinates with identically zero
+Christoffels exist, and such coordinates realize a constant section of the
+material groupoid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ _EYE = np.eye(3)
 
 @dataclass(frozen=True, eq=False)
 class LinearSectionField:
-    """Per grid point, the lift v -> A(v) stored as lam[p, j] = A(e_j)."""
+    """The material connection: per grid point, the lift v -> A(v) as lam[p, j] = A(e_j)."""
 
     grid: Grid
     lam: np.ndarray          # (n, 3, 3, 3)
@@ -43,13 +45,10 @@ class LinearSectionField:
         v_data = self.grid.reshape(np.tile(u, (self.grid.n_points, 1)))
         return SectionField.from_grid(self.grid.axes, v_data, a_data)
 
-
-@dataclass(frozen=True, eq=False)
-class ConnectionField:
-    """Christoffel symbols gamma[p, k, i, j] on a grid."""
-
-    grid: Grid
-    gamma: np.ndarray        # (n, 3, 3, 3)
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Christoffel symbols gamma[p, k, i, j] = Gamma^k_ij = -A(e_j)^k_i."""
+        return -np.transpose(self.lam, (0, 2, 3, 1))
 
     def lattice(self) -> np.ndarray:
         return self.grid.reshape(self.gamma)
@@ -62,7 +61,7 @@ class ConnectionField:
 class CurvatureTorsionReport:
     """Curvature and torsion of ``conn`` on its grid, and the one flatness decision."""
 
-    conn: ConnectionField
+    conn: LinearSectionField
     flat_tol: float
     R: np.ndarray            # (n, 3, 3, 3, 3) indexed [l, k, i, j]
     T: np.ndarray            # (n, 3, 3, 3)    indexed [k, i, j]
@@ -87,7 +86,7 @@ class HomogeneityResult:
 class ChartField:
     """Per grid point of ``conn``: new coordinates and the parallel-transported frame."""
 
-    conn: ConnectionField
+    conn: LinearSectionField
     x0: np.ndarray
     coords: np.ndarray       # (n, 3)
     frames: np.ndarray       # (n, 3, 3)
@@ -122,13 +121,7 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
     return LinearSectionField(grid, lam, residuals)
 
 
-def christoffels(section: LinearSectionField) -> ConnectionField:
-    """Gamma^k_ij = -A(e_j)^k_i, pointwise."""
-    gamma = -np.transpose(section.lam, (0, 2, 3, 1))
-    return ConnectionField(section.grid, gamma)
-
-
-def curvature_torsion(conn: ConnectionField,
+def curvature_torsion(conn: LinearSectionField,
                       flat_tol: float = DEFAULT_FLAT_TOL) -> CurvatureTorsionReport:
     """Curvature and torsion tensors of the connection on its grid.
 
@@ -183,7 +176,7 @@ def homogeneity_verdict(uni: UniformityResult,
     return HomogeneityResult(verdict, reason)
 
 
-def _transport_field(conn: ConnectionField, *points) -> tuple:
+def _transport_field(conn: LinearSectionField, *points) -> tuple:
     """Interpolated Christoffels and the RK4 substep, min spacing / 4."""
     field = TrilinearField(conn.grid.axes, conn.lattice())
     if not all(field.box.contains(p) for p in points):
@@ -233,7 +226,7 @@ def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> 
     return state
 
 
-def transport_frame(conn: ConnectionField, x0, target, order=(0, 1, 2)) -> tuple:
+def transport_frame(conn: LinearSectionField, x0, target, order=(0, 1, 2)) -> tuple:
     """Parallel-transport a frame (and integrate the coframe) from x0 to target.
 
     Follows the axis-ordered polyline determined by ``order``, one leg per

@@ -120,11 +120,6 @@ def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) 
     return Jet1(x, y, F)
 
 
-def flow_point(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Base (anchor) flow of the section: target of the exponential jet."""
-    return exp_section(section, t, x, step).target
-
-
 def exp_trajectory(section: SectionField, t: float, x,
                    step: float = DEFAULT_STEP) -> list:
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
@@ -217,8 +212,8 @@ def derivation_matrix(section: SectionField, x, h: float = DEFAULT_PULLBACK_H,
     if not 0 < h <= MAX_PULLBACK_H:                         # NaN too
         raise StepTooLarge(f"pullback step {h:g} is not in (0, {MAX_PULLBACK_H:g}]")
     x = as_point(x)
-    z_minus = flow_point(section, -h, x, step)
-    z_plus = flow_point(section, +h, x, step)
+    z_minus = exp_section(section, -h, x, step).target
+    z_plus = exp_section(section, +h, x, step).target
     # pullback of the coordinate frame at x under Exp_t is the matrix of the
     # jet based at the backward-flowed point
     m_fwd = exp_section(section, +h, z_minus, step).matrix

@@ -7,6 +7,7 @@ that serializes per-point data relies on that ordering being stable.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -85,6 +86,9 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
     if min(res) < 3:
         raise GridTooSmall(f"need >= 3 points per axis, got {res}")
     box = Box(lo, hi).inset(margin)
+    # on Python floats hi - lo overflows to inf without a RuntimeWarning
+    if not all(math.isfinite(h - l) for l, h in zip(box.lo.tolist(), box.hi.tolist())):
+        raise ValueError("box extent hi - lo is not finite")
     if np.any(box.lo >= box.hi):
         raise ValueError("margin leaves an empty box")
     axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i]) for i in range(3))

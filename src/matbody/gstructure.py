@@ -154,9 +154,3 @@ def frame_bracket_defect(P: Parallelism, grid: Grid) -> float:
     bracket = term - np.swapaxes(term, -1, -2)
     interior = grid.interior_mask()
     return float(np.max(np.abs(bracket[interior])))
-
-
-def is_integrable_parallelism(P: Parallelism, grid: Grid, tol: float) -> tuple:
-    """(integrable?, max bracket defect) for a parallelism sampled on a grid."""
-    defect = frame_bracket_defect(P, grid)
-    return defect <= tol, defect

@@ -16,7 +16,6 @@ from matbody import (
     SectionField,
     build_homogeneous_chart,
     chart_christoffels,
-    christoffels,
     compose,
     curvature_torsion,
     derivation_matrix,
@@ -173,7 +172,7 @@ def test_criterion_5_homogeneity_verdicts():
     grid = make_grid(-np.ones(3), np.ones(3), (5, 5, 5), 0.1)
     body = builtin_body("uniform_fgm_integrable")
     fibs = [fiber(body, x, samples, RANK_TOL) for x in grid.points]
-    conn = christoffels(minimal_lift_section(grid, fibs))
+    conn = minimal_lift_section(grid, fibs)
     rep = curvature_torsion(conn, flat_tol=1e-4)
     chart = build_homogeneous_chart(rep, np.zeros(3))
     interior_max, _ = chart_christoffels(chart)

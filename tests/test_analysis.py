@@ -48,8 +48,7 @@ def test_config_defaults_round_trip():
     assert cfg.resolution == (5, 5, 5)
     assert cfg.sample_count == 24
     echo = cfg.echo()
-    for key in ("rank_tol", "v_tol", "flat_tol", "fd_step", "membership_tol"):
-        assert key in echo["tolerances"]
+    assert sorted(echo["tolerances"]) == ["fd_step", "flat_tol", "rank_tol", "v_tol"]
     assert "point_tol" in echo["constants"] and "det_tol" in echo["constants"]
 
 
@@ -126,6 +125,12 @@ def test_readme_quick_tour_runs_as_commented():
     {"body": {"builtin": "uniform_fgm", "typo": 1}},
     {"body": {"builtin": "uniform_fgm", "polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}}},
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}, "extra": 3}},
+    # a key that decided nothing and is gone
+    {"tolerances": {"membership_tol": 1e-6}},
+    # a box whose extent overflows, which used to build a NaN lattice
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]],
+                             "lo": [-1e308] * 3, "hi": [1e308] * 3}},
+     "grid": {"resolution": [3, 3, 3]}},
 ])
 def test_config_rejects_bad_input(raw):
     with pytest.raises(ConfigError):
@@ -578,6 +583,20 @@ def test_cli_refuses_overflow_with_one_line(tmp_path, capsys, terms, flags, mess
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
         assert message in captured.err
+
+
+def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, capsys):
+    """A lattice axis numpy refuses to allocate (72.8 TiB, refused before any memory
+    is touched) exits 3 with one stderr line from analyze and flow."""
+    cfg = write_config(tmp_path, {"body": "uniform_fgm",
+                                  "grid": {"resolution": [3, 3, 10000000000000]}})
+    for command in (["analyze", "--config", cfg],
+                    ["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"]):
+        assert main(command) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: out of memory: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_singular_chart_transport_is_refused_not_nulled():

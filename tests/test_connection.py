@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from matbody import (
-    ConnectionField,
     NonFiniteResponse,
     NotFlat,
     NotUniform,
@@ -22,7 +21,6 @@ from matbody import (
     build_homogeneous_chart,
     builtin_body,
     chart_christoffels,
-    christoffels,
     curvature_torsion,
     derivation_matrix,
     fiber,
@@ -50,9 +48,13 @@ def fibers_on(body, grid, samples):
     return [fiber(body, x, samples, RANK_TOL) for x in grid.points]
 
 
+def lift_of_gamma(grid, gamma):
+    """The lift whose Christoffel symbols are gamma[p, k, i, j]: A(e_j)^k_i = -Gamma^k_ij."""
+    return LinearSectionField(grid, -np.transpose(gamma, (0, 3, 1, 2)), np.zeros(grid.n_points))
+
+
 def connection_from_fn(grid, gamma_fn):
-    gamma = np.stack([gamma_fn(x) for x in grid.points])
-    return ConnectionField(grid, gamma)
+    return lift_of_gamma(grid, np.stack([gamma_fn(x) for x in grid.points]))
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +126,20 @@ def test_minimal_lift_requires_uniformity(nonuniform_body, samples):
 
 
 # ---------------------------------------------------------------------------
-# christoffels
+# Christoffel symbols of the lift
 # ---------------------------------------------------------------------------
 
 def test_christoffels_zero_section():
     grid = small_grid()
     zero = LinearSectionField(grid, np.zeros((grid.n_points, 3, 3, 3)),
                               np.zeros(grid.n_points))
-    assert christoffels(zero).max_abs() == 0.0
+    assert zero.max_abs() == 0.0
 
 
 def test_christoffels_sign_and_layout(fgm_body, samples):
     """Gamma^1_21 = -1 and nothing else, from A(e_1) = E12."""
     grid = small_grid()
-    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))
+    conn = minimal_lift_section(grid, fibers_on(fgm_body, grid, samples))
     expected = np.zeros((3, 3, 3))
     expected[0, 1, 0] = -1.0          # Gamma^k=1_{i=2, j=1}
     for p in range(grid.n_points):
@@ -148,8 +150,8 @@ def test_christoffels_linear_in_section():
     grid = small_grid()
     rng = np.random.default_rng(3)
     lam = rng.uniform(-1, 1, (grid.n_points, 3, 3, 3))
-    base = christoffels(LinearSectionField(grid, lam, np.zeros(grid.n_points)))
-    scaled = christoffels(LinearSectionField(grid, 2.5 * lam, np.zeros(grid.n_points)))
+    base = LinearSectionField(grid, lam, np.zeros(grid.n_points))
+    scaled = LinearSectionField(grid, 2.5 * lam, np.zeros(grid.n_points))
     assert np.allclose(scaled.gamma, 2.5 * base.gamma, atol=0)
 
 
@@ -161,7 +163,6 @@ def test_sign_convention_lock_against_derivation(fgm_body, samples):
     """
     grid = small_grid()
     section = minimal_lift_section(grid, fibers_on(fgm_body, grid, samples))
-    conn = christoffels(section)
     p = grid.n_points // 2
     x = grid.points[p]
     for j in range(3):
@@ -171,7 +172,7 @@ def test_sign_convention_lock_against_derivation(fgm_body, samples):
         M, b = derivation_matrix(s, x)
         for k in range(3):
             for i in range(3):
-                assert abs(M[k, i] - conn.gamma[p, k, i, j]) <= 1e-5
+                assert abs(M[k, i] - section.gamma[p, k, i, j]) <= 1e-5
         assert np.max(np.abs(b - np.eye(3)[j])) <= 1e-6
 
 
@@ -181,7 +182,7 @@ def test_sign_convention_lock_against_derivation(fgm_body, samples):
 
 def test_zero_connection_is_flat():
     grid = small_grid()
-    conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
+    conn = lift_of_gamma(grid, np.zeros((grid.n_points, 3, 3, 3)))
     rep = curvature_torsion(conn)
     assert rep.max_abs_R == 0.0 and rep.max_abs_T == 0.0
 
@@ -189,7 +190,7 @@ def test_zero_connection_is_flat():
 def test_fgm_constant_connection_torsion_only(fgm_body, samples):
     """Constant Gamma with Gamma^1_21 = -1: T^1_21 = -1, quadratic terms cancel."""
     grid = small_grid()
-    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))
+    conn = minimal_lift_section(grid, fibers_on(fgm_body, grid, samples))
     rep = curvature_torsion(conn)
     assert rep.max_abs_R <= 1e-5
     p = grid.n_points // 2
@@ -280,8 +281,7 @@ def test_tensor_antisymmetries():
 def run_verdict(body, samples, res=3):
     grid = small_grid(res)
     fibs = fibers_on(body, grid, samples)
-    section = minimal_lift_section(grid, fibs)
-    conn = christoffels(section)
+    conn = minimal_lift_section(grid, fibs)
     uni = uniformity_verdict(fibs)
     return homogeneity_verdict(uni, curvature_torsion(conn)), uni
 
@@ -298,7 +298,7 @@ def test_homogeneity_verdicts(iso_body, fgm_body, fgm_integrable_body,
     grid = small_grid()
     with pytest.raises(NotUniform):
         fibs = fibers_on(nonuniform_body, grid, samples)
-        rep = curvature_torsion(ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3))))
+        rep = curvature_torsion(lift_of_gamma(grid, np.zeros((grid.n_points, 3, 3, 3))))
         homogeneity_verdict(uniformity_verdict(fibs), rep)
 
 
@@ -326,7 +326,7 @@ def test_chart_of_zero_connection_is_identity():
             grid = make_grid(-np.ones(3), np.ones(3), res, margin)
             grids.append((grid, grid.points[grid.n_points // 2]))
     for grid, x0 in grids:
-        conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
+        conn = lift_of_gamma(grid, np.zeros((grid.n_points, 3, 3, 3)))
         chart = build_homogeneous_chart(curvature_torsion(conn), x0)
         assert np.max(np.abs(chart.coords - (grid.points - x0))) <= 1e-12
         assert np.max(np.abs(chart.frames - np.eye(3))) <= 1e-12
@@ -337,7 +337,7 @@ def test_chart_recovers_integrable_deformation(fgm_integrable_body, samples):
     inverse of the defining deformation up to an affine map."""
     grid = small_grid(res=5)
     fibs = fibers_on(fgm_integrable_body, grid, samples)
-    conn = christoffels(minimal_lift_section(grid, fibs))
+    conn = minimal_lift_section(grid, fibs)
     chart = build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))
 
     interior_max, _ = chart_christoffels(chart)
@@ -361,7 +361,7 @@ def test_chart_recovers_integrable_deformation(fgm_integrable_body, samples):
 def test_chart_path_independence_when_flat(fgm_integrable_body, samples):
     grid = small_grid(res=4)
     fibs = fibers_on(fgm_integrable_body, grid, samples)
-    conn = christoffels(minimal_lift_section(grid, fibs))
+    conn = minimal_lift_section(grid, fibs)
     target = grid.points[-1]
     P1, c1 = transport_frame(conn, np.zeros(3), target, order=(0, 1, 2))
     P2, c2 = transport_frame(conn, np.zeros(3), target, order=(2, 1, 0))
@@ -373,7 +373,7 @@ def test_chart_path_independence_when_flat(fgm_integrable_body, samples):
 def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, origin):
     """The one-sweep chart follows the axis-ordered paths of transport_frame."""
     grid = small_grid(res=res)
-    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
+    conn = minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples))
     x0 = np.zeros(3) if origin == "zero" else grid.points[grid.n_points // 2]
     chart = build_homogeneous_chart(curvature_torsion(conn), x0)
     for p, target in enumerate(grid.points):
@@ -387,7 +387,7 @@ def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
     from matbody.connection import _transport_field
 
     grid = small_grid(res=7)
-    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples)))
+    conn = minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples))
     x0 = grid.points[grid.n_points // 2]
     got, want = build_homogeneous_chart(curvature_torsion(conn), x0), tuple_chart(conn, x0)
     assert got.frames.shape == want.frames.shape and got.coords.shape == want.coords.shape
@@ -411,7 +411,7 @@ def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
     import matbody.connection as connection
 
     grid = make_grid(-np.ones(3), np.ones(3), 7)
-    conn = ConnectionField(grid, np.zeros((grid.n_points, 3, 3, 3)))
+    conn = lift_of_gamma(grid, np.zeros((grid.n_points, 3, 3, 3)))
     steps, calls, legs = [0], [], []
     rk4_step, leg = connection._rk4_step, connection._transport_leg
     interpolate = TrilinearField.__call__
@@ -447,7 +447,7 @@ def test_verdict_and_chart_take_one_flatness_decision(fgm_body, samples):
     below, neither does, and the chart names the report's flat_tol."""
     grid = small_grid()
     fibs = fibers_on(fgm_body, grid, samples)
-    conn = christoffels(minimal_lift_section(grid, fibs))
+    conn = minimal_lift_section(grid, fibs)
     uni = uniformity_verdict(fibs)
     rep = curvature_torsion(conn)
     edge = max(rep.max_abs_R, rep.max_abs_T)
@@ -464,14 +464,14 @@ def test_verdict_and_chart_take_one_flatness_decision(fgm_body, samples):
 
 def test_chart_refuses_torsion(fgm_body, samples):
     grid = small_grid()
-    conn = christoffels(minimal_lift_section(grid, fibers_on(fgm_body, grid, samples)))
+    conn = minimal_lift_section(grid, fibers_on(fgm_body, grid, samples))
     with pytest.raises(NotFlat):
         build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))
 
 
 def test_transport_refuses_a_singular_frame():
     """Gamma(v) = g (v . 1) ones(3, 3) has rank 1, so the frame collapses onto one line."""
-    conn = ConnectionField(small_grid(), np.full((27, 3, 3, 3), 50.0))
+    conn = lift_of_gamma(small_grid(), np.full((27, 3, 3, 3), 50.0))
     with pytest.raises(SingularMatrix, match="transported frame became singular"):
         transport_frame(conn, np.zeros(3), np.full(3, 0.9))
     # the chart sweep takes the same legs; a huge flat_tol lets it run
@@ -486,7 +486,7 @@ def test_transport_refuses_a_frame_that_overflows(g, finite):
     gamma = np.zeros((27, 3, 3, 3))
     for k in range(3):
         gamma[:, k, k, :] = g
-    conn = ConnectionField(small_grid(), gamma)
+    conn = lift_of_gamma(small_grid(), gamma)
     start, target = np.full(3, 0.9), np.full(3, -0.9)
     if finite:
         P, c = transport_frame(conn, start, target)

@@ -17,7 +17,6 @@ from matbody import (
     Parallelism,
     g_map,
     invert_g_map,
-    is_integrable_parallelism,
     builtin_body,
     is_material_isomorphism,
     is_material_symmetry,
@@ -307,16 +306,16 @@ def test_isotropy_sample_error_index(samples):
 def test_constant_parallelism_integrable(rng):
     grid = make_grid(LO, HI, (5, 5, 5), 0.1)
     P = Parallelism.constant(random_invertible(rng), LO, HI)
-    ok, defect = is_integrable_parallelism(P, grid, 1e-10)
-    assert ok and defect <= 1e-12
+    defect = frame_bracket_defect(P, grid)
+    assert defect <= 1e-12
 
 
 def test_shear_parallelism_not_integrable():
     """K = I + x1 e1(x)e2: [E_1, E_2] = d_1(E_2) = e1, defect 1 (analytic)."""
     grid = make_grid(LO, HI, (5, 5, 5), 0.1)
     P = Parallelism(lambda x: I3 + x[0] * E12, LO, HI)
-    ok, defect = is_integrable_parallelism(P, grid, 1e-5)
-    assert not ok
+    defect = frame_bracket_defect(P, grid)
+    assert not defect <= 1e-5
     assert defect == pytest.approx(1.0, abs=1e-10)
 
 
@@ -324,8 +323,8 @@ def test_chart_parallelism_integrable():
     """Frames of a chart commute: P(x) = [Dphi(x)]^-1 (chain-rule oracle)."""
     grid = make_grid(LO, HI, (5, 5, 5), 0.1)
     P = Parallelism(lambda x: np.linalg.inv(phi_jacobian(x)), LO, HI)
-    ok, defect = is_integrable_parallelism(P, grid, 1e-5)
-    assert ok and defect <= 1e-5
+    defect = frame_bracket_defect(P, grid)
+    assert defect <= 1e-5
 
 
 def test_parallelism_matrix_validates_once():

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from matbody import (
     Body,
     builtin_body,
-    christoffels,
     curvature_torsion,
     fibers_at,
     homogeneity_verdict,
@@ -46,7 +45,7 @@ def verdicts(body: Body) -> tuple:
     uni = uniformity_verdict(fibers)
     homogeneity = "n/a"
     if uni.uniform:
-        report = curvature_torsion(christoffels(minimal_lift_section(grid, fibers)))
+        report = curvature_torsion(minimal_lift_section(grid, fibers))
         homogeneity = homogeneity_verdict(uni, report).verdict
     return (uni.verdict, sorted({f.dim for f in fibers}), set(uni.isotropy_dims), homogeneity)
 
