@@ -6,8 +6,11 @@ a target point, so translation invariance is structural.
 
 Membership of a jet g = (x -> y, P) in the material groupoid is decided by
 sampling: W-hat(F P, x) must equal W-hat(F, y) for every test gradient F in a
-finite sample set.  W-inverse of a jet is the response of its groupoid
-inverse, W-hat(P^-1, y).
+finite sample set.  The sample set is checked once, when it is made; a
+membership batch is then checked from its factors (two points, one P) and
+costs one response call, with ``evaluate``'s pair-by-pair checks as the
+fallback whenever a factor check cannot decide.  W-inverse of a jet is the
+response of its groupoid inverse, W-hat(P^-1, y).
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ import numpy as np
 from .errors import (ConfigError, NonFiniteResponse, OutOfDomain, SingularMatrix, first_true,
                      with_index)
 from .grid import Box
-from .jets import DET_TOL, Jet1, invert
+from .jets import DET_TOL, Jet1, det3, invert
 
 _I3 = np.eye(3)
+
+# Rounding margin of the det floor certificate, per unit (|P|_F max_s |F_s|_F)^3.
+_FLOOR_MARGIN = 64.0 * np.finfo(float).eps
 
 # Fixed anchors prepended to every sample set: failures at the identity or at
 # a uniaxial stretch reproduce without chasing a seed.
@@ -61,14 +67,60 @@ class Body:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Finite stand-in for quantification over all deformation gradients."""
+    """Finite stand-in for quantification over all deformation gradients.
+
+    The matrices are checked once, here: shape (n, 3, 3) with n >= 1, finite
+    entries and |det| >= DET_TOL by LU, as ``evaluate`` checks a batch.  A
+    non-finite sample raises ValueError and a singular one SingularMatrix,
+    each naming the sample's index.  Matrices that are writeable, or a view
+    of another array, are copied first, so the least sample |det| and the
+    largest sample norm kept here stay theirs.
+    """
 
     matrices: np.ndarray    # (count, 3, 3), read-only
     seed: int
+    min_det: float = field(init=False, repr=False)     # min_s |det F_s|, by LU
+    max_norm: float = field(init=False, repr=False)    # max_s |F_s|_F
+
+    def __post_init__(self):
+        m = np.asarray(self.matrices, dtype=float)
+        if m.flags.writeable or not m.flags.owndata:
+            m = m.copy()        # a private copy, so the checked values cannot change
+        if m.ndim != 3 or m.shape[1:] != (3, 3) or len(m) == 0:
+            raise ValueError(f"sample matrices must have shape (n, 3, 3) with n >= 1, not {m.shape}")
+        finite = np.isfinite(m).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"sample {int(np.argmin(finite))} has non-finite entries")
+        dets = np.abs(np.linalg.det(m))
+        singular = dets < DET_TOL
+        if singular.any():
+            k = int(np.argmax(singular))
+            raise with_index(SingularMatrix(
+                f"sample {k} has |det| = {dets[k]:.3e} < {DET_TOL:.0e}"), (k,))
+        m.setflags(write=False)
+        object.__setattr__(self, "matrices", m)
+        object.__setattr__(self, "min_det", float(np.min(dets)))
+        object.__setattr__(self, "max_norm", float(np.max(np.linalg.norm(m, axis=(1, 2)))))
 
     @property
     def count(self) -> int:
         return len(self.matrices)
+
+    def clears_floor(self, P: np.ndarray) -> bool:
+        """Whether every sample product F_s P is certified to pass ``evaluate``'s det floor.
+
+        P is a finite 3x3 matrix.  The certificate is
+        |det P| min_s |det F_s| - 64 eps (|P|_F max_s |F_s|_F)^3 >= 2 DET_TOL,
+        with det P in closed form: the subtracted margin covers the rounding
+        of the product F_s P, of its LU det and of both factor dets.  It costs
+        O(1) instead of n LU calls.  False means undecided, not singular (it
+        is also false when the factors' scale overflows): ``evaluate`` then
+        takes the LU det of each pair.
+        """
+        entries = P.ravel().tolist()
+        scale = math.hypot(*entries) * self.max_norm
+        return (abs(det3(entries)) * self.min_det
+                - _FLOOR_MARGIN * scale * scale * scale >= 2.0 * DET_TOL)
 
 
 def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
@@ -83,11 +135,11 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
         if np.linalg.det(f) > 0.2:
             mats.append(f)
     mats = np.stack(mats)
-    mats.setflags(write=False)
+    mats.setflags(write=False)      # read-only and owned, so SampleSet keeps it as it is
     return SampleSet(mats, seed)
 
 
-def evaluate(body: Body, F, x) -> np.ndarray:
+def evaluate(body: Body, F, x, *, _checked: bool = False) -> np.ndarray:
     """Response W-hat(F, x) of shape (...) for F (..., 3, 3) and x (..., 3).
 
     The leading dimensions of F and x broadcast.  The domain box, the det floor
@@ -95,19 +147,26 @@ def evaluate(body: Body, F, x) -> np.ndarray:
     offending pair raises OutOfDomain, SingularMatrix or NonFiniteResponse,
     and the error's ``index`` is that pair's index in the broadcast batch.
     The result is read-only.
+
+    ``_checked`` is for ``_sample_rows`` alone, which has decided the domain
+    and det floor of its batch from the batch's factors and whose x does not
+    widen F's leading shape: only the response and its finiteness test run.
     """
     Fm = np.asarray(F, dtype=float)
     xp = np.asarray(x, dtype=float)
-    shape = np.broadcast_shapes(Fm.shape[:-2], xp.shape[:-1])
-    inside = body.box.mask(xp)
-    if not inside.all():
-        i = first_true(~inside, shape)
-        raise with_index(OutOfDomain(
-            f"{_point_at(xp, shape, i)} outside domain of body '{body.name}'"), i)
-    singular = np.abs(np.linalg.det(Fm)) < DET_TOL
-    if singular.any():
-        raise with_index(SingularMatrix("deformation gradient is singular"),
-                         first_true(singular, shape))
+    if _checked:
+        shape = Fm.shape[:-2]
+    else:
+        shape = np.broadcast_shapes(Fm.shape[:-2], xp.shape[:-1])
+        inside = body.box.mask(xp)
+        if not inside.all():
+            i = first_true(~inside, shape)
+            raise with_index(OutOfDomain(
+                f"{_point_at(xp, shape, i)} outside domain of body '{body.name}'"), i)
+        singular = np.abs(np.linalg.det(Fm)) < DET_TOL
+        if singular.any():
+            raise with_index(SingularMatrix("deformation gradient is singular"),
+                             first_true(singular, shape))
     with np.errstate(all="ignore"):         # non-finite values are refused below
         raw = np.asarray(body.response(Fm, xp), dtype=float)
         # a read-only view, so the response's own array stays writeable; an
@@ -135,15 +194,35 @@ def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
     return evaluate(body, invert(g).matrix, g.target)
 
 
+def _sample_rows(body: Body, samples: SampleSet, mats: list, x: np.ndarray) -> np.ndarray:
+    """W-hat on the batch whose row k is F_s P_k for P_k in ``mats`` and whose
+    last row is the samples F_s themselves, shape (len(mats) + 1, n).
+
+    x holds finite points and broadcasts against the batch, so an error's
+    ``index`` is (row, sample).  The batch is checked from its factors: every
+    point of x in the box, the samples' det floor decided when they were
+    made, and each P certified by ``SampleSet.clears_floor``.  Then
+    ``evaluate`` skips its own domain and det checks and costs one response
+    call.  If any factor check fails, ``evaluate`` checks the batch pair by
+    pair, so the values and errors are always those of a plain ``evaluate``.
+    """
+    Fs = samples.matrices
+    F = np.array([Fs @ P for P in mats] + [Fs])
+    if (all(map(body.box.contains_floats, x.reshape(-1, 3).tolist()))
+            and all(map(samples.clears_floor, mats))):
+        return evaluate(body, F, x, _checked=True)
+    return evaluate(body, F, x)
+
+
 def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
     """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|.
 
-    Both sides are one ``evaluate`` of the stacked (2, n) batch: (F P, x) in
-    row 0, (F, y) in row 1.  An error's ``index`` is (side, sample), side 0
-    the source and 1 the target.
+    Both sides are one (2, n) batch, (F P, x) in row 0 and (F, y) in row 1,
+    checked from its factors and then one response call; it gives
+    ``evaluate``'s values and errors for the same batch.  An error's
+    ``index`` is (side, sample), side 0 the source and 1 the target.
     """
-    Fs = samples.matrices
-    w = evaluate(body, np.array((Fs @ g.matrix, Fs)), np.array((g.source, g.target))[:, None])
+    w = _sample_rows(body, samples, [g.matrix], np.array((g.source, g.target))[:, None])
     return float(np.max(np.abs(w[0] - w[1])))
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import Body, SampleSet, evaluate
+from .bodies import Body, SampleSet, _sample_rows
 from .errors import NotMorphism, OutOfDomain, SourceTargetMismatch
 from .grid import Box, Grid, grid_gradient
 from .jets import Frame, Jet1, as_matrix, as_point, points_close
@@ -116,9 +116,10 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
 
     Realizes the associated-group construction: the sampled isotropy group of
     the body at z0, read through the reference frame Z0.  P passes when the
-    jet (z0 -> z0, P) passes ``is_material_symmetry``.  Every candidate is
-    validated as an invertible matrix first; then one ``evaluate`` of the
-    (candidates + 1, samples) batch at z0 gives W(F P, z0) for each candidate
+    jet (z0 -> z0, P) passes ``is_material_symmetry``, with the same defect.
+    Every candidate is validated as an invertible matrix first; then one
+    (candidates + 1, samples) batch at z0, checked from its factors as
+    ``membership_defect`` checks its own, gives W(F P, z0) for each candidate
     in its row and the shared target W(F, z0) in the last, so an error's
     ``index`` is (candidate, sample).
     """
@@ -133,8 +134,7 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
     mats = [as_matrix(P, invertible=True) for P in candidates]
     if not mats:
         return []
-    Fs = samples.matrices
-    w = evaluate(body, np.array([Fs @ P for P in mats] + [Fs]), z0)
+    w = _sample_rows(body, samples, mats, z0)
     defects = np.max(np.abs(w[:-1] - w[-1]), axis=1).tolist()
     return [Zi @ P @ Z0.matrix for P, defect in zip(mats, defects) if defect <= tol]
 

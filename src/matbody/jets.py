@@ -43,6 +43,19 @@ def as_point(x) -> np.ndarray:
     return p
 
 
+def det3(entries: list) -> float:
+    """Determinant of a 3x3 matrix given as its 9 row-major entries, finite floats.
+
+    Closed-form cofactor expansion on Python floats, since np.linalg.det costs
+    an LU call; when the products overflow, LU with pivoting, which does not.
+    """
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = entries
+    det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    if not math.isfinite(det):
+        det = float(np.linalg.det(np.reshape(entries, (3, 3))))
+    return det
+
+
 def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     """Coerce to an immutable finite 3x3 matrix, optionally requiring |det| >= DET_TOL."""
     a = np.array(m, dtype=float).reshape(3, 3)
@@ -50,11 +63,7 @@ def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     if not _all_finite(entries):
         raise ValueError("matrix has non-finite entries")
     if invertible:
-        # closed-form cofactor expansion on floats; np.linalg.det costs an LU call
-        a0, a1, a2, b0, b1, b2, c0, c1, c2 = entries
-        det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-        if not math.isfinite(det):      # the products overflowed; LU with pivoting does not
-            det = float(np.linalg.det(a))
+        det = det3(entries)
         if abs(det) < DET_TOL:
             raise SingularMatrix(f"|det| = {abs(det):.3e} < {DET_TOL:.0e}")
     a.setflags(write=False)

@@ -14,8 +14,9 @@ settings.register_profile("matbody", deadline=None, derandomize=True, database=N
 settings.load_profile("matbody")
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    # per test, so a test's draws do not depend on which tests ran before it
     return np.random.default_rng(987654321)
 
 

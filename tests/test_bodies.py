@@ -24,7 +24,8 @@ from matbody import (
     membership_defect,
     polynomial_body,
 )
-from matbody.bodies import E_SHEAR_12, Body, _strain, membership_tol
+from matbody.bodies import E_SHEAR_12, Body, SampleSet, _strain, membership_tol
+from matbody.jets import DET_TOL
 from oracles import (I3, E12, isotropic_polynomial_terms, loop_polynomial_response,
                      matrix_stack_layouts, random_rotation, w0_value)
 
@@ -264,14 +265,27 @@ def test_membership_defect_is_max_over_samples(fgm_body, samples, rng):
         assert membership_defect(fgm_body, g, samples) == pytest.approx(want, rel=1e-12)
 
 
+def band_jet(samples: SampleSet, x, y) -> Jet1:
+    """A jet whose products F_s P all pass the det floor by LU, with the least of
+    them at 1.5 DET_TOL: inside the margin, so the certificate cannot decide."""
+    c = np.cbrt(1.5 * DET_TOL / samples.min_det)
+    return Jet1(x, y, c * I3)
+
+
 @pytest.mark.parametrize("kind", BUILTINS + ("polynomial",))
 def test_fused_membership_defect_is_bitwise_the_two_call_defect(kind, samples, rng):
-    """One stacked evaluate gives the defect of one evaluate per side, bit for bit."""
+    """The factor-checked (2, n) batch gives the defect of one evaluate per side,
+    bit for bit, on jets the det floor certificate passes and on one it leaves
+    to evaluate."""
     body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
             else builtin_body(kind))
-    for _ in range(20):
-        g = Jet1(rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3),
-                 I3 + rng.uniform(-0.3, 0.3, (3, 3)))
+    jets = [Jet1(rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3),
+                 I3 + rng.uniform(-0.3, 0.3, (3, 3))) for _ in range(20)]
+    assert all(samples.clears_floor(g.matrix) for g in jets)
+    band = band_jet(samples, rng.uniform(-0.9, 0.9, 3), rng.uniform(-0.9, 0.9, 3))
+    assert not samples.clears_floor(band.matrix)
+    assert np.min(np.abs(np.linalg.det(samples.matrices @ band.matrix))) >= DET_TOL
+    for g in jets + [band]:
         Fs = samples.matrices
         want = float(np.max(np.abs(evaluate(body, Fs @ g.matrix, g.source)
                                    - evaluate(body, Fs, g.target))))
@@ -303,6 +317,69 @@ def test_fused_membership_defect_error_contract(iso_body, samples):
     with pytest.raises(NonFiniteResponse) as err:
         membership_defect(body, Jet1(inside, np.array([0.7, 0.0, 0.0]), I3), samples)
     assert err.value.index == (1, 0)
+
+
+def adversarial_matrix(family: int, rng) -> np.ndarray:
+    """Near-singular, badly scaled or sheared 3x3 matrices."""
+    if family == 0:     # rank 2 plus noise from 1e-16 to 1e-10
+        u, v = rng.normal(size=(2, 3, 2))
+        return u @ v.T + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-16, -10)
+    if family == 1:     # diagonals from 1e-8 to 1e4, either sign
+        return np.diag(10.0 ** rng.uniform(-8, 4, 3) * rng.choice([-1.0, 1.0], 3))
+    if family == 2:     # a shear up to 1e6, then a diagonal scaling
+        P = np.eye(3)
+        i, j = rng.choice(3, 2, replace=False)
+        P[i, j] = 10.0 ** rng.uniform(0, 6)
+        return P @ np.diag(10.0 ** rng.uniform(-5, 1, 3))
+    return rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-6, 3)    # scaled Gaussian
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_det_floor_certificate_is_sound(family, seed):
+    """Wherever the certificate passes, every |det(F_s P)| by LU clears DET_TOL."""
+    samples = make_samples(24, seed=20240)
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        P = adversarial_matrix(family, rng)
+        if samples.clears_floor(P):
+            assert np.min(np.abs(np.linalg.det(samples.matrices @ P))) >= DET_TOL
+
+
+def test_sample_set_is_checked_once():
+    """Shape, finiteness and the det floor are refused with the sample's index;
+    the set keeps a read-only copy, its least |det| and its largest norm."""
+    mats = np.stack([I3, 2.0 * I3, np.diag([1.0, 3.0, 0.5])])
+    s = SampleSet(mats, seed=0)
+    mats[0, 0, 0] = 5.0
+    assert s.matrices[0, 0, 0] == 1.0 and not s.matrices.flags.writeable
+    assert s.min_det == np.min(np.abs(np.linalg.det(s.matrices))) == pytest.approx(1.0)
+    assert s.max_norm == np.linalg.norm(2.0 * I3)
+    for bad in (np.zeros((0, 3, 3)), I3, np.zeros((2, 3, 2)), np.zeros((2, 9))):
+        with pytest.raises(ValueError, match="shape"):
+            SampleSet(bad, seed=0)
+    nonfinite = np.stack([I3, I3, I3, I3])
+    nonfinite[2, 1, 0] = np.nan
+    nonfinite[3, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="sample 2 has non-finite"):
+        SampleSet(nonfinite, seed=0)
+    singular = np.stack([I3, I3, np.diag([1.0, 1.0, 1e-13]), np.zeros((3, 3))])
+    with pytest.raises(SingularMatrix, match="sample 2 ") as err:
+        SampleSet(singular, seed=0)
+    assert err.value.index == (2,)
+
+
+def test_make_samples_is_the_rejection_loop():
+    """The checked set holds exactly the matrices the rejection loop draws."""
+    rng = np.random.default_rng(20240)
+    want = [I3, np.diag([2.0, 1.0, 1.0]), np.diag([1.0, 2.0, 1.0]), np.diag([1.0, 1.0, 2.0])]
+    while len(want) < 28:
+        f = I3 + rng.uniform(-0.5, 0.5, size=(3, 3))
+        if np.linalg.det(f) > 0.2:
+            want.append(f)
+    s = make_samples(24, seed=20240)
+    assert s.matrices.tobytes() == np.stack(want).tobytes()
+    assert s.min_det == np.min(np.abs(np.linalg.det(np.stack(want))))
 
 
 def test_membership_tol_scale(iso_body, samples):

@@ -18,6 +18,7 @@ from matbody import (
     g_map,
     invert_g_map,
     builtin_body,
+    evaluate,
     is_material_isomorphism,
     is_material_symmetry,
     isotropy_group_sample,
@@ -31,6 +32,7 @@ from matbody import (
 )
 from matbody.bodies import Body
 from matbody.gstructure import frame_bracket_defect
+from matbody.jets import DET_TOL
 from oracles import E12, E21, I3, isotropic_polynomial_terms, random_invertible, random_rotation
 
 LO, HI = -np.ones(3), np.ones(3)
@@ -196,18 +198,21 @@ def test_isotropy_conjugation_covariance(iso_body, samples, rng):
     assert len(base) == len(moved) == len(cands)
     Ci = np.linalg.inv(C)
     for b, m in zip(base, moved):
-        assert np.max(np.abs(m - Ci @ b @ C)) <= 1e-12
+        want = Ci @ b @ C
+        # the entries reach hundreds, so the bound is relative to them
+        assert np.max(np.abs(m - want)) <= 1e-14 * (1 + np.max(np.abs(want)))
 
 
 def recorded_evaluate_calls(monkeypatch) -> list:
     """Route every matbody ``evaluate`` through a wrapper; returns the list of
-    (F, x, result) it appends one entry per call to."""
+    [F, x, result] it appends one entry per call to, before the call runs."""
     import matbody.bodies as bodies
 
     calls, original = [], bodies.evaluate
 
-    def recording(body, F, x):
-        calls.append((F, x, original(body, F, x)))
+    def recording(body, F, x, **kwargs):
+        calls.append([F, x, None])      # listed before the call, so a call that raises counts
+        calls[-1][2] = original(body, F, x, **kwargs)
         return calls[-1][2]
 
     for mod_name, mod in list(sys.modules.items()):
@@ -254,6 +259,30 @@ def test_isotropy_batch_is_the_per_candidate_filter(kind, samples, rng, monkeypa
     assert np.max(np.abs(w[:-1] - w[-1]), axis=1).tolist() == defects
     assert len(got) == len(want)
     assert all(np.array_equal(g, h) for g, h in zip(got, want))
+
+
+@pytest.mark.parametrize("kind", ["homogeneous_isotropic", "uniform_fgm",
+                                  "uniform_fgm_integrable", "nonuniform", "polynomial"])
+def test_isotropy_is_bitwise_the_evaluate_path(kind, samples, rng):
+    """The kept candidates are those whose defect from ``evaluate`` of the same
+    (candidates + 1, n) batch passes, bit for bit, whether every candidate
+    clears the det floor certificate or one is left to ``evaluate``."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    z0 = np.array([0.45, -0.3, 0.2])
+    Z0 = random_invertible(rng)
+    Zi = np.linalg.inv(Z0)
+    Fs = samples.matrices
+    band = np.cbrt(1.5 * DET_TOL / samples.min_det) * I3     # left to evaluate
+    cands = isotropy_candidates(rng, z0)
+    assert all(samples.clears_floor(P) for P in cands) and not samples.clears_floor(band)
+    for mats in (cands, cands + [band]):
+        w = evaluate(body, np.array([Fs @ P for P in mats] + [Fs]), z0)
+        keep = np.max(np.abs(w[:-1] - w[-1]), axis=1) <= 1e-7
+        want = [Zi @ P @ Z0 for P, k in zip(mats, keep) if k]
+        got = isotropy_group_sample(body, z0, Frame(z0, Z0), mats, samples, 1e-7)
+        assert 0 < len(want) < len(mats)
+        assert len(got) == len(want) and all(np.array_equal(g, h) for g, h in zip(got, want))
 
 
 def test_isotropy_sample_makes_one_evaluate_call(iso_body, samples, rng, monkeypatch):
