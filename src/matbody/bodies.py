@@ -54,7 +54,6 @@ class Body:
     lo: np.ndarray
     hi: np.ndarray
     response: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    description: str = ""
     box: Box = field(init=False, repr=False)     # the domain; lo and hi are its bounds
 
     def __post_init__(self):
@@ -78,7 +77,6 @@ class SampleSet:
     """
 
     matrices: np.ndarray    # (count, 3, 3), read-only
-    seed: int
     min_det: float = field(init=False, repr=False)     # min_s |det F_s|, by LU
     max_norm: float = field(init=False, repr=False)    # max_s |F_s|_F
 
@@ -136,7 +134,7 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
             mats.append(f)
     mats = np.stack(mats)
     mats.setflags(write=False)      # read-only and owned, so SampleSet keeps it as it is
-    return SampleSet(mats, seed)
+    return SampleSet(mats)
 
 
 def evaluate(body: Body, F, x, *, _checked: bool = False) -> np.ndarray:
@@ -282,7 +280,7 @@ def _isotropic_response(F, x):
     return np.sum(D * D, axis=(-2, -1))
 
 
-def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str, description: str = "") -> Body:
+def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str) -> Body:
     """Functionally graded body W-hat(F, x) = w0(F K(x)) for an implant field K.
 
     K maps points (..., 3) to matrices (..., 3, 3).
@@ -291,7 +289,7 @@ def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str, description: str 
     def response(F, x):
         return w0_generic(F @ K(x))
 
-    return Body(name, _BOX_LO, _BOX_HI, response, description)
+    return Body(name, _BOX_LO, _BOX_HI, response)
 
 
 def _nonuniform_response(F, x):
@@ -310,15 +308,13 @@ BUILTIN_DESCRIPTIONS = {
 def builtin_body(kind: str) -> Body:
     """Construct one of the named analytic test bodies on the box [-1, 1]^3."""
     if kind == "homogeneous_isotropic":
-        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response, BUILTIN_DESCRIPTIONS[kind])
+        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response)
     if kind == "uniform_fgm":
-        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_12, kind,
-                        BUILTIN_DESCRIPTIONS[kind])
+        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_12, kind)
     if kind == "uniform_fgm_integrable":
-        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_21, kind,
-                        BUILTIN_DESCRIPTIONS[kind])
+        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_21, kind)
     if kind == "nonuniform":
-        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response, BUILTIN_DESCRIPTIONS[kind])
+        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response)
     raise ConfigError(f"unknown builtin body '{kind}'; known: {sorted(BUILTIN_DESCRIPTIONS)}")
 
 
@@ -331,7 +327,12 @@ POLY_MAX_DEGREE = 4
 
 
 def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial") -> Body:
-    """Body from (exponent multi-index over 12 variables, coefficient) pairs."""
+    """Body from (exponent multi-index over 12 variables, coefficient) pairs.
+
+    Its parameters are the keys of a config's ``{"polynomial": {...}}`` object.
+    """
+    if not isinstance(name, str):
+        raise ConfigError(f"polynomial body name must be a string, got {name!r}")
     lo = _BOX_LO if lo is None else np.asarray(lo, dtype=float)
     hi = _BOX_HI if hi is None else np.asarray(hi, dtype=float)
     parsed = []
@@ -368,4 +369,21 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             acc = acc + coeff * math.prod(power[f] for f in factors)
         return acc
 
-    return Body(name, lo, hi, response, "user polynomial response")
+    return Body(name, lo, hi, response)
+
+
+def body_from_config(doc) -> Body:
+    """The body a config document names: a built-in name or ``{"polynomial": {...}}``.
+
+    The polynomial object holds ``polynomial_body``'s keyword arguments.  A
+    malformed document raises ConfigError.
+    """
+    if isinstance(doc, str):
+        return builtin_body(doc)
+    poly = doc.get("polynomial") if isinstance(doc, dict) and len(doc) == 1 else None
+    if not isinstance(poly, dict):
+        raise ConfigError("body must be a name, {'builtin': name} or {'polynomial': {...}}")
+    try:
+        return polynomial_body(**poly)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed polynomial body: {exc}") from exc

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (AnalysisConfig, canonical_json, emit_report, fiber_stage, resolve_body,
-                       run_analysis, trajectory_records)
+from .analysis import (AnalysisConfig, canonical_json, emit_report, fiber_stage, run_analysis,
+                       trajectory_records)
 from .bodies import BUILTIN_DESCRIPTIONS
 from .connection import minimal_lift_section
 from .errors import ConfigError, MatbodyError
@@ -88,13 +88,12 @@ def _cmd_flow(args) -> int:
     if not 0 < step <= MAX_STEP:
         raise ConfigError(f"--step must be in (0, {MAX_STEP:g}], got {step:g}")
 
-    body = resolve_body(cfg)
-    grid, _, fibers = fiber_stage(body, cfg)
+    grid, _, fibers = fiber_stage(cfg)
     section = minimal_lift_section(grid, fibers, cfg.v_tol)
     records = trajectory_records(exp_trajectory(section.flow_field(u), t, x, step))
     doc = {
         "schema": "matbody.trajectory.v1",
-        "body": body.name,
+        "body": cfg.material_body.name,
         "x0": x.tolist(),
         "direction": u.tolist(),
         "t": t,

@@ -19,7 +19,7 @@ from .jets import as_point
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Closed box lo <= x <= hi of chart coordinates with finite bounds: the one domain rule."""
+    """Closed box lo <= x <= hi with finite bounds and finite extent: the one domain rule."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -28,7 +28,11 @@ class Box:
         object.__setattr__(self, "lo", as_point(self.lo))
         object.__setattr__(self, "hi", as_point(self.hi))
         # (lo, hi) per axis as Python floats: contains is on the flows' hot path
-        object.__setattr__(self, "_bounds", tuple(zip(self.lo.tolist(), self.hi.tolist())))
+        bounds = tuple(zip(self.lo.tolist(), self.hi.tolist()))
+        # on Python floats hi - lo overflows to inf without a RuntimeWarning
+        if not all(math.isfinite(h - l) for l, h in bounds):
+            raise ValueError("box extent hi - lo is not finite")
+        object.__setattr__(self, "_bounds", bounds)
         # inset boxes by margin: response_gradients asks for the same fd_step inset per call
         object.__setattr__(self, "_insets", {})
 
@@ -86,9 +90,6 @@ def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
     if min(res) < 3:
         raise GridTooSmall(f"need >= 3 points per axis, got {res}")
     box = Box(lo, hi).inset(margin)
-    # on Python floats hi - lo overflows to inf without a RuntimeWarning
-    if not all(math.isfinite(h - l) for l, h in zip(box.lo.tolist(), box.hi.tolist())):
-        raise ValueError("box extent hi - lo is not finite")
     if np.any(box.lo >= box.hi):
         raise ValueError("margin leaves an empty box")
     axes = tuple(np.linspace(box.lo[i], box.hi[i], res[i]) for i in range(3))

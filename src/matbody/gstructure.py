@@ -98,8 +98,11 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Paralleli
 
     The law is checked on all ordered triples drawn from ``points``; by
     construction the result satisfies g_map(P) == S wherever the law holds.
+    Z must be based at z.
     """
     z = as_point(z)
+    if not points_close(Z.base, z):
+        raise SourceTargetMismatch(f"frame based at {Z.base.tolist()}, not at z = {z.tolist()}")
     pts = [as_point(p) for p in points]
     defect = sampled_morphism_defect(S, pts)
     if defect > MORPHISM_TOL:

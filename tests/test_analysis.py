@@ -30,8 +30,7 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.analysis import (_SETTINGS, _exponential_cross_check, canonical_json, fiber_stage,
-                              resolve_body)
+from matbody.analysis import _SETTINGS, _exponential_cross_check, canonical_json, fiber_stage
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from oracles import isotropic_polynomial_terms, json_dumps_document
 
@@ -90,11 +89,15 @@ def test_readme_quick_tour_runs_as_commented():
     {"grid": {"resolution": [2, 5, 5]}},
     {"samples": {"count": 8}},
     {"tolerances": {"rank_tol": 0.0}},
-    {"tolerances": {"fd_step": 0.2}},          # margin must exceed fd_step
+    {"grid": {"margin": 1e-3}, "tolerances": {"fd_step": 2e-3}},  # margin must exceed fd_step
     {"body": {"builtin": "no_such"}},
     {"body": 17},
     {"mystery": {}},
     {"grid": {"resolutoin": [5, 5, 5]}},       # typo must be rejected
+    # documents and sections that are not objects, and a resolution that is not 3 integers
+    [],
+    {"grid": [5, 5, 5]},
+    {"grid": {"resolution": [5, 5]}},
     # tolerances that would silently flip a verdict
     {"body": "nonuniform", "tolerances": {"rank_tol": math.inf}},
     {"body": "nonuniform", "tolerances": {"rank_tol": 2.0}},
@@ -125,6 +128,11 @@ def test_readme_quick_tour_runs_as_commented():
     {"body": {"builtin": "uniform_fgm", "typo": 1}},
     {"body": {"builtin": "uniform_fgm", "polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}}},
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}, "extra": 3}},
+    # a built-in name is a string, and a polynomial object holds its terms
+    {"body": {"builtin": 17}},
+    {"body": {"builtin": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]]}}}},
+    {"body": {"polynomial": [[[2] + [0] * 11, 1.0]]}},
+    {"body": {"polynomial": {"lo": [-1, -1, -1]}}},
     # a key that decided nothing and is gone
     {"tolerances": {"membership_tol": 1e-6}},
     # a box whose extent overflows, which used to build a NaN lattice
@@ -133,9 +141,23 @@ def test_readme_quick_tour_runs_as_commented():
      "grid": {"resolution": [3, 3, 3]}},
 ])
 def test_config_rejects_bad_input(raw):
+    """Every malformed config is refused when it is read, before any work is done."""
     with pytest.raises(ConfigError):
-        cfg = AnalysisConfig.from_dict(raw)
-        run_analysis(cfg)
+        AnalysisConfig.from_dict(raw)
+
+
+def test_builtin_body_object_is_its_name():
+    """{"builtin": name} is read as name by the constructor and from_dict alike."""
+    cfg = AnalysisConfig(body={"builtin": "uniform_fgm"})
+    assert cfg == AnalysisConfig(body="uniform_fgm")
+    assert cfg == AnalysisConfig.from_dict({"body": {"builtin": "uniform_fgm"}})
+    assert cfg.echo()["body"] == "uniform_fgm"
+    assert cfg.material_body.name == "uniform_fgm"
+    poly = {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "name": "f11sq"}}
+    assert AnalysisConfig(body=poly).material_body.name == "f11sq"
+    for body in ({"builtin": 17}, {"builtin": poly}):
+        with pytest.raises(ConfigError, match="body must be a name"):
+            AnalysisConfig(body=body)
 
 
 @pytest.mark.parametrize("key, floor, flipped_at", [
@@ -147,6 +169,19 @@ def test_tolerance_floors(key, floor, flipped_at):
     """A tolerance below its floor is refused; the floor itself is accepted."""
     assert getattr(AnalysisConfig.from_dict({"tolerances": {key: floor}}), key) == floor
     for value in (flipped_at, floor * (1 - 1e-12)):
+        with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
+            AnalysisConfig.from_dict({"tolerances": {key: value}})
+
+
+@pytest.mark.parametrize("key, ceiling, flipped_at", [
+    ("fd_step", 3e-3, 4e-3),        # uniform_fgm_integrable read obstructed
+    ("rank_tol", 2e-4, 3e-4),       # uniform_fgm_integrable read inconclusive
+    ("v_tol", 0.7, 0.8),            # both graded bodies read not_uniform
+])
+def test_tolerance_ceilings(key, ceiling, flipped_at):
+    """A tolerance above its ceiling is refused; the ceiling itself is accepted."""
+    assert getattr(AnalysisConfig.from_dict({"tolerances": {key: ceiling}}), key) == ceiling
+    for value in (flipped_at, ceiling * (1 + 1e-12)):
         with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
             AnalysisConfig.from_dict({"tolerances": {key: value}})
 
@@ -284,6 +319,17 @@ def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
     assert len(passes) == 1
 
 
+def test_text_report_of_a_stored_document_lists_rank_ambiguous_points():
+    r = run_analysis(AnalysisConfig(body="uniform_fgm", **FAST))
+    doc = parse_report(emit_report(r, "structured"))
+    assert doc["diagnostics"]["rank_ambiguous_points"] == []
+    doc["diagnostics"]["rank_ambiguous_points"] = [[2, 0, 1], [0, 1, 2]]
+    text = emit_report(AnalysisReport(doc), "text").decode()
+    assert "\nrank-ambiguous points (sv gap < 10x): [[0, 1, 2], [2, 0, 1]]\n" in text
+    with pytest.raises(ConfigError, match="unknown report format 'xml'"):
+        emit_report(r, "xml")
+
+
 def test_singular_values_flag():
     cfg = AnalysisConfig(body="homogeneous_isotropic",
                          emit_singular_values=True, **FAST)
@@ -342,6 +388,11 @@ class _Int(int):
         return "not a JSON number"
 
 
+class _Str(str):
+    def __repr__(self):
+        return "not a JSON string"
+
+
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
                 1e-7, 1e-4, 0.1, 1e308, -1e308, 1.7976931348623157e308]
 _floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS + [math.nan, math.inf, -math.inf]))
@@ -372,6 +423,7 @@ _documents = st.recursive(
 @example([True, 1, 1.0, False, 0, 0.0, None])
 @example({"b": (10**31, -(10**35)), "a": "é\x00", "é": [_Float(0.5), _Int(7)]})
 @example([_Float(1.5), _Float(2.5)])
+@example({"s": _Str('é "quoted"'), "t": [_Str(""), "plain"]})
 def test_canonical_json_is_the_json_dumps_layout(doc):
     assert canonical_json(doc) == json_dumps_document(doc)
 
@@ -434,7 +486,7 @@ def test_cli_analyze_text_stdout(tmp_path, capsys):
     assert "timings" in out
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["analyze", "--config", missing]) == EXIT_CONFIG
     bad_json = tmp_path / "bad.json"
@@ -449,6 +501,12 @@ def test_cli_config_errors(tmp_path):
                              name="extra.json")
     assert main(["analyze", "--config", extra_key]) == EXIT_CONFIG
     assert main(["flow", "--config", extra_key, "--t", "0.05", "--x", "0,0,0"]) == EXIT_CONFIG
+    empty = write_config(tmp_path, {"grid": {"resolution": [3, 3, 3], "margin": 1.0}},
+                         name="empty.json")
+    capsys.readouterr()
+    assert main(["analyze", "--config", empty]) == EXIT_CONFIG
+    assert main(["flow", "--config", empty, "--t", "0.05", "--x", "0,0,0"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: grid: margin leaves an empty box\n" * 2
     flow_cfg = write_config(tmp_path, {"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}})
     for options in (["--x", "a,b,c"], ["--x", "0,0,nan"], ["--x", "0,0,0", "--step", "abc"],
                     ["--x", "0,0,0", "--step", "0"], ["--x", "0,0,0", "--step", "0.05"],
@@ -538,8 +596,8 @@ def test_cli_cross_check_overflow_is_quiet(tmp_path):
            "tolerances": {"v_tol": 5e-324}}
     assert main(["analyze", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
     cfg = AnalysisConfig(body="nonuniform", resolution=(3, 3, 3), sample_count=12)
-    body = resolve_body(cfg)
-    grid, samples, fibers = fiber_stage(body, cfg)
+    body = cfg.material_body
+    grid, samples, fibers = fiber_stage(cfg)
     assert uniformity_verdict(fibers, 5e-324).uniform
     section = minimal_lift_section(grid, fibers, v_tol=5e-324)
     with warnings.catch_warnings():
@@ -625,15 +683,17 @@ def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
 
 
 _TOLERANCE_RANGES = {
-    "rank_tol": st.floats(1e-10, 0.5),
-    "v_tol": st.floats(1e-10, 0.5),
+    "rank_tol": st.floats(1e-10, 2e-4),
+    "v_tol": st.floats(1e-10, 0.7),
     "flat_tol": st.floats(1e-12, 1e3),
-    "fd_step": st.floats(1e-7, 0.05),
+    "fd_step": st.floats(1e-7, 3e-3),
 }
 _OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
                  for value in [math.inf, -math.inf, math.nan, 0.0, -1e-3]
                  + ([1.0, 2.0, 1e-11] if name in ("rank_tol", "v_tol") else [])
-                 + ([1e-8] if name == "fd_step" else [])]
+                 + ([3e-4, 1e-3] if name == "rank_tol" else [])
+                 + ([0.8] if name == "v_tol" else [])
+                 + ([1e-8, 4e-3, 1e-2] if name == "fd_step" else [])]
 
 
 @st.composite

@@ -350,22 +350,22 @@ def test_sample_set_is_checked_once():
     """Shape, finiteness and the det floor are refused with the sample's index;
     the set keeps a read-only copy, its least |det| and its largest norm."""
     mats = np.stack([I3, 2.0 * I3, np.diag([1.0, 3.0, 0.5])])
-    s = SampleSet(mats, seed=0)
+    s = SampleSet(mats)
     mats[0, 0, 0] = 5.0
     assert s.matrices[0, 0, 0] == 1.0 and not s.matrices.flags.writeable
     assert s.min_det == np.min(np.abs(np.linalg.det(s.matrices))) == pytest.approx(1.0)
     assert s.max_norm == np.linalg.norm(2.0 * I3)
     for bad in (np.zeros((0, 3, 3)), I3, np.zeros((2, 3, 2)), np.zeros((2, 9))):
         with pytest.raises(ValueError, match="shape"):
-            SampleSet(bad, seed=0)
+            SampleSet(bad)
     nonfinite = np.stack([I3, I3, I3, I3])
     nonfinite[2, 1, 0] = np.nan
     nonfinite[3, 0, 0] = np.inf
     with pytest.raises(ValueError, match="sample 2 has non-finite"):
-        SampleSet(nonfinite, seed=0)
+        SampleSet(nonfinite)
     singular = np.stack([I3, I3, np.diag([1.0, 1.0, 1e-13]), np.zeros((3, 3))])
     with pytest.raises(SingularMatrix, match="sample 2 ") as err:
-        SampleSet(singular, seed=0)
+        SampleSet(singular)
     assert err.value.index == (2,)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from matbody import (
+    LeftDomain,
     NonFiniteResponse,
     NotFlat,
     NotUniform,
@@ -467,6 +468,12 @@ def test_chart_refuses_torsion(fgm_body, samples):
     conn = minimal_lift_section(grid, fibers_on(fgm_body, grid, samples))
     with pytest.raises(NotFlat):
         build_homogeneous_chart(curvature_torsion(conn), np.zeros(3))
+
+
+def test_transport_refuses_endpoints_outside_the_hull():
+    conn = lift_of_gamma(small_grid(), np.zeros((27, 3, 3, 3)))       # hull [-0.9, 0.9]^3
+    with pytest.raises(LeftDomain, match="transport endpoints must lie in the grid hull"):
+        transport_frame(conn, np.zeros(3), np.full(3, 0.95))
 
 
 def test_transport_refuses_a_singular_frame():

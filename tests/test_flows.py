@@ -404,6 +404,20 @@ def test_rk4_stage_outside_the_domain_raises_even_when_the_step_ends_inside(kind
     assert np.max(np.abs(y - (p + (x0 - p) / 3))) <= 1e-12 and section.box.contains(y)
 
 
+def test_a_step_ending_outside_the_domain_raises_though_its_stages_are_inside():
+    """v = 0.1 but 100 on x1 in [0.9908, 0.9912]: from x1 = 0.99 with step 0.01 the
+    stages sit at 0.99, 0.9905, 0.9905 and 0.991, and y lands at 1.1575."""
+    def fn(x):
+        return np.array([100.0 if 0.9908 <= x[0] <= 0.9912 else 0.1, 0.0, 0.0]), np.zeros((3, 3))
+
+    section = SectionField(fn, LO, HI)
+    for trajectory in (exp_trajectory, tuple_exp_trajectory):
+        with pytest.raises(LeftDomain):
+            trajectory(section, 0.01, [0.99, 0.0, 0.0], 0.01)
+    with pytest.raises(LeftDomain, match=r"trajectory exited the domain at \[1\.157"):
+        exp_trajectory(section, 0.01, [0.99, 0.0, 0.0], 0.01)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_section_refuses_non_finite_points(bad):
     s = SectionField.constant(np.zeros(3), np.zeros((3, 3)), LO, HI)

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matbody
-from matbody import (Body, Box, LeftDomain, OutOfDomain, Parallelism, SectionField,
+from matbody import (Body, Box, GridTooSmall, LeftDomain, OutOfDomain, Parallelism, SectionField,
                      TrilinearField, evaluate, make_grid)
+from matbody.grid import grid_gradient
 from oracles import loop_trilinear
 
 
@@ -30,10 +31,22 @@ def multilinear(coef, x):
     ([np.nan, 0.0, 0.0], [1.0, 1.0, 1.0], 0.1),
     ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], np.nan),
     ([0.0, 0.0, 0.0], [np.inf, 1.0, 1.0], 0.1),
+    ([-1e308] * 3, [1e308] * 3, 0.1),               # finite bounds, extent past the float range
 ])
 def test_make_grid_refuses_non_finite_bounds_and_margin(lo, hi, margin):
     with pytest.raises(ValueError):
         make_grid(lo, hi, 3, margin)
+
+
+def test_lattices_need_three_points_per_axis_inside_the_inset_box():
+    with pytest.raises(GridTooSmall, match="need >= 3 points per axis"):
+        make_grid(-np.ones(3), np.ones(3), (3, 2, 3))
+    with pytest.raises(ValueError, match="margin leaves an empty box"):
+        make_grid(-np.ones(3), np.ones(3), 3, margin=1.0)
+    grid = make_grid(-np.ones(3), np.ones(3), 3)
+    flat = type(grid)(grid.axes, (3, 3, 2), grid.points, grid.spacing)    # not a make_grid shape
+    with pytest.raises(GridTooSmall, match="gradient needs >= 3 points per axis"):
+        grid_gradient(flat, np.zeros((3, 3, 2)))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from matbody import (
     NotMorphism,
     OutOfDomain,
     Parallelism,
+    SourceTargetMismatch,
     g_map,
     invert_g_map,
     builtin_body,
@@ -91,6 +92,15 @@ def test_invert_g_map_round_trip(rng):
         assert np.max(np.abs(g1.matrix - g2.matrix)) <= 1e-12
 
 
+def test_invert_g_map_refuses_a_frame_based_elsewhere(rng):
+    """The frame Z must be based at z, as isotropy_group_sample requires of Z0."""
+    P = Parallelism(lambda x: I3 + x[0] * E12, LO, HI)
+    S = GroupoidSection.of_parallelism(P)
+    z = np.zeros(3)
+    with pytest.raises(SourceTargetMismatch, match="frame based at"):
+        invert_g_map(S, z, P.frame(np.full(3, 0.7)), sample_points(rng, 4))
+
+
 def test_invert_g_map_with_translated_frame(rng):
     """Seeding with P(z) Z0 recovers P Z0, which induces the same section."""
     P = Parallelism(lambda x: I3 + x[0] * E12, LO, HI)
@@ -165,12 +175,16 @@ def test_isotropy_identity_candidate(iso_body, samples):
 
 
 def test_isotropy_frame_must_sit_at_z0(iso_body, samples):
-    from matbody import SourceTargetMismatch
-
     z0 = np.zeros(3)
     elsewhere = Frame(np.array([0.5, 0, 0]), I3)
     with pytest.raises(SourceTargetMismatch):
         isotropy_group_sample(iso_body, z0, elsewhere, [np.eye(3)], samples, 1e-10)
+
+
+def test_isotropy_z0_must_lie_in_the_body(iso_body, samples):
+    z0 = np.array([1.5, 0.0, 0.0])
+    with pytest.raises(OutOfDomain, match="outside domain of body"):
+        isotropy_group_sample(iso_body, z0, Frame(z0, I3), [np.eye(3)], samples, 1e-10)
 
 
 def test_isotropy_rotations_in_stretches_out(iso_body, samples, rng):
