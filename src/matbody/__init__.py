@@ -25,9 +25,9 @@ from .bodies import (
     evaluate,
     evaluate_w_inverse,
     is_material_isomorphism,
-    is_material_symmetry,
     make_samples,
     membership_defect,
+    membership_defects,
     polynomial_body,
 )
 from .connection import (

@@ -78,44 +78,33 @@ _F_STEPS = np.eye(9).reshape(9, 3, 3)
 _X_STEPS = np.eye(3)
 
 
-def response_gradients(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP):
-    """Central-difference gradients (dW/dF, dW/dx) at every pair of points x and gradients F.
-
-    For x of shape (..., 3) and F of shape (..., 3, 3) the results have shapes
-    x.shape[:-1] + F.shape[:-2] + (3, 3) and (..., 3): point axes first,
-    then gradient axes.  Each of the two stencil blocks (F, x) is one evaluate
-    call.  The x-stencil must stay inside the body's box; the F-stencil has no
-    such restriction.
-    """
-    x = np.asarray(x, dtype=float)
-    F = np.asarray(F, dtype=float)
-    near = ~body.box.inset(fd_step).mask(x)
-    if near.any():
-        i = first_true(near, near.shape)
-        raise with_index(OutOfDomain(
-            f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
-    steps = np.array([fd_step, -fd_step])
-    pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
-    Fc = F[..., None, None, :, :]
-    # values on axes (points..., gradients..., sign of the step, stepped entry)
-    W_F = evaluate(body, Fc + steps[:, None, None, None] * _F_STEPS, pts)
-    W_x = evaluate(body, Fc, pts + steps[:, None, None] * _X_STEPS)
-    dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
-    return dWdF.reshape(dWdF.shape[:-1] + (3, 3)), dWdx
-
-
 def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Linearized membership constraints, one 12-row per pair of points x and gradients F.
 
-    The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>; the A-block
-    coefficients are therefore F^T dW/dF (row-major) and the v-block is
-    -dW/dx.  Shapes batch as in ``response_gradients``, so the gradients of a
-    sample set give each point its (count, 12) constraint matrix.  Rows that
-    overflow raise NonFiniteResponse indexed by the first offending pair.
+    The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>, both gradients
+    central differences of step ``fd_step``: the A-block is F^T dW/dF
+    (row-major) and the v-block -dW/dx.  Rows have shape
+    x.shape[:-1] + F.shape[:-2] + (12,), so a sample set gives each point its
+    (count, 12) constraint matrix.  Each stencil block (F, x) is one evaluate
+    call; an x within ``fd_step`` of the box boundary raises OutOfDomain.  Rows
+    that overflow raise NonFiniteResponse indexed by the first offending pair.
     """
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
-        dWdF, dWdx = response_gradients(body, x, F, fd_step)
-        A = np.ascontiguousarray(np.swapaxes(np.asarray(F, dtype=float), -1, -2)) @ dWdF
+        x = np.asarray(x, dtype=float)
+        F = np.asarray(F, dtype=float)
+        near = ~body.box.inset(fd_step).mask(x)
+        if near.any():
+            i = first_true(near, near.shape)
+            raise with_index(OutOfDomain(
+                f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
+        steps = np.array([fd_step, -fd_step])
+        pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
+        Fc = F[..., None, None, :, :]
+        # values on axes (points..., gradients..., sign of the step, stepped entry)
+        W_F = evaluate(body, Fc + steps[:, None, None, None] * _F_STEPS, pts)
+        W_x = evaluate(body, Fc, pts + steps[:, None, None] * _X_STEPS)
+        dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
+        A = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ dWdF.reshape(dWdF.shape[:-1] + (3, 3))
     rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
     bad = ~np.isfinite(rows).all(axis=-1)
     if bad.any():

@@ -124,15 +124,17 @@ class SampleSet:
 def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
     """Anchor matrices plus ``n_random`` perturbations I + S, S ~ U[-0.5, 0.5]^9.
 
-    Rejection keeps det(F) > 0.2 so every sample is safely invertible.
+    Rejection keeps det(F) > 0.2 so every sample is safely invertible.  Each
+    draw takes as many as are missing, from one stream and kept in order, so
+    a count too large to hold fails at the first draw.
     """
     rng = np.random.default_rng(seed)
-    mats = list(_ANCHORS)
-    while len(mats) < n_random + len(_ANCHORS):
-        f = _I3 + rng.uniform(-0.5, 0.5, size=(3, 3))
-        if np.linalg.det(f) > 0.2:
-            mats.append(f)
-    mats = np.stack(mats)
+    mats, missing = [np.stack(_ANCHORS)], n_random
+    while missing > 0:
+        f = _I3 + rng.uniform(-0.5, 0.5, size=(missing, 3, 3))
+        mats.append(f[np.linalg.det(f) > 0.2])
+        missing -= len(mats[-1])
+    mats = np.concatenate(mats)
     mats.setflags(write=False)      # read-only and owned, so SampleSet keeps it as it is
     return SampleSet(mats)
 
@@ -146,7 +148,7 @@ def evaluate(body: Body, F, x, *, _checked: bool = False) -> np.ndarray:
     and the error's ``index`` is that pair's index in the broadcast batch.
     The result is read-only.
 
-    ``_checked`` is for ``_sample_rows`` alone, which has decided the domain
+    ``_checked`` is for ``membership_defects`` alone, which has decided the domain
     and det floor of its batch from the batch's factors and whose x does not
     widen F's leading shape: only the response and its finiteness test run.
     """
@@ -192,36 +194,32 @@ def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:
     return evaluate(body, invert(g).matrix, g.target)
 
 
-def _sample_rows(body: Body, samples: SampleSet, mats: list, x: np.ndarray) -> np.ndarray:
-    """W-hat on the batch whose row k is F_s P_k for P_k in ``mats`` and whose
-    last row is the samples F_s themselves, shape (len(mats) + 1, n).
+def membership_defects(body: Body, x, y, mats, samples: SampleSet) -> np.ndarray:
+    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|, for each P in ``mats``.
 
-    x holds finite points and broadcasts against the batch, so an error's
-    ``index`` is (row, sample).  The batch is checked from its factors: every
-    point of x in the box, the samples' det floor decided when they were
-    made, and each P certified by ``SampleSet.clears_floor``.  Then
-    ``evaluate`` skips its own domain and det checks and costs one response
-    call.  If any factor check fails, ``evaluate`` checks the batch pair by
-    pair, so the values and errors are always those of a plain ``evaluate``.
+    x and y are finite points, each P a finite 3x3 matrix.  One batch of shape
+    (len(mats) + 1, n) holds both sides: row k is (F P_k, x) and the last row
+    (F, y), so an error's ``index`` is (row, sample).  It is checked from its
+    factors: x and y in the box, the samples' det floor decided when they were
+    made, and each P certified by ``SampleSet.clears_floor``; then ``evaluate``
+    costs one response call.  If a factor check fails, ``evaluate`` checks the
+    batch pair by pair, so values and errors are always a plain ``evaluate``'s.
     """
     Fs = samples.matrices
     F = np.array([Fs @ P for P in mats] + [Fs])
-    if (all(map(body.box.contains_floats, x.reshape(-1, 3).tolist()))
-            and all(map(samples.clears_floor, mats))):
-        return evaluate(body, F, x, _checked=True)
-    return evaluate(body, F, x)
+    pts = np.array([x] * len(mats) + [y])[:, None]
+    checked = (all(map(body.box.contains_floats, pts[-2:, 0].tolist()))
+               and all(map(samples.clears_floor, mats)))
+    w = evaluate(body, F, pts, _checked=checked)
+    return np.abs(w[:-1] - w[-1]).max(axis=-1)
 
 
 def membership_defect(body: Body, g: Jet1, samples: SampleSet) -> float:
-    """max over sample gradients F of |W-hat(F P, x) - W-hat(F, y)|.
+    """The defect of one jet g = (x -> y, P): the one-matrix case of ``membership_defects``.
 
-    Both sides are one (2, n) batch, (F P, x) in row 0 and (F, y) in row 1,
-    checked from its factors and then one response call; it gives
-    ``evaluate``'s values and errors for the same batch.  An error's
-    ``index`` is (side, sample), side 0 the source and 1 the target.
+    An error's ``index`` is (side, sample), side 0 the source and 1 the target.
     """
-    w = _sample_rows(body, samples, [g.matrix], np.array((g.source, g.target))[:, None])
-    return float(np.max(np.abs(w[0] - w[1])))
+    return float(membership_defects(body, g.source, g.target, [g.matrix], samples)[0])
 
 
 def membership_tol(body: Body, samples: SampleSet, points: Sequence) -> float:
@@ -233,11 +231,6 @@ def membership_tol(body: Body, samples: SampleSet, points: Sequence) -> float:
 def is_material_isomorphism(body: Body, g: Jet1, samples: SampleSet, tol: float) -> bool:
     """Sampled membership test of g in the material groupoid."""
     return membership_defect(body, g, samples) <= tol
-
-
-def is_material_symmetry(body: Body, x, P, samples: SampleSet, tol: float) -> bool:
-    """Membership of the jet (x -> x, P): a sampled material symmetry test."""
-    return is_material_isomorphism(body, Jet1(x, x, P), samples, tol)
 
 
 # ---------------------------------------------------------------------------

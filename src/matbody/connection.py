@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult, anchor_rank
+from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult
 from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
 from .flows import SectionField, _rk4_step
 from .grid import Grid, TrilinearField, grid_gradient
@@ -97,19 +97,21 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
     """Minimum-Frobenius-norm lift of each coordinate direction into the fibers.
 
     At each point and each j, A(e_j) is the matrix part of smallest norm among
-    fiber elements with anchor part e_j.  Requires anchor rank 3 everywhere.
-    Points of one fiber dim are solved together in stacked matmuls.
+    fiber elements with anchor part e_j.  Requires anchor rank 3 everywhere:
+    otherwise NotUniform names the first point of smaller rank.  Points of one
+    fiber dim are solved together in stacked matmuls.
     """
     lam, residuals = np.zeros((grid.n_points, 3, 3, 3)), np.zeros(grid.n_points)
     dims = np.array([f.dim for f in fibers])
+    deficient = []          # the first point of anchor rank < 3 in each fiber dim that has one
     for dim in np.unique(dims).tolist():
         idx = np.flatnonzero(dims == dim)
         group = [fibers[p] for p in idx.tolist()]
         U, sv, Vh = (np.stack(a) for a in zip(*(f.anchor_svd for f in group)))
-        if np.any(np.sum(sv > v_tol, axis=1) < 3):
-            p = next(p for p, f in enumerate(fibers) if anchor_rank(f, v_tol) < 3)
-            raise NotUniform(f"anchor rank < 3 at grid point {p} "
-                             f"({fibers[p].point.tolist()}); no lift exists")
+        short = np.sum(sv > v_tol, axis=1) < 3
+        if short.any():
+            deficient.append(int(idx[np.argmax(short)]))
+            continue
         B = np.stack([f.basis for f in group])  # (m, k, 12), orthonormal rows
         Bv, Ba = np.swapaxes(B[..., :3], -1, -2), np.swapaxes(B[..., 3:], -1, -2)
         # Orthonormal rows give |c|^2 = |Bv c|^2 + |Ba c|^2, so among the
@@ -118,6 +120,10 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
         C = np.swapaxes(Vh[:, :3], -1, -2) @ (np.swapaxes(U, -1, -2) / sv[:, :, None])
         lam[idx] = np.swapaxes(Ba @ C, -1, -2).reshape(-1, 3, 3, 3)
         residuals[idx] = np.max(np.abs(Bv @ C - _EYE), axis=(-2, -1))
+    if deficient:
+        p = min(deficient)
+        raise NotUniform(f"anchor rank < 3 at grid point {p} "
+                         f"({fibers[p].point.tolist()}); no lift exists")
     return LinearSectionField(grid, lam, residuals)
 
 
@@ -230,8 +236,12 @@ def transport_frame(conn: LinearSectionField, x0, target, order=(0, 1, 2)) -> tu
     """Parallel-transport a frame (and integrate the coframe) from x0 to target.
 
     Follows the axis-ordered polyline determined by ``order``, one leg per
-    axis.  Returns (frame at target, chart coordinates of target).
+    axis; ``order`` must be a permutation of (0, 1, 2), or ValueError.
+    Returns (frame at target, chart coordinates of target).
     """
+    order = tuple(order)
+    if sorted(order) != [0, 1, 2]:
+        raise ValueError(f"order must be a permutation of (0, 1, 2), not {order}")
     x0, target = as_point(x0), as_point(target)
     field, substep = _transport_field(conn, x0, target)
     state, q = np.concatenate((_EYE.ravel(), np.zeros(3))), x0

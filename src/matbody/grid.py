@@ -33,7 +33,7 @@ class Box:
         if not all(math.isfinite(h - l) for l, h in bounds):
             raise ValueError("box extent hi - lo is not finite")
         object.__setattr__(self, "_bounds", bounds)
-        # inset boxes by margin: response_gradients asks for the same fd_step inset per call
+        # inset boxes by margin: constraint_rows asks for the same fd_step inset per call
         object.__setattr__(self, "_insets", {})
 
     def contains(self, x) -> bool:

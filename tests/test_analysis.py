@@ -643,11 +643,9 @@ def test_cli_refuses_overflow_with_one_line(tmp_path, capsys, terms, flags, mess
         assert message in captured.err
 
 
-def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, capsys):
-    """A lattice axis numpy refuses to allocate (72.8 TiB, refused before any memory
-    is touched) exits 3 with one stderr line from analyze and flow."""
-    cfg = write_config(tmp_path, {"body": "uniform_fgm",
-                                  "grid": {"resolution": [3, 3, 10000000000000]}})
+def assert_out_of_memory_exits_3(tmp_path, capsys, doc):
+    """analyze and flow on ``doc`` exit 3 with one stderr line naming memory."""
+    cfg = write_config(tmp_path, doc)
     for command in (["analyze", "--config", cfg],
                     ["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"]):
         assert main(command) == EXIT_NUMERICAL
@@ -655,6 +653,21 @@ def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: out of memory: ")
         assert captured.err.count("\n") == 1
+
+
+def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, capsys):
+    """A lattice axis numpy refuses to allocate (72.8 TiB, refused before any memory
+    is touched) exits 3 with one stderr line from analyze and flow."""
+    assert_out_of_memory_exits_3(tmp_path, capsys, {
+        "body": "uniform_fgm", "grid": {"resolution": [3, 3, 10000000000000]}})
+
+
+def test_cli_absurd_sample_count_exits_3_at_once(tmp_path, capsys):
+    """A sample count numpy refuses to draw (10^15 matrices, 64 PiB) fails at the
+    first draw, not in a loop that grows until memory runs out."""
+    assert_out_of_memory_exits_3(tmp_path, capsys, {
+        "body": "homogeneous_isotropic", "grid": {"resolution": [3, 3, 3]},
+        "samples": {"count": 10**15}})
 
 
 def test_singular_chart_transport_is_refused_not_nulled():

@@ -1,5 +1,6 @@
 """Response functionals, W-inverse, and sampled material-groupoid membership."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -19,9 +20,9 @@ from matbody import (
     identity,
     invert,
     is_material_isomorphism,
-    is_material_symmetry,
     make_samples,
     membership_defect,
+    membership_defects,
     polynomial_body,
 )
 from matbody.bodies import E_SHEAR_12, Body, SampleSet, _strain, membership_tol
@@ -194,13 +195,14 @@ def test_stretch_is_not_isomorphism(iso_body, samples):
 
 def test_material_symmetries(iso_body, fgm_body, samples, rng):
     x = np.array([0.25, -0.4, 0.1])
-    assert is_material_symmetry(iso_body, x, np.eye(3), samples, 1e-12)
+    assert is_material_isomorphism(iso_body, Jet1(x, x, np.eye(3)), samples, 1e-12)
     # rotation about e3 by 0.7 rad
     c, s = np.cos(0.7), np.sin(0.7)
     Q = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-    assert is_material_symmetry(iso_body, x, Q, samples, 1e-10)
+    assert is_material_isomorphism(iso_body, Jet1(x, x, Q), samples, 1e-10)
     # the generic quartic refuses a uniaxial stretch
-    assert not is_material_symmetry(fgm_body, x, np.diag([1.1, 1.0, 1.0]), samples, 1e-6)
+    assert not is_material_isomorphism(fgm_body, Jet1(x, x, np.diag([1.1, 1.0, 1.0])),
+                                      samples, 1e-6)
 
 
 def test_fgm_transport_jets_pass(fgm_body, samples, rng):
@@ -292,6 +294,28 @@ def test_fused_membership_defect_is_bitwise_the_two_call_defect(kind, samples, r
         assert membership_defect(body, g, samples) == want
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BUILTINS + ("polynomial",)), st.integers(2, 6))
+def test_membership_defects_rows_are_the_per_matrix_defects(samples, seed, kind, k):
+    """Two points x != y and several P, some of which the det floor certificate
+    leaves to ``evaluate``: row k's defect is max_s |W(F_s P_k, x) - W(F_s, y)|
+    of plain ``evaluate`` calls, bit for bit."""
+    rng = np.random.default_rng(seed)
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    x, y = rng.uniform(-0.9, 0.9, (2, 3))
+    mats = [I3 + rng.uniform(-0.3, 0.3, (3, 3)) for _ in range(k)]
+    c = np.cbrt(1.5 * DET_TOL / samples.min_det)        # inside the certificate's margin
+    for i in rng.permutation(k)[:rng.integers(1, k)].tolist():
+        mats[i] = c * random_rotation(rng)
+    cleared = [samples.clears_floor(P) for P in mats]
+    assert any(cleared) and not all(cleared)
+    Fs = samples.matrices
+    want = [np.max(np.abs(evaluate(body, Fs @ P, x) - evaluate(body, Fs, y))) for P in mats]
+    got = membership_defects(body, x, y, mats, samples)
+    assert got.shape == (k,) and got.tobytes() == np.array(want).tobytes()
+
+
 def test_fused_membership_defect_error_contract(iso_body, samples):
     """Each side keeps its error class; ``index`` is (side, sample) in the (2, n) batch."""
     inside, outside = np.zeros(3), np.array([0.0, 1.5, 0.0])
@@ -380,6 +404,18 @@ def test_make_samples_is_the_rejection_loop():
     s = make_samples(24, seed=20240)
     assert s.matrices.tobytes() == np.stack(want).tobytes()
     assert s.min_det == np.min(np.abs(np.linalg.det(np.stack(want))))
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (1, 0, "48794c6fae60ed1b97acdb24edfe89cc2cd736f48136b7dbbe62d567d617aefe"),
+    (12, 7, "08013d534b8420ab9f7692dc5b5654e5bad1268a0f5975675a99801ab2e1c76e"),
+    (40, 123456, "947c7c7ff8cde7f52704604196377ee856bc50e5c6090b2dbdc6d73eee81bab2"),
+    (500, 1, "abfcb9f3ebaf0885696a11408b70ed7c99c27449689d0bb760d484f9dac48a8b"),
+])
+def test_make_samples_are_the_stored_sets(n, seed, digest):
+    """Drawn in batches, the sets are bit for bit those of one draw per matrix,
+    stored as the SHA-256 of their bytes."""
+    assert hashlib.sha256(make_samples(n, seed).matrices.tobytes()).hexdigest() == digest
 
 
 def test_membership_tol_scale(iso_body, samples):

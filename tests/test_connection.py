@@ -120,10 +120,24 @@ def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
     assert_lift_is_the_point_loop(grid, mixed)
 
 
-def test_minimal_lift_requires_uniformity(nonuniform_body, samples):
+def test_minimal_lift_requires_uniformity(nonuniform_body, samples, monkeypatch):
+    """The refusal reads the stacked rank masks: no per-point anchor_rank pass."""
+    import matbody.algebroid as algebroid
+    import matbody.connection as connection
+
     grid = small_grid()
-    with pytest.raises(NotUniform):
-        minimal_lift_section(grid, fibers_on(nonuniform_body, grid, samples))
+    fibers = fibers_on(nonuniform_body, grid, samples)
+    calls, anchor_rank = [], algebroid.anchor_rank
+
+    def counting_rank(*args):
+        calls.append(1)
+        return anchor_rank(*args)
+
+    for module in (algebroid, connection):
+        monkeypatch.setattr(module, "anchor_rank", counting_rank, raising=False)
+    with pytest.raises(NotUniform, match="anchor rank < 3 at grid point 0 "):
+        minimal_lift_section(grid, fibers)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +382,10 @@ def test_chart_path_independence_when_flat(fgm_integrable_body, samples):
     P2, c2 = transport_frame(conn, np.zeros(3), target, order=(2, 1, 0))
     assert np.max(np.abs(P1 - P2)) <= 1e-3
     assert np.max(np.abs(c1 - c2)) <= 1e-3
+    # a path that skips or repeats an axis, or names one that is not there, is refused
+    for order in [(0,), (3,), (0, 0, 1, 1, 2), (0, 1), (0, 1, 3)]:
+        with pytest.raises(ValueError, match="permutation of"):
+            transport_frame(conn, np.zeros(3), target, order=order)
 
 
 @pytest.mark.parametrize("res, origin", [(4, "zero"), (5, "centre")])
