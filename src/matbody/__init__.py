@@ -66,6 +66,6 @@ from .gstructure import (
     morphism_defect,
     sampled_morphism_defect,
 )
-from .jets import Frame, Jet1, act_on_frame, compose, identity, invert
+from .jets import Frame, Jet1, compose, identity, invert
 
 __version__ = "0.1.0"

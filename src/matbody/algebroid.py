@@ -44,7 +44,7 @@ class FiberBasis:
 
     ``anchor_svd`` is the SVD (U, sv, Vh) of the anchor block basis[:, :3]^T
     (3 x dim), which anchor rank, isotropy algebra and minimal lift cut at v_tol;
-    ``fibers_at`` takes it from one stacked SVD per fiber dim, ``isotropy_algebra`` its own.
+    ``fibers_at`` takes it from one stacked SVD per fiber dim.
     """
 
     point: np.ndarray
@@ -167,15 +167,14 @@ def anchor_rank(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> int:
     return int(np.sum(f.anchor_svd[1] > v_tol))
 
 
-def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> FiberBasis:
-    """Sub-fiber with vanishing anchor part, dim = dim(f) - anchor rank.
+def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> np.ndarray:
+    """Anchor kernel: read-only (dim(f) - anchor rank, 12) rows spanning the elements with v = 0.
 
-    Computed by restricting the span: coefficient vectors in the nullspace of
-    the v-projection give the elements with v = 0.
+    They are the anchor block's right-singular vectors past its rank, applied to f.basis.
     """
-    rank = anchor_rank(f, v_tol)
-    B = f.anchor_svd[2][rank:] @ f.basis       # (dim - rank, 12): the elements with v = 0
-    return FiberBasis(f.point, B, f.dim - rank, f.singular_values, np.linalg.svd(B[:, :3].T))
+    B = f.anchor_svd[2][anchor_rank(f, v_tol):] @ f.basis
+    B.setflags(write=False)
+    return B
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -27,7 +26,7 @@ from .algebroid import (
     sv_gaps,
     uniformity_verdict,
 )
-from .bodies import Body, body_from_config, make_samples, membership_defect, membership_tol
+from .bodies import Body, body_from_config, coerce, make_samples, membership_defect, membership_tol
 from .connection import (
     DEFAULT_FLAT_TOL,
     build_homogeneous_chart,
@@ -50,18 +49,6 @@ CROSS_CHECK_T = 0.1
 # a `constants` section only when it holds exactly these values.
 CONSTANTS = {"point_tol": jets.POINT_TOL, "det_tol": jets.DET_TOL,
              "rank_gap_floor": RANK_GAP_FLOOR}
-
-
-def _coerce(value, kind):
-    """A JSON value as ``kind`` (bool, int, float, or tuple for 3 ints), never lossily."""
-    if kind is tuple:
-        if not isinstance(value, (list, tuple)) or len(value) != 3:
-            raise TypeError("expected a list of 3 integers")
-        return tuple(_coerce(v, int) for v in value)
-    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real)
-            or (kind is int and not float(value).is_integer())):
-        raise TypeError(f"expected {'true or false' if kind is bool else kind.__name__}")
-    return kind(value)
 
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
@@ -122,7 +109,7 @@ class AnalysisConfig:
             path, check = f.metadata["path"], f.metadata["check"]
             value = getattr(self, f.name)
             try:
-                value = _coerce(value, f.metadata["kind"])
+                value = coerce(value, f.metadata["kind"])
             except (TypeError, OverflowError) as exc:
                 raise ConfigError(f"malformed {path} = {value!r}: {exc}") from None
             if check and not check[0](value):

@@ -16,6 +16,7 @@ response of its groupoid inverse, W-hat(P^-1, y).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -319,6 +320,18 @@ def builtin_body(kind: str) -> Body:
 POLY_MAX_DEGREE = 4
 
 
+def coerce(value, kind):
+    """A JSON value as ``kind`` (bool, int, float, or tuple for 3 ints), never lossily."""
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 3:
+            raise TypeError("expected a list of 3 integers")
+        return tuple(coerce(v, int) for v in value)
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real)
+            or (kind is int and not float(value).is_integer())):
+        raise TypeError(f"expected {'true or false' if kind is bool else kind.__name__}")
+    return kind(value)
+
+
 def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial") -> Body:
     """Body from (exponent multi-index over 12 variables, coefficient) pairs.
 
@@ -326,14 +339,14 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
     """
     if not isinstance(name, str):
         raise ConfigError(f"polynomial body name must be a string, got {name!r}")
-    lo = _BOX_LO if lo is None else np.asarray(lo, dtype=float)
-    hi = _BOX_HI if hi is None else np.asarray(hi, dtype=float)
+    lo = _BOX_LO if lo is None else np.array([coerce(v, float) for v in lo])
+    hi = _BOX_HI if hi is None else np.array([coerce(v, float) for v in hi])
     parsed = []
     for k, term in enumerate(terms):
         try:
             exps, coeff = term
-            exps = np.array(exps, dtype=int).reshape(12)
-            coeff = float(coeff)
+            exps = np.array([coerce(e, int) for e in exps], dtype=int).reshape(12)
+            coeff = coerce(coeff, float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"polynomial term {k} must be ([12 ints], coeff): {exc}")
         if not math.isfinite(coeff):

@@ -31,7 +31,7 @@ class Parallelism:
         self._fn = matrix_fn
         self.box = Box(lo, hi)
 
-    def frame(self, x) -> Frame:
+    def frame(self, x) -> Jet1:
         return Frame(x, self.matrix(x))
 
     def matrix(self, x) -> np.ndarray:
@@ -93,7 +93,7 @@ def sampled_morphism_defect(S: GroupoidSection, points: Sequence) -> float:
                                itertools.product(range(len(pts)), repeat=3))
 
 
-def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Parallelism:
+def invert_g_map(S: GroupoidSection, z, Z: Jet1, points: Sequence) -> Parallelism:
     """Parallelism P(x) = S(z, x) . Z, defined when S obeys the morphism law.
 
     The law is checked on all ordered triples drawn from ``points``; by
@@ -101,8 +101,8 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Paralleli
     Z must be based at z.
     """
     z = as_point(z)
-    if not points_close(Z.base, z):
-        raise SourceTargetMismatch(f"frame based at {Z.base.tolist()}, not at z = {z.tolist()}")
+    if not points_close(Z.target, z):
+        raise SourceTargetMismatch(f"frame based at {Z.target.tolist()}, not at z = {z.tolist()}")
     pts = [as_point(p) for p in points]
     defect = sampled_morphism_defect(S, pts)
     if defect > MORPHISM_TOL:
@@ -113,7 +113,7 @@ def invert_g_map(S: GroupoidSection, z, Z: Frame, points: Sequence) -> Paralleli
     return Parallelism(lambda x: S(z, x).matrix @ Zm, hull.min(axis=0), hull.max(axis=0))
 
 
-def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
+def isotropy_group_sample(body: Body, z0, Z0: Jet1, candidates: Sequence,
                           samples: SampleSet, tol: float) -> list:
     """Conjugated material symmetries Z0^-1 P Z0 for candidates P that pass.
 
@@ -127,9 +127,9 @@ def isotropy_group_sample(body: Body, z0, Z0: Frame, candidates: Sequence,
     z0 = as_point(z0)
     if not body.box.contains(z0):
         raise OutOfDomain(f"{z0.tolist()} outside domain of body '{body.name}'")
-    if not points_close(Z0.base, z0):
+    if not points_close(Z0.target, z0):
         raise SourceTargetMismatch(
-            f"reference frame based at {Z0.base.tolist()}, not at z0 = {z0.tolist()}"
+            f"reference frame based at {Z0.target.tolist()}, not at z0 = {z0.tolist()}"
         )
     Zi = np.linalg.inv(Z0.matrix)
     mats = [as_matrix(P, invertible=True) for P in candidates]

@@ -70,6 +70,10 @@ def as_matrix(m, *, invertible: bool = False) -> np.ndarray:
     return a
 
 
+# Source of every frame: the origin of the chart, read-only.
+ORIGIN = as_point(np.zeros(3))
+
+
 def points_close(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= POINT_TOL)
 
@@ -91,16 +95,9 @@ class Jet1:
         return f"Jet1({self.source.tolist()} -> {self.target.tolist()})"
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """Linear frame at a point: the jet of a map taking 0 to ``base``."""
-
-    base: np.ndarray
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", as_point(self.base))
-        object.__setattr__(self, "matrix", as_matrix(self.matrix, invertible=True))
+def Frame(base, matrix) -> Jet1:
+    """Linear frame at ``base``: the jet at ORIGIN of a map 0 -> base; jets act on it by compose."""
+    return Jet1(ORIGIN, base, matrix)
 
 
 def identity(x) -> Jet1:
@@ -120,12 +117,3 @@ def compose(g: Jet1, h: Jet1) -> Jet1:
 def invert(g: Jet1) -> Jet1:
     """Groupoid inverse: swaps source/target, inverts the matrix part."""
     return Jet1(g.target, g.source, np.linalg.inv(g.matrix))
-
-
-def act_on_frame(g: Jet1, z: Frame) -> Frame:
-    """Move a frame along a jet: base goes to g.target, matrix composes."""
-    if not points_close(z.base, g.source):
-        raise SourceTargetMismatch(
-            f"frame base {z.base.tolist()} != g.source {g.source.tolist()}"
-        )
-    return Frame(g.target, g.matrix @ z.matrix)

@@ -88,7 +88,7 @@ def test_criterion_2_algebroid_dimensions():
             samples = make_samples(n_samples, seed)
             for x in grid.points:
                 f = fiber(body, x, samples, RANK_TOL)
-                dims.add((f.dim, isotropy_algebra(f).dim))
+                dims.add((f.dim, len(isotropy_algebra(f))))
         ok = ok and dims == {(fdim, idim)}
         detail.append(f"{kind}: dims {sorted(dims)} expected {(fdim, idim)}")
     dt = time.perf_counter() - t0

@@ -114,6 +114,12 @@ def test_readme_quick_tour_runs_as_commented():
     # silent coercions
     {"grid": {"resolution": [3.7, 3, 3]}},
     {"flags": {"emit_chart": "no"}},
+    {"body": {"polynomial": {"terms": [[[2.9] + [0] * 11, 1.0]]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, "2"]]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, True]]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "lo": ["-1", "-1", "-1"]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "lo": [False, -1, -1]}}},
+    {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "hi": [1, 1, "1"]}}},
     # numbers too large for a float or a C integer
     {"body": {"polynomial": {"terms": [[[2] + [0] * 11, 10**400]]}}},
     {"body": {"polynomial": {"terms": [[[10**400] + [0] * 11, 1.0]]}}},

@@ -384,8 +384,9 @@ def test_parallelism_matrix_validates_once():
 
 def test_bridge_pass_validator_counts(monkeypatch):
     """A bridge pass (two implant frames, five points, a 5^3 bracket grid) validates
-    1154 matrices and 2088 points, 4 of them make_grid's box and its inset;
-    building a Frame in every matrix lookup took 2004 and 2934."""
+    1154 matrices and 2090 points, 4 of them make_grid's box and its inset and 2
+    the origin each frame is a jet from; building a Frame in every matrix lookup
+    took 2004 and 2934."""
     import matbody.jets as jets
 
     counts = Counter()
@@ -408,7 +409,7 @@ def test_bridge_pass_validator_counts(monkeypatch):
         P = Parallelism(lambda x, E=E: I3 + x[0] * E, LO, HI)
         Q = invert_g_map(GroupoidSection.of_parallelism(P), z, P.frame(z), pts)
         frame_bracket_defect(Q, grid)
-    assert dict(counts) == {"as_matrix": 1154, "as_point": 2088}
+    assert dict(counts) == {"as_matrix": 1154, "as_point": 2090}
 
 
 def test_identity_parallelism_lands_in_material_groupoid(iso_body, samples, rng):

@@ -14,7 +14,6 @@ from matbody import (
     Jet1,
     SingularMatrix,
     SourceTargetMismatch,
-    act_on_frame,
     compose,
     identity,
     invert,
@@ -180,29 +179,31 @@ def test_identity_fixed_by_invert(rng):
     assert np.array_equal(e.matrix, np.eye(3))
 
 
-def test_act_on_frame(rng):
+def test_compose_acts_on_frames(rng):
     x = rng.uniform(-1, 1, 3)
     z = Frame(x, random_invertible(rng))
-    assert np.allclose(act_on_frame(identity(x), z).matrix, z.matrix, atol=0)
+    assert isinstance(z, Jet1) and np.array_equal(z.target, x)
+    assert np.array_equal(z.source, np.zeros(3)) and not z.source.flags.writeable
+    assert np.allclose(compose(identity(x), z).matrix, z.matrix, atol=0)
 
     M = random_invertible(rng)
     y = rng.uniform(-1, 1, 3)
     g = Jet1(x, y, M)
-    moved = act_on_frame(g, Frame(x, np.eye(3)))
-    assert np.array_equal(moved.base, g.target)
+    moved = compose(g, Frame(x, np.eye(3)))
+    assert np.array_equal(moved.target, g.target)
     assert np.allclose(moved.matrix, M, atol=0)
 
     with pytest.raises(SourceTargetMismatch):
-        act_on_frame(g, Frame(y, np.eye(3)))
+        compose(g, Frame(y, np.eye(3)))
 
 
-def test_act_on_frame_associative_with_compose(rng):
+def test_frame_action_associative_with_compose(rng):
     for _ in range(100):
         x, y, z = rng.uniform(-1, 1, (3, 3))
         g = Jet1(y, z, random_invertible(rng))
         h = Jet1(x, y, random_invertible(rng))
         fr = Frame(x, random_invertible(rng))
-        a = act_on_frame(compose(g, h), fr)
-        b = act_on_frame(g, act_on_frame(h, fr))
+        a = compose(compose(g, h), fr)
+        b = compose(g, compose(h, fr))
         assert np.max(np.abs(a.matrix - b.matrix)) <= 1e-12
-        assert np.array_equal(a.base, b.base)
+        assert np.array_equal(a.target, b.target)
