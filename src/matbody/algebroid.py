@@ -42,16 +42,16 @@ DEFAULT_V_TOL = 1e-8
 class FiberBasis:
     """Orthonormal basis of a computed fiber plus its singular-value audit trail.
 
-    ``anchor_svd`` is the SVD (U, sv, Vh) of the anchor block basis[:, :3]^T
-    (3 x dim), which anchor rank, isotropy algebra and minimal lift cut at v_tol;
-    ``fibers_at`` takes it from one stacked SVD per fiber dim.
+    The basis is in the anchor's singular frame: rows i < min(3, dim) have mutually
+    orthogonal v-parts of length ``anchor_sv[i]``, later rows v = 0 up to rounding,
+    so at anchor rank r the isotropy algebra is ``basis[r:]``.
     """
 
     point: np.ndarray
     basis: np.ndarray       # (dim, 12): orthonormal basis vectors [v | A row-major]
     dim: int
     singular_values: np.ndarray
-    anchor_svd: tuple
+    anchor_sv: np.ndarray   # (min(3, dim),): singular values of the anchor block basis[:, :3]
 
 
 def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -123,7 +123,8 @@ def fibers_at(body: Body, points, samples: SampleSet,
     retained on each result so callers can audit the gap at the cut.  Points
     go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
     with one stacked SVD; then the anchor blocks of all points with the same
-    fiber dim go through one more.  An evaluation, rows or a spectrum that fail
+    fiber dim go through one more, which turns each basis into the anchor's
+    singular frame.  An evaluation, rows or a spectrum that fail
     raise with the offending point's index in ``points`` as the error's ``index``.
     """
     points = np.array(points, dtype=float).reshape(-1, 3)
@@ -147,11 +148,11 @@ def fibers_at(body: Body, points, samples: SampleSet,
     out = [None] * len(points)
     for rank in np.unique(ranks).tolist():
         idx = np.flatnonzero(ranks == rank)
-        rows = Vh[idx, rank:]                   # (m, dim, 12)
+        _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
+        rows = Vh_anchor @ Vh[idx, rank:]       # (m, dim, 12) in the anchor's singular frame
         rows.setflags(write=False)
-        anchor = zip(*np.linalg.svd(np.swapaxes(rows[..., :3], -1, -2)))
-        for p, B, svd in zip(idx.tolist(), rows, anchor):
-            out[p] = FiberBasis(points[p], B, 12 - rank, sv[p], svd)
+        for p, B, s in zip(idx.tolist(), rows, anchor_sv):
+            out[p] = FiberBasis(points[p], B, 12 - rank, sv[p], s)
     return out
 
 
@@ -164,15 +165,15 @@ def fiber(body: Body, x, samples: SampleSet,
 
 def anchor_rank(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> int:
     """Rank of the fiber's projection onto the anchor (v) block."""
-    return int(np.sum(f.anchor_svd[1] > v_tol))
+    return int(np.sum(f.anchor_sv > v_tol))
 
 
 def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> np.ndarray:
     """Anchor kernel: read-only (dim(f) - anchor rank, 12) rows spanning the elements with v = 0.
 
-    They are the anchor block's right-singular vectors past its rank, applied to f.basis.
+    They are the basis rows past the anchor rank, a view of f.basis.
     """
-    B = f.anchor_svd[2][anchor_rank(f, v_tol):] @ f.basis
+    B = f.basis[anchor_rank(f, v_tol):]
     B.setflags(write=False)
     return B
 

@@ -97,34 +97,21 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
     """Minimum-Frobenius-norm lift of each coordinate direction into the fibers.
 
     At each point and each j, A(e_j) is the matrix part of smallest norm among
-    fiber elements with anchor part e_j.  Requires anchor rank 3 everywhere:
-    otherwise NotUniform names the first point of smaller rank.  Points of one
-    fiber dim are solved together in stacked matmuls.
+    fiber elements with anchor part e_j; one stacked solve finds all of them.
+    ``fibers`` must be those of ``grid.points`` in order (else ValueError) and of
+    anchor rank 3 (else NotUniform names the first point of smaller rank).
     """
-    lam, residuals = np.zeros((grid.n_points, 3, 3, 3)), np.zeros(grid.n_points)
-    dims = np.array([f.dim for f in fibers])
-    deficient = []          # the first point of anchor rank < 3 in each fiber dim that has one
-    for dim in np.unique(dims).tolist():
-        idx = np.flatnonzero(dims == dim)
-        group = [fibers[p] for p in idx.tolist()]
-        U, sv, Vh = (np.stack(a) for a in zip(*(f.anchor_svd for f in group)))
-        short = np.sum(sv > v_tol, axis=1) < 3
-        if short.any():
-            deficient.append(int(idx[np.argmax(short)]))
-            continue
-        B = np.stack([f.basis for f in group])  # (m, k, 12), orthonormal rows
-        Bv, Ba = np.swapaxes(B[..., :3], -1, -2), np.swapaxes(B[..., 3:], -1, -2)
-        # Orthonormal rows give |c|^2 = |Bv c|^2 + |Ba c|^2, so among the
-        # solutions of Bv c = e_j the minimum-norm one minimizes |A(e_j)|.
-        # U, sv, Vh decompose Bv (3 x k); column j of C solves e_j.
-        C = np.swapaxes(Vh[:, :3], -1, -2) @ (np.swapaxes(U, -1, -2) / sv[:, :, None])
-        lam[idx] = np.swapaxes(Ba @ C, -1, -2).reshape(-1, 3, 3, 3)
-        residuals[idx] = np.max(np.abs(Bv @ C - _EYE), axis=(-2, -1))
-    if deficient:
-        p = min(deficient)
-        raise NotUniform(f"anchor rank < 3 at grid point {p} "
-                         f"({fibers[p].point.tolist()}); no lift exists")
-    return LinearSectionField(grid, lam, residuals)
+    if len(fibers) != grid.n_points or not np.array_equal([f.point for f in fibers], grid.points):
+        raise ValueError("the fibers are not those of the grid points, in order")
+    for p, f in enumerate(fibers):
+        if f.dim < 3 or not f.anchor_sv[2] > v_tol:
+            raise NotUniform(f"anchor rank < 3 at grid point {p} "
+                             f"({f.point.tolist()}); no lift exists")
+    # rows 0-2 are orthogonal to the anchor kernel: row j of X is e_j's least-|A| lift
+    H = np.stack([f.basis[:3] for f in fibers])      # (n, 3, 12)
+    X = np.linalg.solve(H[..., :3], H)
+    residuals = np.max(np.abs(X[..., :3] - _EYE), axis=(-2, -1))
+    return LinearSectionField(grid, X[..., 3:].reshape(-1, 3, 3, 3), residuals)
 
 
 def curvature_torsion(conn: LinearSectionField,

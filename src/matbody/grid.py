@@ -87,6 +87,8 @@ class Grid:
 def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
     """Uniform lattice of ``resolution`` points per axis, inset by ``margin``."""
     res = tuple(int(r) for r in np.broadcast_to(resolution, 3))
+    if res != tuple(np.broadcast_to(resolution, 3)):
+        raise ValueError(f"resolution must be integral, got {resolution}")
     if min(res) < 3:
         raise GridTooSmall(f"need >= 3 points per axis, got {res}")
     box = Box(lo, hi).inset(margin)

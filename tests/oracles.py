@@ -7,11 +7,13 @@ exceptions are kept as references for faster library paths: the per-point
 stencil loop, the fibre computation as it was before the response contract
 was batched (it evaluates one (F, x) pair per call, so it checks the batched
 stencils, not the response), ``loop_trilinear``, the trilinear interpolant
-as it was before it gained a single-point path, ``loop_polynomial_response``
-and ``loop_minimal_lift``, the polynomial response and the minimal lift as
-they were before they were computed from a power table and in stacked
-matmuls, and ``tuple_exp_trajectory`` and ``tuple_chart``, the exponential
-flow and the chart sweep as they were when RK4 carried a tuple of arrays.
+as it was before it gained a single-point path, ``loop_polynomial_response``,
+the polynomial response as it was before it was computed from a power table,
+``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
+of each fiber's anchor block, ``point_solve_lift``, the library's stacked
+solve one point at a time, and ``tuple_exp_trajectory`` and ``tuple_chart``,
+the exponential flow and the chart sweep as they were when RK4 carried a
+tuple of arrays.
 ``json_dumps_document`` is the report writer as it was before it gained C
 fast paths.
 """
@@ -270,8 +272,9 @@ def loop_trilinear(axes, values, x):
 
 
 # ---------------------------------------------------------------------------
-# References for the polynomial response and the minimal lift as they were
-# before the power-table kernel and the stacked lift.
+# References for the polynomial response as it was before the power-table
+# kernel, and for the minimal lift: the pseudo-inverse formula and a per-point
+# solve.
 # ---------------------------------------------------------------------------
 
 def loop_polynomial_response(terms, F, x):
@@ -289,23 +292,40 @@ def loop_polynomial_response(terms, F, x):
     return acc
 
 
+def _refuse_rank_below_3(p, f, rank):
+    if rank < 3:
+        raise NotUniform(f"anchor rank < 3 at grid point {p} ({f.point.tolist()}); no lift exists")
+
+
 def loop_minimal_lift(fibers, v_tol=1e-8):
-    """(lam, residuals) of the minimal lift, one point at a time."""
+    """(lam, residuals) of the minimal lift, one point at a time, by the pseudo-inverse
+    of the anchor block Bv^T (3 x k) from its own SVD, in whatever order the basis is."""
     n = len(fibers)
     lam = np.zeros((n, 3, 3, 3))
     residuals = np.zeros(n)
     for p, f in enumerate(fibers):
-        rank = anchor_rank(f, v_tol)
-        if rank < 3:
-            raise NotUniform(
-                f"anchor rank < 3 at grid point {p} ({f.point.tolist()}); no lift exists"
-            )
         B = f.basis                              # (k, 12), orthonormal rows
         Bv, Ba = B[:, :3], B[:, 3:]
-        U, sv, Vh = f.anchor_svd                 # of Bv^T, 3 x k
+        U, sv, Vh = np.linalg.svd(Bv.T)
+        rank = int(np.sum(sv > v_tol))
+        _refuse_rank_below_3(p, f, rank)
         C = Vh[:rank].T @ (U[:, :rank].T / sv[:rank, None])   # column j solves e_j
         lam[p] = (Ba.T @ C).T.reshape(3, 3, 3)
         residuals[p] = float(np.max(np.abs(Bv.T @ C - I3)))
+    return lam, residuals
+
+
+def point_solve_lift(fibers, v_tol=1e-8):
+    """(lam, residuals) of the minimal lift by the library's solve, one point at a time."""
+    n = len(fibers)
+    lam = np.zeros((n, 3, 3, 3))
+    residuals = np.zeros(n)
+    for p, f in enumerate(fibers):
+        _refuse_rank_below_3(p, f, anchor_rank(f, v_tol))
+        H = f.basis[:3]
+        X = np.linalg.solve(H[:, :3], H)
+        lam[p] = X[:, 3:].reshape(3, 3, 3)
+        residuals[p] = float(np.max(np.abs(X[:, :3] - I3)))
     return lam, residuals
 
 

@@ -201,16 +201,17 @@ def test_isotropy_elements_are_skew(iso_body, samples):
 
 
 def test_empty_fiber_isotropy():
-    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12),
-                   np.linalg.svd(np.zeros((3, 0))))
+    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12), np.zeros(0))
     assert len(isotropy_algebra(f)) == 0
     assert anchor_rank(f) == 0
+    B = np.eye(12)[3:4]                     # a writable hand-made basis: one element, v = 0
+    rows = isotropy_algebra(FiberBasis(np.zeros(3), B, 1, np.ones(12), np.zeros(1)))
+    assert np.shares_memory(rows, B) and not rows.flags.writeable and B.flags.writeable
 
 
 def test_isotropy_algebra_is_the_anchor_kernel_without_an_svd(iso_body, fgm_body, samples,
                                                               monkeypatch):
-    """The rows are the anchor SVD's kernel vectors applied to the basis, read-only,
-    made from the decomposition the fiber already holds."""
+    """The rows are the basis rows past the anchor rank: a read-only view, no SVD."""
     fibers = [fiber(b, np.array([0.1, -0.2, 0.3]), samples, RANK_TOL)
               for b in (iso_body, fgm_body)]
 
@@ -222,7 +223,30 @@ def test_isotropy_algebra_is_the_anchor_kernel_without_an_svd(iso_body, fgm_body
         rank = anchor_rank(f)
         rows = isotropy_algebra(f)
         assert rows.shape == (f.dim - rank, 12) and not rows.flags.writeable
-        assert np.array_equal(rows, f.anchor_svd[2][rank:] @ f.basis)
+        assert np.array_equal(rows, f.basis[rank:])
+
+
+_FRAME_BODIES = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform",
+                 "polynomial")
+
+
+@pytest.mark.parametrize("kind", _FRAME_BODIES)
+def test_fiber_bases_are_in_the_anchor_singular_frame(kind, samples):
+    """Orthonormal rows whose v-parts are orthogonal with lengths anchor_sv, zero
+    past the anchor rank; the isotropy algebra is a read-only view of those rows."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    grid = make_grid(body.lo, body.hi, 3, 0.1)
+    for f in fibers_at(body, grid.points, samples, RANK_TOL):
+        B, rank = f.basis, anchor_rank(f)
+        assert f.anchor_sv.shape == (min(3, f.dim),)
+        assert np.max(np.abs(B @ B.T - np.eye(f.dim)), initial=0.0) <= 1e-12
+        Bv, gram = B[:rank, :3], np.diag(f.anchor_sv[:rank] ** 2)
+        assert np.max(np.abs(Bv @ Bv.T - gram), initial=0.0) <= 1e-12
+        assert np.all(np.linalg.norm(B[rank:, :3], axis=1) <= 1e-8)
+        iso = isotropy_algebra(f)
+        assert not iso.flags.writeable and np.array_equal(iso, B[rank:])
+        assert iso.size == 0 or np.shares_memory(iso, B)    # an empty view shares no bytes
 
 
 def test_dim_stable_under_sample_doubling(iso_body, fgm_body, fgm_integrable_body,

@@ -35,8 +35,8 @@ from matbody import (
 )
 from matbody.connection import LinearSectionField
 from matbody.grid import TrilinearField
-from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, torsion_formula,
-                     tuple_chart, tuple_transport_leg)
+from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, point_solve_lift,
+                     torsion_formula, tuple_chart, tuple_transport_leg)
 
 RANK_TOL = 1e-6
 
@@ -81,16 +81,22 @@ def test_minimal_lift_fgm_matches_hand_value(fgm_body, samples):
 
 
 def assert_lift_is_the_point_loop(grid, fibers):
-    """The stacked lift equals the per-point loop bit for bit, or both refuse alike."""
+    """The stacked lift equals the per-point solve bit for bit, and to rounding the
+    pseudo-inverse of each fiber's anchor block from a fresh SVD; or all refuse alike."""
     try:
-        lam, residuals = loop_minimal_lift(fibers)
+        lam, residuals = point_solve_lift(fibers)
     except NotUniform as exc:
         with pytest.raises(NotUniform, match=re.escape(str(exc))):
             minimal_lift_section(grid, fibers)
+        with pytest.raises(NotUniform, match=re.escape(str(exc))):
+            loop_minimal_lift(fibers)
         return
     section = minimal_lift_section(grid, fibers)
     assert section.lam.tobytes() == lam.tobytes()
     assert section.residuals.tobytes() == residuals.tobytes()
+    pinv_lam, _ = loop_minimal_lift(fibers)
+    assert np.all(np.abs(lam - pinv_lam) <= 1e-14 * (1 + np.abs(pinv_lam)))
+    assert np.max(residuals) <= 1e-14
 
 
 _BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "nonuniform")
@@ -100,13 +106,13 @@ _BUILTINS = ("homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable", "
 def test_stacked_lift_is_bitwise_the_point_loop(kind):
     body = builtin_body(kind)
     grid = make_grid(body.lo, body.hi, 5, 0.1)
-    assert_lift_is_the_point_loop(grid, fibers_at(body, grid.points, make_samples(24, 8)))
+    for seed in (8, 9, 10):
+        assert_lift_is_the_point_loop(grid, fibers_at(body, grid.points, make_samples(24, seed)))
 
 
 def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
-    """Fibers of dims 6 and 3 interleaved: each dim group lands on its own points.
-    With rank-deficient fibers in two groups, the error names the lowest point,
-    which lies in the group solved second."""
+    """Fibers of dims 6 and 3 interleaved go through one solve, each onto its own
+    point.  With rank-deficient fibers at points 13 and 20, the error names 13."""
     grid = small_grid()
     samples = make_samples(16, 9)
     by_kind = {kind: fibers_at(builtin_body(kind), grid.points, samples)
@@ -120,8 +126,19 @@ def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
     assert_lift_is_the_point_loop(grid, mixed)
 
 
+def test_minimal_lift_refuses_fibers_that_are_not_its_grids(fgm_body, samples):
+    """Too few fibers, the grid's fibers in another order, or another grid's fibers."""
+    grid = small_grid()
+    fibers = fibers_at(fgm_body, grid.points, samples)
+    for wrong in (fibers[:5], fibers[::-1]):
+        with pytest.raises(ValueError, match="not those of the grid points, in order"):
+            minimal_lift_section(grid, wrong)
+    with pytest.raises(ValueError, match="not those of the grid points, in order"):
+        minimal_lift_section(small_grid(5), fibers)
+
+
 def test_minimal_lift_requires_uniformity(nonuniform_body, samples, monkeypatch):
-    """The refusal reads the stacked rank masks: no per-point anchor_rank pass."""
+    """The refusal reads each fiber's third anchor singular value: no anchor_rank call."""
     import matbody.algebroid as algebroid
     import matbody.connection as connection
 

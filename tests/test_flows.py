@@ -431,20 +431,28 @@ def test_section_refuses_non_finite_points(bad):
 
 
 def test_cli_flow_output_is_stable(tmp_path):
-    """Two `matbody flow` processes print the same document, byte for byte."""
+    """Two `matbody flow` processes print the same document, byte for byte, and so do
+    two `matbody analyze --format structured` processes, under different hash seeds."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}}))
     src = str(Path(matbody.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    argv = [sys.executable, "-m", "matbody.cli", "flow", "--config", str(cfg), "--t", "0.05",
-            "--x", "0.1,0.2,-0.1", "--direction", "1,0.5,0"]
-    runs = [subprocess.run(argv, env=env, capture_output=True, timeout=120)
-            for _ in range(2)]
-    for done in runs:
-        assert done.returncode == 0, done.stderr.decode()
-    assert runs[0].stdout == runs[1].stdout
-    assert len(json.loads(runs[0].stdout)["records"]) == 51
+    cli = [sys.executable, "-m", "matbody.cli"]
+    flow = cli + ["flow", "--config", str(cfg), "--t", "0.05",
+                  "--x", "0.1,0.2,-0.1", "--direction", "1,0.5,0"]
+    analyze = cli + ["analyze", "--config", str(cfg), "--format", "structured"]
+    docs = []
+    for argv in (flow, analyze):
+        runs = [subprocess.run(argv, env=dict(env, PYTHONHASHSEED=seed), capture_output=True,
+                               timeout=120)
+                for seed in ("1", "2")]
+        for done in runs:
+            assert done.returncode == 0, done.stderr.decode()
+        assert runs[0].stdout == runs[1].stdout, argv[3]
+        docs.append(json.loads(runs[0].stdout))
+    assert len(docs[0]["records"]) == 51
+    assert len(docs[1]["points"]) == 27
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_make_grid_refuses_non_finite_bounds_and_margin(lo, hi, margin):
 def test_lattices_need_three_points_per_axis_inside_the_inset_box():
     with pytest.raises(GridTooSmall, match="need >= 3 points per axis"):
         make_grid(-np.ones(3), np.ones(3), (3, 2, 3))
+    with pytest.raises(GridTooSmall, match="need >= 3 points per axis"):
+        make_grid(-np.ones(3), np.ones(3), True)
+    with pytest.raises(ValueError, match="resolution must be integral"):
+        make_grid(-np.ones(3), np.ones(3), (3, 3, 3.9))        # was read as (3, 3, 3)
+    for res in (4.0, np.int64(4)):
+        assert make_grid(-np.ones(3), np.ones(3), res).shape == (4, 4, 4)
     with pytest.raises(ValueError, match="margin leaves an empty box"):
         make_grid(-np.ones(3), np.ones(3), 3, margin=1.0)
     grid = make_grid(-np.ones(3), np.ones(3), 3)
