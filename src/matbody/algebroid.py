@@ -11,7 +11,7 @@ constraint
 Stacking the constraints over a sample set and extracting the numerical
 nullspace yields the fiber.  The rank decision is the fragile step of the
 whole pipeline, so every fiber carries its full singular-value spectrum and
-the gap at the cut for auditing.
+``sv_gap``: its smallest kept over its largest dropped value, taken at the cut.
 
 The central-difference stencils of every sample gradient at a chunk of points
 are evaluated as two batches (F-stencils, x-stencils), and the chunk's
@@ -22,6 +22,7 @@ Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +41,7 @@ DEFAULT_V_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class FiberBasis:
-    """Orthonormal basis of a computed fiber plus its singular-value audit trail.
+    """Orthonormal basis of a computed fiber plus its audit trail: spectrum and ``sv_gap``.
 
     The basis is in the anchor's singular frame: rows i < min(3, dim) have mutually
     orthogonal v-parts of length ``anchor_sv[i]``, later rows v = 0 up to rounding,
@@ -49,23 +50,13 @@ class FiberBasis:
 
     point: np.ndarray
     basis: np.ndarray       # (dim, 12): orthonormal basis vectors [v | A row-major]
-    dim: int
     singular_values: np.ndarray
     anchor_sv: np.ndarray   # (min(3, dim),): singular values of the anchor block basis[:, :3]
+    sv_gap: float           # singular_values[11 - dim] / [12 - dim]; inf if the cut is clean
 
-
-def sv_gaps(singular_values: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    """Smallest kept over largest dropped singular value (inf if clean), per row.
-
-    ``singular_values`` holds one spectrum (12,) per row and ``dims`` the fiber
-    dim of each row, so the cut sits at rank 12 - dim.
-    """
-    rank = 12 - np.asarray(dims)
-    rows, cut = np.arange(len(rank)), np.clip(rank, 1, 11)
-    kept, dropped = singular_values[rows, cut - 1], singular_values[rows, cut]
-    clean = (rank == 0) | (rank == 12) | (dropped == 0.0)
-    with np.errstate(over="ignore"):        # a ratio beyond the float range is clean too
-        return np.divide(kept, dropped, out=np.full(len(rank), np.inf), where=~clean)
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 # About this many (F, x) pairs go into one evaluate call of the fibre stencils:
@@ -119,8 +110,8 @@ def fibers_at(body: Body, points, samples: SampleSet,
     """Fibers at each of ``points`` (n, 3): nullspaces of their stacked constraints.
 
     Keeps singular values above rank_tol * sigma_max as range directions; the
-    remaining right-singular vectors span the fiber.  The full spectrum is
-    retained on each result so callers can audit the gap at the cut.  Points
+    remaining right-singular vectors span the fiber.  Each result keeps the full
+    spectrum and ``sv_gap``, the gap at the cut (inf when the cut is clean).  Points
     go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
     with one stacked SVD; then the anchor blocks of all points with the same
     fiber dim go through one more, which turns each basis into the anchor's
@@ -145,14 +136,17 @@ def fibers_at(body: Body, points, samples: SampleSet,
                          (int(np.argmax(bad)),))
     sv.setflags(write=False)
     ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
-    out = [None] * len(points)
+    out, spectra = [None] * len(points), sv.tolist()
     for rank in np.unique(ranks).tolist():
         idx = np.flatnonzero(ranks == rank)
         _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
-        rows = Vh_anchor @ Vh[idx, rank:]       # (m, dim, 12) in the anchor's singular frame
-        rows.setflags(write=False)
-        for p, B, s in zip(idx.tolist(), rows, anchor_sv):
-            out[p] = FiberBasis(points[p], B, 12 - rank, sv[p], s)
+        bases = Vh_anchor @ Vh[idx, rank:]      # (m, dim, 12) in the anchor's singular frame
+        bases.setflags(write=False)
+        for p, B, s in zip(idx.tolist(), bases, anchor_sv):
+            gap = math.inf                      # clean: no cut, or a zero dropped value
+            if 0 < rank < 12 and spectra[p][rank] != 0.0:   # a float quotient overflows to inf
+                gap = spectra[p][rank - 1] / spectra[p][rank]
+            out[p] = FiberBasis(points[p], B, sv[p], s, gap)
     return out
 
 

@@ -23,7 +23,6 @@ from .algebroid import (
     DEFAULT_RANK_TOL,
     DEFAULT_V_TOL,
     fibers_at,
-    sv_gaps,
     uniformity_verdict,
 )
 from .bodies import Body, body_from_config, coerce, make_samples, membership_defect, membership_tol
@@ -58,10 +57,12 @@ _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 # built-ins and a 46-term polynomial (3^3 and 5^3, six seeds, 12 to 40 samples; 162
 # runs).  Below the floors rank_tol 3e-12, v_tol 1e-11 and fd_step 3e-8 each flip one;
 # above the ceilings rank_tol 3e-4 moves 2 runs (1e-3: 49), v_tol 0.8 moves all 72
-# graded-body runs, and fd_step 4e-3 moves 2 (5e-3: 14, 1e-2: 72).
+# graded-body runs, and fd_step 4e-3 moves 2 (5e-3: 14, 1e-2: 72).  flat_tol has no ceiling:
+# flat runs read max(|R|, |T|) <= 1.5e-9 (others 1.0), and 1e-9 reads 4 of them obstructed.
 _RANK_TOL = (lambda v: 1e-10 <= v <= 2e-4, "in [1e-10, 2e-4]")
 _V_TOL = (lambda v: 1e-10 <= v <= 0.7, "in [1e-10, 0.7]")
 _FD_STEP = (lambda v: 1e-7 <= v <= 3e-3, "in [1e-7, 3e-3]")
+_FLAT_TOL = (lambda v: 1e-8 <= v < math.inf, "finite and >= 1e-8")
 
 
 def _setting(default, path: str, kind, check=None):
@@ -92,7 +93,7 @@ class AnalysisConfig:
     seed: int = _setting(20240, "samples.seed", int, (lambda n: n >= 0, ">= 0"))
     rank_tol: float = _setting(DEFAULT_RANK_TOL, "tolerances.rank_tol", float, _RANK_TOL)
     v_tol: float = _setting(DEFAULT_V_TOL, "tolerances.v_tol", float, _V_TOL)
-    flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _POSITIVE)
+    flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _FLAT_TOL)
     fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _FD_STEP)
     emit_singular_values: bool = _setting(False, "flags.emit_singular_values", bool)
     emit_chart: bool = _setting(False, "flags.emit_chart", bool)
@@ -185,17 +186,13 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
     timings["fibers_s"] = time.perf_counter() - t0
 
     uni = uniformity_verdict(fibers, cfg.v_tol)
-    dims = [f.dim for f in fibers]
-    spectra = np.stack([f.singular_values for f in fibers])
-    index = np.stack(grid.index_of(np.arange(grid.n_points)), axis=-1).tolist()
-    gaps = sv_gaps(spectra, dims)
-    records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": iso,
-                "anchor_rank": rank, "sv_gap": gap if gap < math.inf else None}  # null: a clean cut
-               for idx, x, dim, iso, rank, gap in zip(index, grid.points.tolist(), dims,
-                                                      uni.isotropy_dims, uni.anchor_ranks,
-                                                      gaps.tolist())]
-    for rec, sv in zip(records, spectra.tolist() if cfg.emit_singular_values else ()):
-        rec["singular_values"] = sv
+    index = np.stack(np.unravel_index(np.arange(grid.n_points), grid.shape), axis=-1).tolist()
+    records = [{"index": idx, "x": x, "fiber_dim": f.dim, "isotropy_dim": iso, "anchor_rank": rank,
+                "sv_gap": f.sv_gap if f.sv_gap < math.inf else None}     # null: a clean cut
+               for idx, x, f, iso, rank in zip(index, grid.points.tolist(), fibers,
+                                               uni.isotropy_dims, uni.anchor_ranks)]
+    for rec, f in zip(records, fibers if cfg.emit_singular_values else ()):
+        rec["singular_values"] = f.singular_values.tolist()
 
     # The not-uniform document; the uniform branch overwrites what it computes.
     doc = {
@@ -212,8 +209,9 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         "flatness": dict.fromkeys(["max_abs_R", "max_abs_T",
                                    "interior_max_abs_R", "interior_max_abs_T"]),
         "diagnostics": {
-            "rank_ambiguous_points": [index[p] for p in np.flatnonzero(gaps < RANK_GAP_FLOOR)],
-            "fiber_dim_levels": sorted(set(dims)),
+            "rank_ambiguous_points": [rec["index"] for rec, f in zip(records, fibers)
+                                      if f.sv_gap < RANK_GAP_FLOOR],
+            "fiber_dim_levels": sorted({f.dim for f in fibers}),
             "membership_tol": None,
             "exp_membership_defect": None,
         },

@@ -127,10 +127,12 @@ def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:
 
     Rejection keeps det(F) > 0.2 so every sample is safely invertible.  Each
     draw takes as many as are missing, from one stream and kept in order, so
-    a count too large to hold fails at the first draw.
+    a count too large to hold fails at the first draw.  ``coerce`` reads the count.
     """
+    if (missing := coerce(n_random, int)) < 0:
+        raise ValueError(f"sample count must be >= 0, got {n_random!r}")
     rng = np.random.default_rng(seed)
-    mats, missing = [np.stack(_ANCHORS)], n_random
+    mats = [np.stack(_ANCHORS)]
     while missing > 0:
         f = _I3 + rng.uniform(-0.5, 0.5, size=(missing, 3, 3))
         mats.append(f[np.linalg.det(f) > 0.2])

@@ -14,9 +14,9 @@ batched call and advances F with ``_rk4_step``.  A grid-backed section holds
 a v field and an A field over the same lattice: the velocity face is the v
 field's point path, whose per-cell cache lives for one trajectory, and the
 rates are one batched call of the A field.  Differentiating the pullback of
-the flow on the coordinate frame at t = 0 recovers (-A(x), v(x)); that
-finite-difference check is the sign-convention lock used by the connection
-module.
+the flow on the coordinate frame at t = 0 recovers (-A(x), v(x)); no pipeline
+stage calls that finite-difference check, ``derivation_matrix``: the connection
+tests use it to lock the sign convention of the Christoffel symbols.
 """
 
 from __future__ import annotations

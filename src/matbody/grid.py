@@ -70,9 +70,6 @@ class Grid:
     def n_points(self) -> int:
         return len(self.points)
 
-    def index_of(self, flat: int) -> tuple:
-        return np.unravel_index(flat, self.shape)
-
     def reshape(self, values: np.ndarray) -> np.ndarray:
         """View flat per-point data as a lattice-shaped array."""
         return np.asarray(values).reshape(self.shape + np.asarray(values).shape[1:])
@@ -86,8 +83,9 @@ class Grid:
 
 def make_grid(lo, hi, resolution, margin: float = 0.1) -> Grid:
     """Uniform lattice of ``resolution`` points per axis, inset by ``margin``."""
-    res = tuple(int(r) for r in np.broadcast_to(resolution, 3))
-    if res != tuple(np.broadcast_to(resolution, 3)):
+    given = tuple(np.broadcast_to(resolution, 3))
+    res = tuple(int(r) if math.isfinite(r) else 0 for r in given)     # inf, NaN: 0 != r
+    if res != given:
         raise ValueError(f"resolution must be integral, got {resolution}")
     if min(res) < 3:
         raise GridTooSmall(f"need >= 3 points per axis, got {res}")

@@ -222,6 +222,21 @@ def loop_fiber(body, x, matrices, rank_tol=1e-6, fd_step=1e-5):
     return 12 - rank, sv
 
 
+def gap_at_cut(singular_values, dim):
+    """Smallest kept over largest dropped singular value at rank 12 - dim, on Python
+    floats; inf with no cut (rank 0 or 12) or a zero dropped value.  A quotient past
+    the float range is inf too, as Python float division makes it."""
+    rank, sv = 12 - dim, [float(s) for s in singular_values]
+    if rank in (0, 12) or sv[rank] == 0.0:
+        return math.inf
+    return sv[rank - 1] / sv[rank]
+
+
+# kept over dropped singular value past the float range at some points
+WIDE_GAP_TERMS = [[[0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1], 1e-8],
+                  [[0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0], 1e300]]
+
+
 def isotropic_polynomial_terms():
     """|F^T F - I|^2 as ([12 exponents], coeff) monomials over (F row-major, x): 46 terms.
 

@@ -8,6 +8,8 @@ existed and are frozen here:
     nonuniform            : anchor rank 2 (< 3) at every probed point
 """
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,15 +35,17 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank, sv_gaps
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank
 from matbody.grid import Box
 from oracles import (
     E12,
     I3,
+    WIDE_GAP_TERMS,
     analytic_rows_fgm,
     analytic_rows_isotropic,
     analytic_rows_nonuniform,
     anchor_rank_of,
+    gap_at_cut,
     isotropic_polynomial_terms,
     kernel_of,
     loop_constraint_rows,
@@ -201,11 +205,11 @@ def test_isotropy_elements_are_skew(iso_body, samples):
 
 
 def test_empty_fiber_isotropy():
-    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), 0, np.ones(12), np.zeros(0))
+    f = FiberBasis(np.zeros(3), np.zeros((0, 12)), np.ones(12), np.zeros(0), math.inf)
     assert len(isotropy_algebra(f)) == 0
     assert anchor_rank(f) == 0
     B = np.eye(12)[3:4]                     # a writable hand-made basis: one element, v = 0
-    rows = isotropy_algebra(FiberBasis(np.zeros(3), B, 1, np.ones(12), np.zeros(1)))
+    rows = isotropy_algebra(FiberBasis(np.zeros(3), B, np.ones(12), np.zeros(1), math.inf))
     assert np.shares_memory(rows, B) and not rows.flags.writeable and B.flags.writeable
 
 
@@ -381,7 +385,48 @@ def test_run_analysis_svd_count(monkeypatch):
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):
     for body in (iso_body, fgm_body):
         f = fiber(body, np.array([0.1, 0.4, -0.2]), samples, RANK_TOL)
-        assert sv_gaps(f.singular_values[None], [f.dim])[0] > 1e6
+        assert f.sv_gap > 1e6
+
+
+# Bodies whose cuts are clean, each with the test that the case occurs at a fibre.
+# W = 1 has zero rows (rank 0); W = x1 has equal rows, whose dropped values are 0;
+# six monomials coupling F and x leave no symmetry (rank 12).
+_CLEAN_CUTS = {
+    "rank 0": ([[[0] * 12, 1.0]], lambda f: f.dim == 12),
+    "zero dropped": ([[[0] * 9 + [1, 0, 0], 1.0]],
+                     lambda f: 0 < f.dim < 12 and f.singular_values[12 - f.dim] == 0.0),
+    "rank 12": ([[[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0], 1.0],
+                 [[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0], 1.0],
+                 [[0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1], 1.0],
+                 [[0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0], 1.0],
+                 [[0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0], 1.0],
+                 [[0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0], 1.0]], lambda f: f.dim == 0),
+    "past the float range": (WIDE_GAP_TERMS, lambda f: (
+        0 < f.dim < 12 and f.singular_values[12 - f.dim] > 0
+        and float(f.singular_values[11 - f.dim]) / float(f.singular_values[12 - f.dim])
+        == math.inf)),
+}
+
+
+@pytest.mark.parametrize("kind", _FRAME_BODIES + tuple(_CLEAN_CUTS))
+def test_sv_gap_is_the_gap_at_the_cut(kind, samples):
+    """Each fibre's sv_gap is kept over dropped singular value at its own dim's cut,
+    inf where the cut is clean, and its dim is the length of its basis."""
+    terms, clean = _CLEAN_CUTS.get(kind, (None, None))
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind) if terms is None else polynomial_body(terms))
+    grid = make_grid(body.lo, body.hi, 3, 0.1)
+    fibers = fibers_at(body, grid.points, samples, RANK_TOL)
+    assert clean is None or any(clean(f) for f in fibers)
+    for f in fibers:
+        assert f.dim == len(f.basis)
+        assert f.sv_gap == gap_at_cut(f.singular_values, f.dim)
+        assert clean is None or not clean(f) or f.sv_gap == math.inf
+
+
+def test_fiber_dim_is_read_from_the_basis():
+    assert "dim" not in {fld.name for fld in dataclasses.fields(FiberBasis)}
+    assert FiberBasis(np.zeros(3), np.eye(12)[:2], np.ones(12), np.ones(2), 1.0).dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from matbody import (
 )
 from matbody.analysis import _SETTINGS, _exponential_cross_check, canonical_json, fiber_stage
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from oracles import isotropic_polynomial_terms, json_dumps_document
+from oracles import WIDE_GAP_TERMS, isotropic_polynomial_terms, json_dumps_document
 
 FAST = dict(resolution=(3, 3, 3), sample_count=16, seed=41)
 
@@ -102,6 +102,7 @@ def test_readme_quick_tour_runs_as_commented():
     {"body": "nonuniform", "tolerances": {"rank_tol": math.inf}},
     {"body": "nonuniform", "tolerances": {"rank_tol": 2.0}},
     {"body": "uniform_fgm", "tolerances": {"flat_tol": math.inf}},
+    {"body": "uniform_fgm_integrable", "tolerances": {"flat_tol": 1e-12}},
     {"tolerances": {"v_tol": math.inf}},
     {"tolerances": {"v_tol": 1.0}},
     # values that used to end in a traceback
@@ -170,6 +171,7 @@ def test_builtin_body_object_is_its_name():
     ("fd_step", 1e-7, 3e-8),        # nonuniform read uniform
     ("rank_tol", 1e-10, 3e-12),     # uniform_fgm read not_uniform
     ("v_tol", 1e-10, 1e-11),        # nonuniform read uniform
+    ("flat_tol", 1e-8, 1e-9),       # uniform_fgm_integrable read obstructed
 ])
 def test_tolerance_floors(key, floor, flipped_at):
     """A tolerance below its floor is refused; the floor itself is accepted."""
@@ -190,6 +192,29 @@ def test_tolerance_ceilings(key, ceiling, flipped_at):
     for value in (flipped_at, ceiling * (1 + 1e-12)):
         with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
             AnalysisConfig.from_dict({"tolerances": {key: value}})
+
+
+# verdicts of the built-ins and the 46-term polynomial at the default tolerances
+_SWEEP_VERDICTS = {
+    "homogeneous_isotropic": ("uniform", "homogeneous_evidence"),
+    "uniform_fgm": ("uniform", "obstructed"),
+    "uniform_fgm_integrable": ("uniform", "homogeneous_evidence"),
+    "nonuniform": ("not_uniform", "n/a"),
+    "polynomial": ("uniform", "homogeneous_evidence"),
+}
+
+
+@pytest.mark.parametrize("kind, res", [(k, n) for k in _SWEEP_VERDICTS for n in (3, 5)
+                                       if (k, n) != ("polynomial", 5)])
+def test_flat_tol_floor_keeps_every_verdict(kind, res):
+    """At flat_tol = its floor each body reads its verdict: the rounding of an exactly
+    flat lift stays below the floor and a torsion of 1 above it."""
+    body = {"polynomial": {"terms": isotropic_polynomial_terms()}} if kind == "polynomial" else kind
+    for seed, count in ((1, 12), (2, 40)):
+        doc = run_analysis(AnalysisConfig(body=body, resolution=(res,) * 3, sample_count=count,
+                                          seed=seed, flat_tol=1e-8)).document
+        verdicts = doc["uniformity"]["verdict"], doc["homogeneity"]["verdict"]
+        assert verdicts == _SWEEP_VERDICTS[kind], (seed, count)
 
 
 def test_cross_check_leaving_grid_hull_is_null():
@@ -620,9 +645,6 @@ def test_cli_cross_check_overflow_is_quiet(tmp_path):
 SINGULAR_CHART_TERMS = [[[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0], 1e306],
                         [[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], 1e300],
                         [[0] * 12, 1e-300]]
-# kept over dropped singular value past the float range at some points
-WIDE_GAP_TERMS = [[[0, 0, 1, 0, 0, 1, 0, 1, 0, 0, 0, 1], 1e-8],
-                  [[0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0], 1e300]]
 
 
 @pytest.mark.parametrize("terms, flags, message", [
@@ -704,7 +726,7 @@ def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
 _TOLERANCE_RANGES = {
     "rank_tol": st.floats(1e-10, 2e-4),
     "v_tol": st.floats(1e-10, 0.7),
-    "flat_tol": st.floats(1e-12, 1e3),
+    "flat_tol": st.floats(1e-8, 1e3),
     "fd_step": st.floats(1e-7, 3e-3),
 }
 _OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
@@ -712,7 +734,8 @@ _OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
                  + ([1.0, 2.0, 1e-11] if name in ("rank_tol", "v_tol") else [])
                  + ([3e-4, 1e-3] if name == "rank_tol" else [])
                  + ([0.8] if name == "v_tol" else [])
-                 + ([1e-8, 4e-3, 1e-2] if name == "fd_step" else [])]
+                 + ([1e-8, 4e-3, 1e-2] if name == "fd_step" else [])
+                 + ([1e-9, 1e-12] if name == "flat_tol" else [])]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Response functionals, W-inverse, and sampled material-groupoid membership."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -404,6 +405,18 @@ def test_make_samples_is_the_rejection_loop():
     s = make_samples(24, seed=20240)
     assert s.matrices.tobytes() == np.stack(want).tobytes()
     assert s.min_det == np.min(np.abs(np.linalg.det(np.stack(want))))
+
+
+def test_make_samples_reads_its_count_as_the_config_does():
+    """12.0 is 12; a negative, NaN, fractional or boolean count is refused, not read
+    as the anchors alone or passed on to numpy."""
+    assert make_samples(12.0, 7).matrices.tobytes() == make_samples(12, 7).matrices.tobytes()
+    assert make_samples(0).count == 4
+    with pytest.raises(ValueError, match="sample count must be >= 0"):
+        make_samples(-3)
+    for n in (math.nan, 2.5, True):
+        with pytest.raises(TypeError, match="expected int"):
+            make_samples(n)
 
 
 @pytest.mark.parametrize("n, seed, digest", [
