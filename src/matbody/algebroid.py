@@ -115,8 +115,9 @@ def fibers_at(body: Body, points, samples: SampleSet,
     go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
     with one stacked SVD; then the anchor blocks of all points with the same
     fiber dim go through one more, which turns each basis into the anchor's
-    singular frame.  An evaluation, rows or a spectrum that fail
-    raise with the offending point's index in ``points`` as the error's ``index``.
+    singular frame.  Spectra are stored non-negative (LAPACK can give -0.0).  A failing
+    evaluation, rows or spectrum raise indexed by their point in ``points``, and the
+    message starts ``at grid point [x]: ``.
     """
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
@@ -125,15 +126,16 @@ def fibers_at(body: Body, points, samples: SampleSet,
     for start in range(0, len(points), chunk):
         try:
             L = constraint_rows(body, points[start:start + chunk], samples.matrices, fd_step)
+            _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
+            bad = ~np.isfinite(s).all(axis=-1)
+            if bad.any():
+                raise with_index(NonFiniteResponse(
+                    "singular values of the constraint rows overflow"), (int(np.argmax(bad)),))
         except MatbodyError as exc:
-            exc.index = (start + int(exc.index[0]),)
+            k = start + int(exc.index[0])
+            exc.args, exc.index = (f"at grid point {points[k].tolist()}: {exc}",), (k,)
             raise
-        _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
-        sv[start:start + chunk, :s.shape[-1]] = s
-    bad = ~np.isfinite(sv).all(axis=1)
-    if bad.any():
-        raise with_index(NonFiniteResponse("singular values of the constraint rows overflow"),
-                         (int(np.argmax(bad)),))
+        sv[start:start + chunk, :s.shape[-1]] = np.abs(s)      # LAPACK can give -0.0
     sv.setflags(write=False)
     ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
     out, spectra = [None] * len(points), sv.tolist()

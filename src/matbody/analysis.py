@@ -34,7 +34,7 @@ from .connection import (
     homogeneity_verdict,
     minimal_lift_section,
 )
-from .errors import ConfigError, LeftDomain, MatbodyError, SingularMatrix
+from .errors import ConfigError, LeftDomain, SingularMatrix
 from .flows import exp_trajectory
 from .grid import make_grid
 
@@ -83,8 +83,8 @@ def _nest(pairs) -> dict:
 class AnalysisConfig:
     """Analysis settings; each field declares its config key, type and range once."""
 
-    # A built-in name or {"polynomial": {...}}, as the config document writes it;
-    # {"builtin": name} is read as name.
+    # A body form that ``body_from_config`` reads; a polynomial document is kept
+    # as given, and a name, in either form, as the Body's name.
     body: object = "homogeneous_isotropic"
     resolution: tuple = _setting((5, 5, 5), "grid.resolution", tuple,
                                  (lambda r: min(r) >= 3, "3 integers >= 3"))
@@ -102,10 +102,9 @@ class AnalysisConfig:
     material_body: Body = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (isinstance(self.body, dict) and self.body.keys() == {"builtin"}
-                and isinstance(self.body["builtin"], str)):
-            object.__setattr__(self, "body", self.body["builtin"])
         object.__setattr__(self, "material_body", body_from_config(self.body))
+        if not (isinstance(self.body, dict) and "polynomial" in self.body):
+            object.__setattr__(self, "body", self.material_body.name)
         for f in _SETTINGS:
             path, check = f.metadata["path"], f.metadata["check"]
             value = getattr(self, f.name)
@@ -160,12 +159,7 @@ def fiber_stage(cfg: AnalysisConfig) -> tuple:
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     samples = make_samples(cfg.sample_count, cfg.seed)
-    try:
-        fibers = fibers_at(body, grid.points, samples, cfg.rank_tol, cfg.fd_step)
-    except MatbodyError as exc:
-        x = grid.points[exc.index[0]]
-        raise type(exc)(f"at grid point {x.tolist()}: {exc}") from exc
-    return grid, samples, fibers
+    return grid, samples, fibers_at(body, grid.points, samples, cfg.rank_tol, cfg.fd_step)
 
 
 @dataclass

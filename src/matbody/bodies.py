@@ -381,11 +381,13 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
 
 
 def body_from_config(doc) -> Body:
-    """The body a config document names: a built-in name or ``{"polynomial": {...}}``.
+    """The body a config document names: a built-in name, ``{"builtin": name}`` with a
+    string name, or ``{"polynomial": {...}}`` of ``polynomial_body``'s keyword arguments.
 
-    The polynomial object holds ``polynomial_body``'s keyword arguments.  A
-    malformed document raises ConfigError.
+    The one reader of these forms; a malformed document raises ConfigError.
     """
+    if isinstance(doc, dict) and len(doc) == 1 and isinstance(doc.get("builtin"), str):
+        doc = doc["builtin"]
     if isinstance(doc, str):
         return builtin_body(doc)
     poly = doc.get("polynomial") if isinstance(doc, dict) and len(doc) == 1 else None

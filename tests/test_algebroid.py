@@ -309,6 +309,28 @@ def test_fibers_at_names_failing_point():
     assert err.value.index == (33,)
 
 
+def test_fibers_at_names_a_point_too_close_to_the_boundary():
+    """A point within fd_step of the boundary, in a later chunk, is indexed and named."""
+    body, samples, k = builtin_body("uniform_fgm"), make_samples(12, seed=1), 21
+    pts = np.zeros((40, 3))
+    pts[k] = [0.0, 1.0 - 5e-6, 0.0]
+    with pytest.raises(OutOfDomain, match="closer than fd_step") as err:
+        fibers_at(body, pts, samples, fd_step=1e-5)
+    assert err.value.index == (k,)
+    assert str(err.value).startswith(f"at grid point {pts[k].tolist()}: x = ")
+
+
+@pytest.mark.parametrize("terms", [None, isotropic_polynomial_terms(),
+                                   [[[0] * 9 + [1, 0, 0], 1.0]]],
+                         ids=["homogeneous_isotropic", "isotropic_polynomial", "x1"])
+def test_stored_singular_values_are_non_negative(terms):
+    """No spectrum holds -0.0, which LAPACK returns for some zero singular values."""
+    body = builtin_body("homogeneous_isotropic") if terms is None else polynomial_body(terms)
+    fibers = fibers_at(body, make_grid(body.lo, body.hi, 3, 0.1).points, make_samples(24, 20240))
+    signs = {math.copysign(1.0, s) for f in fibers for s in f.singular_values.tolist()}
+    assert signs == {1.0}
+
+
 def test_rows_that_overflow_are_refused_at_their_pair():
     """Finite responses whose gradients overflow raise, indexed (point, gradient)."""
     # W = 1.7e308 F00 x0^2 is finite in the box, but dW/dx0 = 3.4e308 F00 x0

@@ -618,6 +618,17 @@ def test_cli_analyze_numerical_failure(tmp_path, capsys):
     assert "at grid point [-0.9, -0.9, -0.9]: response of 'polynomial' is non-finite" in err
 
 
+def test_run_analysis_fiber_error_keeps_its_point():
+    """A fibre-stage error out of run_analysis names its grid point and keeps its index."""
+    cfg = AnalysisConfig(body={"polynomial": {"terms": [[[0] * 12, 1e308],
+                                                        [[2] + [0] * 11, 1e308]]}},
+                         resolution=(3, 3, 3))
+    with pytest.raises(NonFiniteResponse) as err:
+        run_analysis(cfg)
+    assert err.value.index == (0,)
+    assert str(err.value).startswith("at grid point [-0.9, -0.9, -0.9]: ")
+
+
 def test_cli_cross_check_overflow_is_quiet(tmp_path):
     """An exponential cross-check whose RK4 state overflows reads null, silently."""
     # v_tol at the smallest subnormal counts nonuniform's rank-2 anchor as rank 3,

@@ -26,7 +26,8 @@ from matbody import (
     membership_defects,
     polynomial_body,
 )
-from matbody.bodies import E_SHEAR_12, Body, SampleSet, _strain, membership_tol
+from matbody.bodies import (E_SHEAR_12, Body, SampleSet, _strain, body_from_config,
+                            membership_tol)
 from matbody.jets import DET_TOL
 from oracles import (I3, E12, isotropic_polynomial_terms, loop_polynomial_response,
                      matrix_stack_layouts, random_rotation, w0_value)
@@ -444,6 +445,24 @@ def test_builtin_registry():
     with pytest.raises(ConfigError):
         builtin_body("no_such_body")
     assert np.array_equal(E_SHEAR_12, E12)
+
+
+def test_body_from_config_reads_every_body_form():
+    """A name, {"builtin": name} and {"polynomial": {...}}; only a string is unwrapped."""
+    F = make_samples(12, seed=3).matrices
+    x = np.array([[0.3, -0.2, 0.5]])
+    for kind in ("uniform_fgm", "homogeneous_isotropic"):
+        for doc in (kind, {"builtin": kind}):
+            body = body_from_config(doc)
+            assert body.name == kind
+            assert np.array_equal(evaluate(body, F, x), evaluate(builtin_body(kind), F, x))
+    poly = {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "name": "f11sq"}}
+    assert body_from_config(poly).name == "f11sq"
+    for doc in ({"builtin": 17}, {"builtin": poly}, {"builtin": "uniform_fgm", "typo": 1}):
+        with pytest.raises(ConfigError, match="body must be a name"):
+            body_from_config(doc)
+    with pytest.raises(ConfigError, match="unknown builtin body"):
+        body_from_config({"builtin": "no_such"})
 
 
 # ---------------------------------------------------------------------------
