@@ -55,12 +55,16 @@ _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 # anchor block; fd_step is the central-difference step.  Each floor is the lowest and
 # each ceiling the highest value at which no verdict or dim moved in a sweep over the
 # built-ins and a 46-term polynomial (3^3 and 5^3, six seeds, 12 to 40 samples; 162
-# runs).  Below the floors rank_tol 3e-12, v_tol 1e-11 and fd_step 3e-8 each flip one;
-# above the ceilings rank_tol 3e-4 moves 2 runs (1e-3: 49), v_tol 0.8 moves all 72
+# runs).  Below the floors rank_tol 3e-12, v_tol 1e-11 and fd_step 3e-8 each flip one.
+# nonuniform's dropped anchor singular values reach 1.1e-10 at the default seed and
+# above 2e-10 at others: with the default seed added (210 runs) v_tol 1e-10 moves
+# the anchor ranks of 16 nonuniform runs (25 of 125 points at 5^3 read rank 3),
+# 1.2e-10 of 12, 2e-10 of 2 and 3e-10 of none; the v_tol floor, 1e-9, keeps a margin.
+# Above the ceilings rank_tol 3e-4 moves 2 runs (1e-3: 49), v_tol 0.8 moves all 72
 # graded-body runs, and fd_step 4e-3 moves 2 (5e-3: 14, 1e-2: 72).  flat_tol has no ceiling:
 # flat runs read max(|R|, |T|) <= 1.5e-9 (others 1.0), and 1e-9 reads 4 of them obstructed.
 _RANK_TOL = (lambda v: 1e-10 <= v <= 2e-4, "in [1e-10, 2e-4]")
-_V_TOL = (lambda v: 1e-10 <= v <= 0.7, "in [1e-10, 0.7]")
+_V_TOL = (lambda v: 1e-9 <= v <= 0.7, "in [1e-9, 0.7]")
 _FD_STEP = (lambda v: 1e-7 <= v <= 3e-3, "in [1e-7, 3e-3]")
 _FLAT_TOL = (lambda v: 1e-8 <= v < math.inf, "finite and >= 1e-8")
 

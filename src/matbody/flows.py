@@ -10,13 +10,17 @@ flow runs in two passes over blocks of steps.  The base pass integrates y on
 Python floats and records the four stage points of each step; it checks the
 domain at every stage, through the section's velocity face, and after every
 step.  The matrix pass then takes A at all stage points of the block from one
-batched call and advances F with ``_rk4_step``.  A grid-backed section holds
-a v field and an A field over the same lattice: the velocity face is the v
-field's point path, whose per-cell cache lives for one trajectory, and the
-rates are one batched call of the A field.  Differentiating the pullback of
-the flow on the coordinate frame at t = 0 recovers (-A(x), v(x)); no pipeline
-stage calls that finite-difference check, ``derivation_matrix``: the connection
-tests use it to lock the sign convention of the Christoffel symbols.
+batched call.  dF/dt = A(y(t)) F is linear in F, so one RK4 step multiplies F
+by a propagator M_k, the step taken from F = I: one ``_rk4_step`` over the
+stacked identities of the block gives all its M_k, and each step is then one
+3x3 product F = M_k F.  That equals RK4 on F in exact arithmetic and to
+rounding in floats.  A grid-backed section holds a v field and an A field over
+the same lattice: the velocity face is the v field's point path, whose
+per-cell cache lives for one trajectory, and the rates are one batched call of
+the A field.  Differentiating the pullback of the flow on the coordinate frame
+at t = 0 recovers (-A(x), v(x)); no pipeline stage calls that finite-difference
+check, ``derivation_matrix``: the connection tests use it to lock the sign
+convention of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -126,11 +130,12 @@ def exp_trajectory(section: SectionField, t: float, x,
 
     exp_section returns the jet of the final record.  Runs in blocks of
     BLOCK_STEPS steps: a base pass integrates y on Python floats, then a matrix
-    pass takes A at the block's stage points in one ``section.rates`` call and
-    advances F.  Raises StepTooLarge unless 0 < step <= MAX_STEP, LeftDomain
-    when a stage point or y leaves the section's domain, and NonFiniteResponse
-    when F overflows or the step count |t| / step exceeds MAX_FLOW_STEPS (or is
-    not finite).
+    pass takes A at the block's stage points in one ``section.rates`` call,
+    makes the block's propagators M_k in one ``_rk4_step`` from stacked
+    identities, and records F = M_k F, a new array per step.  Raises
+    StepTooLarge unless 0 < step <= MAX_STEP, LeftDomain when a stage point or
+    y leaves the section's domain, and NonFiniteResponse when F overflows or
+    the step count |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
     """
     if not 0 < step <= MAX_STEP:                            # NaN too
         raise StepTooLarge(f"step {step:g} is not in (0, {MAX_STEP:g}]")
@@ -150,8 +155,8 @@ def exp_trajectory(section: SectionField, t: float, x,
     y0, y1, y2 = x.tolist()
     stage_rates = iter(())
 
-    def rhs(_c, F):
-        return next(stage_rates) @ F        # _rk4_step asks for its stages in order
+    def rhs(_c, M):
+        return next(stage_rates) @ M        # _rk4_step asks for its stages in order
 
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for first in range(1, n + 1, BLOCK_STEPS):
@@ -174,10 +179,13 @@ def exp_trajectory(section: SectionField, t: float, x,
                     raise LeftDomain(f"trajectory exited the domain at {[y0, y1, y2]}")
                 stages += (s1, s2, s3, s4)
                 ys.append((y0, y1, y2))
-            # matrix pass: A at every stage point of the block in one call
-            stage_rates = iter(section.rates(np.array(stages)))
-            for k, y in zip(ks, np.array(ys)):
-                F = _rk4_step(rhs, F, dt)                   # a new array each step
+            # matrix pass: A at every stage point of the block in one call, stage
+            # axis first; one RK4 step from I per step of the block is its propagator
+            rates = section.rates(np.array(stages)).reshape(-1, 4, 3, 3)
+            stage_rates = iter(rates.swapaxes(0, 1))
+            propagators = _rk4_step(rhs, np.broadcast_to(np.eye(3), (len(ks), 3, 3)), dt)
+            for k, y, M in zip(ks, np.array(ys), propagators):
+                F = M @ F                                   # a new array each step
                 records.append((k * dt, y, F))
     # Non-finite entries never turn finite again, so the last step shows them all.
     if not np.isfinite(F).all():

@@ -139,20 +139,30 @@ class TrilinearField:
 
         It caches the corner values of each cell it visits for as long as it
         lives, so a caller bounds that cache by how long it keeps the function:
-        a flow keeps one for one trajectory.  ``blocks`` exposes the cache.
+        a flow keeps one for one trajectory.  ``blocks`` exposes the cache.  It
+        also remembers the last cell it used: a point inside that cell's
+        half-open bounds skips the hull test and the cell search and takes the
+        same weights.  Any other point, NaN and +-inf among them, takes the
+        search, which raises LeftDomain outside the hull.
         """
         (tx, ty, tz), flat, blocks = self._ticks, self._flat, {}
         inside = self.box.contains_floats
+        last = _NO_CELL
 
         def at(q0, q1, q2):
-            if not inside((q0, q1, q2)):
-                raise LeftDomain(f"point {[q0, q1, q2]} outside grid hull")
-            i, a0, a1 = _cell(tx, q0)
-            j, b0, b1 = _cell(ty, q1)
-            k, c0, c1 = _cell(tz, q2)
-            columns = blocks.get((i, j, k))
-            if columns is None:     # per value, its 8 corners in _CORNERS order
-                columns = blocks[i, j, k] = flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1).T.tolist()
+            nonlocal last
+            l0, u0, h0, l1, u1, h1, l2, u2, h2, columns = last
+            if not (l0 <= q0 < u0 and l1 <= q1 < u1 and l2 <= q2 < u2):
+                if not inside((q0, q1, q2)):
+                    raise LeftDomain(f"point {[q0, q1, q2]} outside grid hull")
+                (i, l0, u0, h0), (j, l1, u1, h1), (k, l2, u2, h2) = (
+                    _cell(tx, q0), _cell(ty, q1), _cell(tz, q2))
+                columns = blocks.get((i, j, k))
+                if columns is None:     # per value, its 8 corners in _CORNERS order
+                    columns = blocks[i, j, k] = flat[i:i + 2, j:j + 2, k:k + 2].reshape(8, -1).T.tolist()
+                last = l0, u0, h0, l1, u1, h1, l2, u2, h2, columns
+            a1, b1, c1 = (q0 - l0) / h0, (q1 - l1) / h1, (q2 - l2) / h2
+            a0, b0, c0 = 1.0 - a1, 1.0 - b1, 1.0 - c1
             ab00, ab01, ab10, ab11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
             w0, w1, w2, w3 = ab00 * c0, ab00 * c1, ab01 * c0, ab01 * c1
             w4, w5, w6, w7 = ab10 * c0, ab10 * c1, ab11 * c0, ab11 * c1
@@ -166,13 +176,18 @@ class TrilinearField:
 
 
 def _cell(ticks: list, q: float) -> tuple:
-    """(i, 1 - t, t): the cell of coordinate q, ticks[0] <= q <= ticks[-1], and q's weights."""
+    """(i, lo, up, width) of coordinate q, ticks[0] <= q <= ticks[-1]: its cell
+    lo = ticks[i] <= q < up and the cell's width.  up is ticks[i + 1], but one ulp
+    past ticks[-1] for the last cell, so the upper hull face falls in it."""
     i = bisect_right(ticks, q) - 1
     if i == len(ticks) - 1:                         # upper hull face: last cell
         i -= 1
-    t = (q - ticks[i]) / (ticks[i + 1] - ticks[i])
-    return i, 1.0 - t, t
+    lo, hi = ticks[i], ticks[i + 1]
+    return i, lo, hi if i < len(ticks) - 2 else math.nextafter(hi, math.inf), hi - lo
 
+
+# the remembered cell of a new point path: NaN bounds hold no point
+_NO_CELL = (math.nan,) * 9 + (None,)
 
 # cell corners (di, dj, dk) in the order both paths add them up
 _CORNERS = tuple(itertools.product((0, 1), repeat=3))

@@ -13,7 +13,8 @@ the polynomial response as it was before it was computed from a power table,
 of each fiber's anchor block, ``point_solve_lift``, the library's stacked
 solve one point at a time, and ``tuple_exp_trajectory`` and ``tuple_chart``,
 the exponential flow and the chart sweep as they were when RK4 carried a
-tuple of arrays.
+tuple of arrays; ``propagator_exp_trajectory`` is that flow with F advanced
+by one step's propagator at a time, as the library's batched matrix pass does.
 ``json_dumps_document`` is the report writer as it was before it gained C
 fast paths.
 """
@@ -364,11 +365,13 @@ def tuple_rk4_step(rhs: Callable, state: tuple, dt: float) -> tuple:
 
 
 def tuple_exp_trajectory(section: SectionField, t: float, x,
-                         step: float = DEFAULT_STEP) -> list:
+                         step: float = DEFAULT_STEP, propagator: bool = False) -> list:
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
     exp_section returns the jet of the final record.  Raises LeftDomain when y
-    leaves the section's hull and NonFiniteResponse when F overflows.
+    leaves the section's hull and NonFiniteResponse when F overflows.  With
+    ``propagator`` each step takes RK4 from (y, I) to (y', M) and sets F = M F:
+    the same y, and the same F in exact arithmetic, since dF/dt = A(y) F is linear.
     """
     if step > MAX_STEP:
         raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
@@ -386,7 +389,11 @@ def tuple_exp_trajectory(section: SectionField, t: float, x,
 
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for k in range(1, n + 1):
-            y, F = tuple_rk4_step(rhs, (y, F), dt)
+            if propagator:
+                y, M = tuple_rk4_step(rhs, (y, I3), dt)
+                F = M @ F
+            else:
+                y, F = tuple_rk4_step(rhs, (y, F), dt)
             if not section.box.contains(y):
                 raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
             records.append((k * dt, y, F))      # _rk4_step returns new arrays
@@ -394,6 +401,12 @@ def tuple_exp_trajectory(section: SectionField, t: float, x,
     if not np.isfinite(F).all():
         raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
+
+
+def propagator_exp_trajectory(section: SectionField, t: float, x,
+                              step: float = DEFAULT_STEP) -> list:
+    """``tuple_exp_trajectory`` with F advanced by each step's propagator M: F = M F."""
+    return tuple_exp_trajectory(section, t, x, step, propagator=True)
 
 
 def tuple_transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> tuple:

@@ -170,7 +170,7 @@ def test_builtin_body_object_is_its_name():
 @pytest.mark.parametrize("key, floor, flipped_at", [
     ("fd_step", 1e-7, 3e-8),        # nonuniform read uniform
     ("rank_tol", 1e-10, 3e-12),     # uniform_fgm read not_uniform
-    ("v_tol", 1e-10, 1e-11),        # nonuniform read uniform
+    ("v_tol", 1e-9, 1e-10),         # nonuniform read 25 points at 5^3 at anchor rank 3
     ("flat_tol", 1e-8, 1e-9),       # uniform_fgm_integrable read obstructed
 ])
 def test_tolerance_floors(key, floor, flipped_at):
@@ -179,6 +179,23 @@ def test_tolerance_floors(key, floor, flipped_at):
     for value in (flipped_at, floor * (1 - 1e-12)):
         with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
             AnalysisConfig.from_dict({"tolerances": {key: value}})
+
+
+def test_v_tol_floor_keeps_nonuniform_anchor_ranks():
+    """At the v_tol floor nonuniform at 5^3, default seed, reads the default's anchor
+    ranks, isotropy dims and offending points.  Below it, at 1e-10 (the library path;
+    a config refuses it), 25 of its 125 points read anchor rank 3."""
+    def answers(doc):
+        return ([(p["anchor_rank"], p["isotropy_dim"]) for p in doc["points"]],
+                doc["uniformity"]["offending_points"])
+
+    cfg = AnalysisConfig(body="nonuniform", resolution=(5, 5, 5))
+    default = answers(run_analysis(cfg).document)
+    assert answers(run_analysis(AnalysisConfig(body="nonuniform", resolution=(5, 5, 5),
+                                               v_tol=1e-9)).document) == default
+    assert len(default[1]) == 125
+    below = uniformity_verdict(fiber_stage(cfg)[2], 1e-10)
+    assert below.anchor_ranks.count(3) == 25 and len(below.offending) == 100
 
 
 @pytest.mark.parametrize("key, ceiling, flipped_at", [
@@ -736,13 +753,14 @@ def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
 
 _TOLERANCE_RANGES = {
     "rank_tol": st.floats(1e-10, 2e-4),
-    "v_tol": st.floats(1e-10, 0.7),
+    "v_tol": st.floats(1e-9, 0.7),
     "flat_tol": st.floats(1e-8, 1e3),
     "fd_step": st.floats(1e-7, 3e-3),
 }
 _OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
                  for value in [math.inf, -math.inf, math.nan, 0.0, -1e-3]
                  + ([1.0, 2.0, 1e-11] if name in ("rank_tol", "v_tol") else [])
+                 + ([1e-10] if name == "v_tol" else [])
                  + ([3e-4, 1e-3] if name == "rank_tol" else [])
                  + ([0.8] if name == "v_tol" else [])
                  + ([1e-8, 4e-3, 1e-2] if name == "fd_step" else [])

@@ -30,7 +30,8 @@ from matbody import (
 import matbody
 from matbody.flows import BLOCK_STEPS
 from matbody.grid import TrilinearField
-from oracles import E12, loop_trilinear, matrix_exp, tuple_exp_trajectory
+from oracles import (E12, loop_trilinear, matrix_exp, propagator_exp_trajectory,
+                     tuple_exp_trajectory)
 
 LO, HI = -np.ones(3), np.ones(3)
 
@@ -259,7 +260,9 @@ def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, sa
 
 
 # ---------------------------------------------------------------------------
-# single-array RK4 state against the tuple-of-arrays reference
+# batched propagators against the tuple-of-arrays references: bitwise against
+# per-step propagators, and against classical RK4 on F in y and error class
+# bitwise and in F to rounding
 # ---------------------------------------------------------------------------
 
 ORACLE_AXES = tuple(np.linspace(-0.9, 0.9, 5) for _ in range(3))   # cell faces at 0, +-0.45
@@ -289,6 +292,24 @@ def recorded(trajectory, section, t, x0, step):
         return type(exc)
 
 
+# F = M_k F and RK4 on F round differently: at most 0.6 ulp of max|F| per step over
+# 360 random flows of the sections below (t up to 0.4, steps 1e-3 to 1e-2); the bound
+# allows 4.
+F_ULPS_PER_STEP = 4
+
+
+def assert_is_the_classical_rk4(got, want, name):
+    """t and y bit for bit and F to F_ULPS_PER_STEP ulps of max|F| per step, or the
+    same error class."""
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want, name
+        return
+    assert [r[:2] for r in got] == [r[:2] for r in want], name
+    F, G = (np.array([np.frombuffer(r[2]) for r in records]) for records in (got, want))
+    bound = F_ULPS_PER_STEP * (len(got) - 1) * np.finfo(float).eps * np.max(np.abs(G))
+    assert np.max(np.abs(F - G)) <= bound, name
+
+
 points = st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3).map(np.array)
 directions = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
               .filter(lambda u: np.linalg.norm(u) > 0.1))
@@ -301,13 +322,16 @@ directions = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.arra
 @example(x0=np.array([0.0, 0.45, 0.0]), u=np.array([-0.6, 0.8, 0.0]), t=0.4, step=1e-2)
 @example(x0=np.array([0.8, 0.0, 0.0]), u=np.array([1.0, 0.0, 0.0]), t=0.4, step=1e-2)
 def test_exp_trajectory_is_bitwise_the_tuple_rk4(x0, u, t, step):
-    """Every record, or the error class, equals the tuple-state reference bit for bit.
+    """Every record, or the error class, equals the propagator reference bit for bit,
+    and classical RK4 on F bit for bit in y and to rounding in F.
 
     The explicit examples cross cell faces (and start on one) or leave the hull.
     """
     for name, section in oracle_sections(u).items():
         got = recorded(exp_trajectory, section, t, x0, step)
-        assert got == recorded(tuple_exp_trajectory, section, t, x0, step), name
+        assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
+        assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
+                                    name)
 
 
 def test_oracle_examples_cross_cell_faces_and_leave_the_hull():
@@ -338,7 +362,8 @@ def field_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", [BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 1])
 def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
-    """Flows of n steps around the block edges equal the reference bit for bit.
+    """Flows of n steps around the block edges equal the propagator reference bit for
+    bit, and classical RK4 on F in y bit for bit and in F to rounding.
 
     A from-grid flow makes one batched A-field call per block, over its 4 stage
     points per step, and no call with a single point.
@@ -352,7 +377,9 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
         if name == "from_grid":
             assert field_calls == [(4 * m, 3) for m in blocks]
         assert len(got) == n + 1, name
-        assert got == recorded(tuple_exp_trajectory, section, t, x0, step), name
+        assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
+        assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
+                                    name)
 
 
 def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):

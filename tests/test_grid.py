@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import matbody
 from matbody import (Body, Box, GridTooSmall, LeftDomain, OutOfDomain, Parallelism, SectionField,
                      TrilinearField, evaluate, make_grid)
+from matbody import grid as grid_module
 from matbody.grid import grid_gradient
 from oracles import loop_trilinear
 
@@ -235,6 +236,53 @@ def test_point_cache_holds_one_block_per_visited_cell():
     assert field.point_path().blocks == {}
     assert vars(field).keys() == state.keys()
     assert all(vars(field)[name] is value for name, value in state.items())
+
+
+def test_point_path_through_its_remembered_cell(monkeypatch):
+    """One point path through a sequence: a repeated cell, interior faces crossed both
+    ways, a tick, the upper hull face from inside the last cell, then NaN, +-inf and an
+    outside point after a cached cell.  Each value is bitwise the batched call and the
+    reference loop, signed zeros too, or LeftDomain; only a point outside the
+    remembered cell searches for its cell, and the cache holds the visited cells."""
+    axes = [np.array([-1.0, -0.25, 0.5, 2.0]), np.array([0.0, 1.0, 1.5]),
+            np.array([-2.0, -1.0, 3.0])]
+    rng = np.random.default_rng(12)
+    shape = (4, 3, 3, 2)
+    values = rng.normal(size=shape) * rng.choice([-1.0, 1.0, 0.0, -0.0], size=shape)
+    field = TrilinearField(axes, values)
+    searches = []
+    cell = grid_module._cell
+    monkeypatch.setattr(grid_module, "_cell", lambda ticks, q: searches.append(q) or cell(ticks, q))
+    at = field.point_path()
+    nan, inf = float("nan"), float("inf")
+    steps = [((0.1, 0.5, 0.0), (1, 0, 1), True),        # first point
+             ((0.4, 0.25, 2.5), (1, 0, 1), False),      # same cell
+             ((0.6, 0.5, 0.0), (2, 0, 1), True),        # up across x = 0.5
+             ((0.3, 0.5, 0.0), (1, 0, 1), True),        # and back down
+             ((0.5, 0.5, 0.0), (2, 0, 1), True),        # on the tick: the cell above
+             ((0.5, 0.0, -1.0), (2, 0, 1), False),      # ticks that open the cell
+             ((1.9, 0.9, 2.9), (2, 0, 1), False),
+             ((2.0, 0.9, 2.9), (2, 0, 1), False),       # upper hull face, last cell
+             ((2.0, 1.5, 3.0), (2, 1, 1), True),        # far corner
+             ((1.0, 1.2, 0.0), (2, 1, 1), False)]
+    outside = [(nan, 1.2, 0.0), (1.0, nan, 0.0), (1.0, 1.2, nan), (inf, 1.2, 0.0),
+               (-inf, 1.2, 0.0), (1.0, inf, 0.0), (1.0, 1.2, -inf),
+               (float(np.nextafter(2.0, 3.0)), 1.2, 0.0), (1.0, -0.5, 0.0)]
+    for p, want_cell, search in steps:
+        del searches[:]
+        got = np.array(at(*p)).reshape(2)
+        assert len(searches) == 3 * search, p
+        x = np.array(p)
+        for want in (field(x), loop_trilinear(axes, values, x)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert tuple(min(int(np.searchsorted(a, q, side="right")) - 1, len(a) - 2)
+                     for a, q in zip(axes, p)) == want_cell
+    for p in outside:
+        for check in (lambda p: at(*p), lambda p: field(np.array(p))):
+            with pytest.raises(LeftDomain):
+                check(p)
+        assert at(1.0, 1.2, 0.0) == field(np.array([1.0, 1.2, 0.0])).tolist()
+    assert set(at.blocks) == {cell for _, cell, _ in steps}
 
 
 def test_import_does_not_load_scipy():
