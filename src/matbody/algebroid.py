@@ -117,7 +117,7 @@ def fibers_at(body: Body, points, samples: SampleSet,
     fiber dim go through one more, which turns each basis into the anchor's
     singular frame.  Spectra are stored non-negative (LAPACK can give -0.0).  A failing
     evaluation, rows or spectrum raise indexed by their point in ``points``, and the
-    message starts ``at grid point [x]: ``.
+    message starts ``at point [x]: ``.
     """
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
@@ -133,7 +133,7 @@ def fibers_at(body: Body, points, samples: SampleSet,
                     "singular values of the constraint rows overflow"), (int(np.argmax(bad)),))
         except MatbodyError as exc:
             k = start + int(exc.index[0])
-            exc.args, exc.index = (f"at grid point {points[k].tolist()}: {exc}",), (k,)
+            exc.args, exc.index = (f"at point {points[k].tolist()}: {exc}",), (k,)
             raise
         sv[start:start + chunk, :s.shape[-1]] = np.abs(s)      # LAPACK can give -0.0
     sv.setflags(write=False)

@@ -44,29 +44,12 @@ SCHEMA_NAME = "matbody.report.v1"
 RANK_GAP_FLOOR = 10.0
 # Flow time of the exponential cross-check in direction e1 from the grid centre.
 CROSS_CHECK_T = 0.1
-# Package constants no setting changes; a config echo writes them and from_dict accepts
-# a `constants` section only when it holds exactly these values.
+# Package constants no setting changes, the four tolerances among them; a config echo
+# writes them and from_dict accepts a `constants` section only when it holds exactly
+# these values.
 CONSTANTS = {"point_tol": jets.POINT_TOL, "det_tol": jets.DET_TOL,
-             "rank_gap_floor": RANK_GAP_FLOOR}
-
-
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
-# rank_tol cuts sv / sv_max and v_tol the singular values of an orthonormal basis's
-# anchor block; fd_step is the central-difference step.  Each floor is the lowest and
-# each ceiling the highest value at which no verdict or dim moved in a sweep over the
-# built-ins and a 46-term polynomial (3^3 and 5^3, six seeds, 12 to 40 samples; 162
-# runs).  Below the floors rank_tol 3e-12, v_tol 1e-11 and fd_step 3e-8 each flip one.
-# nonuniform's dropped anchor singular values reach 1.1e-10 at the default seed and
-# above 2e-10 at others: with the default seed added (210 runs) v_tol 1e-10 moves
-# the anchor ranks of 16 nonuniform runs (25 of 125 points at 5^3 read rank 3),
-# 1.2e-10 of 12, 2e-10 of 2 and 3e-10 of none; the v_tol floor, 1e-9, keeps a margin.
-# Above the ceilings rank_tol 3e-4 moves 2 runs (1e-3: 49), v_tol 0.8 moves all 72
-# graded-body runs, and fd_step 4e-3 moves 2 (5e-3: 14, 1e-2: 72).  flat_tol has no ceiling:
-# flat runs read max(|R|, |T|) <= 1.5e-9 (others 1.0), and 1e-9 reads 4 of them obstructed.
-_RANK_TOL = (lambda v: 1e-10 <= v <= 2e-4, "in [1e-10, 2e-4]")
-_V_TOL = (lambda v: 1e-9 <= v <= 0.7, "in [1e-9, 0.7]")
-_FD_STEP = (lambda v: 1e-7 <= v <= 3e-3, "in [1e-7, 3e-3]")
-_FLAT_TOL = (lambda v: 1e-8 <= v < math.inf, "finite and >= 1e-8")
+             "rank_gap_floor": RANK_GAP_FLOOR, "rank_tol": DEFAULT_RANK_TOL,
+             "v_tol": DEFAULT_V_TOL, "flat_tol": DEFAULT_FLAT_TOL, "fd_step": DEFAULT_FD_STEP}
 
 
 def _setting(default, path: str, kind, check=None):
@@ -92,18 +75,20 @@ class AnalysisConfig:
     body: object = "homogeneous_isotropic"
     resolution: tuple = _setting((5, 5, 5), "grid.resolution", tuple,
                                  (lambda r: min(r) >= 3, "3 integers >= 3"))
-    margin: float = _setting(0.1, "grid.margin", float, _POSITIVE)
+    # difference stencils reach fd_step past a lattice point, so the margin must exceed it
+    margin: float = _setting(0.1, "grid.margin", float,
+                             (lambda v: math.isfinite(v) and v > DEFAULT_FD_STEP,
+                              f"finite and > fd_step {DEFAULT_FD_STEP:g}"))
     sample_count: int = _setting(24, "samples.count", int, (lambda n: n >= 12, ">= 12"))
     seed: int = _setting(20240, "samples.seed", int, (lambda n: n >= 0, ">= 0"))
-    rank_tol: float = _setting(DEFAULT_RANK_TOL, "tolerances.rank_tol", float, _RANK_TOL)
-    v_tol: float = _setting(DEFAULT_V_TOL, "tolerances.v_tol", float, _V_TOL)
-    flat_tol: float = _setting(DEFAULT_FLAT_TOL, "tolerances.flat_tol", float, _FLAT_TOL)
-    fd_step: float = _setting(DEFAULT_FD_STEP, "tolerances.fd_step", float, _FD_STEP)
     emit_singular_values: bool = _setting(False, "flags.emit_singular_values", bool)
     emit_chart: bool = _setting(False, "flags.emit_chart", bool)
     emit_trajectories: bool = _setting(False, "flags.emit_trajectories", bool)
     # the Body that ``body`` names, made once here
     material_body: Body = field(init=False, repr=False, compare=False)
+    # the package's tolerances: read-only class attributes, not settings
+    rank_tol, v_tol, flat_tol, fd_step = (DEFAULT_RANK_TOL, DEFAULT_V_TOL,
+                                          DEFAULT_FLAT_TOL, DEFAULT_FD_STEP)
 
     def __post_init__(self):
         object.__setattr__(self, "material_body", body_from_config(self.body))
@@ -119,8 +104,6 @@ class AnalysisConfig:
             if check and not check[0](value):
                 raise ConfigError(f"{path} must be {check[1]}, got {value!r}")
             object.__setattr__(self, f.name, value)
-        if self.margin <= self.fd_step:
-            raise ConfigError("grid margin must exceed fd_step so stencils stay in the box")
 
     @staticmethod
     def from_dict(raw: dict) -> "AnalysisConfig":

@@ -162,8 +162,7 @@ def test_criterion_5_homogeneity_verdicts():
     ok, lines = True, []
     for res in ((5, 5, 5), (9, 9, 9)):
         for kind, want in expected.items():
-            doc = run_analysis(AnalysisConfig(body=kind, resolution=res,
-                                              flat_tol=1e-4)).document
+            doc = run_analysis(AnalysisConfig(body=kind, resolution=res)).document
             got = (doc["uniformity"]["verdict"], doc["homogeneity"]["verdict"])
             ok = ok and got == want
             lines.append(f"{kind}@{res[0]}^3 -> {got}")

@@ -317,7 +317,7 @@ def test_fibers_at_names_a_point_too_close_to_the_boundary():
     with pytest.raises(OutOfDomain, match="closer than fd_step") as err:
         fibers_at(body, pts, samples, fd_step=1e-5)
     assert err.value.index == (k,)
-    assert str(err.value).startswith(f"at grid point {pts[k].tolist()}: x = ")
+    assert str(err.value).startswith(f"at point {pts[k].tolist()}: x = ")
 
 
 @pytest.mark.parametrize("terms", [None, isotropic_polynomial_terms(),

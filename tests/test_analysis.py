@@ -1,6 +1,7 @@
 """Pipeline configuration, report serialization, determinism, and the CLI."""
 
 import ast
+import inspect
 import io
 import json
 import math
@@ -23,14 +24,22 @@ from matbody import (
     NonFiniteResponse,
     SectionField,
     SingularMatrix,
+    anchor_rank,
+    constraint_rows,
+    curvature_torsion,
     emit_report,
     exp_trajectory,
+    fiber,
+    fibers_at,
+    homogeneity_verdict,
+    isotropy_algebra,
     minimal_lift_section,
     parse_report,
     run_analysis,
     uniformity_verdict,
 )
-from matbody.analysis import _SETTINGS, _exponential_cross_check, canonical_json, fiber_stage
+from matbody.analysis import (CONSTANTS, _SETTINGS, _exponential_cross_check, canonical_json,
+                              fiber_stage)
 from matbody.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from oracles import WIDE_GAP_TERMS, isotropic_polynomial_terms, json_dumps_document
 
@@ -47,8 +56,28 @@ def test_config_defaults_round_trip():
     assert cfg.resolution == (5, 5, 5)
     assert cfg.sample_count == 24
     echo = cfg.echo()
-    assert sorted(echo["tolerances"]) == ["fd_step", "flat_tol", "rank_tol", "v_tol"]
+    assert "tolerances" not in echo
+    tolerances = {"rank_tol": 1e-6, "v_tol": 1e-8, "flat_tol": 1e-4, "fd_step": 1e-5}
+    assert {k: echo["constants"][k] for k in tolerances} == tolerances
+    assert {k: getattr(cfg, k) for k in tolerances} == tolerances
     assert "point_tol" in echo["constants"] and "det_tol" in echo["constants"]
+    poly = {"polynomial": {"terms": [[[2] + [0] * 11, 1.0]], "name": "f11sq"}}
+    for other in (cfg, AnalysisConfig(body={"builtin": "nonuniform"}, resolution=(3, 4, 5),
+                                      margin=0.2, sample_count=12, seed=3, emit_chart=True,
+                                      emit_singular_values=True, emit_trajectories=True),
+                  AnalysisConfig(body=poly, resolution=(3, 3, 3))):
+        assert AnalysisConfig.from_dict(other.echo()) == other
+
+
+def test_library_tolerance_defaults_are_the_constants():
+    """Every library tolerance parameter defaults to the value a config runs at."""
+    for fn in (fibers_at, fiber, constraint_rows, anchor_rank, isotropy_algebra,
+               uniformity_verdict, minimal_lift_section, curvature_torsion):
+        params = inspect.signature(fn).parameters
+        tolerances = [name for name in params if name in CONSTANTS]
+        assert tolerances, fn.__name__
+        for name in tolerances:
+            assert params[name].default == CONSTANTS[name] == getattr(AnalysisConfig, name)
 
 
 def test_readme_config_section_matches_schema():
@@ -88,8 +117,8 @@ def test_readme_quick_tour_runs_as_commented():
 @pytest.mark.parametrize("raw", [
     {"grid": {"resolution": [2, 5, 5]}},
     {"samples": {"count": 8}},
-    {"tolerances": {"rank_tol": 0.0}},
-    {"grid": {"margin": 1e-3}, "tolerances": {"fd_step": 2e-3}},  # margin must exceed fd_step
+    {"tolerances": {"rank_tol": 1e-6}},        # no section sets a tolerance, not even its value
+    {"grid": {"margin": 1e-5}},                # margin must exceed fd_step
     {"body": {"builtin": "no_such"}},
     {"body": 17},
     {"mystery": {}},
@@ -98,13 +127,14 @@ def test_readme_quick_tour_runs_as_commented():
     [],
     {"grid": [5, 5, 5]},
     {"grid": {"resolution": [5, 5]}},
-    # tolerances that would silently flip a verdict
-    {"body": "nonuniform", "tolerances": {"rank_tol": math.inf}},
-    {"body": "nonuniform", "tolerances": {"rank_tol": 2.0}},
-    {"body": "uniform_fgm", "tolerances": {"flat_tol": math.inf}},
-    {"body": "uniform_fgm_integrable", "tolerances": {"flat_tol": 1e-12}},
-    {"tolerances": {"v_tol": math.inf}},
-    {"tolerances": {"v_tol": 1.0}},
+    # the tolerances are constants: a tolerances section, even an empty one, and constants
+    # other than the package's (a parent's echo without the tolerances, a moved one) exit 2
+    {"tolerances": {}},
+    {"body": "uniform_fgm_integrable", "tolerances": {"fd_step": 1e-3, "flat_tol": 1e-6}},
+    {"constants": {"point_tol": 1e-9, "det_tol": 1e-12, "rank_gap_floor": 10.0}},
+    {"constants": dict(CONSTANTS, flat_tol=1e-6)},
+    {"grid": {"margin": math.inf}},
+    {"grid": {"margin": 5e-6}},
     # values that used to end in a traceback
     {"grid": {"margin": math.nan}},
     {"samples": {"seed": -1}},
@@ -167,51 +197,7 @@ def test_builtin_body_object_is_its_name():
             AnalysisConfig(body=body)
 
 
-@pytest.mark.parametrize("key, floor, flipped_at", [
-    ("fd_step", 1e-7, 3e-8),        # nonuniform read uniform
-    ("rank_tol", 1e-10, 3e-12),     # uniform_fgm read not_uniform
-    ("v_tol", 1e-9, 1e-10),         # nonuniform read 25 points at 5^3 at anchor rank 3
-    ("flat_tol", 1e-8, 1e-9),       # uniform_fgm_integrable read obstructed
-])
-def test_tolerance_floors(key, floor, flipped_at):
-    """A tolerance below its floor is refused; the floor itself is accepted."""
-    assert getattr(AnalysisConfig.from_dict({"tolerances": {key: floor}}), key) == floor
-    for value in (flipped_at, floor * (1 - 1e-12)):
-        with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
-            AnalysisConfig.from_dict({"tolerances": {key: value}})
-
-
-def test_v_tol_floor_keeps_nonuniform_anchor_ranks():
-    """At the v_tol floor nonuniform at 5^3, default seed, reads the default's anchor
-    ranks, isotropy dims and offending points.  Below it, at 1e-10 (the library path;
-    a config refuses it), 25 of its 125 points read anchor rank 3."""
-    def answers(doc):
-        return ([(p["anchor_rank"], p["isotropy_dim"]) for p in doc["points"]],
-                doc["uniformity"]["offending_points"])
-
-    cfg = AnalysisConfig(body="nonuniform", resolution=(5, 5, 5))
-    default = answers(run_analysis(cfg).document)
-    assert answers(run_analysis(AnalysisConfig(body="nonuniform", resolution=(5, 5, 5),
-                                               v_tol=1e-9)).document) == default
-    assert len(default[1]) == 125
-    below = uniformity_verdict(fiber_stage(cfg)[2], 1e-10)
-    assert below.anchor_ranks.count(3) == 25 and len(below.offending) == 100
-
-
-@pytest.mark.parametrize("key, ceiling, flipped_at", [
-    ("fd_step", 3e-3, 4e-3),        # uniform_fgm_integrable read obstructed
-    ("rank_tol", 2e-4, 3e-4),       # uniform_fgm_integrable read inconclusive
-    ("v_tol", 0.7, 0.8),            # both graded bodies read not_uniform
-])
-def test_tolerance_ceilings(key, ceiling, flipped_at):
-    """A tolerance above its ceiling is refused; the ceiling itself is accepted."""
-    assert getattr(AnalysisConfig.from_dict({"tolerances": {key: ceiling}}), key) == ceiling
-    for value in (flipped_at, ceiling * (1 + 1e-12)):
-        with pytest.raises(ConfigError, match=f"tolerances.{key} must be"):
-            AnalysisConfig.from_dict({"tolerances": {key: value}})
-
-
-# verdicts of the built-ins and the 46-term polynomial at the default tolerances
+# verdicts of the built-ins and the 46-term polynomial at the package tolerances
 _SWEEP_VERDICTS = {
     "homogeneous_isotropic": ("uniform", "homogeneous_evidence"),
     "uniform_fgm": ("uniform", "obstructed"),
@@ -221,17 +207,39 @@ _SWEEP_VERDICTS = {
 }
 
 
-@pytest.mark.parametrize("kind, res", [(k, n) for k in _SWEEP_VERDICTS for n in (3, 5)
-                                       if (k, n) != ("polynomial", 5)])
-def test_flat_tol_floor_keeps_every_verdict(kind, res):
-    """At flat_tol = its floor each body reads its verdict: the rounding of an exactly
-    flat lift stays below the floor and a torsion of 1 above it."""
+def _answers(grid, fibers, v_tol=AnalysisConfig.v_tol, flat_tol=AnalysisConfig.flat_tol):
+    """Verdicts, fibre dims, isotropy dims and anchor ranks of a fibre stage."""
+    uni = uniformity_verdict(fibers, v_tol)
+    hom = "n/a"
+    if uni.uniform:
+        report = curvature_torsion(minimal_lift_section(grid, fibers, v_tol), flat_tol)
+        hom = homogeneity_verdict(uni, report).verdict
+    return uni.verdict, hom, [f.dim for f in fibers], list(uni.isotropy_dims), uni.anchor_ranks
+
+
+@pytest.mark.parametrize("kind, res", [(k, n) for k in _SWEEP_VERDICTS for n in (3, 5)])
+def test_tolerances_keep_every_answer_a_decade_either_way(kind, res):
+    """rank_tol, v_tol, flat_tol and fd_step, each moved x0.1 and x10 through the library
+    parameters, keep every verdict, fibre dim, isotropy dim and anchor rank, at the default
+    seed and two more.  The v_tol and flat_tol moves reuse the fibres of the constants."""
     body = {"polynomial": {"terms": isotropic_polynomial_terms()}} if kind == "polynomial" else kind
-    for seed, count in ((1, 12), (2, 40)):
-        doc = run_analysis(AnalysisConfig(body=body, resolution=(res,) * 3, sample_count=count,
-                                          seed=seed, flat_tol=1e-8)).document
-        verdicts = doc["uniformity"]["verdict"], doc["homogeneity"]["verdict"]
-        assert verdicts == _SWEEP_VERDICTS[kind], (seed, count)
+    for seed in (20240, 1, 2):
+        cfg = AnalysisConfig(body=body, resolution=(res,) * 3, seed=seed)
+        grid, samples, fibers = fiber_stage(cfg)
+        want = _answers(grid, fibers)
+        assert want[:2] == _SWEEP_VERDICTS[kind], seed
+        for factor in (0.1, 10.0):
+            moved = {
+                "rank_tol": fibers_at(cfg.material_body, grid.points, samples,
+                                      rank_tol=cfg.rank_tol * factor),
+                "fd_step": fibers_at(cfg.material_body, grid.points, samples,
+                                     fd_step=cfg.fd_step * factor),
+            }
+            got = {name: _answers(grid, f) for name, f in moved.items()}
+            got["v_tol"] = _answers(grid, fibers, v_tol=cfg.v_tol * factor)
+            got["flat_tol"] = _answers(grid, fibers, flat_tol=cfg.flat_tol * factor)
+            for name, answers in got.items():
+                assert answers == want, (seed, name, factor)
 
 
 def test_cross_check_leaving_grid_hull_is_null():
@@ -632,7 +640,7 @@ def test_cli_analyze_numerical_failure(tmp_path, capsys):
     })
     assert main(["analyze", "--config", cfg]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "at grid point [-0.9, -0.9, -0.9]: response of 'polynomial' is non-finite" in err
+    assert "at point [-0.9, -0.9, -0.9]: response of 'polynomial' is non-finite" in err
 
 
 def test_run_analysis_fiber_error_keeps_its_point():
@@ -643,14 +651,28 @@ def test_run_analysis_fiber_error_keeps_its_point():
     with pytest.raises(NonFiniteResponse) as err:
         run_analysis(cfg)
     assert err.value.index == (0,)
-    assert str(err.value).startswith("at grid point [-0.9, -0.9, -0.9]: ")
+    assert str(err.value).startswith("at point [-0.9, -0.9, -0.9]: ")
+
+
+def test_cli_refuses_a_tolerances_section(tmp_path, capsys):
+    """The tolerances are constants: a config with a tolerances section, here the fd_step
+    and flat_tol that read the exactly flat body obstructed, exits 2 from analyze and flow."""
+    cfg = write_config(tmp_path, {"body": "uniform_fgm_integrable",
+                                  "grid": {"resolution": [3, 3, 3]},
+                                  "tolerances": {"fd_step": 1e-3, "flat_tol": 1e-6}})
+    for command in (["analyze", "--config", cfg],
+                    ["flow", "--config", cfg, "--t", "0.1", "--x", "0,0,0"]):
+        assert main(command) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: unknown config sections: ['tolerances']\n"
 
 
 def test_cli_cross_check_overflow_is_quiet(tmp_path):
     """An exponential cross-check whose RK4 state overflows reads null, silently."""
     # v_tol at the smallest subnormal counts nonuniform's rank-2 anchor as rank 3,
     # so the lift divides by singular values of 1e-13..1e-10 and the flow overflows.
-    # The CLI refuses a v_tol below its floor, so the library path is checked.
+    # A config sets no tolerance (a tolerances section exits 2): the library path is checked.
     doc = {"body": "nonuniform", "grid": {"resolution": [3, 3, 3]}, "samples": {"count": 12},
            "tolerances": {"v_tol": 5e-324}}
     assert main(["analyze", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
@@ -751,38 +773,29 @@ def test_sv_gap_past_the_float_range_is_null(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-_TOLERANCE_RANGES = {
-    "rank_tol": st.floats(1e-10, 2e-4),
-    "v_tol": st.floats(1e-9, 0.7),
-    "flat_tol": st.floats(1e-8, 1e3),
-    "fd_step": st.floats(1e-7, 3e-3),
-}
-_OUT_OF_RANGE = [(name, value) for name in _TOLERANCE_RANGES
-                 for value in [math.inf, -math.inf, math.nan, 0.0, -1e-3]
-                 + ([1.0, 2.0, 1e-11] if name in ("rank_tol", "v_tol") else [])
-                 + ([1e-10] if name == "v_tol" else [])
-                 + ([3e-4, 1e-3] if name == "rank_tol" else [])
-                 + ([0.8] if name == "v_tol" else [])
-                 + ([1e-8, 4e-3, 1e-2] if name == "fd_step" else [])
-                 + ([1e-9, 1e-12] if name == "flat_tol" else [])]
+# invalid parts of a config document, merged into its sections; each exits 2
+_INVALID = [("tolerances", {}), ("tolerances", {"flat_tol": 1e-6, "fd_step": 1e-3}),
+            ("tolerances", {"v_tol": 1e-10}), ("tolerances", {"rank_tol": 1e-6}),
+            ("constants", {"point_tol": 1e-9, "det_tol": 1e-12, "rank_gap_floor": 10.0}),
+            ("constants", dict(CONSTANTS, fd_step=1e-3)), ("grid", {"margin": 1e-5}),
+            ("grid", {"margin": math.nan}), ("grid", {"margin": math.inf}),
+            ("grid", {"margin": -1e-3}), ("samples", {"count": 11}),
+            ("samples", {"seed": -1}), ("flags", {"emit_chart": 1})]
 
 
 @st.composite
 def config_documents(draw):
-    """3^3 config documents; about eight in nine carry one out-of-range tolerance."""
-    tolerances = {name: draw(good) for name, good in _TOLERANCE_RANGES.items()
-                  if draw(st.booleans())}
-    bad = draw(st.sampled_from(_OUT_OF_RANGE + [None] * 4))
-    if bad is not None:
-        tolerances[bad[0]] = bad[1]
+    """3^3 config documents; about three in four carry one invalid part."""
     doc = {
         "body": draw(st.sampled_from(["homogeneous_isotropic", "uniform_fgm",
                                       "uniform_fgm_integrable", "nonuniform"])),
         "grid": {"resolution": [3, 3, 3], "margin": draw(st.floats(0.06, 0.95))},
         "samples": {"count": 12, "seed": draw(st.integers(0, 2**32))},
-        "tolerances": tolerances,
         "flags": {"emit_chart": draw(st.booleans())},
     }
+    bad = draw(st.sampled_from(_INVALID + [None] * 4))
+    if bad is not None:
+        doc.setdefault(bad[0], {}).update(bad[1])
     return doc, bad is not None
 
 
