@@ -15,7 +15,10 @@ whole pipeline, so every fiber carries its full singular-value spectrum and
 
 The central-difference stencils of every sample gradient at a chunk of points
 are evaluated as two batches (F-stencils, x-stencils), and the chunk's
-nullspaces come from one stacked SVD.
+nullspaces come from one stacked SVD.  The F-stencils do not depend on the
+point: a sample set makes and det-checks them once per step
+(``SampleSet.stencils``), so a chunk checks only its own points before its two
+response calls.
 
 Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 """
@@ -24,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import Body, SampleSet, evaluate
+from .bodies import Body, SampleSet, Stencils, evaluate, f_stencils
 from .errors import MatbodyError, NonFiniteResponse, OutOfDomain, first_true, with_index
 from .jets import as_point
 
@@ -59,13 +62,14 @@ class FiberBasis:
         return len(self.basis)
 
 
-# About this many (F, x) pairs go into one evaluate call of the fibre stencils:
-# chunks of grid points of this size keep the stencil and response
+# At most this many F-stencil pairs (18 per point and sample) go into one
+# evaluate call of a fibre chunk, 8 x 28 x 18 = 4032 at 28 samples; the
+# chunk's x-stencil call adds a third as many (6 per point and sample).
+# Chunks of grid points of this size keep the stencil and response
 # temporaries near a megabyte at any grid size.
 STENCIL_PAIRS = 4096
 
-# Unit steps of the 9 entries of F (E_ij, row-major) and of the 3 coordinates of x.
-_F_STEPS = np.eye(9).reshape(9, 3, 3)
+# Unit steps of the 3 coordinates of x.
 _X_STEPS = np.eye(3)
 
 
@@ -80,6 +84,20 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
     call; an x within ``fd_step`` of the box boundary raises OutOfDomain.  Rows
     that overflow raise NonFiniteResponse indexed by the first offending pair.
     """
+    return _rows(body, x, F, fd_step)
+
+
+def _rows(body: Body, x, F, fd_step: float,
+          stencils: Callable[[float], Stencils] | None = None) -> np.ndarray:
+    """``constraint_rows``; ``stencils`` is the sample set's when F is its matrices.
+
+    Asked for only once x passes the inset test, so a step that fails it
+    makes none.  When they are ``regular`` (every F-stencil passes the det
+    floor, as the samples did), a chunk whose x-stencils lie in the box is
+    decided: both evaluate calls take the checked path with their batch
+    shapes.  Otherwise ``evaluate`` checks each batch, so values and errors
+    are the same either way.
+    """
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
         x = np.asarray(x, dtype=float)
         F = np.asarray(F, dtype=float)
@@ -88,14 +106,24 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
             i = first_true(near, near.shape)
             raise with_index(OutOfDomain(
                 f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
+        if stencils is None:
+            FS = f_stencils(F, fd_step)                 # raises first on a malformed F
+            st = Stencils(FS, False, np.ascontiguousarray(np.swapaxes(F, -1, -2)))
+        else:
+            st = stencils(fd_step)
         steps = np.array([fd_step, -fd_step])
         pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
-        Fc = F[..., None, None, :, :]
+        xs = pts + steps[:, None, None] * _X_STEPS
+        # x-stencils in the box put x there too (each coordinate of x is kept by
+        # two of them), so the F-stencil batch's points need no mask of their own
+        certified = st.regular and body.box.mask(xs).all()
+        lead = x.shape[:-1] + F.shape[:-2]
         # values on axes (points..., gradients..., sign of the step, stepped entry)
-        W_F = evaluate(body, Fc + steps[:, None, None, None] * _F_STEPS, pts)
-        W_x = evaluate(body, Fc, pts + steps[:, None, None] * _X_STEPS)
+        W_F = evaluate(body, st.matrices, pts, _checked=lead + (2, 9) if certified else None)
+        W_x = evaluate(body, F[..., None, None, :, :], xs,
+                       _checked=lead + (2, 3) if certified else None)
         dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
-        A = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ dWdF.reshape(dWdF.shape[:-1] + (3, 3))
+        A = st.transposed @ dWdF.reshape(dWdF.shape[:-1] + (3, 3))
     rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
     bad = ~np.isfinite(rows).all(axis=-1)
     if bad.any():
@@ -125,7 +153,8 @@ def fibers_at(body: Body, points, samples: SampleSet,
     sv, Vh = np.zeros((len(points), 12)), np.empty((len(points), 12, 12))
     for start in range(0, len(points), chunk):
         try:
-            L = constraint_rows(body, points[start:start + chunk], samples.matrices, fd_step)
+            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step,
+                      samples.stencils)
             _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
             bad = ~np.isfinite(s).all(axis=-1)
             if bad.any():

@@ -21,7 +21,9 @@ from matbody import (
     AnalysisConfig,
     NonFiniteResponse,
     OutOfDomain,
+    SampleSet,
     SectionField,
+    SingularMatrix,
     builtin_body,
     constraint_rows,
     exp_section,
@@ -35,8 +37,10 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
+from matbody import algebroid
 from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank
 from matbody.grid import Box
+from matbody.jets import DET_TOL
 from oracles import (
     E12,
     I3,
@@ -500,3 +504,102 @@ def test_fiber_calls_build_the_inset_box_once(monkeypatch, samples):
         assert np.array_equal(again.basis, first.basis)
     assert len(built) == 1
     assert np.array_equal(built[0][0], body.lo + 1e-5) and np.array_equal(built[0][1], body.hi - 1e-5)
+
+
+def _stencil_batches(monkeypatch):
+    """Record the LU det calls and the F-stencil batches that the fibre stage evaluates."""
+    lu, batches = [], []
+    det, evaluate = np.linalg.det, algebroid.evaluate
+
+    def counting_det(a, *args, **kwargs):
+        lu.append(np.shape(a))
+        return det(a, *args, **kwargs)
+
+    def recording(body, F, x, **kwargs):
+        if np.shape(F)[-4:] == (2, 9, 3, 3):
+            batches.append(F)               # kept alive, so ids stay distinct
+        return evaluate(body, F, x, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    monkeypatch.setattr(algebroid, "evaluate", recording)
+    return lu, batches
+
+
+def test_fibre_stencils_are_made_and_checked_once_per_sample_set(monkeypatch):
+    """27 one-point fibres and a multi-chunk fibers_at on one sample set each build one
+    F-stencil batch and take one LU det batch of it, not one per call or per chunk."""
+    body = builtin_body("uniform_fgm")
+    grids = {res: make_grid(body.lo, body.hi, res, 0.1).points for res in (3, 5)}
+    calls = {"27 fiber calls": lambda s: [fiber(body, x, s) for x in grids[3]],
+             "fibers_at at 5^3": lambda s: fibers_at(body, grids[5], s)}
+    for name, call in calls.items():
+        samples = make_samples(24)          # fresh: no stencils made yet
+        with monkeypatch.context() as m:
+            lu, batches = _stencil_batches(m)
+            call(samples)
+        expected = len(grids[3]) if name.startswith("27") else -(-125 // 8)
+        assert len(batches) == expected, name
+        assert all(F is batches[0] for F in batches), name
+        assert lu == [(samples.count, 2, 9, 3, 3)], name
+
+
+@pytest.mark.parametrize("res", [3, 5])
+@pytest.mark.parametrize("kind", _FRAME_BODIES)
+def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, res, samples):
+    """Fibres from the sample set's checked stencils are bit for bit those of chunks that
+    run evaluate's full checks, and the stage still evaluates n count 24 pairs."""
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind))
+    points = make_grid(body.lo, body.hi, res, 0.1).points
+    evaluate, pairs, decided = algebroid.evaluate, [], []
+
+    def recording(body, F, x, *, _checked=None):
+        pairs.append(math.prod(np.broadcast_shapes(np.shape(F)[:-2], np.shape(x)[:-1])))
+        decided.append(_checked is not None)
+        return evaluate(body, F, x, _checked=_checked)
+
+    with monkeypatch.context() as m:
+        m.setattr(algebroid, "evaluate", recording)
+        got = fibers_at(body, points, samples)
+    assert all(decided) and sum(pairs) == len(points) * samples.count * 24
+    with monkeypatch.context() as m:
+        m.setattr(algebroid, "evaluate", lambda body, F, x, **_: evaluate(body, F, x))
+        want = fibers_at(body, points, samples)
+    for f, g in zip(got, want, strict=True):
+        assert f.basis.tobytes() == g.basis.tobytes()
+        assert f.singular_values.tobytes() == g.singular_values.tobytes()
+        assert f.anchor_sv.tobytes() == g.anchor_sv.tobytes()
+        assert f.sv_gap == g.sv_gap and np.array_equal(f.point, g.point)
+
+
+def test_a_singular_stencil_raises_at_the_first_point():
+    """A sample above the det floor whose F-stencil falls below it raises SingularMatrix
+    at point 0 of a multi-chunk grid, as evaluate's full check does."""
+    body = builtin_body("uniform_fgm")
+    near = np.diag([1.0, 1.0, 1e-5 + DET_TOL / 2])     # F - 1e-5 E_33 has det 5e-13
+    samples = SampleSet(np.concatenate([make_samples(12, seed=1).matrices, near[None]]))
+    points = make_grid(body.lo, body.hi, 5, 0.1).points
+    assert len(points) > STENCIL_PAIRS // (18 * samples.count)     # several chunks
+    with pytest.raises(SingularMatrix) as err:
+        fibers_at(body, points, samples)
+    assert err.value.index == (0,)
+    assert str(err.value) == "at point [-0.9, -0.9, -0.9]: deformation gradient is singular"
+
+
+@pytest.mark.parametrize("y, message", [
+    (1.0 - 5e-6, "at point [0.0, 0.999995, 0.0]: [0.0, 1.000005, 0.0] outside domain of body "
+                 "'uniform_fgm'"),
+    (1.0 + 5e-6, "at point [0.0, 1.000005, 0.0]: [0.0, 1.000005, 0.0] outside domain of body "
+                 "'uniform_fgm'"),
+], ids=["x-stencil outside", "point outside"])
+def test_a_stencil_that_leaves_the_box_raises_at_its_point(y, message):
+    """A point that passes the fd_step inset test but whose x-stencil leaves the box
+    raises OutOfDomain, indexed and named as evaluate's full check does.  A negative
+    step widens the inset box, so such points exist; the point itself may lie outside."""
+    body, k = builtin_body("uniform_fgm"), 21
+    pts = np.zeros((40, 3))
+    pts[k, 1] = y
+    with pytest.raises(OutOfDomain) as err:
+        fibers_at(body, pts, make_samples(12, seed=1), fd_step=-1e-5)
+    assert err.value.index == (k,)
+    assert str(err.value) == message
