@@ -83,8 +83,17 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
     (count, 12) constraint matrix.  Each stencil block (F, x) is one evaluate
     call; an x within ``fd_step`` of the box boundary raises OutOfDomain.  Rows
     that overflow raise NonFiniteResponse indexed by the first offending pair.
+    A step that is not finite and > 0 raises ValueError.
     """
+    _check_fd_step(fd_step)
     return _rows(body, x, F, fd_step)
+
+
+def _check_fd_step(fd_step: float) -> None:
+    """Refuse a step before any stencil: at 0 the differences are 0/0, a negative
+    step widens the inset box past the body's, and NaN reads as a bad point."""
+    if not 0 < fd_step < math.inf:                          # NaN too
+        raise ValueError(f"fd_step {fd_step:g} is not finite and > 0")
 
 
 def _rows(body: Body, x, F, fd_step: float,
@@ -145,8 +154,10 @@ def fibers_at(body: Body, points, samples: SampleSet,
     fiber dim go through one more, which turns each basis into the anchor's
     singular frame.  Spectra are stored non-negative (LAPACK can give -0.0).  A failing
     evaluation, rows or spectrum raise indexed by their point in ``points``, and the
-    message starts ``at point [x]: ``.
+    message starts ``at point [x]: ``.  A step that is not finite and > 0 raises
+    ValueError, so the sample set keeps no stencils for it.
     """
+    _check_fd_step(fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
     chunk = max(1, STENCIL_PAIRS // (18 * samples.count))

@@ -6,18 +6,24 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
     dy/dt = v(y),        dF/dt = A(y) F,        y(0) = x,  F(0) = I,
 
 with classical fixed-step RK4.  The base equation does not involve F, so the
-flow runs in two passes over blocks of steps.  The base pass integrates y on
-Python floats and records the four stage points of each step; it checks the
-domain at every stage, through the section's velocity face, and after every
-step.  The matrix pass then takes A at all stage points of the block from one
-batched call.  dF/dt = A(y(t)) F is linear in F, so one RK4 step multiplies F
-by a propagator M_k, the step taken from F = I: one ``_rk4_step`` over the
-stacked identities of the block gives all its M_k, and each step is then one
-3x3 product F = M_k F.  That equals RK4 on F in exact arithmetic and to
-rounding in floats.  A grid-backed section holds a v field and an A field over
-the same lattice: the velocity face is the v field's point path, whose
-per-cell cache lives for one trajectory, and the rates are one batched call of
-the A field.  Differentiating the pullback of the flow on the coordinate frame
+flow runs in two passes over blocks of steps.  The base pass integrates y and
+records the four stage points of each step; it checks the domain at every
+stage and after every step.  In general it runs on Python floats through the
+section's velocity face.  A straight section, whose velocity is one constant
+u (``SectionField.straight``), moves y along the line x + t u: its base pass
+is one running sum of the constant step increment per block, with the stage
+points and the domain checks as whole-block array operations, bitwise the
+float pass fed that constant.  The matrix pass, shared by both, then takes A
+at all stage points of the block from one batched call.  dF/dt = A(y) F is
+linear in F, so one RK4 step multiplies F by a propagator M_k, the step taken
+from F = I: one ``_rk4_step`` over the stacked identities of the block gives
+all its M_k, and each step is then one 3x3 product F = M_k F.  That equals
+RK4 on F in exact arithmetic and to rounding in floats.  A grid-backed
+section holds a v field and an A field over the same lattice: the velocity
+face is the v field's point path, whose per-cell cache lives for one
+trajectory, and the rates are one batched call of the A field.  It is
+straight when its v field is constant, as in every lift x -> (u, A_x(u)) of
+one direction u.  Differentiating the pullback of the flow on the coordinate frame
 at t = 0 recovers (-A(x), v(x)); no pipeline stage calls that finite-difference
 check, ``derivation_matrix``: the connection tests use it to lock the sign
 convention of the Christoffel symbols.
@@ -51,8 +57,13 @@ class SectionField:
     given as three Python floats that returns v there as three floats and raises
     LeftDomain outside the domain ``box``; and ``rates(points)``, A at each
     point of (m, 3) as (m, 3, 3).  For an analytic section both call ``fn``
-    once per point.
+    once per point.  ``straight`` is v as a (3,) array when the section is
+    known to move every point at that one velocity (``constant``, or a
+    from-grid section whose v field is constant), else None; a flow of a
+    straight section never calls its velocity face.
     """
+
+    straight = None
 
     def __init__(self, fn: Callable[[np.ndarray], tuple], lo, hi):
         self.box = Box(lo, hi)
@@ -78,7 +89,9 @@ class SectionField:
     def constant(v, A, lo, hi) -> "SectionField":
         v = np.asarray(v, dtype=float).reshape(3)
         A = np.asarray(A, dtype=float).reshape(3, 3)
-        return SectionField(lambda x: (v, A), lo, hi)
+        section = SectionField(lambda x: (v, A), lo, hi)
+        section.straight = v
+        return section
 
     @staticmethod
     def from_grid(axes, v_data, a_data) -> "SectionField":
@@ -89,12 +102,14 @@ class SectionField:
 class _GridSection(SectionField):
     """A v field (3 values per node) and an A field (3 x 3) over the same axes.
 
-    The hull check of each field is the domain check.
+    The hull check of each field is the domain check.  It is straight when
+    the v field is constant.
     """
 
     def __init__(self, v_field: TrilinearField, a_field: TrilinearField):
         self.box = v_field.box
         self._v_field, self._a_field = v_field, a_field
+        self.straight = v_field.constant
 
     def value(self, x) -> tuple:
         return self._v_field(x), self._a_field(x)
@@ -129,13 +144,16 @@ def exp_trajectory(section: SectionField, t: float, x,
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
     exp_section returns the jet of the final record.  Runs in blocks of
-    BLOCK_STEPS steps: a base pass integrates y on Python floats, then a matrix
-    pass takes A at the block's stage points in one ``section.rates`` call,
-    makes the block's propagators M_k in one ``_rk4_step`` from stacked
-    identities, and records F = M_k F, a new array per step.  Raises
-    StepTooLarge unless 0 < step <= MAX_STEP, LeftDomain when a stage point or
-    y leaves the section's domain, and NonFiniteResponse when F overflows or
-    the step count |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
+    BLOCK_STEPS steps: a base pass integrates y and records its stage points,
+    then a matrix pass takes A at the block's stage points in one
+    ``section.rates`` call, makes the block's propagators M_k in one
+    ``_rk4_step`` from stacked identities, and records F = M_k F, a new array
+    per step.  The base pass is ``_float_pass`` on Python floats through the
+    velocity face, or for a straight section ``_straight_pass``, which is
+    bitwise that loop at the constant velocity.  Raises StepTooLarge unless
+    0 < step <= MAX_STEP, LeftDomain when a stage point or y leaves the
+    section's domain, and NonFiniteResponse when F overflows or the step count
+    |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
     """
     if not 0 < step <= MAX_STEP:                            # NaN too
         raise StepTooLarge(f"step {step:g} is not in (0, {MAX_STEP:g}]")
@@ -150,9 +168,11 @@ def exp_trajectory(section: SectionField, t: float, x,
                                 f"exceeds MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     n = max(1, math.ceil(steps))
     dt = t / n
-    half, sixth = 0.5 * dt, dt / 6.0
-    velocity, box = section.velocity(), section.box
-    y0, y1, y2 = x.tolist()
+    if section.straight is None:
+        base_pass = _float_pass(section.velocity(), section.box, dt)
+    else:
+        base_pass = _straight_pass(section.straight, section.box, dt)
+    y = x
     stage_rates = iter(())
 
     def rhs(_c, M):
@@ -161,36 +181,82 @@ def exp_trajectory(section: SectionField, t: float, x,
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for first in range(1, n + 1, BLOCK_STEPS):
             ks = range(first, min(first + BLOCK_STEPS, n + 1))
-            # base pass: y alone, on floats, in _rk4_step's expression order
-            stages, ys = [], []
-            for _ in ks:
-                s1 = (y0, y1, y2)
-                a0, a1, a2 = velocity(*s1)
-                s2 = (y0 + half * a0, y1 + half * a1, y2 + half * a2)
-                b0, b1, b2 = velocity(*s2)
-                s3 = (y0 + half * b0, y1 + half * b1, y2 + half * b2)
-                c0, c1, c2 = velocity(*s3)
-                s4 = (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2)
-                d0, d1, d2 = velocity(*s4)
-                y0 = y0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0)
-                y1 = y1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
-                y2 = y2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)
-                if not box.contains_floats((y0, y1, y2)):
-                    raise LeftDomain(f"trajectory exited the domain at {[y0, y1, y2]}")
-                stages += (s1, s2, s3, s4)
-                ys.append((y0, y1, y2))
+            stages, ys = base_pass(y, len(ks))
+            y = ys[-1]
             # matrix pass: A at every stage point of the block in one call, stage
             # axis first; one RK4 step from I per step of the block is its propagator
-            rates = section.rates(np.array(stages)).reshape(-1, 4, 3, 3)
+            rates = section.rates(stages).reshape(-1, 4, 3, 3)
             stage_rates = iter(rates.swapaxes(0, 1))
             propagators = _rk4_step(rhs, np.broadcast_to(np.eye(3), (len(ks), 3, 3)), dt)
-            for k, y, M in zip(ks, np.array(ys), propagators):
+            for k, y_k, M in zip(ks, ys, propagators):
                 F = M @ F                                   # a new array each step
-                records.append((k * dt, y, F))
+                records.append((k * dt, y_k, F))
     # Non-finite entries never turn finite again, so the last step shows them all.
     if not np.isfinite(F).all():
         raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
+
+
+def _float_pass(velocity: Callable, box: Box, dt: float) -> Callable:
+    """The base pass on Python floats: y (3,) and a step count m -> the stage
+    points (4m, 3) and y after each step (m, 3), in _rk4_step's expression order.
+
+    ``velocity`` checks the domain at each stage point, the box each y.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def run(y, m):
+        y0, y1, y2 = y.tolist()
+        stages, ys = [], []
+        for _ in range(m):
+            s1 = (y0, y1, y2)
+            a0, a1, a2 = velocity(*s1)
+            s2 = (y0 + half * a0, y1 + half * a1, y2 + half * a2)
+            b0, b1, b2 = velocity(*s2)
+            s3 = (y0 + half * b0, y1 + half * b1, y2 + half * b2)
+            c0, c1, c2 = velocity(*s3)
+            s4 = (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2)
+            d0, d1, d2 = velocity(*s4)
+            y0 = y0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0)
+            y1 = y1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
+            y2 = y2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)
+            if not box.contains_floats((y0, y1, y2)):
+                raise LeftDomain(f"trajectory exited the domain at {[y0, y1, y2]}")
+            stages += (s1, s2, s3, s4)
+            ys.append((y0, y1, y2))
+        return np.array(stages), np.array(ys)
+
+    return run
+
+
+def _straight_pass(u: np.ndarray, box: Box, dt: float) -> Callable:
+    """``_float_pass`` at the constant velocity u, bit for bit, in array operations.
+
+    Every step adds the same increment sixth * (u + 2u + 2u + u), so y after
+    the steps of a block is one running sum (``np.add.accumulate`` adds in
+    order), and a step's stages are y, y + half u twice and y + dt u.  One mask
+    checks each step's four stages and its end; the first point outside in the
+    loop's order raises LeftDomain.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    increment, mid, end = sixth * (u + 2 * u + 2 * u + u), half * u, dt * u
+
+    def run(y, m):
+        path = np.empty((m + 1, 3))
+        path[0], path[1:] = y, increment
+        path = np.add.accumulate(path)
+        starts, ys = path[:-1], path[1:]
+        centre = starts + mid
+        points = np.stack([starts, centre, centre, starts + end, ys], axis=1)   # (m, 5, 3)
+        inside = box.mask(points)
+        if not inside.all():
+            k, i = divmod(int(np.argmin(inside)), 5)
+            if i == 4:
+                raise LeftDomain(f"trajectory exited the domain at {ys[k].tolist()}")
+            raise LeftDomain(f"point {points[k, i].tolist()} outside section domain")
+        return points[:, :4].reshape(-1, 3), ys
+
+    return run
 
 
 def one_parameter_check(section: SectionField, t: float, u: float, x,

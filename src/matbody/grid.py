@@ -105,6 +105,10 @@ class TrilinearField:
 
     ``point_path()`` evaluates one point given as Python floats, bitwise equal
     to this batched call: same cell, same weights, same accumulation order.
+    ``constant`` is the node value, read-only, when every node holds exactly
+    the same value (-0.0 read as 0.0, as both paths add), else None; both paths
+    then return it exactly after the same hull test, where the weighted sum
+    could be an ulp off.
     """
 
     def __init__(self, axes, values: np.ndarray):
@@ -116,11 +120,17 @@ class TrilinearField:
         self._ticks = tuple(a.tolist() for a in self._axes)
         self._value_shape = values.shape[3:]
         self._flat = values.reshape(values.shape[:3] + (-1,))
+        self.constant = None
+        if values.size and (values == values[0, 0, 0]).all():      # NaN nodes: never
+            self.constant = np.array(values[0, 0, 0] + 0.0)
+            self.constant.setflags(write=False)
 
     def __call__(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float)
         if not self.box.mask(p).all():
             raise LeftDomain(f"point {p.tolist()} outside grid hull")
+        if self.constant is not None:
+            return np.broadcast_to(self.constant, p.shape[:-1] + self._value_shape).copy()
         cells, weights = [], []
         for a, q in zip(self._axes, np.moveaxis(p, -1, 0)):
             # points on the upper hull face fall in the last cell
@@ -143,10 +153,21 @@ class TrilinearField:
         also remembers the last cell it used: a point inside that cell's
         half-open bounds skips the hull test and the cell search and takes the
         same weights.  Any other point, NaN and +-inf among them, takes the
-        search, which raises LeftDomain outside the hull.
+        search, which raises LeftDomain outside the hull.  The path of a
+        constant field tests the hull, returns ``constant`` and caches nothing.
         """
         (tx, ty, tz), flat, blocks = self._ticks, self._flat, {}
         inside = self.box.contains_floats
+        if self.constant is not None:
+            values = self.constant.ravel().tolist()
+
+            def at(q0, q1, q2):
+                if not inside((q0, q1, q2)):
+                    raise LeftDomain(f"point {[q0, q1, q2]} outside grid hull")
+                return values.copy()
+
+            at.blocks = blocks
+            return at
         last = _NO_CELL
 
         def at(q0, q1, q2):

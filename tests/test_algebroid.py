@@ -586,20 +586,19 @@ def test_a_singular_stencil_raises_at_the_first_point():
     assert str(err.value) == "at point [-0.9, -0.9, -0.9]: deformation gradient is singular"
 
 
-@pytest.mark.parametrize("y, message", [
-    (1.0 - 5e-6, "at point [0.0, 0.999995, 0.0]: [0.0, 1.000005, 0.0] outside domain of body "
-                 "'uniform_fgm'"),
-    (1.0 + 5e-6, "at point [0.0, 1.000005, 0.0]: [0.0, 1.000005, 0.0] outside domain of body "
-                 "'uniform_fgm'"),
-], ids=["x-stencil outside", "point outside"])
-def test_a_stencil_that_leaves_the_box_raises_at_its_point(y, message):
-    """A point that passes the fd_step inset test but whose x-stencil leaves the box
-    raises OutOfDomain, indexed and named as evaluate's full check does.  A negative
-    step widens the inset box, so such points exist; the point itself may lie outside."""
-    body, k = builtin_body("uniform_fgm"), 21
-    pts = np.zeros((40, 3))
-    pts[k, 1] = y
-    with pytest.raises(OutOfDomain) as err:
-        fibers_at(body, pts, make_samples(12, seed=1), fd_step=-1e-5)
-    assert err.value.index == (k,)
-    assert str(err.value) == message
+@pytest.mark.parametrize("fd_step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
+def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
+    """constraint_rows, fibers_at and fiber refuse the step with a ValueError naming
+    it, before any stencil is made, so the sample set caches none.  At 0 the
+    differences read 0/0, a negative step widened the inset box past the body's
+    (a point up to |fd_step| outside passed it), and NaN read as a bad point."""
+    body, samples = builtin_body("uniform_fgm"), make_samples(12, seed=1)
+    x = np.array([0.1, 0.2, 0.3])
+    calls = [lambda: constraint_rows(body, x, samples.matrices, fd_step),
+             lambda: fibers_at(body, [x, -x], samples, fd_step=fd_step),
+             lambda: fiber(body, x, samples, fd_step=fd_step)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^fd_step .* is not finite and > 0$"):
+            call()
+    assert "_stencils" not in vars(samples)
+    assert fiber(body, x, samples).dim == 3 and list(vars(samples)["_stencils"]) == [1e-5]

@@ -272,13 +272,16 @@ ORACLE_A_DATA = 0.5 * _lattice.uniform(-1.0, 1.0, (5, 5, 5, 3, 3))
 
 
 def oracle_sections(u):
-    """From-grid, constant and analytic sections that move along u."""
+    """From-grid, straight from-grid (a lift's tiled u), constant and analytic sections
+    that move along u."""
     def analytic(x):
         return (u + 0.2 * np.array([x[1], -x[0], x[2]]),
                 0.5 * E12 * x[0] + skew(0.2, 0.1 * x[2], -0.3))
 
     return {
         "from_grid": SectionField.from_grid(ORACLE_AXES, u + ORACLE_V_NOISE, ORACLE_A_DATA),
+        "straight_grid": SectionField.from_grid(ORACLE_AXES, np.tile(u, (5, 5, 5, 1)),
+                                                ORACLE_A_DATA),
         "constant": SectionField.constant(u, skew(0.5, -0.4, 0.3) + 0.2 * np.eye(3), LO, HI),
         "analytic": SectionField(analytic, LO, HI),
     }
@@ -366,7 +369,8 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
     bit, and classical RK4 on F in y bit for bit and in F to rounding.
 
     A from-grid flow makes one batched A-field call per block, over its 4 stage
-    points per step, and no call with a single point.
+    points per step, and no call with a single point; a straight one calls its
+    v field not at all.
     """
     x0, step = np.array([-0.4, -0.1, 0.0]), 1e-3
     t = (n - 0.5) * step                                    # n steps, whatever the rounding
@@ -374,8 +378,8 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
     for name, section in oracle_sections(np.array([0.8, 0.2, 0.1])).items():
         field_calls.clear()
         got = recorded(exp_trajectory, section, t, x0, step)
-        if name == "from_grid":
-            assert field_calls == [(4 * m, 3) for m in blocks]
+        if name in ("from_grid", "straight_grid"):
+            assert field_calls == [(4 * m, 3) for m in blocks], name
         assert len(got) == n + 1, name
         assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
         assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
@@ -392,8 +396,22 @@ def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field
     assert recorded(tuple_exp_trajectory, section, 0.2, x0, step) is LeftDomain
 
 
-def test_point_cache_lives_for_one_trajectory(monkeypatch):
-    """Each from-grid flow takes its own point path, and none outlives the flow."""
+def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
+    """The straight base pass refuses the second block before its matrix pass, as the
+    float pass does: one A-field call, and the v field is never called."""
+    section = oracle_sections(np.array([1.0, 0.0, 0.0]))["straight_grid"]
+    assert section.straight is not None
+    x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
+    with pytest.raises(LeftDomain, match=r"^point \[0\.90"):
+        exp_trajectory(section, 0.2, x0, step)
+    assert field_calls == [(4 * BLOCK_STEPS, 3)]
+    for reference in (propagator_exp_trajectory, tuple_exp_trajectory):
+        assert recorded(reference, section, 0.2, x0, step) is LeftDomain
+
+
+@pytest.fixture
+def point_paths(monkeypatch):
+    """A weak reference to each point path a TrilinearField hands out, in order."""
     paths = []
     point_path = TrilinearField.point_path
 
@@ -403,10 +421,48 @@ def test_point_cache_lives_for_one_trajectory(monkeypatch):
         return at
 
     monkeypatch.setattr(TrilinearField, "point_path", recording_path)
+    return paths
+
+
+def test_point_cache_lives_for_one_trajectory(point_paths):
+    """Each from-grid flow takes its own point path, and none outlives the flow."""
     section = oracle_sections(np.array([1.0, 0.3, 0.3]))["from_grid"]
     records = [exp_trajectory(section, 0.3, [-0.1, 0.0, 0.4], 1e-3) for _ in range(2)]
     assert [len(r) for r in records] == [301, 301]
-    assert len(paths) == 2 and all(ref() is None for ref in paths)
+    assert len(point_paths) == 2 and all(ref() is None for ref in point_paths)
+
+
+def assert_on_the_line(records, x0, u):
+    """y_k is x0 + t_k u to rounding: a running sum of k equal increments."""
+    ts, ys = np.array([r[0] for r in records]), np.array([r[1] for r in records])
+    bound = 4 * len(records) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ys))))
+    assert np.max(np.abs(ys - (x0 + ts[:, None] * u))) <= bound
+
+
+def test_analysis_cross_check_flows_along_a_straight_line(point_paths):
+    """run_analysis's exponential cross-check is a lift of e1: no point path, and the
+    emitted trajectory runs along x0 + t e1."""
+    from matbody import AnalysisConfig, run_analysis
+
+    doc = run_analysis(AnalysisConfig(body="uniform_fgm", resolution=(3, 3, 3),
+                                      emit_trajectories=True)).document
+    records = [(r["t"], np.array(r["y"])) for r in doc["trajectory"]]
+    assert len(records) == 101 and point_paths == []
+    assert_on_the_line(records, records[0][1], np.array([1.0, 0.0, 0.0]))
+
+
+def test_cli_flow_is_straight(tmp_path, point_paths):
+    """`matbody flow` makes no point-path lookup, and its records run along x0 + t u."""
+    from matbody import cli
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}}))
+    assert cli.main(["flow", "--config", str(cfg), "--t", "-0.3", "--x", "0.1,0.2,-0.1",
+                     "--direction", "1,0.5,-0.25", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    records = [(r["t"], np.array(r["y"])) for r in doc["records"]]
+    assert len(records) == 301 and point_paths == []
+    assert_on_the_line(records, np.array([0.1, 0.2, -0.1]), np.array([1.0, 0.5, -0.25]))
 
 
 @pytest.mark.parametrize("kind", ["from_grid", "analytic"])

@@ -285,6 +285,43 @@ def test_point_path_through_its_remembered_cell(monkeypatch):
     assert set(at.blocks) == {cell for _, cell, _ in steps}
 
 
+@pytest.mark.parametrize("value_shape", [(), (3,), (3, 3)])
+def test_constant_field_returns_its_value_exactly(value_shape):
+    """A lattice of one value: both paths return it bit for bit, where the weighted sum
+    is an ulp off at most points, and refuse the same points as any field; -0.0 nodes
+    read 0.0, and a lattice that is not one value has no constant."""
+    rng = np.random.default_rng(14)
+    grid = make_grid(-np.ones(3), np.ones(3), (4, 3, 5), margin=0.1)
+    c = rng.normal(size=value_shape)
+    values = np.broadcast_to(c, grid.shape + value_shape)
+    field = TrilinearField(grid.axes, values)
+    assert np.array_equal(field.constant, c) and not field.constant.flags.writeable
+    at = field.point_path()
+    pts = rng.uniform(grid.points[0], grid.points[-1], size=(50, 3))
+    pts = np.concatenate([pts, grid.points[[0, -1]]])
+    assert np.array_equal(field(pts), np.broadcast_to(c, (len(pts),) + value_shape))
+    for x in pts:
+        assert np.array_equal(field(x), c) and at(*x.tolist()) == c.ravel().tolist()
+    assert (loop_trilinear(grid.axes, values, pts) != c).any()
+    assert at.blocks == {}
+    bad = [np.nan, np.inf, -np.inf, 1.0, -1.0]           # the hull is [-0.9, 0.9]^3
+    for axis, q in itertools.product(range(3), bad):
+        x = np.zeros(3)
+        x[axis] = q
+        with pytest.raises(LeftDomain):
+            at(*x.tolist())
+        with pytest.raises(LeftDomain):
+            field(np.stack([grid.points[0], x]))
+    signed = np.zeros(grid.shape + (2,))
+    signed[::2] = -0.0
+    zero = TrilinearField(grid.axes, signed)
+    assert not np.signbit(zero.constant).any() and not np.signbit(zero(pts)).any()
+    values = np.array(values)
+    values[1, 2, 3] = np.nextafter(values[1, 2, 3], np.inf)
+    assert TrilinearField(grid.axes, values).constant is None
+    assert TrilinearField(grid.axes, np.full(grid.shape, np.nan)).constant is None
+
+
 def test_import_does_not_load_scipy():
     """numpy is the only runtime dependency; scipy serves the test oracles only."""
     src = str(Path(matbody.__file__).resolve().parents[1])
