@@ -8,25 +8,25 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
 with classical fixed-step RK4.  The base equation does not involve F, so the
 flow runs in two passes over blocks of steps.  The base pass integrates y and
 records the four stage points of each step; it checks the domain at every
-stage and after every step.  In general it runs on Python floats through the
-section's velocity face.  A straight section, whose velocity is one constant
-u (``SectionField.straight``), moves y along the line x + t u: its base pass
-is one running sum of the constant step increment per block, with the stage
-points and the domain checks as whole-block array operations, bitwise the
-float pass fed that constant.  The matrix pass, shared by both, then takes A
-at all stage points of the block from one batched call.  dF/dt = A(y) F is
-linear in F, so one RK4 step multiplies F by a propagator M_k, the step taken
-from F = I: one ``_rk4_step`` over the stacked identities of the block gives
-all its M_k, and each step is then one 3x3 product F = M_k F.  That equals
-RK4 on F in exact arithmetic and to rounding in floats.  A grid-backed
-section holds a v field and an A field over the same lattice: the velocity
-face is the v field's point path, whose per-cell cache lives for one
-trajectory, and the rates are one batched call of the A field.  It is
-straight when its v field is constant, as in every lift x -> (u, A_x(u)) of
-one direction u.  Differentiating the pullback of the flow on the coordinate frame
-at t = 0 recovers (-A(x), v(x)); no pipeline stage calls that finite-difference
-check, ``derivation_matrix``: the connection tests use it to lock the sign
-convention of the Christoffel symbols.
+stage and after every step.  In general it takes one ``_rk4_step`` per step,
+reading v through ``SectionField.velocity``.  A straight section, whose
+velocity is one constant u (``SectionField.straight``), moves y along the
+line x + t u: its base pass is one running sum of the constant step increment
+per block, with the stage points and the domain checks as whole-block array
+operations, bitwise the general pass at that constant velocity.  The matrix
+pass, shared by both, then takes A at all stage points of the block from one
+batched call.  dF/dt = A(y) F is linear in F, so one RK4 step multiplies F by
+a propagator M_k, the step taken from F = I: one ``_rk4_step`` over the
+stacked identities of the block gives all its M_k, and each step is then one
+3x3 product F = M_k F.  That equals RK4 on F in exact arithmetic and to
+rounding in floats.  A grid-backed section holds a v field and an A field
+over the same lattice and reads both through their ``TrilinearField`` call.
+It is straight when its v field is constant, as in every lift
+x -> (u, A_x(u)) of one direction u and every ``SectionField.constant``.
+Differentiating the pullback of the flow on the coordinate frame at t = 0
+recovers (-A(x), v(x)); no pipeline stage calls that finite-difference check,
+``derivation_matrix``: the connection tests use it to lock the sign convention
+of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ BLOCK_STEPS = 64
 class SectionField:
     """Assignment x -> (v(x), A(x)), analytic or interpolated from a lattice.
 
-    A flow reads it through two faces: ``velocity()``, a function of one point
-    given as three Python floats that returns v there as three floats and raises
-    LeftDomain outside the domain ``box``; and ``rates(points)``, A at each
-    point of (m, 3) as (m, 3, 3).  For an analytic section both call ``fn``
-    once per point.  ``straight`` is v as a (3,) array when the section is
-    known to move every point at that one velocity (``constant``, or a
-    from-grid section whose v field is constant), else None; a flow of a
-    straight section never calls its velocity face.
+    A flow reads it through two faces: ``velocity(x)``, v at one point (3,) as
+    a new (3,) array, raising LeftDomain outside the domain ``box``; and
+    ``rates(points)``, A at each point of (m, 3) as (m, 3, 3).  For an
+    analytic section both call ``fn`` once per point.  ``straight`` is v as a
+    (3,) array when the section is a from-grid section whose v field is
+    constant (``constant`` builds one), else None; a flow of a straight
+    section never calls its velocity face.
     """
 
     straight = None
@@ -77,9 +76,9 @@ class SectionField:
         v, A = self._fn(p)
         return np.array(v, dtype=float).reshape(3), np.array(A, dtype=float).reshape(3, 3)
 
-    def velocity(self) -> Callable:
-        """A new function q0, q1, q2 -> v at that point as a list of three floats."""
-        return lambda *q: self.value(q)[0].tolist()
+    def velocity(self, x) -> np.ndarray:
+        """v(x) as a new array (3,)."""
+        return self.value(x)[0]
 
     def rates(self, points: np.ndarray) -> np.ndarray:
         """A at each point of ``points`` (m, 3), as (m, 3, 3)."""
@@ -87,15 +86,18 @@ class SectionField:
 
     @staticmethod
     def constant(v, A, lo, hi) -> "SectionField":
-        v = np.asarray(v, dtype=float).reshape(3)
-        A = np.asarray(A, dtype=float).reshape(3, 3)
-        section = SectionField(lambda x: (v, A), lo, hi)
-        section.straight = v
-        return section
+        """(v, A) on the box lo <= x <= hi: a straight from-grid section over its corners."""
+        v = np.broadcast_to(np.reshape(v, 3), (2, 2, 2, 3))
+        A = np.broadcast_to(np.reshape(A, (3, 3)), (2, 2, 2, 3, 3))
+        return SectionField.from_grid(np.stack([lo, hi], axis=-1), v, A)
 
     @staticmethod
     def from_grid(axes, v_data, a_data) -> "SectionField":
-        """Trilinear interpolation of lattice samples; domain is the grid hull."""
+        """Trilinear interpolation of lattice samples, a (3,) v and a (3, 3) A per
+        node (else ValueError); domain is the grid hull."""
+        shapes = np.shape(v_data)[3:], np.shape(a_data)[3:]
+        if shapes != ((3,), (3, 3)):
+            raise ValueError(f"section data need (3,) and (3, 3) values per node, got {shapes}")
         return _GridSection(TrilinearField(axes, v_data), TrilinearField(axes, a_data))
 
 
@@ -114,8 +116,8 @@ class _GridSection(SectionField):
     def value(self, x) -> tuple:
         return self._v_field(x), self._a_field(x)
 
-    def velocity(self) -> Callable:
-        return self._v_field.point_path()
+    def velocity(self, x) -> np.ndarray:
+        return self._v_field(x)
 
     def rates(self, points: np.ndarray) -> np.ndarray:
         return self._a_field(points)
@@ -148,10 +150,10 @@ def exp_trajectory(section: SectionField, t: float, x,
     then a matrix pass takes A at the block's stage points in one
     ``section.rates`` call, makes the block's propagators M_k in one
     ``_rk4_step`` from stacked identities, and records F = M_k F, a new array
-    per step.  The base pass is ``_float_pass`` on Python floats through the
-    velocity face, or for a straight section ``_straight_pass``, which is
-    bitwise that loop at the constant velocity.  Raises StepTooLarge unless
-    0 < step <= MAX_STEP, LeftDomain when a stage point or y leaves the
+    per step.  The base pass is ``_velocity_pass``, one ``_rk4_step`` per step
+    through the velocity face, or for a straight section ``_straight_pass``,
+    which is bitwise that pass at the constant velocity.  Raises StepTooLarge
+    unless 0 < step <= MAX_STEP, LeftDomain when a stage point or y leaves the
     section's domain, and NonFiniteResponse when F overflows or the step count
     |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
     """
@@ -168,10 +170,7 @@ def exp_trajectory(section: SectionField, t: float, x,
                                 f"exceeds MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     n = max(1, math.ceil(steps))
     dt = t / n
-    if section.straight is None:
-        base_pass = _float_pass(section.velocity(), section.box, dt)
-    else:
-        base_pass = _straight_pass(section.straight, section.box, dt)
+    base_pass = (_velocity_pass if section.straight is None else _straight_pass)(section, dt)
     y = x
     stage_rates = iter(())
 
@@ -197,40 +196,31 @@ def exp_trajectory(section: SectionField, t: float, x,
     return records
 
 
-def _float_pass(velocity: Callable, box: Box, dt: float) -> Callable:
-    """The base pass on Python floats: y (3,) and a step count m -> the stage
-    points (4m, 3) and y after each step (m, 3), in _rk4_step's expression order.
+def _velocity_pass(section: SectionField, dt: float) -> Callable:
+    """The base pass: y (3,) and a step count m -> the stage points (4m, 3) and
+    y after each step (m, 3), one ``_rk4_step`` per step.
 
-    ``velocity`` checks the domain at each stage point, the box each y.
+    ``section.velocity`` checks the domain at each stage point, the box each y.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
-
     def run(y, m):
-        y0, y1, y2 = y.tolist()
         stages, ys = [], []
+
+        def velocity(_c, x):
+            stages.append(x)
+            return section.velocity(x)
+
         for _ in range(m):
-            s1 = (y0, y1, y2)
-            a0, a1, a2 = velocity(*s1)
-            s2 = (y0 + half * a0, y1 + half * a1, y2 + half * a2)
-            b0, b1, b2 = velocity(*s2)
-            s3 = (y0 + half * b0, y1 + half * b1, y2 + half * b2)
-            c0, c1, c2 = velocity(*s3)
-            s4 = (y0 + dt * c0, y1 + dt * c1, y2 + dt * c2)
-            d0, d1, d2 = velocity(*s4)
-            y0 = y0 + sixth * (a0 + 2 * b0 + 2 * c0 + d0)
-            y1 = y1 + sixth * (a1 + 2 * b1 + 2 * c1 + d1)
-            y2 = y2 + sixth * (a2 + 2 * b2 + 2 * c2 + d2)
-            if not box.contains_floats((y0, y1, y2)):
-                raise LeftDomain(f"trajectory exited the domain at {[y0, y1, y2]}")
-            stages += (s1, s2, s3, s4)
-            ys.append((y0, y1, y2))
+            y = _rk4_step(velocity, y, dt)
+            if not section.box.contains(y):
+                raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
+            ys.append(y)
         return np.array(stages), np.array(ys)
 
     return run
 
 
-def _straight_pass(u: np.ndarray, box: Box, dt: float) -> Callable:
-    """``_float_pass`` at the constant velocity u, bit for bit, in array operations.
+def _straight_pass(section: SectionField, dt: float) -> Callable:
+    """``_velocity_pass`` at the constant velocity u, bit for bit, in array operations.
 
     Every step adds the same increment sixth * (u + 2u + 2u + u), so y after
     the steps of a block is one running sum (``np.add.accumulate`` adds in
@@ -238,7 +228,7 @@ def _straight_pass(u: np.ndarray, box: Box, dt: float) -> Callable:
     checks each step's four stages and its end; the first point outside in the
     loop's order raises LeftDomain.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
+    u, box, half, sixth = section.straight, section.box, 0.5 * dt, dt / 6.0
     increment, mid, end = sixth * (u + 2 * u + 2 * u + u), half * u, dt * u
 
     def run(y, m):

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -240,15 +239,18 @@ def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
 
 
 def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, samples):
-    """200 RK4 steps through the point path retrace the reference interpolant exactly."""
+    """200 RK4 steps of a v field with fixed noise, not straight, retrace the reference
+    interpolant exactly."""
     from matbody import fibers_at, make_grid, minimal_lift_section
 
     grid = make_grid(fgm_body.lo, fgm_body.hi, (3, 3, 3), 0.1)
     lift = minimal_lift_section(grid, fibers_at(fgm_body, grid.points, samples))
     u = np.array([0.6, -0.48, 0.64])
     a_data = grid.reshape(np.einsum("pjkl,j->pkl", lift.lam, u))
-    v_data = grid.reshape(np.tile(u, (grid.n_points, 1)))
+    noise = 0.2 * np.random.default_rng(7).uniform(-1.0, 1.0, grid.shape + (3,))
+    v_data = grid.reshape(np.tile(u, (grid.n_points, 1))) + noise
     fast = SectionField.from_grid(grid.axes, v_data, a_data)
+    assert fast.straight is None
     ref = SectionField(lambda x: (loop_trilinear(grid.axes, v_data, x),
                                   loop_trilinear(grid.axes, a_data, x)),
                        grid.points[0], grid.points[-1])
@@ -369,8 +371,8 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
     bit, and classical RK4 on F in y bit for bit and in F to rounding.
 
     A from-grid flow makes one batched A-field call per block, over its 4 stage
-    points per step, and no call with a single point; a straight one calls its
-    v field not at all.
+    points per step; before it, a flow that is not straight makes 4 single-point
+    v-field calls per step, and a straight one (a constant section too) none.
     """
     x0, step = np.array([-0.4, -0.1, 0.0]), 1e-3
     t = (n - 0.5) * step                                    # n steps, whatever the rounding
@@ -378,7 +380,9 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
     for name, section in oracle_sections(np.array([0.8, 0.2, 0.1])).items():
         field_calls.clear()
         got = recorded(exp_trajectory, section, t, x0, step)
-        if name in ("from_grid", "straight_grid"):
+        if name == "from_grid":
+            assert field_calls == [s for m in blocks for s in [(3,)] * 4 * m + [(4 * m, 3)]], name
+        elif name in ("straight_grid", "constant"):
             assert field_calls == [(4 * m, 3) for m in blocks], name
         assert len(got) == n + 1, name
         assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
@@ -387,18 +391,21 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
 
 
 def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
-    """A stage point of the second block leaves the hull, after the first block's matrix pass."""
+    """A stage point of the second block leaves the hull, after the first block's matrix
+    pass: one batched A-field call, after the first block's single-point v-field calls."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["from_grid"]
     x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
     with pytest.raises(LeftDomain):
         exp_trajectory(section, 0.2, x0, step)
-    assert field_calls == [(4 * BLOCK_STEPS, 3)]
+    first = 4 * BLOCK_STEPS
+    assert field_calls[:first + 1] == [(3,)] * first + [(first, 3)]
+    assert set(field_calls[first + 1:]) == {(3,)}
     assert recorded(tuple_exp_trajectory, section, 0.2, x0, step) is LeftDomain
 
 
 def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
     """The straight base pass refuses the second block before its matrix pass, as the
-    float pass does: one A-field call, and the v field is never called."""
+    velocity pass does: one A-field call, and the v field is never called."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["straight_grid"]
     assert section.straight is not None
     x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
@@ -409,27 +416,27 @@ def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_refere
         assert recorded(reference, section, 0.2, x0, step) is LeftDomain
 
 
-@pytest.fixture
-def point_paths(monkeypatch):
-    """A weak reference to each point path a TrilinearField hands out, in order."""
-    paths = []
-    point_path = TrilinearField.point_path
-
-    def recording_path(self):
-        at = point_path(self)
-        paths.append(weakref.ref(at))
-        return at
-
-    monkeypatch.setattr(TrilinearField, "point_path", recording_path)
-    return paths
-
-
-def test_point_cache_lives_for_one_trajectory(point_paths):
-    """Each from-grid flow takes its own point path, and none outlives the flow."""
-    section = oracle_sections(np.array([1.0, 0.3, 0.3]))["from_grid"]
-    records = [exp_trajectory(section, 0.3, [-0.1, 0.0, 0.4], 1e-3) for _ in range(2)]
-    assert [len(r) for r in records] == [301, 301]
-    assert len(point_paths) == 2 and all(ref() is None for ref in point_paths)
+@pytest.mark.parametrize("A", [skew(0.5, -0.4, 0.3) + 0.2 * np.eye(3),
+                               np.where(np.eye(3) == 1.0, -0.0, skew(0.5, -0.4, 0.3)),
+                               np.full((3, 3), -0.0)], ids=["dense", "skew", "zero"])
+def test_constant_section_is_a_straight_grid_section(A, field_calls):
+    """SectionField.constant is a from-grid section over the box corners: straight, one
+    batched A-field call per block, and bitwise the flow of the analytic section that
+    returns (v, A), -0.0 entries of A too; it reads v and A anywhere in the box and
+    refuses points outside it as a grid hull."""
+    v, x0, step = np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.1, 0.2]), 1e-3
+    section = SectionField.constant(v, A, LO, HI)
+    assert np.array_equal(section.straight, v)
+    got = recorded(exp_trajectory, section, 0.2, x0, step)
+    assert len(got) == 201
+    assert field_calls == [(4 * min(BLOCK_STEPS, 200 - first), 3)
+                           for first in range(0, 200, BLOCK_STEPS)]
+    assert got == recorded(exp_trajectory, SectionField(lambda x: (v, A), LO, HI), 0.2, x0, step)
+    for x in (LO, HI, x0):
+        w, B = section.value(x)
+        assert np.array_equal(w, v) and np.array_equal(B, A)
+    with pytest.raises(LeftDomain, match="outside grid hull"):
+        section.value([1.5, 0.0, 0.0])
 
 
 def assert_on_the_line(records, x0, u):
@@ -439,20 +446,20 @@ def assert_on_the_line(records, x0, u):
     assert np.max(np.abs(ys - (x0 + ts[:, None] * u))) <= bound
 
 
-def test_analysis_cross_check_flows_along_a_straight_line(point_paths):
-    """run_analysis's exponential cross-check is a lift of e1: no point path, and the
-    emitted trajectory runs along x0 + t e1."""
+def test_analysis_cross_check_flows_along_a_straight_line(field_calls):
+    """run_analysis's exponential cross-check is a lift of e1: no single-point field
+    call, and the emitted trajectory runs along x0 + t e1."""
     from matbody import AnalysisConfig, run_analysis
 
     doc = run_analysis(AnalysisConfig(body="uniform_fgm", resolution=(3, 3, 3),
                                       emit_trajectories=True)).document
     records = [(r["t"], np.array(r["y"])) for r in doc["trajectory"]]
-    assert len(records) == 101 and point_paths == []
+    assert len(records) == 101 and field_calls and (3,) not in field_calls
     assert_on_the_line(records, records[0][1], np.array([1.0, 0.0, 0.0]))
 
 
-def test_cli_flow_is_straight(tmp_path, point_paths):
-    """`matbody flow` makes no point-path lookup, and its records run along x0 + t u."""
+def test_cli_flow_is_straight(tmp_path, field_calls):
+    """`matbody flow` makes no single-point field call, and its records run along x0 + t u."""
     from matbody import cli
 
     cfg, out = tmp_path / "cfg.json", tmp_path / "flow.json"
@@ -461,7 +468,7 @@ def test_cli_flow_is_straight(tmp_path, point_paths):
                      "--direction", "1,0.5,-0.25", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     records = [(r["t"], np.array(r["y"])) for r in doc["records"]]
-    assert len(records) == 301 and point_paths == []
+    assert len(records) == 301 and field_calls and (3,) not in field_calls
     assert_on_the_line(records, np.array([0.1, 0.2, -0.1]), np.array([1.0, 0.5, -0.25]))
 
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import matbody
 from matbody import (Body, Box, GridTooSmall, LeftDomain, OutOfDomain, Parallelism, SectionField,
                      TrilinearField, evaluate, make_grid)
-from matbody import grid as grid_module
 from matbody.grid import grid_gradient
 from oracles import loop_trilinear
 
@@ -90,8 +89,8 @@ def test_box_contains_is_its_mask_and_the_closed_box_rule(case):
 
 
 def test_every_domain_check_refuses_the_same_points():
-    """evaluate, SectionField.value, Parallelism.matrix and both TrilinearField paths
-    refuse exactly the points outside one closed box, corners and faces +- 1 ulp."""
+    """evaluate, SectionField.value, Parallelism.matrix and TrilinearField refuse
+    exactly the points outside one closed box, corners and faces +- 1 ulp."""
     lo, hi = np.array([-1.0, -0.5, 0.25]), np.array([0.75, 1.0, 2.0])
     body = Body("box", lo, hi,
                 lambda F, x: np.zeros(np.broadcast_shapes(F.shape[:-2], x.shape[:-1])))
@@ -101,8 +100,7 @@ def test_every_domain_check_refuses_the_same_points():
     checks = ((OutOfDomain, lambda p: evaluate(body, np.eye(3), p)),
               (LeftDomain, section.value),
               (OutOfDomain, frames.matrix),
-              (LeftDomain, lambda p: field.point_path()(*p.tolist())),  # the point path
-              (LeftDomain, field))                                      # the batched path
+              (LeftDomain, field))
     corners = [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
     centres = [np.where(np.arange(3) == axis, face, (lo + hi) / 2)
                for axis, face in itertools.product(range(3), (lo, hi))]
@@ -143,7 +141,7 @@ def test_trilinear_reproduces_multilinear_field():
 
 
 def test_trilinear_refuses_points_outside_hull():
-    """One spacing outside, NaN and +-inf are refused by the point and the batched path."""
+    """One spacing outside, NaN and +-inf are refused, alone or next to a point inside."""
     grid = make_grid(-np.ones(3), np.ones(3), (3, 4, 5), margin=0.1)
     field = TrilinearField(grid.axes, np.zeros(grid.shape + (3,)))
     for axis in range(3):
@@ -158,7 +156,7 @@ def test_trilinear_refuses_points_outside_hull():
             outside.append(x)
         for x in outside:
             with pytest.raises(LeftDomain):
-                field.point_path()(*x.tolist())
+                field(x)
             with pytest.raises(LeftDomain):
                 field(np.stack([grid.points[0], x]))
 
@@ -183,112 +181,61 @@ def lattices_and_points(draw):
 
 @settings(max_examples=150)
 @given(lattices_and_points())
-def test_point_path_is_bitwise_the_batched_path(case):
-    """The point path equals the batched call, on (3,) and (1, 3), and the reference
+def test_trilinear_is_bitwise_the_reference_loop(case):
+    """One point on (3,) and on (1, 3), and all points in one batch, equal the reference
     loop bit for bit, signed zeros too."""
     axes, values, p = case
     field = TrilinearField(axes, values)
-    at = field.point_path()
     lo, hi = np.array([a[0] for a in axes]), np.array([a[-1] for a in axes])
     points = [p] + [np.where(np.arange(3) == axis, hi, p) for axis in range(3)]   # upper faces
     points += [np.where(np.array(c, dtype=bool), hi, lo) for c in np.ndindex(2, 2, 2)]
-    for x in points:
-        got = np.array(at(*x.tolist())).reshape(values.shape[3:])
-        for want in (field(x), field(x[None])[0], loop_trilinear(axes, values, x)):
+    batch = field(np.array(points))
+    for x, row in zip(points, batch):
+        want = loop_trilinear(axes, values, x)
+        for got in (field(x), field(x[None])[0], row):
             assert got.shape == want.shape == values.shape[3:]
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_field_keeps_its_own_copy_of_the_lattice_data():
-    """Mutating the caller's array after construction moves neither path, cached or not."""
+    """Mutating the caller's array after construction does not move the field."""
     rng = np.random.default_rng(8)
     grid = make_grid(-np.ones(3), np.ones(3), (4, 3, 5), margin=0.1)
     values = rng.normal(size=grid.shape + (3, 3))
     original = values.copy()
     field = TrilinearField(grid.axes, values)
-    at = field.point_path()
     pts = rng.uniform(grid.points[0], grid.points[-1], size=(6, 3))
-    warm = [at(*x.tolist()) for x in pts[:3]]           # cells of the first half cached
     values[...] = 7.0
-    for x in pts:
-        assert at(*x.tolist()) == loop_trilinear(grid.axes, original, x).ravel().tolist()
     assert np.array_equal(field(pts), loop_trilinear(grid.axes, original, pts))
-    assert all(at(*x.tolist()) == w for x, w in zip(pts[:3], warm))
 
 
-def test_point_cache_holds_one_block_per_visited_cell():
-    """Each point path caches one block per visited cell; the field itself keeps none."""
-    rng = np.random.default_rng(9)
-    grid = make_grid(-np.ones(3), np.ones(3), (4, 4, 4), margin=0.1)
-    field = TrilinearField(grid.axes, rng.normal(size=grid.shape + (2,)))
-    state = dict(vars(field))
-    pts = rng.uniform(grid.points[0], grid.points[-1], size=(40, 3))
-    pts = np.concatenate([pts, pts[:10], grid.points[-1:]])     # repeats and the far corner
-    at = field.point_path()
-    for x in pts:
-        assert at(*x.tolist()) == field(x).tolist()
-    cells = {tuple(min(int(np.searchsorted(a, q, side="right")) - 1, len(a) - 2)
-                   for a, q in zip(grid.axes, x)) for x in pts}
-    assert set(at.blocks) == cells
-    assert all(len(columns) == 2 and all(len(c) == 8 for c in columns)
-               for columns in at.blocks.values())
-    assert field.point_path().blocks == {}
-    assert vars(field).keys() == state.keys()
-    assert all(vars(field)[name] is value for name, value in state.items())
-
-
-def test_point_path_through_its_remembered_cell(monkeypatch):
-    """One point path through a sequence: a repeated cell, interior faces crossed both
-    ways, a tick, the upper hull face from inside the last cell, then NaN, +-inf and an
-    outside point after a cached cell.  Each value is bitwise the batched call and the
-    reference loop, signed zeros too, or LeftDomain; only a point outside the
-    remembered cell searches for its cell, and the cache holds the visited cells."""
-    axes = [np.array([-1.0, -0.25, 0.5, 2.0]), np.array([0.0, 1.0, 1.5]),
-            np.array([-2.0, -1.0, 3.0])]
-    rng = np.random.default_rng(12)
-    shape = (4, 3, 3, 2)
-    values = rng.normal(size=shape) * rng.choice([-1.0, 1.0, 0.0, -0.0], size=shape)
-    field = TrilinearField(axes, values)
-    searches = []
-    cell = grid_module._cell
-    monkeypatch.setattr(grid_module, "_cell", lambda ticks, q: searches.append(q) or cell(ticks, q))
-    at = field.point_path()
-    nan, inf = float("nan"), float("inf")
-    steps = [((0.1, 0.5, 0.0), (1, 0, 1), True),        # first point
-             ((0.4, 0.25, 2.5), (1, 0, 1), False),      # same cell
-             ((0.6, 0.5, 0.0), (2, 0, 1), True),        # up across x = 0.5
-             ((0.3, 0.5, 0.0), (1, 0, 1), True),        # and back down
-             ((0.5, 0.5, 0.0), (2, 0, 1), True),        # on the tick: the cell above
-             ((0.5, 0.0, -1.0), (2, 0, 1), False),      # ticks that open the cell
-             ((1.9, 0.9, 2.9), (2, 0, 1), False),
-             ((2.0, 0.9, 2.9), (2, 0, 1), False),       # upper hull face, last cell
-             ((2.0, 1.5, 3.0), (2, 1, 1), True),        # far corner
-             ((1.0, 1.2, 0.0), (2, 1, 1), False)]
-    outside = [(nan, 1.2, 0.0), (1.0, nan, 0.0), (1.0, 1.2, nan), (inf, 1.2, 0.0),
-               (-inf, 1.2, 0.0), (1.0, inf, 0.0), (1.0, 1.2, -inf),
-               (float(np.nextafter(2.0, 3.0)), 1.2, 0.0), (1.0, -0.5, 0.0)]
-    for p, want_cell, search in steps:
-        del searches[:]
-        got = np.array(at(*p)).reshape(2)
-        assert len(searches) == 3 * search, p
-        x = np.array(p)
-        for want in (field(x), loop_trilinear(axes, values, x)):
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        assert tuple(min(int(np.searchsorted(a, q, side="right")) - 1, len(a) - 2)
-                     for a, q in zip(axes, p)) == want_cell
-    for p in outside:
-        for check in (lambda p: at(*p), lambda p: field(np.array(p))):
-            with pytest.raises(LeftDomain):
-                check(p)
-        assert at(1.0, 1.2, 0.0) == field(np.array([1.0, 1.2, 0.0])).tolist()
-    assert set(at.blocks) == {cell for _, cell, _ in steps}
+@pytest.mark.parametrize("axes, v_shape, a_shape", [
+    ([np.linspace(-0.9, 0.9, 5)] * 3, (3,), (3, 3)),                     # 5 ticks, 3 nodes
+    ([[0.0, 1.0, 0.5], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], (3,), (3, 3)),   # not increasing
+    ([[0.0, 0.5, 0.5], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], (3,), (3, 3)),   # a repeated tick
+    ([[0.0, np.nan, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], (3,), (3, 3)),
+    ([[0.0, 0.5, np.inf], [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]], (3,), (3, 3)),
+    ([[0.0, 0.5, 1.0]] * 2, (3,), (3, 3)),                                # two axes
+    ([np.zeros((3, 1))] * 3, (3,), (3, 3)),                               # not 1-D
+    ([np.linspace(0.0, 1.0, 3)] * 3, (3,), (9,)),                         # A not 3 x 3
+    ([np.linspace(0.0, 1.0, 3)] * 3, (2,), (3, 3)),                       # v not (3,)
+], ids=["5_ticks", "decreasing", "repeated", "nan", "inf", "2_axes", "2d_axes", "a_9", "v_2"])
+def test_lattice_input_is_validated(axes, v_shape, a_shape):
+    """Axes that are not 3 arrays of strictly increasing finite ticks, one per node of
+    the data, and section data that are not a (3,) v and a (3, 3) A are refused."""
+    v_data, a_data = np.ones((3, 3, 3) + v_shape), np.ones((3, 3, 3) + a_shape)
+    with pytest.raises(ValueError):
+        SectionField.from_grid(axes, v_data, a_data)
+    if (v_shape, a_shape) == ((3,), (3, 3)):
+        with pytest.raises(ValueError):
+            TrilinearField(axes, v_data)
 
 
 @pytest.mark.parametrize("value_shape", [(), (3,), (3, 3)])
 def test_constant_field_returns_its_value_exactly(value_shape):
-    """A lattice of one value: both paths return it bit for bit, where the weighted sum
-    is an ulp off at most points, and refuse the same points as any field; -0.0 nodes
+    """A lattice of one value: a call returns it bit for bit, where the weighted sum
+    is an ulp off at most points, and refuses the same points as any field; -0.0 nodes
     read 0.0, and a lattice that is not one value has no constant."""
     rng = np.random.default_rng(14)
     grid = make_grid(-np.ones(3), np.ones(3), (4, 3, 5), margin=0.1)
@@ -296,20 +243,18 @@ def test_constant_field_returns_its_value_exactly(value_shape):
     values = np.broadcast_to(c, grid.shape + value_shape)
     field = TrilinearField(grid.axes, values)
     assert np.array_equal(field.constant, c) and not field.constant.flags.writeable
-    at = field.point_path()
     pts = rng.uniform(grid.points[0], grid.points[-1], size=(50, 3))
     pts = np.concatenate([pts, grid.points[[0, -1]]])
     assert np.array_equal(field(pts), np.broadcast_to(c, (len(pts),) + value_shape))
     for x in pts:
-        assert np.array_equal(field(x), c) and at(*x.tolist()) == c.ravel().tolist()
+        assert np.array_equal(field(x), c)
     assert (loop_trilinear(grid.axes, values, pts) != c).any()
-    assert at.blocks == {}
     bad = [np.nan, np.inf, -np.inf, 1.0, -1.0]           # the hull is [-0.9, 0.9]^3
     for axis, q in itertools.product(range(3), bad):
         x = np.zeros(3)
         x[axis] = q
         with pytest.raises(LeftDomain):
-            at(*x.tolist())
+            field(x)
         with pytest.raises(LeftDomain):
             field(np.stack([grid.points[0], x]))
     signed = np.zeros(grid.shape + (2,))
