@@ -13,12 +13,15 @@ nullspace yields the fiber.  The rank decision is the fragile step of the
 whole pipeline, so every fiber carries its full singular-value spectrum and
 ``sv_gap``: its smallest kept over its largest dropped value, taken at the cut.
 
-The central-difference stencils of every sample gradient at a chunk of points
-are evaluated as two batches (F-stencils, x-stencils), and the chunk's
-nullspaces come from one stacked SVD.  The F-stencils do not depend on the
-point: a sample set makes and det-checks them once per step
-(``SampleSet.stencils``), so a chunk checks only its own points before its two
-response calls.
+The gradients are exact when the body has a ``gradient`` (every built-in and
+polynomial body): a chunk of points makes one evaluate call of its (point,
+sample) values, which checks them, and one gradient call.  A body without one
+is differenced: the central-difference stencils of every sample gradient at
+the chunk's points are evaluated as two batches (F-stencils, x-stencils).  The
+F-stencils do not depend on the point: a sample set makes and det-checks them
+once per step (``SampleSet.stencils``), so a chunk checks only its own points
+before its two response calls.  Either way the chunk's nullspaces come from
+one stacked SVD.
 
 Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,11 +65,12 @@ class FiberBasis:
         return len(self.basis)
 
 
-# At most this many F-stencil pairs (18 per point and sample) go into one
-# evaluate call of a fibre chunk, 8 x 28 x 18 = 4032 at 28 samples; the
-# chunk's x-stencil call adds a third as many (6 per point and sample).
-# Chunks of grid points of this size keep the stencil and response
-# temporaries near a megabyte at any grid size.
+# At most this many pairs go into one response call of a fibre chunk: on the
+# gradient path one per point and sample, 146 x 28 = 4088 at 28 samples; on
+# the stencil path 18 F-stencils per point and sample, 8 x 28 x 18 = 4032,
+# and the chunk's x-stencil call adds a third as many (6 per point and
+# sample).  Chunks of grid points of this size keep the temporaries of the
+# response, the gradient, the rows and their SVD under two megabytes at 9^3.
 STENCIL_PAIRS = 4096
 
 # Unit steps of the 3 coordinates of x.
@@ -76,12 +80,13 @@ _X_STEPS = np.eye(3)
 def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Linearized membership constraints, one 12-row per pair of points x and gradients F.
 
-    The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>, both gradients
-    central differences of step ``fd_step``: the A-block is F^T dW/dF
-    (row-major) and the v-block -dW/dx.  Rows have shape
-    x.shape[:-1] + F.shape[:-2] + (12,), so a sample set gives each point its
-    (count, 12) constraint matrix.  Each stencil block (F, x) is one evaluate
-    call; an x within ``fd_step`` of the box boundary raises OutOfDomain.  Rows
+    The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>: the A-block is
+    F^T dW/dF (row-major) and the v-block -dW/dx, both gradients from the
+    body's ``gradient`` when it has one, else central differences of step
+    ``fd_step``.  Rows have shape x.shape[:-1] + F.shape[:-2] + (12,), so a
+    sample set gives each point its (count, 12) constraint matrix.  The pairs'
+    values, or each stencil block (F, x), are one evaluate call; an x within
+    ``fd_step`` of the box boundary raises OutOfDomain on either path.  Rows
     that overflow raise NonFiniteResponse indexed by the first offending pair.
     A step that is not finite and > 0 raises ValueError.
     """
@@ -96,16 +101,11 @@ def _check_fd_step(fd_step: float) -> None:
         raise ValueError(f"fd_step {fd_step:g} is not finite and > 0")
 
 
-def _rows(body: Body, x, F, fd_step: float,
-          stencils: Callable[[float], Stencils] | None = None) -> np.ndarray:
-    """``constraint_rows``; ``stencils`` is the sample set's when F is its matrices.
+def _rows(body: Body, x, F, fd_step: float, samples: SampleSet | None = None) -> np.ndarray:
+    """``constraint_rows``; ``samples`` is the sample set when F is its matrices.
 
-    Asked for only once x passes the inset test, so a step that fails it
-    makes none.  When they are ``regular`` (every F-stencil passes the det
-    floor, as the samples did), a chunk whose x-stencils lie in the box is
-    decided: both evaluate calls take the checked path with their batch
-    shapes.  Otherwise ``evaluate`` checks each batch, so values and errors
-    are the same either way.
+    The blocks come from the body's gradient when it has one, else from
+    central differences.
     """
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
         x = np.asarray(x, dtype=float)
@@ -115,30 +115,64 @@ def _rows(body: Body, x, F, fd_step: float,
             i = first_true(near, near.shape)
             raise with_index(OutOfDomain(
                 f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
-        if stencils is None:
-            FS = f_stencils(F, fd_step)                 # raises first on a malformed F
-            st = Stencils(FS, False, np.ascontiguousarray(np.swapaxes(F, -1, -2)))
-        else:
-            st = stencils(fd_step)
-        steps = np.array([fd_step, -fd_step])
-        pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (1, 1, 3))
-        xs = pts + steps[:, None, None] * _X_STEPS
-        # x-stencils in the box put x there too (each coordinate of x is kept by
-        # two of them), so the F-stencil batch's points need no mask of their own
-        certified = st.regular and body.box.mask(xs).all()
+        pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (3,))
         lead = x.shape[:-1] + F.shape[:-2]
-        # values on axes (points..., gradients..., sign of the step, stepped entry)
-        W_F = evaluate(body, st.matrices, pts, _checked=lead + (2, 9) if certified else None)
-        W_x = evaluate(body, F[..., None, None, :, :], xs,
-                       _checked=lead + (2, 3) if certified else None)
-        dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
-        A = st.transposed @ dWdF.reshape(dWdF.shape[:-1] + (3, 3))
+        if body.gradient is None:
+            A, dWdx = _stencil_blocks(body, pts, F, fd_step, samples, lead)
+        else:
+            A, dWdx = _gradient_blocks(body, pts, F, samples is not None, lead)
     rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
     bad = ~np.isfinite(rows).all(axis=-1)
     if bad.any():
         raise with_index(NonFiniteResponse(f"constraint rows of '{body.name}' are non-finite"),
                          first_true(bad, bad.shape))
     return rows
+
+
+def _gradient_blocks(body: Body, pts, F, sampled: bool, lead: tuple) -> tuple:
+    """(F^T dW/dF, dW/dx) from the body's gradient, shapes lead + (3, 3) and lead + (3,).
+
+    The pairs' values go through one evaluate call first, so a pair below the
+    det floor or with a non-finite value raises as in any batch; it is decided
+    when F are a sample set's matrices (``sampled``), which passed the det
+    floor, as the points passed the inset test.  F is made contiguous, so the
+    blocks do not depend on its layout.
+    """
+    F = np.ascontiguousarray(F)
+    evaluate(body, F, pts, _checked=lead if sampled else None)
+    dWdF, dWdx = body.gradient(F, pts)
+    Ft = np.ascontiguousarray(np.swapaxes(F, -1, -2))
+    return Ft @ np.broadcast_to(dWdF, lead + (3, 3)), np.broadcast_to(dWdx, lead + (3,))
+
+
+def _stencil_blocks(body: Body, pts, F, fd_step: float, samples: SampleSet | None,
+                    lead: tuple) -> tuple:
+    """(F^T dW/dF, dW/dx) by central differences: two stencil batches.
+
+    The sample set's F-stencils are asked for only once x passes the inset
+    test, so a step that fails it makes none.  When they are ``regular``
+    (every F-stencil passes the det floor, as the samples did), a chunk whose
+    x-stencils lie in the box is decided: both evaluate calls take the
+    checked path with their batch shapes.  Otherwise ``evaluate`` checks each
+    batch, so values and errors are the same either way.
+    """
+    if samples is None:
+        FS = f_stencils(F, fd_step)                 # raises first on a malformed F
+        st = Stencils(FS, False, np.ascontiguousarray(np.swapaxes(F, -1, -2)))
+    else:
+        st = samples.stencils(fd_step)
+    steps = np.array([fd_step, -fd_step])
+    xs = pts[..., None, None, :] + steps[:, None, None] * _X_STEPS
+    # x-stencils in the box put x there too (each coordinate of x is kept by
+    # two of them), so the F-stencil batch's points need no mask of their own
+    certified = st.regular and body.box.mask(xs).all()
+    # values on axes (points..., gradients..., sign of the step, stepped entry)
+    W_F = evaluate(body, st.matrices, pts[..., None, None, :],
+                   _checked=lead + (2, 9) if certified else None)
+    W_x = evaluate(body, F[..., None, None, :, :], xs,
+                   _checked=lead + (2, 3) if certified else None)
+    dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
+    return st.transposed @ dWdF.reshape(dWdF.shape[:-1] + (3, 3)), dWdx
 
 
 def fibers_at(body: Body, points, samples: SampleSet,
@@ -149,7 +183,8 @@ def fibers_at(body: Body, points, samples: SampleSet,
     Keeps singular values above rank_tol * sigma_max as range directions; the
     remaining right-singular vectors span the fiber.  Each result keeps the full
     spectrum and ``sv_gap``, the gap at the cut (inf when the cut is clean).  Points
-    go through in chunks of about STENCIL_PAIRS stencil pairs, each chunk
+    go through in chunks of at most STENCIL_PAIRS pairs in one response call
+    (count per point with a gradient, 18 count when differenced), each chunk
     with one stacked SVD; then the anchor blocks of all points with the same
     fiber dim go through one more, which turns each basis into the anchor's
     singular frame.  Spectra are stored non-negative (LAPACK can give -0.0).  A failing
@@ -160,12 +195,12 @@ def fibers_at(body: Body, points, samples: SampleSet,
     _check_fd_step(fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
-    chunk = max(1, STENCIL_PAIRS // (18 * samples.count))
+    per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
+    chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
     sv, Vh = np.zeros((len(points), 12)), np.empty((len(points), 12, 12))
     for start in range(0, len(points), chunk):
         try:
-            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step,
-                      samples.stencils)
+            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, samples)
             _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
             bad = ~np.isfinite(s).all(axis=-1)
             if bad.any():

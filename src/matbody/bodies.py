@@ -2,7 +2,9 @@
 
 A body is a box domain plus a reduced response Lambda W-hat(F, x): the value
 depends on the deformation gradient F and the source point x only, never on
-a target point, so translation invariance is structural.
+a target point, so translation invariance is structural.  It may carry the
+response's exact gradient, as every built-in and polynomial body does; the
+fibre rows then read it instead of differencing the response.
 
 Membership of a jet g = (x -> y, P) in the material groupoid is decided by
 sampling: W-hat(F P, x) must equal W-hat(F, y) for every test gradient F in a
@@ -10,7 +12,8 @@ finite sample set.  The sample set is checked once, when it is made; a
 membership batch is then checked from its factors (two points, one P) and
 costs one response call, with ``evaluate``'s pair-by-pair checks as the
 fallback whenever a factor check cannot decide.  The fibre stencils of the
-sample set are made and det-checked once per step, on first use.  W-inverse
+sample set are made and det-checked once per step, on first use by a body
+without a gradient.  W-inverse
 of a jet is the response of its groupoid inverse, W-hat(P^-1, y).
 """
 
@@ -48,17 +51,23 @@ _ANCHORS = (
 
 @dataclass(frozen=True, eq=False)
 class Body:
-    """Box chart domain plus scalar response functional.
+    """Box chart domain plus scalar response functional, and optionally its exact gradient.
 
     ``response(F, x)`` maps F (..., 3, 3) and x (..., 3), whose leading
     dimensions broadcast, to one value W per pair, shape (...).  Call it
-    through ``evaluate``, which checks the batch.
+    through ``evaluate``, which checks the batch.  ``gradient(F, x)``, when
+    given, returns (dW/dF, dW/dx), broadcasting as ``response`` does to
+    shapes (..., 3, 3) and (..., 3); either may hold fewer leading axes (an
+    x-independent body returns dW/dx = 0).  The fibre rows read it in place
+    of central differences; a body without one is differenced.  Every
+    built-in and every polynomial body has one.
     """
 
     name: str
     lo: np.ndarray
     hi: np.ndarray
     response: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    gradient: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     box: Box = field(init=False, repr=False)     # the domain; lo and hi are its bounds
 
     def __post_init__(self):
@@ -79,7 +88,7 @@ class SampleSet:
     each naming the sample's index.  Matrices that are writeable, or a view
     of another array, are copied first, so the least sample |det| and the
     largest sample norm kept here stay theirs.  Their fibre stencils are made
-    on first use, once per step (``stencils``).
+    on first use by a body without a gradient, once per step (``stencils``).
     """
 
     matrices: np.ndarray    # (count, 3, 3), read-only
@@ -287,6 +296,8 @@ def is_material_isomorphism(body: Body, g: Jet1, samples: SampleSet, tol: float)
 
 W0_WEIGHTS = 1.0 + 0.1 * (3.0 * np.arange(3)[:, None] + np.arange(3)[None, :])
 W0_WEIGHTS.setflags(write=False)
+_W0_SYM = 2.0 * (W0_WEIGHTS + W0_WEIGHTS.T)
+_W0_SYM.setflags(write=False)
 
 E_SHEAR_12 = np.zeros((3, 3))
 E_SHEAR_12[0, 1] = 1.0
@@ -295,6 +306,10 @@ E_SHEAR_12.setflags(write=False)
 E_SHEAR_21 = np.zeros((3, 3))
 E_SHEAR_21[1, 0] = 1.0
 E_SHEAR_21.setflags(write=False)
+
+_E11 = np.zeros((3, 3))
+_E11[0, 0] = 1.0
+_E11.setflags(write=False)
 
 _BOX_LO = -np.ones(3)
 _BOX_HI = np.ones(3)
@@ -311,26 +326,62 @@ def w0_generic(F: np.ndarray) -> np.ndarray:
     return np.sum(W0_WEIGHTS * D * D, axis=(-2, -1))
 
 
+def _w0_gradient(G: np.ndarray) -> np.ndarray:
+    """dw0/dG = 2 G (S + S^T) with S = c o D, D = G^T G - I; as D is symmetric that
+    is G ((2 (c + c^T)) o D)."""
+    return G @ (_W0_SYM * _strain(G))
+
+
 def _isotropic_response(F, x):
     D = _strain(F)
     return np.sum(D * D, axis=(-2, -1))
 
 
-def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str) -> Body:
+def _isotropic_gradient(F, x):
+    return 4.0 * F @ _strain(F), np.zeros(3)
+
+
+def fgm_body(K: Callable[[np.ndarray], np.ndarray], name: str,
+             dK: Callable[[np.ndarray], np.ndarray] | None = None) -> Body:
     """Functionally graded body W-hat(F, x) = w0(F K(x)) for an implant field K.
 
-    K maps points (..., 3) to matrices (..., 3, 3).
+    K maps points (..., 3) to matrices (..., 3, 3).  ``dK``, when given, maps
+    points to the derivatives (..., 3, 3, 3), d_k K at index k, and the body
+    gets the exact gradient: with G = F K and S = c o (G^T G - I),
+    dW/dF = 2 G (S + S^T) K^T and dW/dx_k = <2 G (S + S^T), F d_k K>.
     """
 
     def response(F, x):
         return w0_generic(F @ K(x))
 
-    return Body(name, _BOX_LO, _BOX_HI, response)
+    def gradient(F, x):
+        Kx, dKx = K(x), dK(x)
+        M = _w0_gradient(F @ Kx)
+        # dW/dx_k = <M, F d_k K> = <F^T M, d_k K>, one (9,) . (9,) product per k
+        FtM = np.swapaxes(F, -1, -2) @ M
+        dWdx = np.reshape(dKx, dKx.shape[:-2] + (9,)) @ FtM.reshape(FtM.shape[:-2] + (9, 1))
+        return M @ np.swapaxes(Kx, -1, -2), dWdx[..., 0]
+
+    return Body(name, _BOX_LO, _BOX_HI, response, None if dK is None else gradient)
+
+
+def _sheared_body(E: np.ndarray, name: str) -> Body:
+    """The graded body of the implant K(x) = I + x1 E, whose d_k K are (E, 0, 0)."""
+    dK = np.zeros((3, 3, 3))
+    dK[0] = E
+    dK.setflags(write=False)
+    return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E, name, lambda x: dK)
 
 
 def _nonuniform_response(F, x):
     D = _strain(F)
     return np.sum(D * D, axis=(-2, -1)) + x[..., 0] * (F[..., 0, 0] - 1.0) ** 2
+
+
+def _nonuniform_gradient(F, x):
+    d = F[..., 0, 0] - 1.0
+    dWdF = 4.0 * F @ _strain(F) + (2.0 * x[..., 0] * d)[..., None, None] * _E11
+    return dWdF, (d * d)[..., None] * _I3[0]
 
 
 BUILTIN_DESCRIPTIONS = {
@@ -344,13 +395,13 @@ BUILTIN_DESCRIPTIONS = {
 def builtin_body(kind: str) -> Body:
     """Construct one of the named analytic test bodies on the box [-1, 1]^3."""
     if kind == "homogeneous_isotropic":
-        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response)
+        return Body(kind, _BOX_LO, _BOX_HI, _isotropic_response, _isotropic_gradient)
     if kind == "uniform_fgm":
-        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_12, kind)
+        return _sheared_body(E_SHEAR_12, kind)
     if kind == "uniform_fgm_integrable":
-        return fgm_body(lambda x: _I3 + x[..., 0, None, None] * E_SHEAR_21, kind)
+        return _sheared_body(E_SHEAR_21, kind)
     if kind == "nonuniform":
-        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response)
+        return Body(kind, _BOX_LO, _BOX_HI, _nonuniform_response, _nonuniform_gradient)
     raise ConfigError(f"unknown builtin body '{kind}'; known: {sorted(BUILTIN_DESCRIPTIONS)}")
 
 
@@ -378,6 +429,8 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
     """Body from (exponent multi-index over 12 variables, coefficient) pairs.
 
     Its parameters are the keys of a config's ``{"polynomial": {...}}`` object.
+    The exact gradient's monomials (e c times the term with z_v^(e-1), per
+    variable v) are built here, once, and read the response's power table.
     """
     if not isinstance(name, str):
         raise ConfigError(f"polynomial body name must be a string, got {name!r}")
@@ -399,25 +452,46 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
             raise ConfigError(
                 f"polynomial term {k} has total degree {int(exps.sum())} > {POLY_MAX_DEGREE}"
             )
-        parsed.append(([(v, int(exps[v])) for v in np.flatnonzero(exps).tolist()], coeff))
+        parsed.append(([(v, int(exps[v])) for v in np.flatnonzero(exps).tolist()], coeff, 1))
     if not parsed:
         raise ConfigError("polynomial body needs at least one term")
     # (variable, k) for k = 1 .. the highest power of each variable that a term uses
-    powers = sorted({(v, k) for factors, _ in parsed for v, e in factors for k in range(1, e + 1)})
+    powers = sorted({(v, k) for factors, *_ in parsed for v, e in factors for k in range(1, e + 1)})
+    # d/dz_v of each term that holds z_v: coeff times e times its factors with
+    # z_v^(e-1); e starts the product, so e * coeff never overflows on its own
+    derivatives = {}
+    for factors, coeff, _ in parsed:
+        for v, e in factors:
+            lowered = [(w, d - (w == v)) for w, d in factors if (w, d) != (v, 1)]
+            derivatives.setdefault(v, []).append((lowered, coeff, e))
+    derivatives = sorted(derivatives.items())
 
-    def response(F, x):
-        # Powers by repeated multiplication on views of F and x; each term is the
-        # product of its factors in variable order, and terms are summed in order.
+    def table(F, x):
+        # Powers by repeated multiplication on views of F and x.
         z = [F[..., v // 3, v % 3] for v in range(9)] + [x[..., v] for v in range(3)]
         power = {}
         for v, k in powers:
             power[v, k] = z[v] if k == 1 else power[v, k - 1] * z[v]
+        return power
+
+    def total(power, monomials):
+        # Each term is the product of its factors in variable order; terms are summed in order.
         acc = 0.0
-        for factors, coeff in parsed:
-            acc = acc + coeff * math.prod(power[f] for f in factors)
+        for factors, coeff, start in monomials:
+            acc = acc + coeff * math.prod((power[f] for f in factors), start=start)
         return acc
 
-    return Body(name, lo, hi, response)
+    def response(F, x):
+        return total(table(F, x), parsed)
+
+    def gradient(F, x):
+        power = table(F, x)
+        out = np.zeros(np.broadcast_shapes(F.shape[:-2], x.shape[:-1]) + (12,))
+        for v, monomials in derivatives:
+            out[..., v] = total(power, monomials)
+        return out[..., :9].reshape(out.shape[:-1] + (3, 3)), out[..., 9:]
+
+    return Body(name, lo, hi, response, gradient)
 
 
 def body_from_config(doc) -> Body:

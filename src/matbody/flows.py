@@ -226,7 +226,8 @@ def _straight_pass(section: SectionField, dt: float) -> Callable:
     the steps of a block is one running sum (``np.add.accumulate`` adds in
     order), and a step's stages are y, y + half u twice and y + dt u.  One mask
     checks each step's four stages and its end; the first point outside in the
-    loop's order raises LeftDomain.
+    loop's order raises LeftDomain, a stage point through ``section.velocity``,
+    so the message is the one the velocity pass gives there.
     """
     u, box, half, sixth = section.straight, section.box, 0.5 * dt, dt / 6.0
     increment, mid, end = sixth * (u + 2 * u + 2 * u + u), half * u, dt * u
@@ -243,7 +244,7 @@ def _straight_pass(section: SectionField, dt: float) -> Callable:
             k, i = divmod(int(np.argmin(inside)), 5)
             if i == 4:
                 raise LeftDomain(f"trajectory exited the domain at {ys[k].tolist()}")
-            raise LeftDomain(f"point {points[k, i].tolist()} outside section domain")
+            section.velocity(points[k, i])      # outside the box: the section's own LeftDomain
         return points[:, :4].reshape(-1, 3), ys
 
     return run

@@ -4,7 +4,8 @@ Everything here is computed by a route disjoint from the library code under
 test: analytic response gradients instead of finite differences, closed-form
 tensor formulas instead of grid stencils, scipy's expm instead of RK4.  A few
 exceptions are kept as references for faster library paths: the per-point
-stencil loop, the fibre computation as it was before the response contract
+stencil loop (and ``opaque``, which sends a body's fibre rows through the
+batched stencils instead of its exact gradient), the fibre computation as it was before the response contract
 was batched (it evaluates one (F, x) pair per call, so it checks the batched
 stencils, not the response), ``loop_trilinear``, the trilinear interpolant
 as it was before it gained a single-point path, ``loop_polynomial_response``,
@@ -29,7 +30,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from matbody import LeftDomain, NonFiniteResponse, NotUniform, OutOfDomain, StepTooLarge, evaluate
+from matbody import (Body, LeftDomain, NonFiniteResponse, NotUniform, OutOfDomain, StepTooLarge,
+                     evaluate)
 from matbody.algebroid import anchor_rank
 from matbody.connection import ChartField, _transport_field
 from matbody.flows import DEFAULT_STEP, MAX_STEP, SectionField
@@ -201,6 +203,11 @@ def loop_response_gradients(body, x, F, fd_step=1e-5):
         xm = x.copy(); xm[k] -= fd_step
         dWdx[k] = (evaluate(body, F, xp) - evaluate(body, F, xm)) / (2 * fd_step)
     return dWdF, dWdx
+
+
+def opaque(body):
+    """The body without its exact gradient: its fibre rows take the central-difference path."""
+    return Body(body.name, body.lo, body.hi, body.response)
 
 
 def loop_constraint_rows(body, x, F, fd_step=1e-5):

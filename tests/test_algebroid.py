@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from matbody import (
     AnalysisConfig,
+    Body,
     NonFiniteResponse,
     OutOfDomain,
     SampleSet,
@@ -26,6 +27,7 @@ from matbody import (
     SingularMatrix,
     builtin_body,
     constraint_rows,
+    evaluate,
     exp_section,
     fiber,
     fibers_at,
@@ -55,6 +57,7 @@ from oracles import (
     loop_constraint_rows,
     loop_fiber,
     matrix_stack_layouts,
+    opaque,
 )
 
 RANK_TOL = 1e-6
@@ -125,10 +128,10 @@ def test_rows_stencil_domain_check_names_point_in_batch(iso_body):
 
 
 def test_batched_rows_match_per_pair_loop(fgm_body, nonuniform_body, samples, rng):
-    """Rows for points (5, 3) x gradients (7, 3, 3) equal the per-pair reference."""
+    """Stencil rows for points (5, 3) x gradients (7, 3, 3) equal the per-pair reference."""
     x = rng.uniform(-0.7, 0.7, (5, 3))
     Fs = samples.matrices[:7]
-    for body in (fgm_body, nonuniform_body):
+    for body in (opaque(fgm_body), opaque(nonuniform_body)):
         rows = constraint_rows(body, x, Fs)
         assert rows.shape == (5, 7, 12)
         for p, q in np.ndindex(5, 7):
@@ -339,7 +342,7 @@ def test_rows_that_overflow_are_refused_at_their_pair():
     """Finite responses whose gradients overflow raise, indexed (point, gradient)."""
     # W = 1.7e308 F00 x0^2 is finite in the box, but dW/dx0 = 3.4e308 F00 x0
     # overflows where |F00 x0| > ~0.53
-    body = polynomial_body([([1] + [0] * 8 + [2, 0, 0], 1.7e308)])
+    body = opaque(polynomial_body([([1] + [0] * 8 + [2, 0, 0], 1.7e308)]))
     F = np.stack([np.diag([a, 1.0, 1.0]) for a in (0.5, 0.55, 0.7, 1.2)])
     x = np.array([[0.0, 0, 0], [0.5, 0, 0], [0.9, 0, 0]])
     with pytest.raises(NonFiniteResponse,
@@ -370,13 +373,17 @@ def test_spectra_that_overflow_are_refused_at_their_point():
 
 
 def test_fiber_stage_memory_stays_bounded():
-    """Transient allocation of the batched stencils stays under 2 MiB at any grid size.
+    """Transient allocation of the fibre stage stays under 2 MiB, with the batched
+    stencils (``opaque``) and with exact gradients.
 
-    Chunking by STENCIL_PAIRS keeps the stencil and response temporaries
-    bounded, so the benchmark's peak-RSS bound holds without running it.
+    Chunking by STENCIL_PAIRS keeps the stencil, gradient and response
+    temporaries bounded, so the benchmark's peak-RSS bound holds without running it.
     """
-    cases = [(builtin_body("uniform_fgm"), 9, make_samples(24, seed=3)),
-             (polynomial_body(isotropic_polynomial_terms()), 5, make_samples(24, seed=3))]
+    fgm, poly = builtin_body("uniform_fgm"), polynomial_body(isotropic_polynomial_terms())
+    cases = [(opaque(fgm), 9, make_samples(24, seed=3)),
+             (opaque(poly), 5, make_samples(24, seed=3)),
+             (fgm, 9, make_samples(24, seed=3)),
+             (poly, 5, make_samples(24, seed=3))]
     for body, res, samples in cases:
         grid = make_grid(body.lo, body.hi, res, 0.1)
         tracemalloc.start()
@@ -386,7 +393,9 @@ def test_fiber_stage_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert len(fibers) == grid.n_points
-        assert peak - held <= 2 * 2**20, f"{body.name} {res}^3: {(peak - held) / 2**20:.2f} MiB"
+        path = "stencils" if body.gradient is None else "gradient"
+        assert peak - held <= 2 * 2**20, \
+            f"{body.name} {res}^3 {path}: {(peak - held) / 2**20:.2f} MiB"
 
 
 def test_run_analysis_svd_count(monkeypatch):
@@ -403,9 +412,9 @@ def test_run_analysis_svd_count(monkeypatch):
     report = run_analysis(cfg)
     n = int(np.prod(cfg.resolution))
     count = make_samples(cfg.sample_count, cfg.seed).count      # anchors included
-    chunks = -(-n // max(1, STENCIL_PAIRS // (18 * count)))
+    chunks = -(-n // max(1, STENCIL_PAIRS // count))           # one pair per point and sample
     assert report.document["homogeneity"]["verdict"] == "obstructed"
-    assert len(calls) <= chunks + len(report.document["diagnostics"]["fiber_dim_levels"]) == 17
+    assert len(calls) <= chunks + len(report.document["diagnostics"]["fiber_dim_levels"]) == 2
 
 
 def test_sv_gap_is_clean_on_builtins(iso_body, fgm_body, samples):
@@ -528,7 +537,7 @@ def _stencil_batches(monkeypatch):
 def test_fibre_stencils_are_made_and_checked_once_per_sample_set(monkeypatch):
     """27 one-point fibres and a multi-chunk fibers_at on one sample set each build one
     F-stencil batch and take one LU det batch of it, not one per call or per chunk."""
-    body = builtin_body("uniform_fgm")
+    body = opaque(builtin_body("uniform_fgm"))
     grids = {res: make_grid(body.lo, body.hi, res, 0.1).points for res in (3, 5)}
     calls = {"27 fiber calls": lambda s: [fiber(body, x, s) for x in grids[3]],
              "fibers_at at 5^3": lambda s: fibers_at(body, grids[5], s)}
@@ -548,8 +557,8 @@ def test_fibre_stencils_are_made_and_checked_once_per_sample_set(monkeypatch):
 def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, res, samples):
     """Fibres from the sample set's checked stencils are bit for bit those of chunks that
     run evaluate's full checks, and the stage still evaluates n count 24 pairs."""
-    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
-            else builtin_body(kind))
+    body = opaque(polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+                  else builtin_body(kind))
     points = make_grid(body.lo, body.hi, res, 0.1).points
     evaluate, pairs, decided = algebroid.evaluate, [], []
 
@@ -575,7 +584,7 @@ def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, re
 def test_a_singular_stencil_raises_at_the_first_point():
     """A sample above the det floor whose F-stencil falls below it raises SingularMatrix
     at point 0 of a multi-chunk grid, as evaluate's full check does."""
-    body = builtin_body("uniform_fgm")
+    body = opaque(builtin_body("uniform_fgm"))
     near = np.diag([1.0, 1.0, 1e-5 + DET_TOL / 2])     # F - 1e-5 E_33 has det 5e-13
     samples = SampleSet(np.concatenate([make_samples(12, seed=1).matrices, near[None]]))
     points = make_grid(body.lo, body.hi, 5, 0.1).points
@@ -592,7 +601,7 @@ def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
     it, before any stencil is made, so the sample set caches none.  At 0 the
     differences read 0/0, a negative step widened the inset box past the body's
     (a point up to |fd_step| outside passed it), and NaN read as a bad point."""
-    body, samples = builtin_body("uniform_fgm"), make_samples(12, seed=1)
+    body, samples = opaque(builtin_body("uniform_fgm")), make_samples(12, seed=1)
     x = np.array([0.1, 0.2, 0.3])
     calls = [lambda: constraint_rows(body, x, samples.matrices, fd_step),
              lambda: fibers_at(body, [x, -x], samples, fd_step=fd_step),
@@ -602,3 +611,128 @@ def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
             call()
     assert "_stencils" not in vars(samples)
     assert fiber(body, x, samples).dim == 3 and list(vars(samples)["_stencils"]) == [1e-5]
+
+
+# ---------------------------------------------------------------------------
+# exact gradients: the rows of a body with a gradient against the stencil oracle
+# ---------------------------------------------------------------------------
+
+# Rounding budget of one value W, its point's rounding included: this many ulps of
+# the largest |W| at the point.
+W_ULPS = 8
+
+
+def _random_polynomial_terms(rng):
+    """Monomials of degree 1 to 4 with coefficients in [-1, 1]: one holding each of
+    the 12 variables, then 12 more."""
+    terms = []
+    for v in list(range(12)) + rng.integers(0, 12, 12).tolist():
+        e = np.zeros(12, dtype=int)
+        e[v] += 1
+        for w in rng.integers(0, 12, rng.integers(0, 4)).tolist():
+            e[w] += 1
+        terms.append([e.tolist(), float(rng.uniform(-1, 1))])
+    return terms
+
+
+def _exact_body(kind, rng):
+    if kind == "polynomial":
+        return polynomial_body(isotropic_polynomial_terms())
+    if kind == "random polynomial":
+        return polynomial_body(_random_polynomial_terms(rng))
+    return builtin_body(kind)
+
+
+def _oracle_and_error_bound(body, x, Fs, h=algebroid.DEFAULT_FD_STEP):
+    """The loop oracle's rows at x for each of Fs, and a bound of their distance from
+    the exact rows.
+
+    Along any one coordinate every body tested here is at most quartic, so the
+    oracle's central difference D(h) is the derivative plus (h^2 / 6) W''', plus the
+    rounding of its two values, at most rho / h with rho = W_ULPS eps max|W|.  At 2h
+    the first error is four times as large, so
+        |D(h) - dW| <= |D(2h) - D(h)| / 3 + 1.5 rho / h,
+    and the A-block, F^T times the dW/dF block, takes the rounding term times the
+    column sums of |F|.
+    """
+    D1, D2 = (np.array([loop_constraint_rows(body, x, F, step) for F in Fs]) for step in (h, 2 * h))
+    rho = W_ULPS * np.finfo(float).eps * np.max(np.abs(evaluate(body, Fs, x)))
+    mix = np.concatenate([np.ones((len(Fs), 3)), np.repeat(np.abs(Fs).sum(axis=1), 3, axis=-1)],
+                         axis=-1)
+    return D1, np.abs(D2 - D1) / 3 + 1.5 * rho / h * mix
+
+
+def _off_the_oracle(body, rng, samples):
+    """Whether any exact row entry at 3 random interior points leaves the oracle's bound."""
+    for x in probe_points(rng):
+        want, bound = _oracle_and_error_bound(body, x, samples.matrices)
+        if (np.abs(constraint_rows(body, x, samples.matrices) - want) > bound).any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", _FRAME_BODIES + ("random polynomial",))
+def test_exact_rows_are_the_oracle_within_its_stencil_error(kind, rng, samples):
+    body = _exact_body(kind, rng)
+    assert body.gradient is not None
+    assert not _off_the_oracle(body, rng, samples)
+
+
+def _halved(body):
+    """The body with the factor 2 of its gradient dropped."""
+    return Body(body.name, body.lo, body.hi, body.response,
+                lambda F, x: tuple(g / 2 for g in body.gradient(F, x)))
+
+
+def _without_smallest_monomial(rng):
+    """A random polynomial's response with the gradient of its smallest monomial dropped."""
+    terms = _random_polynomial_terms(rng)
+    smallest = min(range(len(terms)), key=lambda k: abs(terms[k][1]))
+    rest = polynomial_body(terms[:smallest] + terms[smallest + 1:])
+    return Body("mutant", rest.lo, rest.hi, polynomial_body(terms).response, rest.gradient)
+
+
+@pytest.mark.parametrize("mutant", [lambda rng: _halved(builtin_body("uniform_fgm")),
+                                    lambda rng: _halved(builtin_body("nonuniform")),
+                                    _without_smallest_monomial],
+                         ids=["uniform_fgm halved", "nonuniform halved", "monomial dropped"])
+def test_a_mutated_gradient_leaves_the_stencil_error(mutant, rng, samples):
+    assert _off_the_oracle(mutant(rng), rng, samples)
+
+
+@pytest.mark.parametrize("res", [5, 9])
+@pytest.mark.parametrize("kind", _FRAME_BODIES[:4])
+def test_exact_fibres_keep_the_stencil_dims_and_anchor_ranks(kind, res, samples):
+    body = builtin_body(kind)
+    points = make_grid(body.lo, body.hi, res, 0.1).points
+    exact, stencil = (fibers_at(b, points, samples) for b in (body, opaque(body)))
+    assert [f.dim for f in exact] == [f.dim for f in stencil]
+    assert [anchor_rank(f) for f in exact] == [anchor_rank(f) for f in stencil]
+
+
+@pytest.mark.parametrize("kind", _FRAME_BODIES)
+def test_exact_chunks_evaluate_each_pair_once(monkeypatch, kind, samples):
+    """With a gradient, a chunk holds STENCIL_PAIRS // count points and makes one decided
+    evaluate call of its (point, sample) pairs; its fibres are bit for bit those of
+    chunks that run evaluate's full checks."""
+    body = _exact_body(kind, None)
+    points = make_grid(body.lo, body.hi, 7, 0.1).points
+    evaluate, calls = algebroid.evaluate, []
+
+    def recording(body, F, x, *, _checked=None):
+        pairs = math.prod(np.broadcast_shapes(np.shape(F)[:-2], np.shape(x)[:-1]))
+        calls.append((pairs, _checked is not None))
+        return evaluate(body, F, x, _checked=_checked)
+
+    with monkeypatch.context() as m:
+        m.setattr(algebroid, "evaluate", recording)
+        got = fibers_at(body, points, samples)
+    chunk = STENCIL_PAIRS // samples.count
+    sizes = [min(chunk, len(points) - start) for start in range(0, len(points), chunk)]
+    assert len(sizes) > 1 and calls == [(n * samples.count, True) for n in sizes]
+    with monkeypatch.context() as m:
+        m.setattr(algebroid, "evaluate", lambda body, F, x, **_: evaluate(body, F, x))
+        want = fibers_at(body, points, samples)
+    for f, g in zip(got, want, strict=True):
+        assert f.basis.tobytes() == g.basis.tobytes()
+        assert f.singular_values.tobytes() == g.singular_values.tobytes()

@@ -405,15 +405,38 @@ def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field
 
 def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
     """The straight base pass refuses the second block before its matrix pass, as the
-    velocity pass does: one A-field call, and the v field is never called."""
+    velocity pass does: one A-field call, and the v field is called only at the stage
+    point outside, for its error."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["straight_grid"]
     assert section.straight is not None
     x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
-    with pytest.raises(LeftDomain, match=r"^point \[0\.90"):
+    with pytest.raises(LeftDomain, match=r"^point \[0\.90.* outside grid hull$"):
         exp_trajectory(section, 0.2, x0, step)
-    assert field_calls == [(4 * BLOCK_STEPS, 3)]
+    assert field_calls == [(4 * BLOCK_STEPS, 3), (3,)]
     for reference in (propagator_exp_trajectory, tuple_exp_trajectory):
         assert recorded(reference, section, 0.2, x0, step) is LeftDomain
+
+
+def test_a_stage_point_outside_reads_the_same_on_either_base_pass():
+    """A stage point past the hull raises the section's own LeftDomain on both base passes.
+
+    Two sections over one 3^3 lattice flow from (0.995, 0, 0) along e1: a constant one
+    (the straight pass) and one whose v carries noise off the line y = z = 0 (the
+    velocity pass, which reads e1 exactly on that line).  Both leave at the same point."""
+    axes = (np.linspace(-1.0, 1.0, 3),) * 3
+    noise = 1e-3 * np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3, 3))
+    noise[:, 1, 1] = 0.0
+    e1 = np.broadcast_to(np.eye(3)[0], (3, 3, 3, 3))
+    A = np.zeros((3, 3, 3, 3, 3))
+    sections = {"constant": SectionField.constant(np.eye(3)[0], np.zeros((3, 3)), LO, HI),
+                "noisy": SectionField.from_grid(axes, e1 + noise, A)}
+    assert sections["constant"].straight is not None and sections["noisy"].straight is None
+    messages = set()
+    for name, section in sections.items():
+        with pytest.raises(LeftDomain) as err:
+            exp_trajectory(section, 0.1, [0.995, 0.0, 0.0], 1e-2)
+        messages.add(str(err.value))
+    assert messages == {"point [1.005, 0.0, 0.0] outside grid hull"}
 
 
 @pytest.mark.parametrize("A", [skew(0.5, -0.4, 0.3) + 0.2 * np.eye(3),
