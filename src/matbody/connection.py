@@ -7,21 +7,22 @@ with Christoffel symbols Gamma^k_ij = -A(e_j)^k_i.  Vanishing curvature and
 torsion of that connection is the computable evidence for local homogeneity:
 it is exactly the condition under which coordinates with identically zero
 Christoffels exist, and such coordinates realize a constant section of the
-material groupoid.
+material groupoid.  Since Gamma(y) v = -A_y(v), parallel transport along a
+segment is a lift flow's linear ODE; frame and chart coordinates move as one
+4 x 4 state, stepped by the flows' ``rk4_propagators``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult
 from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
-from .flows import SectionField, _rk4_step
+from .flows import SectionField, rk4_propagators
 from .grid import Grid, TrilinearField, grid_gradient
 from .jets import as_point
 
@@ -177,76 +178,82 @@ def _transport_field(conn: LinearSectionField, *points) -> tuple:
     return field, float(np.min(conn.grid.spacing)) / 4.0
 
 
-def _transport_leg(field: TrilinearField, start, end, state, substep: float) -> np.ndarray:
-    """Transport frames P and integrate chart coordinates c along start -> end.
+def _edge_propagators(field: TrilinearField, starts, ends, substep: float) -> np.ndarray:
+    """Transport propagators (..., 4, 4) along the segments starts -> ends (..., 3).
 
-    ``state`` holds (P row-major | c) on its last axis, 12 entries.
-    Solves dP/ds = -Gamma(y, v) P, dc/ds = P^-1 v on y = start + s v, v = end - start,
-    with n >= 1 RK4 steps: max|v| / substep rounded up, or to the nearest integer
-    when within 1e-9 of it, so that a lattice segment an ulp longer than a multiple
-    of the substep gets no extra step.  Stages sit at s = (k + frac)/n,
-    not at a running sum, and the last at ``end`` itself, so none leaves the segment.
-    Gamma depends on s alone, so its 2n + 1 distinct stage values (the two
-    midpoint stages share one, and a step's last stage is the next one's first)
-    come from one field call.  A zero displacement returns ``state`` without a step.
-    Leading dimensions batch legs that share the same displacement.  A frame that
-    turns singular raises SingularMatrix, a state that overflows NonFiniteResponse.
+    On y = start + s v, v = end - start, Y = [[P, -P c], [0, 1]] (frame P, chart
+    coordinates c) obeys Y' = C Y, C = [[-Gamma(y) v, -v], [0, 0]], for s in
+    [0, 1].  A segment takes n = max|v| / substep RK4 steps, rounded up unless
+    within 1e-9 of an integer, so a segment an ulp longer than a multiple of
+    the substep gets no extra step.  Its 2n + 1 stage points sit at s = m / 2n,
+    the last at ``end`` itself.  One field call and one ``rk4_propagators`` call
+    serve every segment; steps past a segment's n have zero rates, so they are
+    I exactly.  A zero segment is I and takes no step.
     """
-    v = end - start
-    if not np.any(v):
-        return state
-    n = max(1, math.ceil(float(np.max(np.abs(v))) / substep - 1e-9))
-    lead = state.shape[:-1]
-    # row m at s = m / 2n, the same float as (k + frac)/n; the last row is ``end``
-    G = field(np.stack([start + m / (2 * n) * v for m in range(2 * n)] + [end]))
+    v = ends - starts
+    props = np.zeros(v.shape[:-1] + (4, 4)) + np.eye(4)
+    moving = np.any(v, axis=-1)
+    if not moving.any():
+        return props
+    v, start, end = v[moving], starts[moving], ends[moving]
+    n = np.maximum(1, np.ceil(np.max(np.abs(v), axis=-1) / substep - 1e-9)).astype(int)
+    m, k = np.arange(2 * n.max() + 1), np.arange(n.max())
+    y = np.where((m >= 2 * n[:, None])[..., None], end[:, None],
+                 start[:, None] + (m / (2 * n[:, None]))[..., None] * v[:, None])
+    C = np.zeros(y.shape[:2] + (4, 4))
+    C[..., :3, :3] = -np.einsum("smkij,sj->smki", field(y), v)
+    C[..., :3, 3] = -v[:, None]
+    rates = C[:, 2 * k[:, None] + [0, 1, 1, 2]]         # (segments, steps, 4 stages, 4, 4)
+    rates[k >= n[:, None]] = 0.0
+    steps = rk4_propagators(rates, (1.0 / n)[:, None, None, None])
+    props[moving] = reduce(lambda Y, M: M @ Y, steps.swapaxes(0, 1))
+    return props
 
-    def rhs(frac, state):
-        # k is the step of the loop below
-        Gv = np.einsum("...kij,...j->...ki", G[2 * k + int(2 * frac)], v)
-        P = state[..., :9].reshape(lead + (3, 3))
-        return np.concatenate(((-Gv @ P).reshape(lead + (9,)),
-                               np.linalg.solve(P, v[..., None])[..., 0]), axis=-1)
 
+def _frames_and_coords(Y: np.ndarray) -> tuple:
+    """Frames P and coordinates c = -P^-1 d of states Y = [[P, d], [0, 1]] (..., 4, 4),
+    all c from one solve.  Raises NonFiniteResponse for a state or c that is not
+    finite and SingularMatrix for a singular frame."""
+    if not np.isfinite(Y).all():
+        raise NonFiniteResponse("chart transport became non-finite")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state is refused below
-            for k in range(n):
-                state = _rk4_step(rhs, state, 1.0 / n)
+        c = np.linalg.solve(Y[..., :3, :3], -Y[..., :3, 3:])[..., 0]
     except np.linalg.LinAlgError:
         raise SingularMatrix("chart transport: the transported frame became singular") from None
-    # Non-finite entries never turn finite again, so the last step shows them all.
-    if not np.isfinite(state).all():
+    if not np.isfinite(c).all():
         raise NonFiniteResponse("chart transport became non-finite")
-    return state
+    return np.ascontiguousarray(Y[..., :3, :3]), c
 
 
 def transport_frame(conn: LinearSectionField, x0, target, order=(0, 1, 2)) -> tuple:
     """Parallel-transport a frame (and integrate the coframe) from x0 to target.
 
     Follows the axis-ordered polyline determined by ``order``, one leg per
-    axis; ``order`` must be a permutation of (0, 1, 2), or ValueError.
-    Returns (frame at target, chart coordinates of target).
+    axis; ``order`` must be a permutation of (0, 1, 2), or ValueError.  The
+    transport is the product of the legs' propagators.  Returns (frame at
+    target, chart coordinates of target).
     """
     order = tuple(order)
     if sorted(order) != [0, 1, 2]:
         raise ValueError(f"order must be a permutation of (0, 1, 2), not {order}")
     x0, target = as_point(x0), as_point(target)
     field, substep = _transport_field(conn, x0, target)
-    state, q = np.concatenate((_EYE.ravel(), np.zeros(3))), x0
-    for axis in order:
-        end = np.where(np.arange(3) == axis, target, q)     # q moved to target along axis
-        state = _transport_leg(field, q, end, state, substep)
-        q = end
-    return state[:9].reshape(3, 3), state[9:]
+    # corner i has moved the axes order[:i] to target
+    corners = np.array([np.where(np.isin(np.arange(3), order[:i]), target, x0) for i in range(4)])
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite state is refused below
+        legs = _edge_propagators(field, corners[:-1], corners[1:], substep)
+        return _frames_and_coords(legs[2] @ (legs[1] @ legs[0]))
 
 
 def build_homogeneous_chart(report: CurvatureTorsionReport, x0) -> ChartField:
     """Coordinates in which the flat torsion-free ``report.conn`` has zero Christoffels.
 
-    Transports the identity frame from x0 and integrates the coframe along the
-    axis-ordered paths of ``transport_frame`` in one sweep: the x-line through
-    x0, the y-lines from its nodes, then the z-lines from theirs, each lattice
-    segment integrated once.  Refuses (NotFlat) unless ``report.flat``, since
-    the result would be path-dependent.
+    Transports the identity frame and the coframe from x0 along the paths of
+    ``transport_frame`` in one sweep: the x-line through x0, the y-lines from
+    its nodes, then the z-lines from theirs.  Per axis, one ``_edge_propagators``
+    call gives each line segment that reaches a tick on the walk out from x0,
+    and a line's states are their running products.  Refuses (NotFlat) unless
+    ``report.flat``, since the result would be path-dependent.
     """
     if not report.flat:
         raise NotFlat(
@@ -255,21 +262,26 @@ def build_homogeneous_chart(report: CurvatureTorsionReport, x0) -> ChartField:
         )
     conn, x0 = report.conn, as_point(x0)
     field, substep = _transport_field(conn, x0)
-    points, states = x0[None], np.concatenate((_EYE.ravel(), np.zeros(3)))[None]
-    for axis, ticks in enumerate(conn.grid.axes):
-        # one line per current point; all lines walk out from x0 leg by leg together
-        line = np.repeat(points[:, None], len(ticks), axis=1)
-        line[:, :, axis] = ticks
-        line_states = np.empty(line.shape[:-1] + (12,))
-        j = int(np.searchsorted(ticks, x0[axis]))           # first tick >= x0
-        for walk in (range(j, len(ticks)), range(j - 1, -1, -1)):
-            q, s = points, states
-            for i in walk:
-                s = _transport_leg(field, q, line[:, i], s, substep)
-                q, line_states[:, i] = line[:, i], s
-        points, states = line.reshape(-1, 3), line_states.reshape(-1, 12)
-    frames = np.ascontiguousarray(states[:, :9]).reshape(-1, 3, 3)
-    return ChartField(conn, x0, np.ascontiguousarray(states[:, 9:]), frames)
+    points, states = x0[None], np.eye(4)[None]
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite state is refused below
+        for axis, ticks in enumerate(conn.grid.axes):
+            # one line per current point, walking out from x0 both ways
+            line = np.repeat(points[:, None], len(ticks), axis=1)
+            line[:, :, axis] = ticks
+            j = int(np.searchsorted(ticks, x0[axis]))           # first tick >= x0
+            # each tick is reached from its neighbour toward x0, or from x0 itself
+            via = np.insert(ticks, j, x0[axis])
+            starts = line.copy()
+            starts[:, :, axis] = np.where(np.arange(len(ticks)) >= j, via[:-1], via[1:])
+            edges = _edge_propagators(field, starts, line, substep)
+            line_states = np.empty_like(edges)
+            for walk in (range(j, len(ticks)), range(j - 1, -1, -1)):
+                s = states
+                for t in walk:
+                    s = line_states[:, t] = edges[:, t] @ s
+            points, states = line.reshape(-1, 3), line_states.reshape(-1, 4, 4)
+        frames, coords = _frames_and_coords(states)
+    return ChartField(conn, x0, coords, frames)
 
 
 def chart_christoffels(chart: ChartField) -> tuple:

@@ -5,28 +5,20 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
 
     dy/dt = v(y),        dF/dt = A(y) F,        y(0) = x,  F(0) = I,
 
-with classical fixed-step RK4.  The base equation does not involve F, so the
-flow runs in two passes over blocks of steps.  The base pass integrates y and
-records the four stage points of each step; it checks the domain at every
-stage and after every step.  In general it takes one ``_rk4_step`` per step,
-reading v through ``SectionField.velocity``.  A straight section, whose
-velocity is one constant u (``SectionField.straight``), moves y along the
-line x + t u: its base pass is one running sum of the constant step increment
-per block, with the stage points and the domain checks as whole-block array
-operations, bitwise the general pass at that constant velocity.  The matrix
-pass, shared by both, then takes A at all stage points of the block from one
-batched call.  dF/dt = A(y) F is linear in F, so one RK4 step multiplies F by
-a propagator M_k, the step taken from F = I: one ``_rk4_step`` over the
-stacked identities of the block gives all its M_k, and each step is then one
-3x3 product F = M_k F.  That equals RK4 on F in exact arithmetic and to
-rounding in floats.  A grid-backed section holds a v field and an A field
-over the same lattice and reads both through their ``TrilinearField`` call.
-It is straight when its v field is constant, as in every lift
-x -> (u, A_x(u)) of one direction u and every ``SectionField.constant``.
-Differentiating the pullback of the flow on the coordinate frame at t = 0
-recovers (-A(x), v(x)); no pipeline stage calls that finite-difference check,
-``derivation_matrix``: the connection tests use it to lock the sign convention
-of the Christoffel symbols.
+with classical fixed-step RK4, in two passes over blocks of steps.  The base
+pass integrates y (its equation does not involve F), records each step's four
+stage points and checks the domain at each stage and step end: one
+``_rk4_step`` per step through ``SectionField.velocity``, or, for a straight
+section of constant velocity u (``SectionField.straight``, as in every lift
+x -> (u, A_x(u)) and every ``SectionField.constant``), one running sum per
+block, bitwise the general pass at u.  The matrix pass takes A at the block's
+stage points in one call.  dF/dt = A(y) F is linear, so an RK4 step multiplies
+F by its propagator M_k, the step from F = I: ``rk4_propagators`` makes a
+block's M_k in one step over stacked identities, as it makes the chart's edge
+propagators in ``connection``, and F = M_k F equals RK4 on F to rounding.
+``derivation_matrix`` differences the pullback of the flow on the coordinate
+frame at t = 0, which recovers (-A(x), v(x)); the connection tests use it to
+lock the sign convention of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -124,15 +116,21 @@ class _GridSection(SectionField):
 
 
 def _rk4_step(rhs: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical RK4 step of dx/dt = rhs(c, x) for an array state x.
-
-    ``c`` is the stage's fraction of the step (0, 1/2 or 1), for a time-dependent rhs.
-    """
-    k1 = rhs(0.0, x)
-    k2 = rhs(0.5, x + 0.5 * dt * k1)
-    k3 = rhs(0.5, x + 0.5 * dt * k2)
-    k4 = rhs(1.0, x + dt * k3)
+    """One classical RK4 step of dx/dt = rhs(x) for an array state x."""
+    k1 = rhs(x)
+    k2 = rhs(x + 0.5 * dt * k1)
+    k3 = rhs(x + 0.5 * dt * k2)
+    k4 = rhs(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_propagators(rates: np.ndarray, dt) -> np.ndarray:
+    """RK4 propagators (..., d, d) of M' = A M, one step from M = I per step, from
+    A at the four stages of each step, ``rates`` (..., 4, d, d).  ``dt`` is a
+    float or broadcasts against (..., d, d).  Four zero rates give I exactly."""
+    stages = iter(np.moveaxis(rates, -3, 0))       # _rk4_step asks for its stages in order
+    eye = np.broadcast_to(np.eye(rates.shape[-1]), rates.shape[:-3] + rates.shape[-2:])
+    return _rk4_step(lambda M: next(stages) @ M, eye, dt)
 
 
 def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> Jet1:
@@ -146,16 +144,13 @@ def exp_trajectory(section: SectionField, t: float, x,
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
     exp_section returns the jet of the final record.  Runs in blocks of
-    BLOCK_STEPS steps: a base pass integrates y and records its stage points,
-    then a matrix pass takes A at the block's stage points in one
-    ``section.rates`` call, makes the block's propagators M_k in one
-    ``_rk4_step`` from stacked identities, and records F = M_k F, a new array
-    per step.  The base pass is ``_velocity_pass``, one ``_rk4_step`` per step
-    through the velocity face, or for a straight section ``_straight_pass``,
-    which is bitwise that pass at the constant velocity.  Raises StepTooLarge
-    unless 0 < step <= MAX_STEP, LeftDomain when a stage point or y leaves the
-    section's domain, and NonFiniteResponse when F overflows or the step count
-    |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
+    BLOCK_STEPS steps: the base pass (``_velocity_pass``, or ``_straight_pass``
+    for a straight section) integrates y and records its stage points, then
+    one ``section.rates`` call and one ``rk4_propagators`` call make the
+    block's M_k, and each step records F = M_k F, a new array.  Raises
+    StepTooLarge unless 0 < step <= MAX_STEP, LeftDomain when a stage point or
+    y leaves the section's domain, and NonFiniteResponse when F overflows or
+    the step count |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
     """
     if not 0 < step <= MAX_STEP:                            # NaN too
         raise StepTooLarge(f"step {step:g} is not in (0, {MAX_STEP:g}]")
@@ -172,21 +167,13 @@ def exp_trajectory(section: SectionField, t: float, x,
     dt = t / n
     base_pass = (_velocity_pass if section.straight is None else _straight_pass)(section, dt)
     y = x
-    stage_rates = iter(())
-
-    def rhs(_c, M):
-        return next(stage_rates) @ M        # _rk4_step asks for its stages in order
-
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
         for first in range(1, n + 1, BLOCK_STEPS):
             ks = range(first, min(first + BLOCK_STEPS, n + 1))
             stages, ys = base_pass(y, len(ks))
             y = ys[-1]
-            # matrix pass: A at every stage point of the block in one call, stage
-            # axis first; one RK4 step from I per step of the block is its propagator
-            rates = section.rates(stages).reshape(-1, 4, 3, 3)
-            stage_rates = iter(rates.swapaxes(0, 1))
-            propagators = _rk4_step(rhs, np.broadcast_to(np.eye(3), (len(ks), 3, 3)), dt)
+            # matrix pass: A at every stage point of the block in one call
+            propagators = rk4_propagators(section.rates(stages).reshape(-1, 4, 3, 3), dt)
             for k, y_k, M in zip(ks, ys, propagators):
                 F = M @ F                                   # a new array each step
                 records.append((k * dt, y_k, F))
@@ -205,7 +192,7 @@ def _velocity_pass(section: SectionField, dt: float) -> Callable:
     def run(y, m):
         stages, ys = [], []
 
-        def velocity(_c, x):
+        def velocity(x):
             stages.append(x)
             return section.velocity(x)
 

@@ -12,10 +12,12 @@ as it was before it gained a single-point path, ``loop_polynomial_response``,
 the polynomial response as it was before it was computed from a power table,
 ``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
 of each fiber's anchor block, ``point_solve_lift``, the library's stacked
-solve one point at a time, and ``tuple_exp_trajectory`` and ``tuple_chart``,
-the exponential flow and the chart sweep as they were when RK4 carried a
-tuple of arrays; ``propagator_exp_trajectory`` is that flow with F advanced
-by one step's propagator at a time, as the library's batched matrix pass does.
+solve one point at a time, and ``tuple_exp_trajectory``, ``tuple_chart`` and
+``tuple_transport_leg``, the exponential flow, the chart sweep and its legs as
+they were when RK4 carried a tuple of arrays, (y, F) or (P, c) with one solve
+per stage for dc/ds = P^-1 v; the library now multiplies RK4 propagators for
+both.  ``propagator_exp_trajectory`` is that flow with F advanced by one
+step's propagator at a time, as the library's batched matrix pass does.
 ``json_dumps_document`` is the report writer as it was before it gained C
 fast paths.
 """

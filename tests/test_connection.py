@@ -418,64 +418,128 @@ def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, 
         assert np.max(np.abs(chart.coords[p] - c)) <= 1e-10
 
 
-def test_chart_is_bitwise_the_tuple_rk4_sweep(fgm_integrable_body, samples):
-    """At 7^3 the (P | c) state sweep gives the tuple-state frames and coords bit for bit."""
+# Propagator products and classical RK4 on (P, c) round differently: at most 0.375 ulp
+# of max|P| and 0.19 of max|c| per RK4 step of a node's path, over both flat built-ins
+# at 5^3, 7^3 and 9^3 from an on-tick and an off-tick x0, and 0.28 ulp of max|P| over
+# six generic affine fields; the bound allows 2.
+CHART_ULPS_PER_STEP = 2
+
+
+def assert_is_the_tuple_rk4(got, want, steps):
+    """Each array of ``got`` to CHART_ULPS_PER_STEP ulps of its max|want| per step,
+    ``steps`` (...) the RK4 steps along each path."""
+    ulps = CHART_ULPS_PER_STEP * np.finfo(float).eps * np.maximum(steps, 1)
+    for g, w in zip(got, want):
+        err = np.max(np.abs(g - w).reshape(np.shape(steps) + (-1,)), axis=-1)
+        assert np.all(err <= ulps * np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("case", ["uniform_fgm_integrable", "generic"])
+def test_chart_matches_the_tuple_rk4_sweep(fgm_integrable_body, samples, case):
+    """At 7^3 the chart sweep and transport_frame's three legs give the frames and coords
+    of classical RK4 on (P, c) to rounding.  The generic case is an affine Gamma field
+    whose values along an edge do not commute, so the order of the propagator products
+    shows; there RK4 on (P, c) and on Y agree in P in exact arithmetic but not in c
+    (c' = P^-1 v is not linear), so only the frames are compared."""
     from matbody.connection import _transport_field
 
     grid = small_grid(res=7)
-    conn = minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples))
+    if case == "generic":
+        coeff = np.random.default_rng(3).uniform(-1, 1, (3, 3, 3, 4))
+        conn = connection_from_fn(grid, lambda x: coeff[..., 0] + coeff[..., 1:] @ x)
+    else:
+        conn = minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples))
     x0 = grid.points[grid.n_points // 2]
-    got, want = build_homogeneous_chart(curvature_torsion(conn), x0), tuple_chart(conn, x0)
-    assert got.frames.shape == want.frames.shape and got.coords.shape == want.coords.shape
-    assert got.frames.tobytes() == want.frames.tobytes()
-    assert got.coords.tobytes() == want.coords.tobytes()
-    # the single-point legs of transport_frame too
     field, substep = _transport_field(conn, x0)
-    for target in grid.points[[0, 100, grid.n_points - 1]]:
+    steps = np.sum(np.ceil(np.abs(grid.points - x0) / substep - 1e-9), axis=-1)
+    assert steps.max() == 36                    # 3 segments of 4 steps per axis at a corner
+    compared = slice(0, 1 if case == "generic" else 2)
+    got = build_homogeneous_chart(curvature_torsion(conn, flat_tol=1e300), x0)
+    want = tuple_chart(conn, x0)
+    assert got.frames.shape == want.frames.shape and got.coords.shape == want.coords.shape
+    assert_is_the_tuple_rk4([got.frames, got.coords][compared],
+                            [want.frames, want.coords][compared], steps)
+    for p in (0, 100, grid.n_points - 1):
         P, c, q = np.eye(3), np.zeros(3), x0
         for axis in range(3):
-            end = np.where(np.arange(3) == axis, target, q)
+            end = np.where(np.arange(3) == axis, grid.points[p], q)
             P, c = tuple_transport_leg(field, q, end, P, c, substep)
             q = end
-        got_P, got_c = transport_frame(conn, x0, target)
-        assert got_P.tobytes() == P.tobytes() and got_c.tobytes() == c.tobytes()
+        assert_is_the_tuple_rk4(transport_frame(conn, x0, grid.points[p])[compared],
+                                (P, c)[compared], steps[p])
 
 
 def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
-    """At 7^3 every lattice segment takes 4 RK4 steps (substep = spacing / 4) and
-    one Christoffel-field call; the 3 empty legs at x0 take neither."""
+    """At 7^3, per axis, one edge call, one Christoffel-field call at 9 stage points of
+    each lattice segment and one RK4 step for all of them: every segment takes 4 steps
+    (substep = spacing / 4), and the empty leg at x0 of each line takes none."""
     import matbody.connection as connection
+    import matbody.flows as flows
 
     grid = make_grid(-np.ones(3), np.ones(3), 7)
     conn = lift_of_gamma(grid, np.zeros((grid.n_points, 3, 3, 3)))
-    steps, calls, legs = [0], [], []
-    rk4_step, leg = connection._rk4_step, connection._transport_leg
+    edges, calls, rates, steps = [], [], [], [0]
+    edge_propagators, propagators, rk4_step = (connection._edge_propagators,
+                                               connection.rk4_propagators, flows._rk4_step)
     interpolate = TrilinearField.__call__
 
-    def counting_step(*args):
-        steps[0] += 1
-        return rk4_step(*args)
+    def recording_edges(field, starts, ends, substep):
+        edges.append(np.max(np.abs(ends - starts), axis=-1))
+        return edge_propagators(field, starts, ends, substep)
 
     def recording_call(field, x):
         calls.append(np.shape(x))
         return interpolate(field, x)
 
-    def recording_leg(field, start, end, *rest):
-        before, called = steps[0], len(calls)
-        out = leg(field, start, end, *rest)
-        legs.append((float(np.max(np.abs(end - start))), steps[0] - before,
-                     calls[called:], np.shape(start)[:-1]))
-        return out
+    def recording_propagators(r, dt):
+        rates.append(r)
+        return propagators(r, dt)
 
-    monkeypatch.setattr(connection, "_rk4_step", counting_step)
+    def counting_step(*args):
+        steps[0] += 1
+        return rk4_step(*args)
+
+    monkeypatch.setattr(connection, "_edge_propagators", recording_edges)
     monkeypatch.setattr(TrilinearField, "__call__", recording_call)
-    monkeypatch.setattr(connection, "_transport_leg", recording_leg)
+    monkeypatch.setattr(connection, "rk4_propagators", recording_propagators)
+    monkeypatch.setattr(flows, "_rk4_step", counting_step)
     build_homogeneous_chart(curvature_torsion(conn), grid.points[grid.n_points // 2])
-    assert len(legs) == 21                      # 3 axes x (6 segments + 1 empty leg at x0)
-    assert [n for length, n, _, _ in legs if length > 0] == [4] * 18
-    assert [n for length, n, _, _ in legs if length == 0] == [0] * 3
-    for length, _, called, lines in legs:       # one call, 2n + 1 = 9 stage points per line
-        assert called == ([(9,) + lines + (3,)] if length > 0 else [])
+    lines = [1, 7, 49]                          # lines per axis: 1, then 7, then 7 x 7
+    assert [e.shape for e in edges] == [(n, 7) for n in lines]
+    for e in edges:                             # 6 segments of one spacing, 1 empty leg at x0
+        assert np.allclose(e[:, [0, 1, 2, 4, 5, 6]], grid.spacing[0]) and not e[:, 3].any()
+    assert calls == [(6 * n, 9, 3) for n in lines]
+    assert [r.shape for r in rates] == [(6 * n, 4, 4, 4, 4) for n in lines]
+    for r in rates:                             # C = [[0, -v], [0, 0]]: no step is padding
+        assert np.all(np.abs(r[..., :3, 3]).max(axis=-1) > 0)
+    assert steps[0] == 3
+
+
+@pytest.mark.parametrize("kind", ["homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable"])
+def test_lift_flow_and_chart_transport_are_one_ode(kind, samples):
+    """Gamma^k_ij = -A(e_j)^k_i makes the frame transport dP/ds = -Gamma(y) v P along a
+    lattice edge the lift flow dF/dt = A_y(e_a) F over one spacing h.  At the same 48
+    RK4 steps (a flow step is at most MAX_STEP), F of exp_trajectory is the edge
+    propagator's frame block to rounding (5.6e-17 measured); transport_frame takes its
+    own 4 steps and agrees to 2.4e-15."""
+    from matbody.connection import _edge_propagators, _transport_field
+    from matbody.flows import MAX_STEP, exp_trajectory
+
+    grid = small_grid(res=5)
+    conn = minimal_lift_section(grid, fibers_at(builtin_body(kind), grid.points, samples))
+    field, _ = _transport_field(conn)
+    lattice = grid.reshape(grid.points)
+    for a, h in enumerate(grid.spacing):
+        assert h / 48 <= MAX_STEP
+        # the edges off the upper hull face, where y = node + h e_a can land an ulp outside
+        nodes, ends = (np.take(lattice, range(i, i + 3), axis=a).reshape(-1, 3) for i in (0, 1))
+        P = _edge_propagators(field, nodes, ends, h / 48)[:, :3, :3]
+        section = conn.flow_field(np.eye(3)[a])
+        for node, end, P_edge in zip(nodes, ends, P):
+            records = exp_trajectory(section, h, node, h / 48)
+            assert len(records) == 49
+            assert np.max(np.abs(records[-1][2] - P_edge)) <= 1e-13
+            assert np.max(np.abs(records[-1][2] - transport_frame(conn, node, end)[0])) <= 1e-13
 
 
 def test_verdict_and_chart_take_one_flatness_decision(fgm_body, samples):
