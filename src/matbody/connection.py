@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult
 from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
-from .flows import SectionField, rk4_propagators
+from .flows import SectionField, rk4_propagators, segment_points, stage_rates
 from .grid import Grid, TrilinearField, grid_gradient
 from .jets import as_point
 
@@ -185,10 +185,11 @@ def _edge_propagators(field: TrilinearField, starts, ends, substep: float) -> np
     coordinates c) obeys Y' = C Y, C = [[-Gamma(y) v, -v], [0, 0]], for s in
     [0, 1].  A segment takes n = max|v| / substep RK4 steps, rounded up unless
     within 1e-9 of an integer, so a segment an ulp longer than a multiple of
-    the substep gets no extra step.  Its 2n + 1 stage points sit at s = m / 2n,
-    the last at ``end`` itself.  One field call and one ``rk4_propagators`` call
-    serve every segment; steps past a segment's n have zero rates, so they are
-    I exactly.  A zero segment is I and takes no step.
+    the substep gets no extra step.  Its 2n + 1 stage points sit at s = m / 2n
+    (``flows.segment_points``), the last at ``end`` itself.  One field call and
+    one ``rk4_propagators`` call serve every segment; steps past a segment's n
+    have zero rates, so they are I exactly.  A zero segment is I and takes no
+    step.
     """
     v = ends - starts
     props = np.zeros(v.shape[:-1] + (4, 4)) + np.eye(4)
@@ -199,11 +200,11 @@ def _edge_propagators(field: TrilinearField, starts, ends, substep: float) -> np
     n = np.maximum(1, np.ceil(np.max(np.abs(v), axis=-1) / substep - 1e-9)).astype(int)
     m, k = np.arange(2 * n.max() + 1), np.arange(n.max())
     y = np.where((m >= 2 * n[:, None])[..., None], end[:, None],
-                 start[:, None] + (m / (2 * n[:, None]))[..., None] * v[:, None])
+                 segment_points(start[:, None], v[:, None], m, n[:, None]))
     C = np.zeros(y.shape[:2] + (4, 4))
     C[..., :3, :3] = -np.einsum("smkij,sj->smki", field(y), v)
     C[..., :3, 3] = -v[:, None]
-    rates = C[:, 2 * k[:, None] + [0, 1, 1, 2]]         # (segments, steps, 4 stages, 4, 4)
+    rates = stage_rates(C)                              # (segments, steps, 4 stages, 4, 4)
     rates[k >= n[:, None]] = 0.0
     steps = rk4_propagators(rates, (1.0 / n)[:, None, None, None])
     props[moving] = reduce(lambda Y, M: M @ Y, steps.swapaxes(0, 1))

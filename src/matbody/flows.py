@@ -5,20 +5,22 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
 
     dy/dt = v(y),        dF/dt = A(y) F,        y(0) = x,  F(0) = I,
 
-with classical fixed-step RK4, in two passes over blocks of steps.  The base
-pass integrates y (its equation does not involve F), records each step's four
-stage points and checks the domain at each stage and step end: one
-``_rk4_step`` per step through ``SectionField.velocity``, or, for a straight
-section of constant velocity u (``SectionField.straight``, as in every lift
-x -> (u, A_x(u)) and every ``SectionField.constant``), one running sum per
-block, bitwise the general pass at u.  The matrix pass takes A at the block's
-stage points in one call.  dF/dt = A(y) F is linear, so an RK4 step multiplies
-F by its propagator M_k, the step from F = I: ``rk4_propagators`` makes a
-block's M_k in one step over stacked identities, as it makes the chart's edge
-propagators in ``connection``, and F = M_k F equals RK4 on F to rounding.
-``derivation_matrix`` differences the pullback of the flow on the coordinate
-frame at t = 0, which recovers (-A(x), v(x)); the connection tests use it to
-lock the sign convention of the Christoffel symbols.
+with classical fixed-step RK4 over blocks of steps.  dF/dt = A(y) F is
+linear, so an RK4 step multiplies F by its propagator M_k, the step from
+F = I: ``rk4_propagators`` makes a block's M_k in one step over stacked
+identities, from A at the block's stage points in one ``section.rates``
+call, and F = M_k F equals RK4 on F to rounding.  The stage points come from
+one of two base passes.  A section of constant velocity u
+(``SectionField.straight``, as in every lift x -> (u, A_x(u)) and every
+``SectionField.constant``) moves y along the segment x -> x + t u, and takes
+the segment rule the chart's edge propagators in ``connection`` take too
+(``segment_points``, ``stage_rates``): n steps have 2n + 1 stage points,
+the last the segment's end itself.  A box is convex, so the domain check is
+x and the end, once.  Any other section takes one ``_rk4_step`` per step of
+y through ``SectionField.velocity``, which checks the domain at each stage
+point.  ``derivation_matrix`` differences the pullback of the flow on the
+coordinate frame at t = 0, which recovers (-A(x), v(x)); the connection
+tests use it to lock the sign convention of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class SectionField:
     analytic section both call ``fn`` once per point.  ``straight`` is v as a
     (3,) array when the section is a from-grid section whose v field is
     constant (``constant`` builds one), else None; a flow of a straight
-    section never calls its velocity face.
+    section calls its velocity face only to raise its LeftDomain.
     """
 
     straight = None
@@ -133,6 +135,28 @@ def rk4_propagators(rates: np.ndarray, dt) -> np.ndarray:
     return _rk4_step(lambda M: next(stages) @ M, eye, dt)
 
 
+def segment_points(start, v, m, n) -> np.ndarray:
+    """Stage points start + (m / 2n) v (..., 3) of n RK4 steps along the segment
+    start -> start + v, for stage numbers m; m = 2n gives start + v itself.
+
+    Step k (from 0) takes its four stages at m = 2k, 2k + 1, 2k + 1 and 2k + 2,
+    as ``stage_rates`` picks them.  ``start`` and ``v`` are (..., 3), ``m`` and
+    ``n`` integer arrays that broadcast against start[..., 0].
+    """
+    return start + (m / (2 * n))[..., None] * v
+
+
+def stage_rates(rates: np.ndarray) -> np.ndarray:
+    """A at the 2m + 1 stage points of m steps along a segment, (..., 2m + 1, d, d),
+    as A at each step's four stages (..., m, 4, d, d), for ``rk4_propagators``."""
+    steps = np.arange((rates.shape[-3] - 1) // 2)
+    return rates[..., 2 * steps[:, None] + _STAGE_OFFSETS, :, :]
+
+
+# step k's stages at the segment's stage points 2k + these
+_STAGE_OFFSETS = np.array([0, 1, 1, 2])
+
+
 def exp_section(section: SectionField, t: float, x, step: float = DEFAULT_STEP) -> Jet1:
     """Exponential jet Exp_t of the section at x: (x -> y(t), F(t))."""
     _, y, F = exp_trajectory(section, t, x, step)[-1]
@@ -143,14 +167,23 @@ def exp_trajectory(section: SectionField, t: float, x,
                    step: float = DEFAULT_STEP) -> list:
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
-    exp_section returns the jet of the final record.  Runs in blocks of
-    BLOCK_STEPS steps: the base pass (``_velocity_pass``, or ``_straight_pass``
-    for a straight section) integrates y and records its stage points, then
-    one ``section.rates`` call and one ``rk4_propagators`` call make the
-    block's M_k, and each step records F = M_k F, a new array.  Raises
-    StepTooLarge unless 0 < step <= MAX_STEP, LeftDomain when a stage point or
-    y leaves the section's domain, and NonFiniteResponse when F overflows or
-    the step count |t| / step exceeds MAX_FLOW_STEPS (or is not finite).
+    exp_section returns the jet of the final record.  Takes n = |t| / step
+    steps, rounded up, of dt = t / n, in blocks of BLOCK_STEPS steps.  A
+    straight section of velocity u takes the segment rule along x -> end,
+    end = x + v with v = t u: its y_k is ``segment_points`` 2k, so the last
+    y is end itself, and each block makes one ``section.rates`` call on its
+    2m + 1 stage points.  Any other section takes one RK4 step of y at a time
+    through ``section.velocity`` (``_velocity_blocks``), then one
+    ``section.rates`` call per block on its 4m stage points.  Either way one
+    ``rk4_propagators`` call makes the block's M_k, and each step records
+    F = M_k F, a new array.
+
+    Raises StepTooLarge unless 0 < step <= MAX_STEP, and NonFiniteResponse when
+    F overflows or the step count |t| / step exceeds MAX_FLOW_STEPS (or is not
+    finite).  Raises LeftDomain when a stage point or y leaves the section's
+    domain: a straight flow whose end is outside raises, before any
+    ``section.rates`` call, the section's own error at its first stage point
+    outside.
     """
     if not 0 < step <= MAX_STEP:                            # NaN too
         raise StepTooLarge(f"step {step:g} is not in (0, {MAX_STEP:g}]")
@@ -165,16 +198,10 @@ def exp_trajectory(section: SectionField, t: float, x,
                                 f"exceeds MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     n = max(1, math.ceil(steps))
     dt = t / n
-    base_pass = (_velocity_pass if section.straight is None else _straight_pass)(section, dt)
-    y = x
+    blocks = (_velocity_blocks if section.straight is None else _segment_blocks)(section, x, t, n)
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
-        for first in range(1, n + 1, BLOCK_STEPS):
-            ks = range(first, min(first + BLOCK_STEPS, n + 1))
-            stages, ys = base_pass(y, len(ks))
-            y = ys[-1]
-            # matrix pass: A at every stage point of the block in one call
-            propagators = rk4_propagators(section.rates(stages).reshape(-1, 4, 3, 3), dt)
-            for k, y_k, M in zip(ks, ys, propagators):
+        for ks, ys, rates in blocks:
+            for k, y_k, M in zip(ks, ys, rk4_propagators(rates, dt)):
                 F = M @ F                                   # a new array each step
                 records.append((k * dt, y_k, F))
     # Non-finite entries never turn finite again, so the last step shows them all.
@@ -183,58 +210,52 @@ def exp_trajectory(section: SectionField, t: float, x,
     return records
 
 
-def _velocity_pass(section: SectionField, dt: float) -> Callable:
-    """The base pass: y (3,) and a step count m -> the stage points (4m, 3) and
-    y after each step (m, 3), one ``_rk4_step`` per step.
+def _blocks(n: int):
+    """Steps 1...n in ranges of at most BLOCK_STEPS."""
+    return (range(k, min(k + BLOCK_STEPS, n + 1)) for k in range(1, n + 1, BLOCK_STEPS))
 
-    ``section.velocity`` checks the domain at each stage point, the box each y.
+
+def _velocity_blocks(section: SectionField, x: np.ndarray, t: float, n: int):
+    """Per block: its steps, y after each (m, 3) and A at each step's four stages
+    (m, 4, 3, 3) from one ``section.rates`` call.
+
+    y takes one ``_rk4_step`` per step through ``section.velocity``, which
+    checks the domain at each stage point; the box checks each y.
     """
-    def run(y, m):
-        stages, ys = [], []
+    dt, y, stages = t / n, x, []
 
-        def velocity(x):
-            stages.append(x)
-            return section.velocity(x)
+    def velocity(p):
+        stages.append(p)
+        return section.velocity(p)
 
-        for _ in range(m):
+    for ks in _blocks(n):
+        ys = []
+        for _ in ks:
             y = _rk4_step(velocity, y, dt)
             if not section.box.contains(y):
                 raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
             ys.append(y)
-        return np.array(stages), np.array(ys)
+        rates = section.rates(np.array(stages)).reshape(-1, 4, 3, 3)
+        stages.clear()
+        yield ks, np.array(ys), rates
 
-    return run
 
+def _segment_blocks(section: SectionField, x: np.ndarray, t: float, n: int):
+    """``_velocity_blocks`` of a straight section, by the segment rule along x -> x + t u.
 
-def _straight_pass(section: SectionField, dt: float) -> Callable:
-    """``_velocity_pass`` at the constant velocity u, bit for bit, in array operations.
-
-    Every step adds the same increment sixth * (u + 2u + 2u + u), so y after
-    the steps of a block is one running sum (``np.add.accumulate`` adds in
-    order), and a step's stages are y, y + half u twice and y + dt u.  One mask
-    checks each step's four stages and its end; the first point outside in the
-    loop's order raises LeftDomain, a stage point through ``section.velocity``,
-    so the message is the one the velocity pass gives there.
+    The segment lies in the box iff x and its end do.  When it does not, one
+    mask over all 2n + 1 stage points finds the first outside, and
+    ``section.velocity`` raises the section's own LeftDomain there, before
+    any ``section.rates`` call.
     """
-    u, box, half, sixth = section.straight, section.box, 0.5 * dt, dt / 6.0
-    increment, mid, end = sixth * (u + 2 * u + 2 * u + u), half * u, dt * u
-
-    def run(y, m):
-        path = np.empty((m + 1, 3))
-        path[0], path[1:] = y, increment
-        path = np.add.accumulate(path)
-        starts, ys = path[:-1], path[1:]
-        centre = starts + mid
-        points = np.stack([starts, centre, centre, starts + end, ys], axis=1)   # (m, 5, 3)
-        inside = box.mask(points)
-        if not inside.all():
-            k, i = divmod(int(np.argmin(inside)), 5)
-            if i == 4:
-                raise LeftDomain(f"trajectory exited the domain at {ys[k].tolist()}")
-            section.velocity(points[k, i])      # outside the box: the section's own LeftDomain
-        return points[:, :4].reshape(-1, 3), ys
-
-    return run
+    v, box = t * section.straight, section.box
+    if not (box.contains(x) and box.contains(x + v)):
+        points = segment_points(x, v, np.arange(2 * n + 1), n)
+        section.velocity(points[np.argmin(box.mask(points))])
+    for ks in _blocks(n):
+        points = segment_points(x, v, np.arange(2 * ks[0] - 2, 2 * ks[-1] + 1), n)
+        # y_k copied: views would keep every block's 2m + 1 points alive in the records
+        yield ks, points[2::2].copy(), stage_rates(section.rates(points))
 
 
 def one_parameter_check(section: SectionField, t: float, u: float, x,

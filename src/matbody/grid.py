@@ -124,7 +124,8 @@ class TrilinearField:
             raise ValueError(f"lattice data of shape {values.shape} do not fit axes of {ticks} ticks")
         self.box = Box([a[0] for a in self._axes], [a[-1] for a in self._axes])    # the hull
         self._value_shape = values.shape[3:]
-        self._flat = values.reshape(values.shape[:3] + (-1,))
+        # one row per node in C order: node (i, j, k) is row (i * ny + j) * nz + k
+        self._ticks, self._rows = ticks, values.reshape(math.prod(ticks), -1)
         self.constant = None
         if values.size and (values == values[0, 0, 0]).all():      # NaN nodes: never
             self.constant = np.array(values[0, 0, 0] + 0.0)
@@ -144,14 +145,19 @@ class TrilinearField:
             cells.append(i)
             weights.append((1.0 - t, t))
         (i, j, k), (wi, wj, wk) = cells, weights
+        _, ny, nz = self._ticks
+        base = (i * ny + j) * nz + k
         out = 0.0
-        for di, dj, dk in _CORNERS:
-            out = out + wi[di] * wj[dj] * wk[dk] * self._flat[i + di, j + dj, k + dk]
+        # corners (di, dj, dk) in C order, each weight (wi * wj) * wk, each row one take
+        for di, dj in _EDGES:
+            wij, offset = wi[di] * wj[dj], (di * ny + dj) * nz
+            for dk in (0, 1):
+                out = out + wij * wk[dk] * self._rows.take(base + (offset + dk), axis=0)
         return out.reshape(p.shape[:-1] + self._value_shape)
 
 
-# cell corners (di, dj, dk) in the order the weighted sum adds them up
-_CORNERS = tuple(itertools.product((0, 1), repeat=3))
+# the (di, dj) of the cell corners, in the order the weighted sum adds them up
+_EDGES = tuple(itertools.product((0, 1), repeat=2))
 
 
 def grid_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,10 @@ solve one point at a time, and ``tuple_exp_trajectory``, ``tuple_chart`` and
 they were when RK4 carried a tuple of arrays, (y, F) or (P, c) with one solve
 per stage for dc/ds = P^-1 v; the library now multiplies RK4 propagators for
 both.  ``propagator_exp_trajectory`` is that flow with F advanced by one
-step's propagator at a time, as the library's batched matrix pass does.
+step's propagator at a time, as the library's batched matrix pass does, and
+``segment_exp_trajectory`` is the flow of a straight section by the chart's
+segment rule, one step and one point at a time: stage points x + (m / 2n) t u
+in place of the running sum.
 ``json_dumps_document`` is the report writer as it was before it gained C
 fast paths.
 """
@@ -416,6 +419,43 @@ def propagator_exp_trajectory(section: SectionField, t: float, x,
                               step: float = DEFAULT_STEP) -> list:
     """``tuple_exp_trajectory`` with F advanced by each step's propagator M: F = M F."""
     return tuple_exp_trajectory(section, t, x, step, propagator=True)
+
+
+def segment_exp_trajectory(section: SectionField, t: float, x,
+                           step: float = DEFAULT_STEP) -> list:
+    """The exponential flow of a section of constant velocity by the segment rule, one
+    step and one point at a time.
+
+    u is the section's velocity at x.  With v = t u and n = |t| / step steps rounded
+    up, step k (from 1) takes A at x + (m / 2n) v for m = 2k - 2, 2k - 1, 2k - 1 and 2k,
+    one ``section.value`` call per point, records y_k = x + (2k / 2n) v, so the last y
+    is x + v, and sets F = M F with M the step's RK4 propagator from I.  The first point
+    outside the section's domain raises the section's own LeftDomain.
+    """
+    if step > MAX_STEP:
+        raise StepTooLarge(f"step {step:g} > {MAX_STEP:g}")
+    x = as_point(x)
+    F = I3
+    records = [(0.0, x, F)]
+    if t == 0.0:
+        return records
+    n = max(1, math.ceil(abs(t) / step))
+    dt = t / n
+    v = t * section.value(x)[0]
+
+    def point(m):
+        return x + (m / (2 * n)) * v
+
+    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
+        for k in range(1, n + 1):
+            a, b, c = (section.value(point(m))[1] for m in (2 * k - 2, 2 * k - 1, 2 * k))
+            stages = iter([a, b, b, c])
+            (M,) = tuple_rk4_step(lambda _c, state: (next(stages) @ state[0],), (I3,), dt)
+            F = M @ F
+            records.append((k * dt, point(2 * k), F))
+    if not np.isfinite(F).all():
+        raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
+    return records
 
 
 def tuple_transport_leg(field: TrilinearField, start, end, P, c, substep: float) -> tuple:

@@ -518,10 +518,11 @@ def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
 @pytest.mark.parametrize("kind", ["homogeneous_isotropic", "uniform_fgm", "uniform_fgm_integrable"])
 def test_lift_flow_and_chart_transport_are_one_ode(kind, samples):
     """Gamma^k_ij = -A(e_j)^k_i makes the frame transport dP/ds = -Gamma(y) v P along a
-    lattice edge the lift flow dF/dt = A_y(e_a) F over one spacing h.  At the same 48
-    RK4 steps (a flow step is at most MAX_STEP), F of exp_trajectory is the edge
-    propagator's frame block to rounding (5.6e-17 measured); transport_frame takes its
-    own 4 steps and agrees to 2.4e-15."""
+    lattice edge node -> end the lift flow dF/dt = A_y(e_a) F over t = (end - node)_a,
+    every edge, those that end on the upper hull face too.  The flow ends at the end
+    node bit for bit.  At the same 48 RK4 steps (a flow step is at most MAX_STEP), F of
+    exp_trajectory is the edge propagator's frame block to rounding (1.1e-16 measured);
+    transport_frame takes its own 4 steps and agrees to 2.4e-15."""
     from matbody.connection import _edge_propagators, _transport_field
     from matbody.flows import MAX_STEP, exp_trajectory
 
@@ -531,13 +532,15 @@ def test_lift_flow_and_chart_transport_are_one_ode(kind, samples):
     lattice = grid.reshape(grid.points)
     for a, h in enumerate(grid.spacing):
         assert h / 48 <= MAX_STEP
-        # the edges off the upper hull face, where y = node + h e_a can land an ulp outside
-        nodes, ends = (np.take(lattice, range(i, i + 3), axis=a).reshape(-1, 3) for i in (0, 1))
+        nodes, ends = (np.take(lattice, range(i, i + 4), axis=a).reshape(-1, 3) for i in (0, 1))
+        assert (ends[:, a] == grid.axes[a][-1]).sum() == 25
         P = _edge_propagators(field, nodes, ends, h / 48)[:, :3, :3]
         section = conn.flow_field(np.eye(3)[a])
         for node, end, P_edge in zip(nodes, ends, P):
-            records = exp_trajectory(section, h, node, h / 48)
+            t = end[a] - node[a]
+            records = exp_trajectory(section, t, node, t / 48)
             assert len(records) == 49
+            assert records[-1][1].tobytes() == end.tobytes()
             assert np.max(np.abs(records[-1][2] - P_edge)) <= 1e-13
             assert np.max(np.abs(records[-1][2] - transport_frame(conn, node, end)[0])) <= 1e-13
 

@@ -27,10 +27,10 @@ from matbody import (
     one_parameter_check,
 )
 import matbody
-from matbody.flows import BLOCK_STEPS
+from matbody.flows import BLOCK_STEPS, DEFAULT_STEP
 from matbody.grid import TrilinearField
 from oracles import (E12, loop_trilinear, matrix_exp, propagator_exp_trajectory,
-                     tuple_exp_trajectory)
+                     segment_exp_trajectory, tuple_exp_trajectory)
 
 LO, HI = -np.ones(3), np.ones(3)
 
@@ -220,7 +220,8 @@ def test_grid_section_interpolates_and_guards(rng):
 
 
 def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
-    """The from-grid section's two passes retrace an analytic section over the same fields."""
+    """The from-grid section's flow is the segment rule over an analytic section of the
+    same two fields, bit for bit, and that section's own velocity-pass flow to rounding."""
     from matbody import TrilinearField, fibers_at, make_grid, minimal_lift_section
 
     grid = make_grid(fgm_body.lo, fgm_body.hi, (3, 3, 3), 0.1)
@@ -233,9 +234,12 @@ def test_stacked_grid_section_is_bitwise_two_fields(fgm_body, samples):
     two = SectionField(lambda x: (vf(x), af(x)), *hull)
     one = SectionField.from_grid(grid.axes, v_data, a_data)
     x0 = np.array([0.1, -0.2, 0.15])
-    for (t1, y1, F1), (t2, y2, F2) in zip(exp_trajectory(one, 0.3, x0),
-                                          exp_trajectory(two, 0.3, x0), strict=True):
-        assert t1 == t2 and np.array_equal(y1, y2) and np.array_equal(F1, F2)
+    assert one.straight is not None and two.straight is None
+    got = recorded(exp_trajectory, one, 0.3, x0, DEFAULT_STEP)
+    assert len(got) == 301
+    assert got == recorded(segment_exp_trajectory, two, 0.3, x0, DEFAULT_STEP)
+    assert_is_the_classical_rk4(got, recorded(exp_trajectory, two, 0.3, x0, DEFAULT_STEP),
+                                "two fields", straight=True)
 
 
 def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, samples):
@@ -263,8 +267,9 @@ def test_grid_section_trajectory_is_bitwise_the_reference_trilinear(fgm_body, sa
 
 # ---------------------------------------------------------------------------
 # batched propagators against the tuple-of-arrays references: bitwise against
-# per-step propagators, and against classical RK4 on F in y and error class
-# bitwise and in F to rounding
+# per-step propagators (on the segment rule for a straight section), and
+# against classical RK4 on F in error class bitwise, in y bitwise (to rounding
+# against a straight section's running sum) and in F to rounding
 # ---------------------------------------------------------------------------
 
 ORACLE_AXES = tuple(np.linspace(-0.9, 0.9, 5) for _ in range(3))   # cell faces at 0, +-0.45
@@ -299,20 +304,47 @@ def recorded(trajectory, section, t, x0, step):
 
 # F = M_k F and RK4 on F round differently: at most 0.6 ulp of max|F| per step over
 # 360 random flows of the sections below (t up to 0.4, steps 1e-3 to 1e-2); the bound
-# allows 4.
+# allows 4.  A straight section's F, whose A the segment rule reads at points a few
+# ulps off the running sum's, read at most 0.5 over 203 such flows of the straight and
+# constant sections.
 F_ULPS_PER_STEP = 4
+# A straight section's y: the segment rule's x + (2k / 2n) t u against classical RK4's
+# running sum of k equal increments.  At most 0.25 ulp of max(1, max|y|) per step over
+# those 203 flows; the bound allows 1.
+Y_ULPS_PER_STEP = 1
 
 
-def assert_is_the_classical_rk4(got, want, name):
-    """t and y bit for bit and F to F_ULPS_PER_STEP ulps of max|F| per step, or the
-    same error class."""
+def assert_is_the_classical_rk4(got, want, name, straight=False):
+    """The same error class, or t bit for bit, y bit for bit (a straight section's to
+    Y_ULPS_PER_STEP ulps of max(1, max|y|) per step) and F to F_ULPS_PER_STEP ulps of
+    max|F| per step."""
     if isinstance(got, type) or isinstance(want, type):
         assert got is want, name
         return
-    assert [r[:2] for r in got] == [r[:2] for r in want], name
+    steps, eps = len(got) - 1, np.finfo(float).eps
+    assert [r[0] for r in got] == [r[0] for r in want], name
+    if straight:
+        y, z = (np.array([np.frombuffer(r[1]) for r in records]) for records in (got, want))
+        bound = Y_ULPS_PER_STEP * steps * eps * max(1.0, np.max(np.abs(z)))
+        assert np.max(np.abs(y - z)) <= bound, name
+    else:
+        assert [r[1] for r in got] == [r[1] for r in want], name
     F, G = (np.array([np.frombuffer(r[2]) for r in records]) for records in (got, want))
-    bound = F_ULPS_PER_STEP * (len(got) - 1) * np.finfo(float).eps * np.max(np.abs(G))
+    bound = F_ULPS_PER_STEP * steps * eps * np.max(np.abs(G))
     assert np.max(np.abs(F - G)) <= bound, name
+
+
+def assert_is_the_reference(section, t, x0, step, name):
+    """The flow's records, or its error class, equal the per-step propagator reference bit
+    for bit (the segment rule's for a straight section), and classical RK4 on F to
+    rounding.  Returns the records."""
+    got = recorded(exp_trajectory, section, t, x0, step)
+    straight = section.straight is not None
+    reference = segment_exp_trajectory if straight else propagator_exp_trajectory
+    assert got == recorded(reference, section, t, x0, step), name
+    assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
+                                name, straight)
+    return got
 
 
 points = st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3).map(np.array)
@@ -327,16 +359,14 @@ directions = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.arra
 @example(x0=np.array([0.0, 0.45, 0.0]), u=np.array([-0.6, 0.8, 0.0]), t=0.4, step=1e-2)
 @example(x0=np.array([0.8, 0.0, 0.0]), u=np.array([1.0, 0.0, 0.0]), t=0.4, step=1e-2)
 def test_exp_trajectory_is_bitwise_the_tuple_rk4(x0, u, t, step):
-    """Every record, or the error class, equals the propagator reference bit for bit,
-    and classical RK4 on F bit for bit in y and to rounding in F.
+    """Every record, or the error class, equals the per-step propagator reference bit for
+    bit, the segment rule's for the straight and constant sections, and classical RK4
+    on F to rounding (``assert_is_the_reference``).
 
     The explicit examples cross cell faces (and start on one) or leave the hull.
     """
     for name, section in oracle_sections(u).items():
-        got = recorded(exp_trajectory, section, t, x0, step)
-        assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
-        assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
-                                    name)
+        assert_is_the_reference(section, t, x0, step, name)
 
 
 def test_oracle_examples_cross_cell_faces_and_leave_the_hull():
@@ -367,12 +397,13 @@ def field_calls(monkeypatch):
 
 @pytest.mark.parametrize("n", [BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 1])
 def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
-    """Flows of n steps around the block edges equal the propagator reference bit for
-    bit, and classical RK4 on F in y bit for bit and in F to rounding.
+    """Flows of n steps around the block edges equal the per-step propagator reference bit
+    for bit (the segment rule's when straight), and classical RK4 on F to rounding.
 
-    A from-grid flow makes one batched A-field call per block, over its 4 stage
-    points per step; before it, a flow that is not straight makes 4 single-point
-    v-field calls per step, and a straight one (a constant section too) none.
+    A from-grid flow makes one batched A-field call per block.  A flow that is not
+    straight calls it on the block's 4 stage points per step, after 4 single-point
+    v-field calls per step; a straight one (a constant section too) calls it on the
+    block's 2m + 1 segment points, and the v field never.
     """
     x0, step = np.array([-0.4, -0.1, 0.0]), 1e-3
     t = (n - 0.5) * step                                    # n steps, whatever the rounding
@@ -383,11 +414,9 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
         if name == "from_grid":
             assert field_calls == [s for m in blocks for s in [(3,)] * 4 * m + [(4 * m, 3)]], name
         elif name in ("straight_grid", "constant"):
-            assert field_calls == [(4 * m, 3) for m in blocks], name
+            assert field_calls == [(2 * m + 1, 3) for m in blocks], name
         assert len(got) == n + 1, name
-        assert got == recorded(propagator_exp_trajectory, section, t, x0, step), name
-        assert_is_the_classical_rk4(got, recorded(tuple_exp_trajectory, section, t, x0, step),
-                                    name)
+        assert assert_is_the_reference(section, t, x0, step, name) == got, name
 
 
 def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
@@ -404,17 +433,69 @@ def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field
 
 
 def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
-    """The straight base pass refuses the second block before its matrix pass, as the
-    velocity pass does: one A-field call, and the v field is called only at the stage
-    point outside, for its error."""
+    """A straight flow whose segment leaves the hull in its second block is refused before
+    any A-field call: its end is outside, and the v field is called once, at the first
+    stage point outside, for its error.  The segment reference raises the same error
+    there, one point at a time, and the running-sum references raise LeftDomain."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["straight_grid"]
     assert section.straight is not None
     x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
-    with pytest.raises(LeftDomain, match=r"^point \[0\.90.* outside grid hull$"):
+    with pytest.raises(LeftDomain, match=r"^point \[0\.90.* outside grid hull$") as err:
         exp_trajectory(section, 0.2, x0, step)
-    assert field_calls == [(4 * BLOCK_STEPS, 3), (3,)]
+    assert field_calls == [(3,)]
+    with pytest.raises(LeftDomain) as want:
+        segment_exp_trajectory(section, 0.2, x0, step)
+    assert str(err.value) == str(want.value)
     for reference in (propagator_exp_trajectory, tuple_exp_trajectory):
         assert recorded(reference, section, 0.2, x0, step) is LeftDomain
+
+
+@pytest.mark.parametrize("x0, t", [([0.85, 0.0, 0.3], 0.2), ([0.0, 0.0, 0.3], 0.95),
+                                   ([0.0, 0.0, 0.3], -1.5), ([0.95, 0.0, 0.3], -0.1)],
+                         ids=["first_block", "late_block", "backwards", "start_outside"])
+def test_straight_flow_ending_outside_is_refused_before_any_a_field_call(x0, t, field_calls):
+    """A straight flow whose start or end x0 + t u lies outside the hull raises LeftDomain
+    with no A-field call: one v-field call at the first stage point outside, the error
+    the segment reference raises there, wherever along the segment that point is."""
+    section = oracle_sections(np.array([1.0, -0.5, 0.0]))["straight_grid"]
+    with pytest.raises(LeftDomain, match="outside grid hull") as err:
+        exp_trajectory(section, t, x0, 1e-3)
+    assert field_calls == [(3,)]
+    with pytest.raises(LeftDomain) as want:
+        segment_exp_trajectory(section, t, x0, 1e-3)
+    assert str(err.value) == str(want.value)
+
+
+def test_lift_flows_end_on_the_hull_face(fgm_integrable_body, samples):
+    """The lift of e1 at 5^3 from each of the 25 points at x1 = 0.45 over t = 0.45, at 48,
+    64 and 100 steps: all 75 flows end on the upper hull face, at the face node bit for
+    bit.  A running sum of steps lands ulps past the face in some of them, and the
+    running-sum reference refuses those.  The lattice tick is 0.45000000000000007, from
+    which t = 0.45 ends past the face in exact arithmetic too, and that flow is refused."""
+    from matbody import fibers_at, make_grid, minimal_lift_section
+
+    body = fgm_integrable_body
+    grid = make_grid(body.lo, body.hi, (5, 5, 5), 0.1)
+    section = minimal_lift_section(grid, fibers_at(body, grid.points, samples)).flow_field(
+        [1.0, 0.0, 0.0])
+    face = grid.points[grid.points[:, 0] == grid.axes[0][-1]]
+    starts = face.copy()
+    starts[:, 0] = 0.45
+    assert len(face) == 25 and grid.axes[0][-1] == 0.9
+    refused = 0
+    for steps in (48, 64, 100):
+        for x0, node in zip(starts, face):
+            records = exp_trajectory(section, 0.45, x0, 0.45 / steps)
+            assert len(records) == steps + 1
+            assert records[-1][1].tobytes() == node.tobytes()
+            running_sum = recorded(tuple_exp_trajectory, section, 0.45, x0, 0.45 / steps)
+            refused += running_sum is LeftDomain
+    assert refused > 0
+    tick = face[0].copy()
+    tick[0] = grid.axes[0][3]
+    assert tick[0] == 0.45000000000000007
+    with pytest.raises(LeftDomain, match=r"^point \[0\.9000000000000001, "):
+        exp_trajectory(section, 0.45, tick, 0.45 / 48)
 
 
 def test_a_stage_point_outside_reads_the_same_on_either_base_pass():
@@ -444,17 +525,21 @@ def test_a_stage_point_outside_reads_the_same_on_either_base_pass():
                                np.full((3, 3), -0.0)], ids=["dense", "skew", "zero"])
 def test_constant_section_is_a_straight_grid_section(A, field_calls):
     """SectionField.constant is a from-grid section over the box corners: straight, one
-    batched A-field call per block, and bitwise the flow of the analytic section that
-    returns (v, A), -0.0 entries of A too; it reads v and A anywhere in the box and
+    batched A-field call per block on its 2m + 1 segment points, and bitwise the
+    segment rule over the analytic section that returns (v, A), -0.0 entries of A too,
+    and that section's own flow to rounding; it reads v and A anywhere in the box and
     refuses points outside it as a grid hull."""
     v, x0, step = np.array([0.3, -0.2, 0.1]), np.array([-0.4, 0.1, 0.2]), 1e-3
     section = SectionField.constant(v, A, LO, HI)
     assert np.array_equal(section.straight, v)
     got = recorded(exp_trajectory, section, 0.2, x0, step)
     assert len(got) == 201
-    assert field_calls == [(4 * min(BLOCK_STEPS, 200 - first), 3)
+    assert field_calls == [(2 * min(BLOCK_STEPS, 200 - first) + 1, 3)
                            for first in range(0, 200, BLOCK_STEPS)]
-    assert got == recorded(exp_trajectory, SectionField(lambda x: (v, A), LO, HI), 0.2, x0, step)
+    analytic = SectionField(lambda x: (v, A), LO, HI)
+    assert got == recorded(segment_exp_trajectory, analytic, 0.2, x0, step)
+    assert_is_the_classical_rk4(got, recorded(exp_trajectory, analytic, 0.2, x0, step),
+                                "analytic", straight=True)
     for x in (LO, HI, x0):
         w, B = section.value(x)
         assert np.array_equal(w, v) and np.array_equal(B, A)
@@ -463,7 +548,7 @@ def test_constant_section_is_a_straight_grid_section(A, field_calls):
 
 
 def assert_on_the_line(records, x0, u):
-    """y_k is x0 + t_k u to rounding: a running sum of k equal increments."""
+    """y_k is x0 + t_k u to rounding: the segment rule's x0 + (2k / 2n) t u."""
     ts, ys = np.array([r[0] for r in records]), np.array([r[1] for r in records])
     bound = 4 * len(records) * np.finfo(float).eps * max(1.0, float(np.max(np.abs(ys))))
     assert np.max(np.abs(ys - (x0 + ts[:, None] * u))) <= bound
@@ -493,6 +578,18 @@ def test_cli_flow_is_straight(tmp_path, field_calls):
     records = [(r["t"], np.array(r["y"])) for r in doc["records"]]
     assert len(records) == 301 and field_calls and (3,) not in field_calls
     assert_on_the_line(records, np.array([0.1, 0.2, -0.1]), np.array([1.0, 0.5, -0.25]))
+
+
+def test_cli_flow_ends_on_the_hull_face(tmp_path):
+    """`matbody flow` at 3^3 from the origin over t = 0.9 along e1 ends at the hull's
+    corner face node (0.9, 0, 0) exactly, with exit 0."""
+    from matbody import cli
+
+    cfg, out = tmp_path / "cfg.json", tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"body": "uniform_fgm", "grid": {"resolution": [3, 3, 3]}}))
+    assert cli.main(["flow", "--config", str(cfg), "--t", "0.9", "--x", "0,0,0",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["records"][-1]["y"] == [0.9, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("kind", ["from_grid", "analytic"])
