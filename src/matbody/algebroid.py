@@ -13,15 +13,13 @@ nullspace yields the fiber.  The rank decision is the fragile step of the
 whole pipeline, so every fiber carries its full singular-value spectrum and
 ``sv_gap``: its smallest kept over its largest dropped value, taken at the cut.
 
-The gradients are exact when the body has a ``gradient`` (every built-in and
-polynomial body): a chunk of points makes one evaluate call of its (point,
-sample) values, which checks them, and one gradient call.  A body without one
-is differenced: the central-difference stencils of every sample gradient at
-the chunk's points are evaluated as two batches (F-stencils, x-stencils).  The
-F-stencils do not depend on the point: a sample set makes and det-checks them
-once per step (``SampleSet.stencils``), so a chunk checks only its own points
-before its two response calls.  Either way the chunk's nullspaces come from
-one stacked SVD.
+The rows need (F^T dW/dF, dW/dx) and nothing else.  A body's ``gradient``
+(every built-in and polynomial body has one) gives them exactly: a chunk of
+points makes one evaluate call of its (point, sample) values, which checks
+them, and one gradient call.  Central differences stand in for a missing
+gradient: two batches, F +- h E_ij at the points and F at x +- h e_i, each
+checked by evaluate.  Either way the chunk's nullspaces come from one stacked
+SVD, and its anchor blocks from one more per fibre dim present in the chunk.
 
 Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 """
@@ -34,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import Body, SampleSet, Stencils, evaluate, f_stencils
+from .bodies import Body, SampleSet, evaluate
 from .errors import MatbodyError, NonFiniteResponse, OutOfDomain, first_true, with_index
 from .jets import as_point
 
@@ -65,15 +63,16 @@ class FiberBasis:
         return len(self.basis)
 
 
-# At most this many pairs go into one response call of a fibre chunk: on the
-# gradient path one per point and sample, 146 x 28 = 4088 at 28 samples; on
-# the stencil path 18 F-stencils per point and sample, 8 x 28 x 18 = 4032,
-# and the chunk's x-stencil call adds a third as many (6 per point and
-# sample).  Chunks of grid points of this size keep the temporaries of the
-# response, the gradient, the rows and their SVD under two megabytes at 9^3.
+# At most this many pairs go into one response call of a fibre chunk: with a
+# gradient one per point and sample, 146 x 28 = 4088 at 28 samples; differenced
+# 18 F-stencils per point and sample, 8 x 28 x 18 = 4032, and the chunk's
+# x-stencil call adds a third as many (6 per point and sample).  Chunks of grid
+# points of this size keep the temporaries of the response, the gradient, the
+# rows and their SVDs under two megabytes at any grid size.
 STENCIL_PAIRS = 4096
 
-# Unit steps of the 3 coordinates of x.
+# Unit steps of the 9 entries of F (E_ij, row-major) and of the 3 coordinates of x.
+_F_STEPS = np.eye(9).reshape(9, 3, 3)
 _X_STEPS = np.eye(3)
 
 
@@ -101,12 +100,8 @@ def _check_fd_step(fd_step: float) -> None:
         raise ValueError(f"fd_step {fd_step:g} is not finite and > 0")
 
 
-def _rows(body: Body, x, F, fd_step: float, samples: SampleSet | None = None) -> np.ndarray:
-    """``constraint_rows``; ``samples`` is the sample set when F is its matrices.
-
-    The blocks come from the body's gradient when it has one, else from
-    central differences.
-    """
+def _rows(body: Body, x, F, fd_step: float, sampled: bool = False) -> np.ndarray:
+    """``constraint_rows``; ``sampled`` when F are a sample set's matrices."""
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
         x = np.asarray(x, dtype=float)
         F = np.asarray(F, dtype=float)
@@ -116,11 +111,7 @@ def _rows(body: Body, x, F, fd_step: float, samples: SampleSet | None = None) ->
             raise with_index(OutOfDomain(
                 f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
         pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (3,))
-        lead = x.shape[:-1] + F.shape[:-2]
-        if body.gradient is None:
-            A, dWdx = _stencil_blocks(body, pts, F, fd_step, samples, lead)
-        else:
-            A, dWdx = _gradient_blocks(body, pts, F, samples is not None, lead)
+        A, dWdx = _gradients(body, pts, F, fd_step, sampled, x.shape[:-1] + F.shape[:-2])
     rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
     bad = ~np.isfinite(rows).all(axis=-1)
     if bad.any():
@@ -129,50 +120,32 @@ def _rows(body: Body, x, F, fd_step: float, samples: SampleSet | None = None) ->
     return rows
 
 
-def _gradient_blocks(body: Body, pts, F, sampled: bool, lead: tuple) -> tuple:
-    """(F^T dW/dF, dW/dx) from the body's gradient, shapes lead + (3, 3) and lead + (3,).
+def _gradients(body: Body, pts, F, fd_step: float, sampled: bool, lead: tuple) -> tuple:
+    """(F^T dW/dF, dW/dx) of shapes lead + (3, 3) and lead + (3,).
 
-    The pairs' values go through one evaluate call first, so a pair below the
-    det floor or with a non-finite value raises as in any batch; it is decided
-    when F are a sample set's matrices (``sampled``), which passed the det
-    floor, as the points passed the inset test.  F is made contiguous, so the
-    blocks do not depend on its layout.
+    From the body's gradient when it has one, after one evaluate call of the
+    pairs' values, so a pair below the det floor or with a non-finite value
+    raises as in any batch; that call is decided when F are a sample set's
+    matrices (``sampled``), which passed the det floor, as the points passed
+    the inset test.  Without one, from central differences of step
+    ``fd_step``: two batches on axes (points..., gradients..., sign of the
+    step, stepped entry), each checked by evaluate.  F is made contiguous, so
+    the blocks do not depend on its layout.
     """
     F = np.ascontiguousarray(F)
-    evaluate(body, F, pts, _checked=lead if sampled else None)
-    dWdF, dWdx = body.gradient(F, pts)
-    Ft = np.ascontiguousarray(np.swapaxes(F, -1, -2))
-    return Ft @ np.broadcast_to(dWdF, lead + (3, 3)), np.broadcast_to(dWdx, lead + (3,))
-
-
-def _stencil_blocks(body: Body, pts, F, fd_step: float, samples: SampleSet | None,
-                    lead: tuple) -> tuple:
-    """(F^T dW/dF, dW/dx) by central differences: two stencil batches.
-
-    The sample set's F-stencils are asked for only once x passes the inset
-    test, so a step that fails it makes none.  When they are ``regular``
-    (every F-stencil passes the det floor, as the samples did), a chunk whose
-    x-stencils lie in the box is decided: both evaluate calls take the
-    checked path with their batch shapes.  Otherwise ``evaluate`` checks each
-    batch, so values and errors are the same either way.
-    """
-    if samples is None:
-        FS = f_stencils(F, fd_step)                 # raises first on a malformed F
-        st = Stencils(FS, False, np.ascontiguousarray(np.swapaxes(F, -1, -2)))
+    if body.gradient is not None:
+        evaluate(body, F, pts, _checked=lead if sampled else None)
+        dWdF, dWdx = body.gradient(F, pts)
+        dWdF, dWdx = np.broadcast_to(dWdF, lead + (3, 3)), np.broadcast_to(dWdx, lead + (3,))
     else:
-        st = samples.stencils(fd_step)
-    steps = np.array([fd_step, -fd_step])
-    xs = pts[..., None, None, :] + steps[:, None, None] * _X_STEPS
-    # x-stencils in the box put x there too (each coordinate of x is kept by
-    # two of them), so the F-stencil batch's points need no mask of their own
-    certified = st.regular and body.box.mask(xs).all()
-    # values on axes (points..., gradients..., sign of the step, stepped entry)
-    W_F = evaluate(body, st.matrices, pts[..., None, None, :],
-                   _checked=lead + (2, 9) if certified else None)
-    W_x = evaluate(body, F[..., None, None, :, :], xs,
-                   _checked=lead + (2, 3) if certified else None)
-    dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
-    return st.transposed @ dWdF.reshape(dWdF.shape[:-1] + (3, 3)), dWdx
+        steps = np.array([fd_step, -fd_step])
+        W_F = evaluate(body, F[..., None, None, :, :] + steps[:, None, None, None] * _F_STEPS,
+                       pts[..., None, None, :])
+        W_x = evaluate(body, F[..., None, None, :, :],
+                       pts[..., None, None, :] + steps[:, None, None] * _X_STEPS)
+        dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
+        dWdF = dWdF.reshape(dWdF.shape[:-1] + (3, 3))
+    return np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ dWdF, dWdx
 
 
 def fibers_at(body: Body, points, samples: SampleSet,
@@ -185,23 +158,23 @@ def fibers_at(body: Body, points, samples: SampleSet,
     spectrum and ``sv_gap``, the gap at the cut (inf when the cut is clean).  Points
     go through in chunks of at most STENCIL_PAIRS pairs in one response call
     (count per point with a gradient, 18 count when differenced), each chunk
-    with one stacked SVD; then the anchor blocks of all points with the same
-    fiber dim go through one more, which turns each basis into the anchor's
-    singular frame.  Spectra are stored non-negative (LAPACK can give -0.0).  A failing
+    with one stacked SVD; then the chunk's anchor blocks of each fiber dim go
+    through one more, which turns each basis into the anchor's singular frame.
+    Spectra are stored non-negative (LAPACK can give -0.0).  A failing
     evaluation, rows or spectrum raise indexed by their point in ``points``, and the
     message starts ``at point [x]: ``.  A step that is not finite and > 0 raises
-    ValueError, so the sample set keeps no stencils for it.
+    ValueError.
     """
     _check_fd_step(fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
     per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
     chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
-    sv, Vh = np.zeros((len(points), 12)), np.empty((len(points), 12, 12))
+    out = [None] * len(points)
     for start in range(0, len(points), chunk):
         try:
-            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, samples)
-            _, s, Vh[start:start + chunk] = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
+            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, True)
+            _, s, Vh = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
             bad = ~np.isfinite(s).all(axis=-1)
             if bad.any():
                 raise with_index(NonFiniteResponse(
@@ -210,20 +183,21 @@ def fibers_at(body: Body, points, samples: SampleSet,
             k = start + int(exc.index[0])
             exc.args, exc.index = (f"at point {points[k].tolist()}: {exc}",), (k,)
             raise
-        sv[start:start + chunk, :s.shape[-1]] = np.abs(s)      # LAPACK can give -0.0
-    sv.setflags(write=False)
-    ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
-    out, spectra = [None] * len(points), sv.tolist()
-    for rank in np.unique(ranks).tolist():
-        idx = np.flatnonzero(ranks == rank)
-        _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
-        bases = Vh_anchor @ Vh[idx, rank:]      # (m, dim, 12) in the anchor's singular frame
-        bases.setflags(write=False)
-        for p, B, s in zip(idx.tolist(), bases, anchor_sv):
-            gap = math.inf                      # clean: no cut, or a zero dropped value
-            if 0 < rank < 12 and spectra[p][rank] != 0.0:   # a float quotient overflows to inf
-                gap = spectra[p][rank - 1] / spectra[p][rank]
-            out[p] = FiberBasis(points[p], B, sv[p], s, gap)
+        sv = np.zeros((len(s), 12))
+        sv[:, :s.shape[-1]] = np.abs(s)         # LAPACK can give -0.0
+        sv.setflags(write=False)
+        ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
+        spectra = sv.tolist()
+        for rank in np.unique(ranks).tolist():
+            idx = np.flatnonzero(ranks == rank)
+            _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
+            bases = Vh_anchor @ Vh[idx, rank:]      # (m, dim, 12) in the anchor's singular frame
+            bases.setflags(write=False)
+            for p, B, a in zip(idx.tolist(), bases, anchor_sv):
+                gap = math.inf                      # clean: no cut, or a zero dropped value
+                if 0 < rank < 12 and spectra[p][rank] != 0.0:   # a float quotient overflows to inf
+                    gap = spectra[p][rank - 1] / spectra[p][rank]
+                out[start + p] = FiberBasis(points[start + p], B, sv[p], a, gap)
     return out
 
 

@@ -11,10 +11,8 @@ sampling: W-hat(F P, x) must equal W-hat(F, y) for every test gradient F in a
 finite sample set.  The sample set is checked once, when it is made; a
 membership batch is then checked from its factors (two points, one P) and
 costs one response call, with ``evaluate``'s pair-by-pair checks as the
-fallback whenever a factor check cannot decide.  The fibre stencils of the
-sample set are made and det-checked once per step, on first use by a body
-without a gradient.  W-inverse
-of a jet is the response of its groupoid inverse, W-hat(P^-1, y).
+fallback whenever a factor check cannot decide.  W-inverse of a jet is the
+response of its groupoid inverse, W-hat(P^-1, y).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +33,6 @@ _I3 = np.eye(3)
 
 # Rounding margin of the det floor certificate, per unit (|P|_F max_s |F_s|_F)^3.
 _FLOOR_MARGIN = 64.0 * np.finfo(float).eps
-
-# Unit steps of the 9 entries of F (E_ij, row-major).
-_F_STEPS = np.eye(9).reshape(9, 3, 3)
 
 # Fixed anchors prepended to every sample set: failures at the identity or at
 # a uniaxial stretch reproduce without chasing a seed.
@@ -87,8 +82,7 @@ class SampleSet:
     non-finite sample raises ValueError and a singular one SingularMatrix,
     each naming the sample's index.  Matrices that are writeable, or a view
     of another array, are copied first, so the least sample |det| and the
-    largest sample norm kept here stay theirs.  Their fibre stencils are made
-    on first use by a body without a gradient, once per step (``stencils``).
+    largest sample norm kept here stay theirs.
     """
 
     matrices: np.ndarray    # (count, 3, 3), read-only
@@ -119,24 +113,6 @@ class SampleSet:
     def count(self) -> int:
         return len(self.matrices)
 
-    def stencils(self, fd_step: float) -> "Stencils":
-        """The samples' central-difference F-stencils at ``fd_step``, made and checked once.
-
-        Kept per step, as ``Box.inset`` keeps its boxes: every fibre chunk and
-        every one-point fibre at that step reads the same batch.
-        """
-        cache = self.__dict__.setdefault("_stencils", {})
-        st = cache.get(fd_step)
-        if st is None:
-            m = f_stencils(self.matrices, fd_step)
-            with np.errstate(over="ignore", invalid="ignore"):      # NaN dets are not < DET_TOL
-                regular = not (np.abs(np.linalg.det(m)) < DET_TOL).any()
-            m.setflags(write=False)
-            Ft = np.ascontiguousarray(np.swapaxes(self.matrices, -1, -2))
-            Ft.setflags(write=False)
-            st = cache[fd_step] = Stencils(m, regular, Ft)
-        return st
-
     def clears_floor(self, P: np.ndarray) -> bool:
         """Whether every sample product F_s P is certified to pass ``evaluate``'s det floor.
 
@@ -152,22 +128,6 @@ class SampleSet:
         scale = math.hypot(*entries) * self.max_norm
         return (abs(det3(entries)) * self.min_det
                 - _FLOOR_MARGIN * scale * scale * scale >= 2.0 * DET_TOL)
-
-
-class Stencils(NamedTuple):
-    """A sample set's F-stencils at one step: the batch, its det floor test and F^T."""
-
-    matrices: np.ndarray    # f_stencils(samples, fd_step), (count, 2, 9, 3, 3), read-only
-    regular: bool           # all pass evaluate's det floor, by the same LU; False: not known
-    transposed: np.ndarray  # the samples' F^T, contiguous (count, 3, 3), read-only
-
-
-def f_stencils(F: np.ndarray, fd_step: float) -> np.ndarray:
-    """Central-difference stencils F + t E_ij of gradients F (..., 3, 3): shape (..., 2, 9, 3, 3),
-    t = +fd_step then -fd_step, and E_ij the unit entries in row-major order."""
-    steps = np.array([fd_step, -fd_step])
-    with np.errstate(over="ignore", invalid="ignore"):      # non-finite stencils fail later
-        return F[..., None, None, :, :] + steps[:, None, None, None] * _F_STEPS
 
 
 def make_samples(n_random: int = 24, seed: int = 20240) -> SampleSet:

@@ -11,19 +11,26 @@ lift residual near 1e-16, and LAPACK builds differ there.
 
     PYTHONPATH=src python tests/ledger.py write     # regenerate tests/ledger.json
     PYTHONPATH=src python tests/ledger.py sha256    # hash each structured report
+    PYTHONPATH=src python tests/ledger.py fibres    # one hash over the fibre bytes
 
 ``sha256`` prints, per config, the hash of the structured report and of the report
-without its ``config`` echo.  Run it on two trees to compare their reports byte
-for byte; the hashes are not in the ledger, and no test reads them.
+without its ``config`` echo.  ``fibres`` prints one hash over the fibres (basis,
+spectrum, anchor singular values, sv_gap) of the four built-ins at 3^3, 5^3 and
+9^3 with the default samples, each from its exact gradient and differenced
+(``oracles.opaque``), so it covers the row path that no report takes.  Run them
+on two trees to compare their bytes; the hashes are not in the ledger, and no
+test reads them.
 """
 
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
-from matbody import AnalysisConfig, emit_report, run_analysis
+from matbody import AnalysisConfig, emit_report, fibers_at, make_grid, make_samples, run_analysis
 from matbody.analysis import canonical_json
+from oracles import opaque
 
 LEDGER_PATH = Path(__file__).with_name("ledger.json")
 REL_TOL = 1e-6
@@ -85,8 +92,24 @@ def sha256() -> None:
         print(hashlib.sha256(full).hexdigest(), hashlib.sha256(bare).hexdigest(), name)
 
 
+def fibres() -> None:
+    digest = hashlib.sha256()
+    for name in BODIES:
+        for n in (3, 5, 9):
+            cfg = AnalysisConfig(body=name, resolution=(n, n, n))
+            body = cfg.material_body
+            points = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin).points
+            samples = make_samples(cfg.sample_count, cfg.seed)
+            for rows_from in (body, opaque(body)):
+                for f in fibers_at(rows_from, points, samples, cfg.rank_tol, cfg.fd_step):
+                    for part in (f.basis, f.singular_values, f.anchor_sv):
+                        digest.update(part.tobytes())
+                    digest.update(struct.pack("<d", f.sv_gap))
+    print(digest.hexdigest())
+
+
 if __name__ == "__main__":
-    commands = {"write": write, "sha256": sha256}
+    commands = {"write": write, "sha256": sha256, "fibres": fibres}
     if len(sys.argv) != 2 or sys.argv[1] not in commands:
-        sys.exit(f"usage: python {sys.argv[0]} {{write|sha256}}")
+        sys.exit(f"usage: python {sys.argv[0]} {{write|sha256|fibres}}")
     commands[sys.argv[1]]()

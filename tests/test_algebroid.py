@@ -374,16 +374,18 @@ def test_spectra_that_overflow_are_refused_at_their_point():
 
 def test_fiber_stage_memory_stays_bounded():
     """Transient allocation of the fibre stage stays under 2 MiB, with the batched
-    stencils (``opaque``) and with exact gradients.
+    stencils (``opaque``) and with exact gradients, at any grid size.
 
-    Chunking by STENCIL_PAIRS keeps the stencil, gradient and response
-    temporaries bounded, so the benchmark's peak-RSS bound holds without running it.
+    Chunking by STENCIL_PAIRS keeps the stencil, gradient, response and SVD
+    temporaries bounded, and no array spans all points but the fibres' own, so
+    the benchmark's peak-RSS bound holds without running it.
     """
     fgm, poly = builtin_body("uniform_fgm"), polynomial_body(isotropic_polynomial_terms())
     cases = [(opaque(fgm), 9, make_samples(24, seed=3)),
              (opaque(poly), 5, make_samples(24, seed=3)),
              (fgm, 9, make_samples(24, seed=3)),
-             (poly, 5, make_samples(24, seed=3))]
+             (poly, 5, make_samples(24, seed=3)),
+             (fgm, 13, make_samples(24, seed=3))]
     for body, res, samples in cases:
         grid = make_grid(body.lo, body.hi, res, 0.1)
         tracemalloc.start()
@@ -399,7 +401,8 @@ def test_fiber_stage_memory_stays_bounded():
 
 
 def test_run_analysis_svd_count(monkeypatch):
-    """One SVD per fibre chunk and one per fibre-dim level, not one per point."""
+    """One SVD per fibre chunk and one per fibre-dim level in each chunk, not one per
+    point: at 5^3 one chunk holds every point."""
     calls = []
     svd = np.linalg.svd
 
@@ -515,66 +518,35 @@ def test_fiber_calls_build_the_inset_box_once(monkeypatch, samples):
     assert np.array_equal(built[0][0], body.lo + 1e-5) and np.array_equal(built[0][1], body.hi - 1e-5)
 
 
-def _stencil_batches(monkeypatch):
-    """Record the LU det calls and the F-stencil batches that the fibre stage evaluates."""
-    lu, batches = [], []
-    det, evaluate = np.linalg.det, algebroid.evaluate
-
-    def counting_det(a, *args, **kwargs):
-        lu.append(np.shape(a))
-        return det(a, *args, **kwargs)
-
-    def recording(body, F, x, **kwargs):
-        if np.shape(F)[-4:] == (2, 9, 3, 3):
-            batches.append(F)               # kept alive, so ids stay distinct
-        return evaluate(body, F, x, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    monkeypatch.setattr(algebroid, "evaluate", recording)
-    return lu, batches
-
-
-def test_fibre_stencils_are_made_and_checked_once_per_sample_set(monkeypatch):
-    """27 one-point fibres and a multi-chunk fibers_at on one sample set each build one
-    F-stencil batch and take one LU det batch of it, not one per call or per chunk."""
-    body = opaque(builtin_body("uniform_fgm"))
-    grids = {res: make_grid(body.lo, body.hi, res, 0.1).points for res in (3, 5)}
-    calls = {"27 fiber calls": lambda s: [fiber(body, x, s) for x in grids[3]],
-             "fibers_at at 5^3": lambda s: fibers_at(body, grids[5], s)}
-    for name, call in calls.items():
-        samples = make_samples(24)          # fresh: no stencils made yet
-        with monkeypatch.context() as m:
-            lu, batches = _stencil_batches(m)
-            call(samples)
-        expected = len(grids[3]) if name.startswith("27") else -(-125 // 8)
-        assert len(batches) == expected, name
-        assert all(F is batches[0] for F in batches), name
-        assert lu == [(samples.count, 2, 9, 3, 3)], name
-
-
 @pytest.mark.parametrize("res", [3, 5])
 @pytest.mark.parametrize("kind", _FRAME_BODIES)
 def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, res, samples):
-    """Fibres from the sample set's checked stencils are bit for bit those of chunks that
-    run evaluate's full checks, and the stage still evaluates n count 24 pairs."""
-    body = opaque(polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
-                  else builtin_body(kind))
-    points = make_grid(body.lo, body.hi, res, 0.1).points
-    evaluate, pairs, decided = algebroid.evaluate, [], []
+    """A chunk with a gradient makes one decided evaluate call, and its fibres are bit
+    for bit those of fully checked calls; a differenced chunk makes two fully
+    checked calls, n count 24 pairs in all."""
+    exact = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+             else builtin_body(kind))
+    points = make_grid(exact.lo, exact.hi, res, 0.1).points
+    evaluate, got = algebroid.evaluate, {}
+    for body, decided_per_chunk, per_pair in ((exact, [True], 1),
+                                              (opaque(exact), [False, False], 24)):
+        pairs, decided = [], []
 
-    def recording(body, F, x, *, _checked=None):
-        pairs.append(math.prod(np.broadcast_shapes(np.shape(F)[:-2], np.shape(x)[:-1])))
-        decided.append(_checked is not None)
-        return evaluate(body, F, x, _checked=_checked)
+        def recording(body, F, x, *, _checked=None):
+            pairs.append(math.prod(np.broadcast_shapes(np.shape(F)[:-2], np.shape(x)[:-1])))
+            decided.append(_checked is not None)
+            return evaluate(body, F, x, _checked=_checked)
 
-    with monkeypatch.context() as m:
-        m.setattr(algebroid, "evaluate", recording)
-        got = fibers_at(body, points, samples)
-    assert all(decided) and sum(pairs) == len(points) * samples.count * 24
+        with monkeypatch.context() as m:
+            m.setattr(algebroid, "evaluate", recording)
+            got[body] = fibers_at(body, points, samples)
+        chunk = STENCIL_PAIRS // ((1 if body.gradient is not None else 18) * samples.count)
+        assert decided == decided_per_chunk * -(-len(points) // chunk)
+        assert sum(pairs) == len(points) * samples.count * per_pair
     with monkeypatch.context() as m:
         m.setattr(algebroid, "evaluate", lambda body, F, x, **_: evaluate(body, F, x))
-        want = fibers_at(body, points, samples)
-    for f, g in zip(got, want, strict=True):
+        want = fibers_at(exact, points, samples)
+    for f, g in zip(got[exact], want, strict=True):
         assert f.basis.tobytes() == g.basis.tobytes()
         assert f.singular_values.tobytes() == g.singular_values.tobytes()
         assert f.anchor_sv.tobytes() == g.anchor_sv.tobytes()
@@ -598,9 +570,9 @@ def test_a_singular_stencil_raises_at_the_first_point():
 @pytest.mark.parametrize("fd_step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
 def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
     """constraint_rows, fibers_at and fiber refuse the step with a ValueError naming
-    it, before any stencil is made, so the sample set caches none.  At 0 the
-    differences read 0/0, a negative step widened the inset box past the body's
-    (a point up to |fd_step| outside passed it), and NaN read as a bad point."""
+    it, before any stencil is made.  At 0 the differences read 0/0, a negative
+    step widened the inset box past the body's (a point up to |fd_step| outside
+    passed it), and NaN read as a bad point."""
     body, samples = opaque(builtin_body("uniform_fgm")), make_samples(12, seed=1)
     x = np.array([0.1, 0.2, 0.3])
     calls = [lambda: constraint_rows(body, x, samples.matrices, fd_step),
@@ -609,8 +581,27 @@ def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
     for call in calls:
         with pytest.raises(ValueError, match=r"^fd_step .* is not finite and > 0$"):
             call()
-    assert "_stencils" not in vars(samples)
-    assert fiber(body, x, samples).dim == 3 and list(vars(samples)["_stencils"]) == [1e-5]
+
+
+@pytest.mark.parametrize("path", ["gradient", "differenced"])
+def test_a_sample_set_stays_exactly_as_made(path):
+    """fibers_at and 27 one-point fibres, at two steps, leave the sample set's fields
+    as they were made: the same keys, and the same matrices to the byte."""
+    body = builtin_body("uniform_fgm")
+    body = body if path == "gradient" else opaque(body)
+    samples = make_samples(24)
+    points = make_grid(body.lo, body.hi, 3, 0.1).points
+
+    def fields():
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                for k, v in vars(samples).items()}
+
+    made = fields()
+    for fd_step in (1e-5, 1e-4):
+        fibers_at(body, points, samples, fd_step=fd_step)
+        for x in points:
+            fiber(body, x, samples, fd_step=fd_step)
+    assert fields() == made
 
 
 # ---------------------------------------------------------------------------
