@@ -10,6 +10,7 @@ the equivalent parallelism/G-structure formulation.
 
 from .algebroid import (
     FiberBasis,
+    Fibers,
     anchor_rank,
     constraint_rows,
     fiber,

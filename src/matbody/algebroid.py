@@ -20,6 +20,9 @@ them, and one gradient call.  Central differences stand in for a missing
 gradient: two batches, F +- h E_ij at the points and F at x +- h e_i, each
 checked by evaluate.  Either way the chunk's nullspaces come from one stacked
 SVD, and its anchor blocks from one more per fibre dim present in the chunk.
+The fibres of all points are one read-only table, ``Fibers``; the verdict,
+the lift and the report read its columns, and ``fibers[p]`` is one point's
+``FiberBasis``.
 
 Pairs (v, A) are flattened to 12-vectors as [v | A row-major] throughout.
 """
@@ -47,6 +50,7 @@ DEFAULT_V_TOL = 1e-8
 class FiberBasis:
     """Orthonormal basis of a computed fiber plus its audit trail: spectrum and ``sv_gap``.
 
+    ``fibers[p]`` of a ``Fibers`` table gives point p's as views of its rows.
     The basis is in the anchor's singular frame: rows i < min(3, dim) have mutually
     orthogonal v-parts of length ``anchor_sv[i]``, later rows v = 0 up to rounding,
     so at anchor rank r the isotropy algebra is ``basis[r:]``.
@@ -61,6 +65,54 @@ class FiberBasis:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+
+@dataclass(frozen=True, eq=False)
+class Fibers:
+    """Fibers at n points as one read-only table: a row per point in each column.
+
+    Point p's basis is ``bases[p, :dims[p]]`` and its anchor singular values
+    ``anchor_sv[p, :min(3, dims[p])]``; the rows and entries past them are zero.
+    ``fibers[p]`` is point p's ``FiberBasis``, made of views of its rows, and
+    a slice is the table of the sliced rows.  The table makes the arrays it is
+    given read-only.
+    """
+
+    points: np.ndarray            # (n, 3)
+    singular_values: np.ndarray   # (n, 12)
+    dims: np.ndarray              # (n,) ints
+    sv_gap: np.ndarray            # (n,): inf where the cut is clean
+    anchor_sv: np.ndarray         # (n, 3)
+    bases: np.ndarray             # (n, 12, 12)
+
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, p):
+        if isinstance(p, slice):
+            return Fibers(*(column[p] for column in vars(self).values()))
+        dim = int(self.dims[p])
+        return FiberBasis(self.points[p], self.bases[p, :dim], self.singular_values[p],
+                          self.anchor_sv[p, :min(3, dim)], float(self.sv_gap[p]))
+
+    @staticmethod
+    def of(fibers) -> "Fibers":
+        """``fibers`` as a table: a table as it is, a sequence of FiberBasis stacked."""
+        if isinstance(fibers, Fibers):
+            return fibers
+        n = len(fibers)
+        anchor_sv, bases = np.zeros((n, 3)), np.zeros((n, 12, 12))
+        for p, f in enumerate(fibers):
+            anchor_sv[p, :len(f.anchor_sv)] = f.anchor_sv
+            bases[p, :len(f.basis)] = f.basis
+        return Fibers(np.array([f.point for f in fibers], dtype=float).reshape(n, 3),
+                      np.array([f.singular_values for f in fibers], dtype=float).reshape(n, 12),
+                      np.array([f.dim for f in fibers], dtype=int),
+                      np.array([f.sv_gap for f in fibers], dtype=float), anchor_sv, bases)
 
 
 # At most this many pairs go into one response call of a fibre chunk: with a
@@ -105,18 +157,21 @@ def _rows(body: Body, x, F, fd_step: float, sampled: bool = False) -> np.ndarray
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
         x = np.asarray(x, dtype=float)
         F = np.asarray(F, dtype=float)
-        near = ~body.box.inset(fd_step).mask(x)
+        near = ~body.box.mask(x, fd_step)
         if near.any():
             i = first_true(near, near.shape)
             raise with_index(OutOfDomain(
                 f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
         pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (3,))
         A, dWdx = _gradients(body, pts, F, fd_step, sampled, x.shape[:-1] + F.shape[:-2])
-    rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
-    bad = ~np.isfinite(rows).all(axis=-1)
-    if bad.any():
-        raise with_index(NonFiniteResponse(f"constraint rows of '{body.name}' are non-finite"),
-                         first_true(bad, bad.shape))
+        rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
+        # a finite sum proves every row finite; finite rows can overflow it
+        finite_sum = math.isfinite(rows.sum())
+    if not finite_sum:
+        bad = ~np.isfinite(rows).all(axis=-1)
+        if bad.any():
+            raise with_index(NonFiniteResponse(f"constraint rows of '{body.name}' are non-finite"),
+                             first_true(bad, bad.shape))
     return rows
 
 
@@ -136,7 +191,7 @@ def _gradients(body: Body, pts, F, fd_step: float, sampled: bool, lead: tuple) -
     if body.gradient is not None:
         evaluate(body, F, pts, _checked=lead if sampled else None)
         dWdF, dWdx = body.gradient(F, pts)
-        dWdF, dWdx = np.broadcast_to(dWdF, lead + (3, 3)), np.broadcast_to(dWdx, lead + (3,))
+        dWdF, dWdx = _batch(dWdF, lead + (3, 3)), _batch(dWdx, lead + (3,))
     else:
         steps = np.array([fd_step, -fd_step])
         W_F = evaluate(body, F[..., None, None, :, :] + steps[:, None, None, None] * _F_STEPS,
@@ -148,14 +203,20 @@ def _gradients(body: Body, pts, F, fd_step: float, sampled: bool, lead: tuple) -
     return np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ dWdF, dWdx
 
 
+def _batch(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """A gradient ``a`` broadcast to the batch ``shape``, as it is when it has that shape."""
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
 def fibers_at(body: Body, points, samples: SampleSet,
               rank_tol: float = DEFAULT_RANK_TOL,
-              fd_step: float = DEFAULT_FD_STEP) -> list:
+              fd_step: float = DEFAULT_FD_STEP) -> Fibers:
     """Fibers at each of ``points`` (n, 3): nullspaces of their stacked constraints.
 
     Keeps singular values above rank_tol * sigma_max as range directions; the
-    remaining right-singular vectors span the fiber.  Each result keeps the full
-    spectrum and ``sv_gap``, the gap at the cut (inf when the cut is clean).  Points
+    remaining right-singular vectors span the fiber.  The ``Fibers`` table keeps
+    each point's full spectrum and ``sv_gap``, the gap at the cut (inf when the
+    cut is clean), one array quotient per fiber dim of a chunk.  Points
     go through in chunks of at most STENCIL_PAIRS pairs in one response call
     (count per point with a gradient, 18 count when differenced), each chunk
     with one stacked SVD; then the chunk's anchor blocks of each fiber dim go
@@ -167,11 +228,12 @@ def fibers_at(body: Body, points, samples: SampleSet,
     """
     _check_fd_step(fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
-    points.setflags(write=False)
     per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
     chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
-    out = [None] * len(points)
-    for start in range(0, len(points), chunk):
+    n = len(points)
+    spectra, dims, gaps = np.zeros((n, 12)), np.zeros(n, dtype=int), np.full(n, math.inf)
+    anchor, bases = np.zeros((n, 3)), np.zeros((n, 12, 12))
+    for start in range(0, n, chunk):
         try:
             L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, True)
             _, s, Vh = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
@@ -183,22 +245,20 @@ def fibers_at(body: Body, points, samples: SampleSet,
             k = start + int(exc.index[0])
             exc.args, exc.index = (f"at point {points[k].tolist()}: {exc}",), (k,)
             raise
-        sv = np.zeros((len(s), 12))
+        sv = spectra[start:start + len(s)]
         sv[:, :s.shape[-1]] = np.abs(s)         # LAPACK can give -0.0
-        sv.setflags(write=False)
-        ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
-        spectra = sv.tolist()
+        ranks = (sv > rank_tol * sv[:, :1]).sum(axis=1)
+        dims[start:start + len(s)] = 12 - ranks
         for rank in np.unique(ranks).tolist():
-            idx = np.flatnonzero(ranks == rank)
-            _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
-            bases = Vh_anchor @ Vh[idx, rank:]      # (m, dim, 12) in the anchor's singular frame
-            bases.setflags(write=False)
-            for p, B, a in zip(idx.tolist(), bases, anchor_sv):
-                gap = math.inf                      # clean: no cut, or a zero dropped value
-                if 0 < rank < 12 and spectra[p][rank] != 0.0:   # a float quotient overflows to inf
-                    gap = spectra[p][rank - 1] / spectra[p][rank]
-                out[start + p] = FiberBasis(points[start + p], B, sv[p], a, gap)
-    return out
+            idx = (ranks == rank).nonzero()[0]
+            rows = start + idx
+            _, anchor_sv, Vh_anchor = np.linalg.svd(Vh[idx, rank:, :3].swapaxes(-1, -2))
+            anchor[rows, :anchor_sv.shape[-1]] = anchor_sv
+            bases[rows, :12 - rank] = Vh_anchor @ Vh[idx, rank:]    # in the anchor's frame
+            if 0 < rank < 12:       # else no cut: inf, as where the dropped value is 0
+                with np.errstate(divide="ignore", over="ignore"):   # or the quotient overflows
+                    gaps[rows] = sv[idx, rank - 1] / sv[idx, rank]
+    return Fibers(points, spectra, dims, gaps, anchor, bases)
 
 
 def fiber(body: Body, x, samples: SampleSet,
@@ -237,15 +297,18 @@ class UniformityResult:
         return self.verdict == "uniform"
 
 
-def uniformity_verdict(fibers: Sequence[FiberBasis],
+def uniformity_verdict(fibers: Fibers | Sequence[FiberBasis],
                        v_tol: float = DEFAULT_V_TOL) -> UniformityResult:
     """Uniform iff the anchor projection has rank 3 at every grid point.
 
     The one place the v_tol cut becomes per-point ranks and isotropy dims;
-    ``homogeneity_verdict`` and the report read them from the result.
+    ``homogeneity_verdict`` and the report read them from the result.  The cut
+    is one pass over the table's ``anchor_sv``, each point's ``anchor_rank``.
     """
-    ranks = tuple(anchor_rank(f, v_tol) for f in fibers)
-    offending = tuple(i for i, r in enumerate(ranks) if r < 3)
+    table = Fibers.of(fibers)
+    # no rank past the dim: a v_tol below 0 would count the zero padding
+    ranks = np.minimum(np.count_nonzero(table.anchor_sv > v_tol, axis=1), table.dims)
+    offending = tuple(np.flatnonzero(ranks < 3).tolist())
     verdict = "uniform" if not offending else "not_uniform"
-    return UniformityResult(verdict, ranks, offending,
-                            tuple(f.dim - r for f, r in zip(fibers, ranks)))
+    return UniformityResult(verdict, tuple(ranks.tolist()), offending,
+                            tuple((table.dims - ranks).tolist()))

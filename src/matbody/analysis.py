@@ -139,7 +139,7 @@ _SETTINGS = tuple(f for f in fields(AnalysisConfig) if "path" in f.metadata)
 
 
 def fiber_stage(cfg: AnalysisConfig) -> tuple:
-    """Grid, sample set and per-point fibers of the config's body, for analyze and flow."""
+    """Grid, sample set and the ``Fibers`` table of the config's body, for analyze and flow."""
     body = cfg.material_body
     try:
         grid = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin)
@@ -168,12 +168,14 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
 
     uni = uniformity_verdict(fibers, cfg.v_tol)
     index = np.stack(np.unravel_index(np.arange(grid.n_points), grid.shape), axis=-1).tolist()
-    records = [{"index": idx, "x": x, "fiber_dim": f.dim, "isotropy_dim": iso, "anchor_rank": rank,
-                "sv_gap": f.sv_gap if f.sv_gap < math.inf else None}     # null: a clean cut
-               for idx, x, f, iso, rank in zip(index, grid.points.tolist(), fibers,
-                                               uni.isotropy_dims, uni.anchor_ranks)]
-    for rec, f in zip(records, fibers if cfg.emit_singular_values else ()):
-        rec["singular_values"] = f.singular_values.tolist()
+    records = [{"index": idx, "x": x, "fiber_dim": dim, "isotropy_dim": iso, "anchor_rank": rank,
+                "sv_gap": gap if gap < math.inf else None}     # null: a clean cut
+               for idx, x, dim, gap, iso, rank in zip(index, grid.points.tolist(),
+                                                      fibers.dims.tolist(), fibers.sv_gap.tolist(),
+                                                      uni.isotropy_dims, uni.anchor_ranks)]
+    for rec, sv in zip(records, fibers.singular_values.tolist() if cfg.emit_singular_values
+                       else ()):
+        rec["singular_values"] = sv
 
     # The not-uniform document; the uniform branch overwrites what it computes.
     doc = {
@@ -190,9 +192,9 @@ def run_analysis(cfg: AnalysisConfig) -> AnalysisReport:
         "flatness": dict.fromkeys(["max_abs_R", "max_abs_T",
                                    "interior_max_abs_R", "interior_max_abs_T"]),
         "diagnostics": {
-            "rank_ambiguous_points": [rec["index"] for rec, f in zip(records, fibers)
-                                      if f.sv_gap < RANK_GAP_FLOOR],
-            "fiber_dim_levels": sorted({f.dim for f in fibers}),
+            "rank_ambiguous_points": [index[p] for p in
+                                      np.flatnonzero(fibers.sv_gap < RANK_GAP_FLOOR).tolist()],
+            "fiber_dim_levels": np.unique(fibers.dims).tolist(),
             "membership_tol": None,
             "exp_membership_defect": None,
         },

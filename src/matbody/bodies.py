@@ -379,6 +379,10 @@ def coerce(value, kind):
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise TypeError("expected a list of 3 integers")
         return tuple(coerce(v, int) for v in value)
+    if type(value) is kind:                 # nothing to check or convert but an int's range
+        if kind is int:
+            float(value)                    # past the float range: OverflowError, as below
+        return value
     if (isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Real)
             or (kind is int and not float(value).is_integer())):
         raise TypeError(f"expected {'true or false' if kind is bool else kind.__name__}")
@@ -400,19 +404,20 @@ def polynomial_body(terms: Sequence, lo=None, hi=None, name: str = "polynomial")
     for k, term in enumerate(terms):
         try:
             exps, coeff = term
-            exps = np.array([coerce(e, int) for e in exps], dtype=int).reshape(12)
+            exps = [coerce(e, int) for e in exps]
+            if len(exps) != 12 or not all(0 <= e <= POLY_MAX_DEGREE for e in exps):
+                np.array(exps, dtype=int).reshape(12)   # numpy's refusal of a length or a C long
             coeff = coerce(coeff, float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"polynomial term {k} must be ([12 ints], coeff): {exc}")
         if not math.isfinite(coeff):
             raise ConfigError(f"polynomial term {k} has a non-finite coefficient {coeff}")
-        if np.any(exps < 0):
+        if min(exps) < 0:
             raise ConfigError(f"polynomial term {k} has a negative exponent")
-        if int(exps.sum()) > POLY_MAX_DEGREE:
+        if sum(exps) > POLY_MAX_DEGREE:
             raise ConfigError(
-                f"polynomial term {k} has total degree {int(exps.sum())} > {POLY_MAX_DEGREE}"
-            )
-        parsed.append(([(v, int(exps[v])) for v in np.flatnonzero(exps).tolist()], coeff, 1))
+                f"polynomial term {k} has total degree {sum(exps)} > {POLY_MAX_DEGREE}")
+        parsed.append(([(v, e) for v, e in enumerate(exps) if e], coeff, 1))
     if not parsed:
         raise ConfigError("polynomial body needs at least one term")
     # (variable, k) for k = 1 .. the highest power of each variable that a term uses

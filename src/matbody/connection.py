@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import DEFAULT_V_TOL, FiberBasis, UniformityResult
+from .algebroid import DEFAULT_V_TOL, FiberBasis, Fibers, UniformityResult
 from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
 from .flows import SectionField, rk4_propagators, segment_points, stage_rates
 from .grid import Grid, TrilinearField, grid_gradient
@@ -93,7 +93,7 @@ class ChartField:
     frames: np.ndarray       # (n, 3, 3)
 
 
-def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
+def minimal_lift_section(grid: Grid, fibers: Fibers | Sequence[FiberBasis],
                          v_tol: float = DEFAULT_V_TOL) -> LinearSectionField:
     """Minimum-Frobenius-norm lift of each coordinate direction into the fibers.
 
@@ -102,14 +102,16 @@ def minimal_lift_section(grid: Grid, fibers: Sequence[FiberBasis],
     ``fibers`` must be those of ``grid.points`` in order (else ValueError) and of
     anchor rank 3 (else NotUniform names the first point of smaller rank).
     """
-    if len(fibers) != grid.n_points or not np.array_equal([f.point for f in fibers], grid.points):
+    table = Fibers.of(fibers)
+    if len(table) != grid.n_points or not np.array_equal(table.points, grid.points):
         raise ValueError("the fibers are not those of the grid points, in order")
-    for p, f in enumerate(fibers):
-        if f.dim < 3 or not f.anchor_sv[2] > v_tol:
-            raise NotUniform(f"anchor rank < 3 at grid point {p} "
-                             f"({f.point.tolist()}); no lift exists")
+    short = (table.dims < 3) | ~(table.anchor_sv[:, 2] > v_tol)
+    if short.any():
+        p = int(np.argmax(short))
+        raise NotUniform(f"anchor rank < 3 at grid point {p} "
+                         f"({table.points[p].tolist()}); no lift exists")
     # rows 0-2 are orthogonal to the anchor kernel: row j of X is e_j's least-|A| lift
-    H = np.stack([f.basis[:3] for f in fibers])      # (n, 3, 12)
+    H = table.bases[:, :3]                          # (n, 3, 12)
     X = np.linalg.solve(H[..., :3], H)
     residuals = np.max(np.abs(X[..., :3] - _EYE), axis=(-2, -1))
     return LinearSectionField(grid, X[..., 3:].reshape(-1, 3, 3, 3), residuals)

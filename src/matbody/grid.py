@@ -33,8 +33,6 @@ class Box:
         if not all(math.isfinite(h - l) for l, h in bounds):
             raise ValueError("box extent hi - lo is not finite")
         object.__setattr__(self, "_bounds", bounds)
-        # inset boxes by margin: constraint_rows asks for the same fd_step inset per call
-        object.__setattr__(self, "_insets", {})
 
     def contains(self, x) -> bool:
         """Whether the point x (3,) lies in the box; never with a NaN or +-inf coordinate."""
@@ -46,15 +44,14 @@ class Box:
         q0, q1, q2 = q
         return lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2
 
-    def mask(self, x) -> np.ndarray:
-        """``contains`` for each point of x (..., 3), shape (...)."""
-        return ((x >= self.lo) & (x <= self.hi)).all(axis=-1)
+    def mask(self, x, margin: float = 0.0) -> np.ndarray:
+        """``contains`` for each point of x (..., 3), shape (...); of the box inset by ``margin``
+        when one is given, with no inset box built."""
+        lo, hi = (self.lo + margin, self.hi - margin) if margin else (self.lo, self.hi)
+        return ((x >= lo) & (x <= hi)).all(axis=-1)
 
     def inset(self, margin: float) -> "Box":
-        box = self._insets.get(margin)
-        if box is None:
-            box = self._insets[margin] = Box(self.lo + margin, self.hi - margin)
-        return box
+        return Box(self.lo + margin, self.hi - margin)
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,7 +10,8 @@ was batched (it evaluates one (F, x) pair per call, so it checks the batched
 stencils, not the response), ``loop_trilinear``, the trilinear interpolant
 as it was before it gained a single-point path, ``loop_polynomial_response``,
 the polynomial response as it was before it was computed from a power table,
-``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
+``point_fibers_at``, the fibre stage as it was when it made one ``FiberBasis``
+per point, ``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
 of each fiber's anchor block, ``point_solve_lift``, the library's stacked
 solve one point at a time, and ``tuple_exp_trajectory``, ``tuple_chart`` and
 ``tuple_transport_leg``, the exponential flow, the chart sweep and its legs as
@@ -35,9 +36,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from matbody import (Body, LeftDomain, NonFiniteResponse, NotUniform, OutOfDomain, StepTooLarge,
-                     evaluate)
-from matbody.algebroid import anchor_rank
+from matbody import (Body, LeftDomain, MatbodyError, NonFiniteResponse, NotUniform, OutOfDomain,
+                     StepTooLarge, evaluate)
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, _check_fd_step, _rows, anchor_rank
+from matbody.errors import with_index
 from matbody.connection import ChartField, _transport_field
 from matbody.flows import DEFAULT_STEP, MAX_STEP, SectionField
 from matbody.grid import TrilinearField
@@ -233,6 +235,46 @@ def loop_fiber(body, x, matrices, rank_tol=1e-6, fd_step=1e-5):
     _, sv, _ = np.linalg.svd(L)
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
     return 12 - rank, sv
+
+
+def point_fibers_at(body, points, samples, rank_tol=1e-6, fd_step=1e-5):
+    """The fibre stage as it was before the ``Fibers`` table: a list of one
+    ``FiberBasis`` per point, each gap a quotient of Python floats, verbatim
+    but for its name and the library names it reads."""
+    _check_fd_step(fd_step)
+    points = np.array(points, dtype=float).reshape(-1, 3)
+    points.setflags(write=False)
+    per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
+    chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
+    out = [None] * len(points)
+    for start in range(0, len(points), chunk):
+        try:
+            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, True)
+            _, s, Vh = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
+            bad = ~np.isfinite(s).all(axis=-1)
+            if bad.any():
+                raise with_index(NonFiniteResponse(
+                    "singular values of the constraint rows overflow"), (int(np.argmax(bad)),))
+        except MatbodyError as exc:
+            k = start + int(exc.index[0])
+            exc.args, exc.index = (f"at point {points[k].tolist()}: {exc}",), (k,)
+            raise
+        sv = np.zeros((len(s), 12))
+        sv[:, :s.shape[-1]] = np.abs(s)         # LAPACK can give -0.0
+        sv.setflags(write=False)
+        ranks = np.sum(sv > rank_tol * sv[:, :1], axis=1)
+        spectra = sv.tolist()
+        for rank in np.unique(ranks).tolist():
+            idx = np.flatnonzero(ranks == rank)
+            _, anchor_sv, Vh_anchor = np.linalg.svd(np.swapaxes(Vh[idx, rank:, :3], -1, -2))
+            bases = Vh_anchor @ Vh[idx, rank:]      # (m, dim, 12) in the anchor's singular frame
+            bases.setflags(write=False)
+            for p, B, a in zip(idx.tolist(), bases, anchor_sv):
+                gap = math.inf                      # clean: no cut, or a zero dropped value
+                if 0 < rank < 12 and spectra[p][rank] != 0.0:   # a float quotient overflows to inf
+                    gap = spectra[p][rank - 1] / spectra[p][rank]
+                out[start + p] = FiberBasis(points[start + p], B, sv[p], a, gap)
+    return out
 
 
 def gap_at_cut(singular_values, dim):

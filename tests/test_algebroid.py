@@ -8,6 +8,7 @@ existed and are frozen here:
     nonuniform            : anchor rank 2 (< 3) at every probed point
 """
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -40,7 +41,7 @@ from matbody import (
     uniformity_verdict,
 )
 from matbody import algebroid
-from matbody.algebroid import STENCIL_PAIRS, FiberBasis, anchor_rank
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, Fibers, anchor_rank
 from matbody.grid import Box
 from matbody.jets import DET_TOL
 from oracles import (
@@ -58,6 +59,7 @@ from oracles import (
     loop_fiber,
     matrix_stack_layouts,
     opaque,
+    point_fibers_at,
 )
 
 RANK_TOL = 1e-6
@@ -468,8 +470,68 @@ def test_fiber_dim_is_read_from_the_basis():
 
 
 # ---------------------------------------------------------------------------
+# the fibre table against the per-point fibres it replaced
+# ---------------------------------------------------------------------------
+
+# the built-ins at 5^3, and at 3^3 the 46-term polynomial and the clean-cut
+# polynomials, whose fibre dims 0 and 12 pad no row and every row
+_TABLE_CASES = [(kind, 5) for kind in ("homogeneous_isotropic", "uniform_fgm",
+                                       "uniform_fgm_integrable", "nonuniform")]
+_TABLE_CASES += [(kind, 3) for kind in ("polynomial", *_CLEAN_CUTS)]
+
+
+def _columns(table):
+    return [getattr(table, fld.name) for fld in dataclasses.fields(Fibers)]
+
+
+@pytest.mark.parametrize("kind,res", _TABLE_CASES)
+def test_table_views_are_bitwise_the_point_fibres(kind, res):
+    """Each view fibers[p] is the per-point stage's FiberBasis bit for bit (point,
+    basis, spectrum, anchor_sv, sv_gap, dim), the rows past it are zero, every
+    column is read-only, and Fibers.of of the views stacks the same table."""
+    terms = _CLEAN_CUTS[kind][0] if kind in _CLEAN_CUTS else None
+    body = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
+            else builtin_body(kind) if terms is None else polynomial_body(terms))
+    cfg = AnalysisConfig(resolution=(res,) * 3)
+    points = make_grid(body.lo, body.hi, cfg.resolution, cfg.margin).points
+    samples = make_samples(cfg.sample_count, cfg.seed)
+    table = fibers_at(body, points, samples, cfg.rank_tol, cfg.fd_step)
+    want = point_fibers_at(body, points, samples, cfg.rank_tol, cfg.fd_step)
+    assert isinstance(table, Fibers) and len(table) == len(want) == len(points)
+    assert all(not column.flags.writeable for column in _columns(table))
+    for p, (f, g) in enumerate(zip(table, want)):
+        assert isinstance(f, FiberBasis) and f.dim == g.dim == table.dims[p]
+        for part in ("point", "basis", "singular_values", "anchor_sv"):
+            a, b = getattr(f, part), getattr(g, part)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (p, part)
+        assert type(f.sv_gap) is float and f.sv_gap == g.sv_gap
+        assert not table.bases[p, f.dim:].any() and not table.anchor_sv[p, min(3, f.dim):].any()
+    again = Fibers.of(list(table))
+    assert Fibers.of(table) is table and again is not table
+    for a, b in zip(_columns(again), _columns(table)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    head = table[:4]
+    assert isinstance(head, Fibers) and len(head) == 4
+    assert [f.basis.tobytes() for f in head] == [f.basis.tobytes() for f in want[:4]]
+
+
+# ---------------------------------------------------------------------------
 # uniformity verdict
 # ---------------------------------------------------------------------------
+
+def test_a_verdict_counts_no_rank_past_the_dim():
+    """Fibres of dims 0, 1 and 2 keep anchor rank at most their dim at any v_tol,
+    so a negative v_tol does not count the table's zero padding."""
+    fibers = [FiberBasis(np.zeros(3), np.eye(12)[:dim], np.ones(12), np.ones(dim), math.inf)
+              for dim in (0, 1, 2)]
+    for v_tol in (-1.0, 0.5, 2.0):
+        res = uniformity_verdict(fibers, v_tol)
+        assert res.anchor_ranks == tuple(anchor_rank(f, v_tol) for f in fibers)
+        assert res.isotropy_dims == tuple(f.dim - anchor_rank(f, v_tol) for f in fibers)
+        assert res.offending == (0, 1, 2) and res.verdict == "not_uniform"
+    assert uniformity_verdict(fibers, -1.0).anchor_ranks == (0, 1, 2)
+
 
 def test_uniformity_verdicts(iso_body, fgm_body, nonuniform_body, samples, rng):
     pts = probe_points(rng, 4)
@@ -499,8 +561,8 @@ def test_fiber_elements_exponentiate_to_isomorphisms(iso_body, samples):
         assert is_material_isomorphism(iso_body, g, samples, 1e-5)
 
 
-def test_fiber_calls_build_the_inset_box_once(monkeypatch, samples):
-    """The stencil domain check reuses the body's fd_step inset instead of building it per call."""
+def test_fiber_calls_build_no_box(monkeypatch, samples):
+    """The stencil domain check reads the body's box inset by fd_step without building one."""
     body = builtin_body("uniform_fgm")
     built = []
     post_init = Box.__post_init__
@@ -514,8 +576,24 @@ def test_fiber_calls_build_the_inset_box_once(monkeypatch, samples):
     for _ in range(9):
         again = fiber(body, [0.1, -0.2, 0.3], samples, fd_step=1e-5)
         assert np.array_equal(again.basis, first.basis)
-    assert len(built) == 1
-    assert np.array_equal(built[0][0], body.lo + 1e-5) and np.array_equal(built[0][1], body.hi - 1e-5)
+    assert built == []
+
+
+def test_the_body_box_stays_exactly_as_made(samples):
+    """fibers_at and one-point fibres at three steps leave the body's box as it was
+    made: the same attributes, and the same bounds to the byte."""
+    body = builtin_body("uniform_fgm")
+    points = make_grid(body.lo, body.hi, 3, 0.1).points
+
+    def attributes():       # a copy of each, so a container written in place shows
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else copy.copy(v)
+                for k, v in vars(body.box).items()}
+
+    made = attributes()
+    for fd_step in (1e-5, 1e-4, 2e-4):
+        fibers_at(body, points, samples, fd_step=fd_step)
+        fiber(body, points[13], samples, fd_step=fd_step)
+    assert attributes() == made
 
 
 @pytest.mark.parametrize("res", [3, 5])

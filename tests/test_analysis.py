@@ -348,32 +348,41 @@ def test_report_structure_and_round_trip():
 
 
 def test_analysis_decides_uniformity_and_converts_report_once(monkeypatch):
-    """One anchor_rank call per grid point, and one curvature/torsion pass for both
-    the verdict and the chart.  The report needs no conversion pass: its values are
+    """One uniformity_verdict call, which cuts the fibre table as one array pass with
+    no per-point anchor_rank call, and one curvature/torsion pass for both the
+    verdict and the chart.  The report needs no conversion pass: its values are
     JSON-native as built (see test_report_structure_and_round_trip)."""
     import matbody.algebroid as algebroid
     import matbody.analysis as analysis
     import matbody.connection as connection
 
-    anchor_rank, curvature_torsion = algebroid.anchor_rank, connection.curvature_torsion
-    ranks, passes = [], []
+    anchor_rank, verdict = algebroid.anchor_rank, algebroid.uniformity_verdict
+    curvature_torsion = connection.curvature_torsion
+    ranks, verdicts, passes = [], [], []
 
     def counting_rank(*args):
         ranks.append(1)
         return anchor_rank(*args)
 
+    def counting_verdict(*args):
+        verdicts.append(1)
+        return verdict(*args)
+
     def counting_pass(*args):
         passes.append(1)
         return curvature_torsion(*args)
 
-    monkeypatch.setattr(algebroid, "anchor_rank", counting_rank)
+    for module in (algebroid, analysis, connection):
+        monkeypatch.setattr(module, "anchor_rank", counting_rank, raising=False)
+        monkeypatch.setattr(module, "uniformity_verdict", counting_verdict, raising=False)
     for module in (analysis, connection):
         monkeypatch.setattr(module, "curvature_torsion", counting_pass)
     cfg = AnalysisConfig(body="uniform_fgm_integrable", emit_chart=True,
                          emit_singular_values=True, emit_trajectories=True, **FAST)
     doc = parse_report(emit_report(run_analysis(cfg), "structured"))
     assert doc["homogeneity"]["verdict"] == "homogeneous_evidence" and doc["chart"]
-    assert len(ranks) == 27
+    assert len(ranks) == 0
+    assert len(verdicts) == 1
     assert len(passes) == 1
 
 

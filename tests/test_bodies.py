@@ -491,6 +491,13 @@ def test_polynomial_body_validation():
         polynomial_body([])
 
 
+def test_a_total_degree_is_summed_without_wrapping():
+    """Twelve exponents of 2^62 each fit an int64 but their sum does not: the
+    degree is refused as it is, not wrapped to 0 and accepted."""
+    with pytest.raises(ConfigError, match=f"^polynomial term 0 has total degree {12 * 2**62} > 4$"):
+        polynomial_body([([2**62] * 12, 1.0)])
+
+
 # |kernel - reference| <= POLY_RTOL * (1 + sum over terms of |c * term|), fixed
 # before the power-table kernel was written: each term is a product of at most
 # four factors and a coefficient, so the two routes differ by a few roundings

@@ -33,6 +33,7 @@ from matbody import (
     transport_frame,
     uniformity_verdict,
 )
+from matbody.algebroid import Fibers, anchor_rank
 from matbody.connection import LinearSectionField
 from matbody.grid import TrilinearField
 from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, point_solve_lift,
@@ -110,20 +111,69 @@ def test_stacked_lift_is_bitwise_the_point_loop(kind):
         assert_lift_is_the_point_loop(grid, fibers_at(body, grid.points, make_samples(24, seed)))
 
 
-def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
-    """Fibers of dims 6 and 3 interleaved go through one solve, each onto its own
-    point.  With rank-deficient fibers at points 13 and 20, the error names 13."""
-    grid = small_grid()
+def mixed_fibers(grid):
+    """Views of three tables' fibres on ``grid``: uniform_fgm's (dim 3) at points
+    p % 3 != 0, homogeneous_isotropic's (dim 6) at the others, and a copy with
+    nonuniform's at points 13 (dim 5) and 20 (dim 3), of anchor rank 2."""
     samples = make_samples(16, 9)
     by_kind = {kind: fibers_at(builtin_body(kind), grid.points, samples)
                for kind in ("homogeneous_isotropic", "uniform_fgm", "nonuniform")}
     mixed = [by_kind["uniform_fgm" if p % 3 else "homogeneous_isotropic"][p]
              for p in range(grid.n_points)]
+    short = list(mixed)
+    short[13], short[20] = by_kind["nonuniform"][13], by_kind["nonuniform"][20]
+    return mixed, short
+
+
+def test_stacked_lift_scatters_mixed_fiber_dims_back_to_their_points():
+    """Fibers of dims 6 and 3 interleaved go through one solve, each onto its own
+    point.  With rank-deficient fibers at points 13 and 20, the error names 13."""
+    grid = small_grid()
+    mixed, short = mixed_fibers(grid)
     assert {f.dim for f in mixed} == {3, 6}
     assert_lift_is_the_point_loop(grid, mixed)
-    mixed[13], mixed[20] = by_kind["nonuniform"][13], by_kind["nonuniform"][20]
-    assert (mixed[13].dim, mixed[20].dim) == (5, 3)     # x1 = 0 and x1 = 0.9
-    assert_lift_is_the_point_loop(grid, mixed)
+    assert (short[13].dim, short[20].dim) == (5, 3)     # x1 = 0 and x1 = 0.9
+    assert_lift_is_the_point_loop(grid, short)
+
+
+def point_verdict(fibers, v_tol=1e-8):
+    """(verdict, anchor ranks, offending, isotropy dims) from one anchor_rank per fibre."""
+    ranks = tuple(anchor_rank(f, v_tol) for f in fibers)
+    offending = tuple(p for p, r in enumerate(ranks) if r < 3)
+    return ("not_uniform" if offending else "uniform", ranks, offending,
+            tuple(f.dim - r for f, r in zip(fibers, ranks)))
+
+
+def lift_or_refusal(grid, fibers):
+    try:
+        section = minimal_lift_section(grid, fibers)
+    except NotUniform as exc:
+        return str(exc)
+    return section.lam.tobytes(), section.residuals.tobytes()
+
+
+@pytest.mark.parametrize("case", (*_BUILTINS, "mixed", "mixed_short"))
+def test_table_and_lists_of_views_give_one_verdict_and_one_lift(case):
+    """uniformity_verdict and minimal_lift_section give equal results on a table
+    (a built-in's at 5^3), on a list of its views and on their stacked table, and
+    on the mixed lists and their tables; the verdict is the per-point anchor_rank
+    cut, the lift the point loop's."""
+    if case in _BUILTINS:
+        body = builtin_body(case)
+        grid = make_grid(body.lo, body.hi, 5, 0.1)
+        fibers = fibers_at(body, grid.points, make_samples(24, 8))
+    else:
+        grid = small_grid()
+        fibers = mixed_fibers(grid)[case == "mixed_short"]
+    views = list(fibers)
+    forms = (fibers, views, Fibers.of(views))
+    results = [uniformity_verdict(form) for form in forms]
+    assert all(r == results[0] for r in results)
+    assert (results[0].verdict, results[0].anchor_ranks, results[0].offending,
+            results[0].isotropy_dims) == point_verdict(views)
+    lifts = [lift_or_refusal(grid, form) for form in forms]
+    assert all(lift == lifts[0] for lift in lifts)
+    assert_lift_is_the_point_loop(grid, views)
 
 
 def test_minimal_lift_refuses_fibers_that_are_not_its_grids(fgm_body, samples):
