@@ -23,6 +23,7 @@ from .bodies import (
     Body,
     SampleSet,
     builtin_body,
+    differenced,
     evaluate,
     evaluate_w_inverse,
     is_material_isomorphism,

@@ -13,13 +13,13 @@ nullspace yields the fiber.  The rank decision is the fragile step of the
 whole pipeline, so every fiber carries its full singular-value spectrum and
 ``sv_gap``: its smallest kept over its largest dropped value, taken at the cut.
 
-The rows need (F^T dW/dF, dW/dx) and nothing else.  A body's ``gradient``
-(every built-in and polynomial body has one) gives them exactly: a chunk of
-points makes one evaluate call of its (point, sample) values, which checks
-them, and one gradient call.  Central differences stand in for a missing
-gradient: two batches, F +- h E_ij at the points and F at x +- h e_i, each
-checked by evaluate.  Either way the chunk's nullspaces come from one stacked
-SVD, and its anchor blocks from one more per fibre dim present in the chunk.
+The rows need (F^T dW/dF, dW/dx) and nothing else, and a body's ``gradient``
+gives them: a chunk of points makes one evaluate call of its (point, sample)
+values, which checks them, and one gradient call.  Every built-in and
+polynomial body has an exact gradient; a body without one enters the entry
+points as ``differenced(body, fd_step)``, which is all ``fd_step`` does here.
+The chunk's nullspaces come from one stacked SVD, and its anchor blocks from
+one more per fibre dim present in the chunk.
 The fibres of all points are one read-only table, ``Fibers``; the verdict,
 the lift and the report read its columns, and ``fibers[p]`` is one point's
 ``FiberBasis``.
@@ -35,11 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import Body, SampleSet, evaluate
+from .bodies import DEFAULT_FD_STEP, Body, SampleSet, differenced, evaluate
 from .errors import MatbodyError, NonFiniteResponse, OutOfDomain, first_true, with_index
 from .jets import as_point
 
-DEFAULT_FD_STEP = 1e-5
 DEFAULT_RANK_TOL = 1e-6
 # Anchor/isotropy rank tolerance: fiber bases are orthonormal, so the
 # v-projection's singular values are O(1) when translations are present.
@@ -115,17 +114,12 @@ class Fibers:
                       np.array([f.sv_gap for f in fibers], dtype=float), anchor_sv, bases)
 
 
-# At most this many pairs go into one response call of a fibre chunk: with a
-# gradient one per point and sample, 146 x 28 = 4088 at 28 samples; differenced
-# 18 F-stencils per point and sample, 8 x 28 x 18 = 4032, and the chunk's
-# x-stencil call adds a third as many (6 per point and sample).  Chunks of grid
-# points of this size keep the temporaries of the response, the gradient, the
-# rows and their SVDs under two megabytes at any grid size.
+# At most this many pairs go into one response call of a fibre chunk: one per
+# point and sample, 146 x 28 = 4088 at 28 samples; a differenced body makes 24
+# such calls, one per stencil.  Chunks of grid points of this size keep the
+# temporaries of the response, the gradient, the rows and their SVDs under two
+# megabytes at any grid size.
 STENCIL_PAIRS = 4096
-
-# Unit steps of the 9 entries of F (E_ij, row-major) and of the 3 coordinates of x.
-_F_STEPS = np.eye(9).reshape(9, 3, 3)
-_X_STEPS = np.eye(3)
 
 
 def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -133,38 +127,39 @@ def constraint_rows(body: Body, x, F, fd_step: float = DEFAULT_FD_STEP) -> np.nd
 
     The row applied to [v | A] is <dW/dF, F A> - <dW/dx, v>: the A-block is
     F^T dW/dF (row-major) and the v-block -dW/dx, both gradients from the
-    body's ``gradient`` when it has one, else central differences of step
-    ``fd_step``.  Rows have shape x.shape[:-1] + F.shape[:-2] + (12,), so a
-    sample set gives each point its (count, 12) constraint matrix.  The pairs'
-    values, or each stencil block (F, x), are one evaluate call; an x within
-    ``fd_step`` of the box boundary raises OutOfDomain on either path.  Rows
-    that overflow raise NonFiniteResponse indexed by the first offending pair.
-    A step that is not finite and > 0 raises ValueError.
+    body's ``gradient``; a body without one is ``differenced(body, fd_step)``,
+    whose step refuses a value that is not finite and > 0 with ValueError.
+    Rows have shape x.shape[:-1] + F.shape[:-2] + (12,), so a sample set gives
+    each point its (count, 12) constraint matrix.  An x outside the box raises
+    OutOfDomain, and the pairs' values are one evaluate call, which checks
+    them.  Rows that overflow raise NonFiniteResponse indexed by the first
+    offending pair.
     """
-    _check_fd_step(fd_step)
-    return _rows(body, x, F, fd_step)
+    return _rows(body if body.gradient is not None else differenced(body, fd_step), x, F)
 
 
-def _check_fd_step(fd_step: float) -> None:
-    """Refuse a step before any stencil: at 0 the differences are 0/0, a negative
-    step widens the inset box past the body's, and NaN reads as a bad point."""
-    if not 0 < fd_step < math.inf:                          # NaN too
-        raise ValueError(f"fd_step {fd_step:g} is not finite and > 0")
+def _rows(body: Body, x, F, sampled: bool = False) -> np.ndarray:
+    """``constraint_rows`` of a body with a gradient; ``sampled`` when F are sample matrices.
 
-
-def _rows(body: Body, x, F, fd_step: float, sampled: bool = False) -> np.ndarray:
-    """``constraint_rows``; ``sampled`` when F are a sample set's matrices."""
+    One evaluate call of the pairs' values checks them, decided when F are a
+    sample set's matrices, which passed the det floor, as x passed the box
+    test; then one gradient call.  F is made contiguous, so the rows do not
+    depend on its layout.
+    """
     with np.errstate(over="ignore", invalid="ignore"):     # non-finite rows are refused below
         x = np.asarray(x, dtype=float)
-        F = np.asarray(F, dtype=float)
-        near = ~body.box.mask(x, fd_step)
-        if near.any():
-            i = first_true(near, near.shape)
+        F = np.ascontiguousarray(F, dtype=float)
+        outside = ~body.box.mask(x)
+        if outside.any():
+            i = first_true(outside, outside.shape)
             raise with_index(OutOfDomain(
-                f"x = {x[i].tolist()} closer than fd_step {fd_step:g} to the domain boundary"), i)
+                f"{x[i].tolist()} outside domain of body '{body.name}'"), i)
         pts = x.reshape(x.shape[:-1] + (1,) * (F.ndim - 2) + (3,))
-        A, dWdx = _gradients(body, pts, F, fd_step, sampled, x.shape[:-1] + F.shape[:-2])
-        rows = np.concatenate([-dWdx, A.reshape(A.shape[:-2] + (9,))], axis=-1)
+        lead = x.shape[:-1] + F.shape[:-2]
+        evaluate(body, F, pts, _checked=lead if sampled else None)
+        A, dWdx = body.gradient(F, pts)         # dW/dF until F^T dW/dF replaces, so frees, it
+        A = np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ _batch(A, lead + (3, 3))
+        rows = np.concatenate([-_batch(dWdx, lead + (3,)), A.reshape(lead + (9,))], axis=-1)
         # a finite sum proves every row finite; finite rows can overflow it
         finite_sum = math.isfinite(rows.sum())
     if not finite_sum:
@@ -173,34 +168,6 @@ def _rows(body: Body, x, F, fd_step: float, sampled: bool = False) -> np.ndarray
             raise with_index(NonFiniteResponse(f"constraint rows of '{body.name}' are non-finite"),
                              first_true(bad, bad.shape))
     return rows
-
-
-def _gradients(body: Body, pts, F, fd_step: float, sampled: bool, lead: tuple) -> tuple:
-    """(F^T dW/dF, dW/dx) of shapes lead + (3, 3) and lead + (3,).
-
-    From the body's gradient when it has one, after one evaluate call of the
-    pairs' values, so a pair below the det floor or with a non-finite value
-    raises as in any batch; that call is decided when F are a sample set's
-    matrices (``sampled``), which passed the det floor, as the points passed
-    the inset test.  Without one, from central differences of step
-    ``fd_step``: two batches on axes (points..., gradients..., sign of the
-    step, stepped entry), each checked by evaluate.  F is made contiguous, so
-    the blocks do not depend on its layout.
-    """
-    F = np.ascontiguousarray(F)
-    if body.gradient is not None:
-        evaluate(body, F, pts, _checked=lead if sampled else None)
-        dWdF, dWdx = body.gradient(F, pts)
-        dWdF, dWdx = _batch(dWdF, lead + (3, 3)), _batch(dWdx, lead + (3,))
-    else:
-        steps = np.array([fd_step, -fd_step])
-        W_F = evaluate(body, F[..., None, None, :, :] + steps[:, None, None, None] * _F_STEPS,
-                       pts[..., None, None, :])
-        W_x = evaluate(body, F[..., None, None, :, :],
-                       pts[..., None, None, :] + steps[:, None, None] * _X_STEPS)
-        dWdF, dWdx = ((W[..., 0, :] - W[..., 1, :]) / (2 * fd_step) for W in (W_F, W_x))
-        dWdF = dWdF.reshape(dWdF.shape[:-1] + (3, 3))
-    return np.ascontiguousarray(np.swapaxes(F, -1, -2)) @ dWdF, dWdx
 
 
 def _batch(a: np.ndarray, shape: tuple) -> np.ndarray:
@@ -216,26 +183,24 @@ def fibers_at(body: Body, points, samples: SampleSet,
     Keeps singular values above rank_tol * sigma_max as range directions; the
     remaining right-singular vectors span the fiber.  The ``Fibers`` table keeps
     each point's full spectrum and ``sv_gap``, the gap at the cut (inf when the
-    cut is clean), one array quotient per fiber dim of a chunk.  Points
-    go through in chunks of at most STENCIL_PAIRS pairs in one response call
-    (count per point with a gradient, 18 count when differenced), each chunk
-    with one stacked SVD; then the chunk's anchor blocks of each fiber dim go
-    through one more, which turns each basis into the anchor's singular frame.
-    Spectra are stored non-negative (LAPACK can give -0.0).  A failing
-    evaluation, rows or spectrum raise indexed by their point in ``points``, and the
-    message starts ``at point [x]: ``.  A step that is not finite and > 0 raises
-    ValueError.
+    cut is clean), one array quotient per fiber dim of a chunk.  A body
+    without a gradient is ``differenced(body, fd_step)``.  Points go through
+    in chunks of STENCIL_PAIRS // count, each chunk with one stacked SVD; then
+    the chunk's anchor blocks of each fiber dim go through one more, which
+    turns each basis into the anchor's singular frame.  Spectra are stored
+    non-negative (LAPACK can give -0.0).  A point outside the box, a failing
+    evaluation, rows or spectrum raise indexed by their point in ``points``,
+    and the message starts ``at point [x]: ``.
     """
-    _check_fd_step(fd_step)
+    body = body if body.gradient is not None else differenced(body, fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
-    per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
-    chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
+    chunk = max(1, STENCIL_PAIRS // samples.count)
     n = len(points)
     spectra, dims, gaps = np.zeros((n, 12)), np.zeros(n, dtype=int), np.full(n, math.inf)
     anchor, bases = np.zeros((n, 3)), np.zeros((n, 12, 12))
     for start in range(0, n, chunk):
         try:
-            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, True)
+            L = _rows(body, points[start:start + chunk], samples.matrices, True)
             _, s, Vh = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
             bad = ~np.isfinite(s).all(axis=-1)
             if bad.any():

@@ -4,7 +4,8 @@ A body is a box domain plus a reduced response Lambda W-hat(F, x): the value
 depends on the deformation gradient F and the source point x only, never on
 a target point, so translation invariance is structural.  It may carry the
 response's exact gradient, as every built-in and polynomial body does; the
-fibre rows then read it instead of differencing the response.
+fibre rows read it.  ``differenced`` gives a body without one a
+central-difference gradient, and is the one place a difference step is read.
 
 Membership of a jet g = (x -> y, P) in the material groupoid is decided by
 sampling: W-hat(F P, x) must equal W-hat(F, y) for every test gradient F in a
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,6 +31,11 @@ from .grid import Box
 from .jets import DET_TOL, Jet1, det3, invert
 
 _I3 = np.eye(3)
+
+DEFAULT_FD_STEP = 1e-5
+
+# Unit steps E_ij of the 9 entries of F, row-major; those of x are the rows of _I3.
+_F_UNITS = np.eye(9).reshape(9, 3, 3)
 
 # Rounding margin of the det floor certificate, per unit (|P|_F max_s |F_s|_F)^3.
 _FLOOR_MARGIN = 64.0 * np.finfo(float).eps
@@ -53,9 +59,9 @@ class Body:
     through ``evaluate``, which checks the batch.  ``gradient(F, x)``, when
     given, returns (dW/dF, dW/dx), broadcasting as ``response`` does to
     shapes (..., 3, 3) and (..., 3); either may hold fewer leading axes (an
-    x-independent body returns dW/dx = 0).  The fibre rows read it in place
-    of central differences; a body without one is differenced.  Every
-    built-in and every polynomial body has one.
+    x-independent body returns dW/dx = 0).  The fibre rows read it; a body
+    without one is differenced (``differenced``) where the rows are asked
+    for.  Every built-in and every polynomial body has one.
     """
 
     name: str
@@ -199,6 +205,34 @@ def evaluate(body: Body, F, x, *, _checked: tuple | None = None) -> np.ndarray:
 def _point_at(x: np.ndarray, shape: tuple, index: tuple) -> list:
     """The point of the pair at ``index`` of a batch with leading shape ``shape``."""
     return np.broadcast_to(x, shape + (3,))[index].tolist()
+
+
+def differenced(body: Body, step: float = DEFAULT_FD_STEP) -> Body:
+    """``body`` with a central-difference gradient of step ``step`` in place of its own.
+
+    dW/dz = (W(z + step u) - W(z - step u)) / (2 step) for each of the 12 unit
+    steps u of (F, x).  Each of the 24 stencils is one ``evaluate`` call of the
+    batch's pairs with every check, so a stencil past the box or below the det
+    floor raises at its pair, and no call holds more than one batch.  A step
+    that is not finite and > 0 raises ValueError: at 0 the differences read
+    0/0, and NaN would read as a bad point.
+    """
+    if not 0 < step < math.inf:                             # NaN too
+        raise ValueError(f"fd_step {step:g} is not finite and > 0")
+
+    def gradient(F, x):
+        shape = np.broadcast_shapes(np.shape(F)[:-2], np.shape(x)[:-1])
+        dWdF, dWdx = np.empty(shape + (3, 3)), np.empty(shape + (3,))
+        for m, U in enumerate(_F_UNITS):
+            dWdF[..., m // 3, m % 3] = (evaluate(body, F + step * U, x)
+                                        - evaluate(body, F - step * U, x))
+        for k, u in enumerate(_I3):
+            dWdx[..., k] = evaluate(body, F, x + step * u) - evaluate(body, F, x - step * u)
+        dWdF /= 2 * step
+        dWdx /= 2 * step
+        return dWdF, dWdx
+
+    return replace(body, gradient=gradient)
 
 
 def evaluate_w_inverse(body: Body, g: Jet1) -> np.ndarray:

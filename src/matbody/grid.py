@@ -44,11 +44,9 @@ class Box:
         q0, q1, q2 = q
         return lo0 <= q0 <= hi0 and lo1 <= q1 <= hi1 and lo2 <= q2 <= hi2
 
-    def mask(self, x, margin: float = 0.0) -> np.ndarray:
-        """``contains`` for each point of x (..., 3), shape (...); of the box inset by ``margin``
-        when one is given, with no inset box built."""
-        lo, hi = (self.lo + margin, self.hi - margin) if margin else (self.lo, self.hi)
-        return ((x >= lo) & (x <= hi)).all(axis=-1)
+    def mask(self, x) -> np.ndarray:
+        """``contains`` for each point of x (..., 3), shape (...)."""
+        return ((x >= self.lo) & (x <= self.hi)).all(axis=-1)
 
     def inset(self, margin: float) -> "Box":
         return Box(self.lo + margin, self.hi - margin)

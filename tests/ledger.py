@@ -17,7 +17,7 @@ lift residual near 1e-16, and LAPACK builds differ there.
 without its ``config`` echo.  ``fibres`` prints one hash over the fibres (basis,
 spectrum, anchor singular values, sv_gap) of the four built-ins at 3^3, 5^3 and
 9^3 with the default samples, each from its exact gradient and differenced
-(``oracles.opaque``), so it covers the row path that no report takes.  Run them
+(``oracles.opaque``), so it covers ``differenced``, which no report takes.  Run them
 on two trees to compare their bytes; the hashes are not in the ledger, and no
 test reads them.
 """

@@ -4,14 +4,14 @@ Everything here is computed by a route disjoint from the library code under
 test: analytic response gradients instead of finite differences, closed-form
 tensor formulas instead of grid stencils, scipy's expm instead of RK4.  A few
 exceptions are kept as references for faster library paths: the per-point
-stencil loop (and ``opaque``, which sends a body's fibre rows through the
-batched stencils instead of its exact gradient), the fibre computation as it was before the response contract
+stencil loop (and ``opaque``, which drops a body's exact gradient, so the
+fibre stage differences it), the fibre computation as it was before the response contract
 was batched (it evaluates one (F, x) pair per call, so it checks the batched
 stencils, not the response), ``loop_trilinear``, the trilinear interpolant
 as it was before it gained a single-point path, ``loop_polynomial_response``,
 the polynomial response as it was before it was computed from a power table,
 ``point_fibers_at``, the fibre stage as it was when it made one ``FiberBasis``
-per point, ``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
+per point (on today's one row path), ``loop_minimal_lift``, the minimal lift by the pseudo-inverse of a fresh SVD
 of each fiber's anchor block, ``point_solve_lift``, the library's stacked
 solve one point at a time, and ``tuple_exp_trajectory``, ``tuple_chart`` and
 ``tuple_transport_leg``, the exponential flow, the chart sweep and its legs as
@@ -38,7 +38,8 @@ from scipy.linalg import expm
 
 from matbody import (Body, LeftDomain, MatbodyError, NonFiniteResponse, NotUniform, OutOfDomain,
                      StepTooLarge, evaluate)
-from matbody.algebroid import STENCIL_PAIRS, FiberBasis, _check_fd_step, _rows, anchor_rank
+from matbody.algebroid import STENCIL_PAIRS, FiberBasis, _rows, anchor_rank
+from matbody.bodies import differenced
 from matbody.errors import with_index
 from matbody.connection import ChartField, _transport_field
 from matbody.flows import DEFAULT_STEP, MAX_STEP, SectionField
@@ -213,7 +214,7 @@ def loop_response_gradients(body, x, F, fd_step=1e-5):
 
 
 def opaque(body):
-    """The body without its exact gradient: its fibre rows take the central-difference path."""
+    """The body without its exact gradient: the fibre stage differences it (``differenced``)."""
     return Body(body.name, body.lo, body.hi, body.response)
 
 
@@ -240,16 +241,16 @@ def loop_fiber(body, x, matrices, rank_tol=1e-6, fd_step=1e-5):
 def point_fibers_at(body, points, samples, rank_tol=1e-6, fd_step=1e-5):
     """The fibre stage as it was before the ``Fibers`` table: a list of one
     ``FiberBasis`` per point, each gap a quotient of Python floats, verbatim
-    but for its name and the library names it reads."""
-    _check_fd_step(fd_step)
+    but for its name, the library names it reads and the one row path's entry
+    and chunk rule."""
+    body = body if body.gradient is not None else differenced(body, fd_step)
     points = np.array(points, dtype=float).reshape(-1, 3)
     points.setflags(write=False)
-    per_sample = 18 if body.gradient is None else 1     # per point: its F-stencils or its value
-    chunk = max(1, STENCIL_PAIRS // (per_sample * samples.count))
+    chunk = max(1, STENCIL_PAIRS // samples.count)
     out = [None] * len(points)
     for start in range(0, len(points), chunk):
         try:
-            L = _rows(body, points[start:start + chunk], samples.matrices, fd_step, True)
+            L = _rows(body, points[start:start + chunk], samples.matrices, True)
             _, s, Vh = np.linalg.svd(L, full_matrices=L.shape[-2] < 12)
             bad = ~np.isfinite(s).all(axis=-1)
             if bad.any():

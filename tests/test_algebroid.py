@@ -28,6 +28,7 @@ from matbody import (
     SingularMatrix,
     builtin_body,
     constraint_rows,
+    differenced,
     evaluate,
     exp_section,
     fiber,
@@ -40,7 +41,7 @@ from matbody import (
     run_analysis,
     uniformity_verdict,
 )
-from matbody import algebroid
+from matbody import algebroid, bodies
 from matbody.algebroid import STENCIL_PAIRS, FiberBasis, Fibers, anchor_rank
 from matbody.grid import Box
 from matbody.jets import DET_TOL
@@ -117,16 +118,39 @@ def test_fgm_fiber_element_annihilated(fgm_body, samples, rng):
 
 
 def test_rows_stencil_domain_check(iso_body):
-    with pytest.raises(OutOfDomain):
-        constraint_rows(iso_body, [1.0, 0, 0], np.eye(3))  # on the boundary
+    """On the boundary the differenced body's stencil x + fd_step e_1 leaves the box, and
+    evaluate refuses it; past the boundary the box test refuses x on either path."""
+    with pytest.raises(OutOfDomain, match=r"^\[1\.00001, 0\.0, 0\.0\] outside domain of body"):
+        constraint_rows(opaque(iso_body), [1.0, 0, 0], np.eye(3))  # on the boundary
+    for body in (iso_body, opaque(iso_body)):
+        with pytest.raises(OutOfDomain, match=r"^\[1\.000005, 0\.0, 0\.0\] outside domain of body"):
+            constraint_rows(body, [1.0 + 5e-6, 0, 0], np.eye(3))
 
 
 def test_rows_stencil_domain_check_names_point_in_batch(iso_body):
     x = np.zeros((4, 3))
     x[2, 1] = 1.0 - 1e-6                                 # closer than fd_step
     with pytest.raises(OutOfDomain) as err:
-        constraint_rows(iso_body, x, np.eye(3))
+        constraint_rows(opaque(iso_body), x, np.eye(3))
     assert err.value.index == (2,)
+    x[2, 1] = 1.0 + 5e-6                                 # outside the box
+    for body in (iso_body, opaque(iso_body)):
+        with pytest.raises(OutOfDomain) as err:
+            constraint_rows(body, x, np.eye(3))
+        assert err.value.index == (2,)
+
+
+def test_an_exact_gradient_takes_points_on_and_near_the_box_face(fgm_body, samples):
+    """With an exact gradient the rows need only x in the box: at a point on a face and
+    one within fd_step of it the rows are the analytic oracle's, and the fibres keep
+    the uniform dims and anchor ranks."""
+    x = np.array([[1.0, 0.0, 0.0], [0.3, -1.0 + 1e-6, 0.2]])
+    rows = constraint_rows(fgm_body, x, samples.matrices)
+    for p in range(len(x)):
+        assert np.max(np.abs(rows[p] - analytic_rows_fgm(samples.matrices, x[p], E12))) <= 1e-7
+    fibers = fibers_at(fgm_body, x, samples)
+    assert list(fibers.dims) == [3, 3] and [anchor_rank(f) for f in fibers] == [3, 3]
+    assert fiber(fgm_body, x[0], samples).dim == 3
 
 
 def test_batched_rows_match_per_pair_loop(fgm_body, nonuniform_body, samples, rng):
@@ -311,22 +335,35 @@ def test_fibers_at_names_failing_point():
     """A non-finite response at one point of a multi-chunk batch names that point."""
     # 1e308 (1 + x1^4) overflows only where x1^4 > ~0.8
     body = polynomial_body([([0] * 12, 1e308), ([0] * 9 + [4, 0, 0], 1e308)])
-    pts = np.zeros((40, 3))
-    pts[33, 0] = 0.95
+    samples = make_samples(12, seed=1)
+    pts = np.zeros((300, 3))
+    assert len(pts) > STENCIL_PAIRS // samples.count        # several chunks
+    pts[283, 0] = 0.95
     with pytest.raises(NonFiniteResponse) as err:
-        fibers_at(body, pts, make_samples(12, seed=1))
-    assert err.value.index == (33,)
+        fibers_at(body, pts, samples)
+    assert err.value.index == (283,)
 
 
 def test_fibers_at_names_a_point_too_close_to_the_boundary():
-    """A point within fd_step of the boundary, in a later chunk, is indexed and named."""
-    body, samples, k = builtin_body("uniform_fgm"), make_samples(12, seed=1), 21
-    pts = np.zeros((40, 3))
+    """A point within fd_step of the boundary, in a later chunk, is indexed and named
+    when the body is differenced: its stencil x + fd_step e_2 leaves the box, and
+    evaluate refuses it.  A point outside the box is refused on either path."""
+    body, samples, k = builtin_body("uniform_fgm"), make_samples(12, seed=1), 281
+    pts = np.zeros((300, 3))
+    assert k > STENCIL_PAIRS // samples.count                 # a later chunk
     pts[k] = [0.0, 1.0 - 5e-6, 0.0]
-    with pytest.raises(OutOfDomain, match="closer than fd_step") as err:
-        fibers_at(body, pts, samples, fd_step=1e-5)
+    with pytest.raises(OutOfDomain) as err:
+        fibers_at(opaque(body), pts, samples, fd_step=1e-5)
     assert err.value.index == (k,)
-    assert str(err.value).startswith(f"at point {pts[k].tolist()}: x = ")
+    assert str(err.value) == (f"at point {pts[k].tolist()}: "
+                              "[0.0, 1.000005, 0.0] outside domain of body 'uniform_fgm'")
+    pts[k] = [0.0, 1.0 + 5e-6, 0.0]
+    for rows_from in (body, opaque(body)):
+        with pytest.raises(OutOfDomain) as err:
+            fibers_at(rows_from, pts, samples)
+        assert err.value.index == (k,)
+        assert str(err.value) == (f"at point {pts[k].tolist()}: "
+                                  f"{pts[k].tolist()} outside domain of body 'uniform_fgm'")
 
 
 @pytest.mark.parametrize("terms", [None, isotropic_polynomial_terms(),
@@ -351,14 +388,16 @@ def test_rows_that_overflow_are_refused_at_their_pair():
                        match="constraint rows of 'polynomial' are non-finite") as err:
         constraint_rows(body, x, F)
     assert err.value.index == (1, 3)    # 0.5 x 1.2 is the first product past 0.53
-    pts = np.zeros((40, 3))
-    pts[33, 0] = 0.7
+    samples = make_samples(12, seed=1)
+    pts = np.zeros((300, 3))
+    pts[283, 0] = 0.7
     with pytest.raises(NonFiniteResponse) as err:
-        constraint_rows(body, pts, make_samples(12, seed=1).matrices)
-    assert err.value.index[0] == 33
+        constraint_rows(body, pts, samples.matrices)
+    assert err.value.index[0] == 283
+    assert len(pts) > STENCIL_PAIRS // samples.count        # several chunks
     with pytest.raises(NonFiniteResponse) as err:
-        fibers_at(body, pts, make_samples(12, seed=1))      # several chunks
-    assert err.value.index == (33,)
+        fibers_at(body, pts, samples)
+    assert err.value.index == (283,)
 
 
 def test_spectra_that_overflow_are_refused_at_their_point():
@@ -562,7 +601,7 @@ def test_fiber_elements_exponentiate_to_isomorphisms(iso_body, samples):
 
 
 def test_fiber_calls_build_no_box(monkeypatch, samples):
-    """The stencil domain check reads the body's box inset by fd_step without building one."""
+    """The rows' box test reads the body's box without building one."""
     body = builtin_body("uniform_fgm")
     built = []
     post_init = Box.__post_init__
@@ -599,15 +638,15 @@ def test_the_body_box_stays_exactly_as_made(samples):
 @pytest.mark.parametrize("res", [3, 5])
 @pytest.mark.parametrize("kind", _FRAME_BODIES)
 def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, res, samples):
-    """A chunk with a gradient makes one decided evaluate call, and its fibres are bit
-    for bit those of fully checked calls; a differenced chunk makes two fully
-    checked calls, n count 24 pairs in all."""
+    """Both row paths chunk by STENCIL_PAIRS // count.  A chunk makes one decided
+    evaluate call of its values, and its fibres are bit for bit those of fully
+    checked calls; a differenced chunk then makes 24 fully checked calls, one per
+    stencil: 25 count pairs per point in all, 700 at 28 samples."""
     exact = (polynomial_body(isotropic_polynomial_terms()) if kind == "polynomial"
              else builtin_body(kind))
     points = make_grid(exact.lo, exact.hi, res, 0.1).points
     evaluate, got = algebroid.evaluate, {}
-    for body, decided_per_chunk, per_pair in ((exact, [True], 1),
-                                              (opaque(exact), [False, False], 24)):
+    for body, decided_per_chunk in ((exact, [True]), (opaque(exact), [True] + [False] * 24)):
         pairs, decided = [], []
 
         def recording(body, F, x, *, _checked=None):
@@ -617,10 +656,11 @@ def test_certified_chunks_are_bitwise_fully_checked_chunks(monkeypatch, kind, re
 
         with monkeypatch.context() as m:
             m.setattr(algebroid, "evaluate", recording)
+            m.setattr(bodies, "evaluate", recording)        # the stencils of ``differenced``
             got[body] = fibers_at(body, points, samples)
-        chunk = STENCIL_PAIRS // ((1 if body.gradient is not None else 18) * samples.count)
+        chunk = STENCIL_PAIRS // samples.count
         assert decided == decided_per_chunk * -(-len(points) // chunk)
-        assert sum(pairs) == len(points) * samples.count * per_pair
+        assert sum(pairs) == len(points) * samples.count * len(decided_per_chunk)
     with monkeypatch.context() as m:
         m.setattr(algebroid, "evaluate", lambda body, F, x, **_: evaluate(body, F, x))
         want = fibers_at(exact, points, samples)
@@ -637,8 +677,8 @@ def test_a_singular_stencil_raises_at_the_first_point():
     body = opaque(builtin_body("uniform_fgm"))
     near = np.diag([1.0, 1.0, 1e-5 + DET_TOL / 2])     # F - 1e-5 E_33 has det 5e-13
     samples = SampleSet(np.concatenate([make_samples(12, seed=1).matrices, near[None]]))
-    points = make_grid(body.lo, body.hi, 5, 0.1).points
-    assert len(points) > STENCIL_PAIRS // (18 * samples.count)     # several chunks
+    points = make_grid(body.lo, body.hi, 7, 0.1).points
+    assert len(points) > STENCIL_PAIRS // samples.count     # several chunks
     with pytest.raises(SingularMatrix) as err:
         fibers_at(body, points, samples)
     assert err.value.index == (0,)
@@ -647,18 +687,33 @@ def test_a_singular_stencil_raises_at_the_first_point():
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-5, np.nan, np.inf, -np.inf])
 def test_a_step_that_is_not_finite_and_positive_is_refused(fd_step):
-    """constraint_rows, fibers_at and fiber refuse the step with a ValueError naming
-    it, before any stencil is made.  At 0 the differences read 0/0, a negative
-    step widened the inset box past the body's (a point up to |fd_step| outside
-    passed it), and NaN read as a bad point."""
+    """differenced, and constraint_rows, fibers_at and fiber of a body without a
+    gradient, refuse the step with a ValueError naming it, before any stencil is
+    made.  At 0 the differences read 0/0, and NaN read as a bad point."""
     body, samples = opaque(builtin_body("uniform_fgm")), make_samples(12, seed=1)
     x = np.array([0.1, 0.2, 0.3])
-    calls = [lambda: constraint_rows(body, x, samples.matrices, fd_step),
+    calls = [lambda: differenced(body, fd_step),
+             lambda: constraint_rows(body, x, samples.matrices, fd_step),
              lambda: fibers_at(body, [x, -x], samples, fd_step=fd_step),
              lambda: fiber(body, x, samples, fd_step=fd_step)]
     for call in calls:
         with pytest.raises(ValueError, match=r"^fd_step .* is not finite and > 0$"):
             call()
+
+
+@pytest.mark.parametrize("kind", _FRAME_BODIES[:4])
+def test_differenced_is_bitwise_the_body_without_its_gradient(kind, samples):
+    """differenced(body) keeps the body's name, box and response, and its fibres at 3^3
+    are bit for bit those of the body without its gradient (``opaque``)."""
+    body = builtin_body(kind)
+    stepped = differenced(body)
+    assert (stepped.name, stepped.response) == (body.name, body.response)
+    assert np.array_equal(stepped.lo, body.lo) and np.array_equal(stepped.hi, body.hi)
+    assert stepped.gradient not in (None, body.gradient)
+    points = make_grid(body.lo, body.hi, 3, 0.1).points
+    got, want = (fibers_at(b, points, samples) for b in (stepped, opaque(body)))
+    for a, b in zip(_columns(got), _columns(want), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("path", ["gradient", "differenced"])

@@ -222,8 +222,7 @@ def test_tolerances_keep_every_answer_a_decade_either_way(kind, res):
     """rank_tol, v_tol, flat_tol and fd_step, each moved x0.1 and x10 through the library
     parameters, keep every verdict, fibre dim, isotropy dim and anchor rank, at the default
     seed and two more.  The v_tol and flat_tol moves reuse the fibres of the constants; the
-    fd_step moves difference the body (``opaque``), whose exact gradient reads the step
-    only in its inset test."""
+    fd_step moves difference the body (``opaque``), as its exact gradient reads no step."""
     body = {"polynomial": {"terms": isotropic_polynomial_terms()}} if kind == "polynomial" else kind
     for seed in (20240, 1, 2):
         cfg = AnalysisConfig(body=body, resolution=(res,) * 3, seed=seed)
