@@ -41,7 +41,6 @@ from .connection import (
     curvature_torsion,
     homogeneity_verdict,
     minimal_lift_section,
-    transport_frame,
 )
 from .errors import (
     ConfigError,
@@ -65,7 +64,6 @@ from .gstructure import (
     g_map,
     invert_g_map,
     isotropy_group_sample,
-    morphism_defect,
     sampled_morphism_defect,
 )
 from .jets import Frame, Jet1, compose, identity, invert

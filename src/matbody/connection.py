@@ -9,7 +9,8 @@ it is exactly the condition under which coordinates with identically zero
 Christoffels exist, and such coordinates realize a constant section of the
 material groupoid.  Since Gamma(y) v = -A_y(v), parallel transport along a
 segment is a lift flow's linear ODE; frame and chart coordinates move as one
-4 x 4 state, stepped by the flows' ``rk4_propagators``.
+4 x 4 state, stepped by the flows' ``rk4_propagators``.  The chart sweep of
+``build_homogeneous_chart`` is the one frame transport.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def homogeneity_verdict(uni: UniformityResult,
 
 
 def _transport_field(conn: LinearSectionField, *points) -> tuple:
-    """Interpolated Christoffels and the RK4 substep, min spacing / 4."""
+    """Interpolated Christoffels and the RK4 substep, min spacing / 4.  Refuses
+    (LeftDomain) a chart base point outside the grid hull."""
     field = TrilinearField(conn.grid.axes, conn.lattice())
     if not all(field.box.contains(p) for p in points):
-        raise LeftDomain("transport endpoints must lie in the grid hull")
+        raise LeftDomain("chart base point x0 must lie in the grid hull")
     return field, float(np.min(conn.grid.spacing)) / 4.0
 
 
@@ -228,35 +230,17 @@ def _frames_and_coords(Y: np.ndarray) -> tuple:
     return np.ascontiguousarray(Y[..., :3, :3]), c
 
 
-def transport_frame(conn: LinearSectionField, x0, target, order=(0, 1, 2)) -> tuple:
-    """Parallel-transport a frame (and integrate the coframe) from x0 to target.
-
-    Follows the axis-ordered polyline determined by ``order``, one leg per
-    axis; ``order`` must be a permutation of (0, 1, 2), or ValueError.  The
-    transport is the product of the legs' propagators.  Returns (frame at
-    target, chart coordinates of target).
-    """
-    order = tuple(order)
-    if sorted(order) != [0, 1, 2]:
-        raise ValueError(f"order must be a permutation of (0, 1, 2), not {order}")
-    x0, target = as_point(x0), as_point(target)
-    field, substep = _transport_field(conn, x0, target)
-    # corner i has moved the axes order[:i] to target
-    corners = np.array([np.where(np.isin(np.arange(3), order[:i]), target, x0) for i in range(4)])
-    with np.errstate(over="ignore", invalid="ignore"):    # a non-finite state is refused below
-        legs = _edge_propagators(field, corners[:-1], corners[1:], substep)
-        return _frames_and_coords(legs[2] @ (legs[1] @ legs[0]))
-
-
 def build_homogeneous_chart(report: CurvatureTorsionReport, x0) -> ChartField:
     """Coordinates in which the flat torsion-free ``report.conn`` has zero Christoffels.
 
-    Transports the identity frame and the coframe from x0 along the paths of
-    ``transport_frame`` in one sweep: the x-line through x0, the y-lines from
-    its nodes, then the z-lines from theirs.  Per axis, one ``_edge_propagators``
-    call gives each line segment that reaches a tick on the walk out from x0,
-    and a line's states are their running products.  Refuses (NotFlat) unless
-    ``report.flat``, since the result would be path-dependent.
+    Transports the identity frame and the coframe from x0 in one sweep: the
+    x-line through x0, the y-lines from its nodes, then the z-lines from theirs,
+    so each grid point is reached along the axis-ordered path with one leg per
+    axis, x first and z last.  Per axis, one ``_edge_propagators`` call gives
+    each line segment that reaches a tick on the walk out from x0, and a line's
+    states are their running products.  Refuses (NotFlat) unless
+    ``report.flat``, since the result would be path-dependent, and (LeftDomain)
+    an x0 outside the grid hull.
     """
     if not report.flat:
         raise NotFlat(

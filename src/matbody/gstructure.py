@@ -71,26 +71,15 @@ class GroupoidSection:
         return GroupoidSection(lambda x, y: g_map(P, x, y))
 
 
-def _composition_defect(matrix: Callable, triples) -> float:
-    """Worst |g(y,z) g(x,y) - g(x,z)| over triples, for g given by its matrices."""
-    worst = 0.0
-    for (x, y, z) in triples:
-        lhs = matrix(y, z) @ matrix(x, y)
-        worst = max(worst, float(np.max(np.abs(lhs - matrix(x, z)))))
-    return worst
-
-
-def morphism_defect(S: GroupoidSection, triples: Sequence) -> float:
-    """Worst violation of S(y,z) S(x,y) = S(x,z) over the given triples."""
-    return _composition_defect(lambda x, y: S(x, y).matrix, triples)
-
-
 def sampled_morphism_defect(S: GroupoidSection, points: Sequence) -> float:
-    """morphism_defect over all ordered triples of ``points``, evaluating S once per pair."""
+    """Worst violation of S(y,z) S(x,y) = S(x,z) over all ordered triples of ``points``,
+    evaluating S once per pair."""
     pts = [as_point(p) for p in points]
     table = {(a, b): S(x, y).matrix for a, x in enumerate(pts) for b, y in enumerate(pts)}
-    return _composition_defect(lambda a, b: table[a, b],
-                               itertools.product(range(len(pts)), repeat=3))
+    worst = 0.0
+    for (a, b, c) in itertools.product(range(len(pts)), repeat=3):
+        worst = max(worst, float(np.max(np.abs(table[b, c] @ table[a, b] - table[a, c]))))
+    return worst
 
 
 def invert_g_map(S: GroupoidSection, z, Z: Jet1, points: Sequence) -> Parallelism:

@@ -30,11 +30,10 @@ from matbody import (
     make_grid,
     make_samples,
     minimal_lift_section,
-    transport_frame,
     uniformity_verdict,
 )
 from matbody.algebroid import Fibers, anchor_rank
-from matbody.connection import LinearSectionField
+from matbody.connection import LinearSectionField, _transport_field
 from matbody.grid import TrilinearField
 from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, point_solve_lift,
                      torsion_formula, tuple_chart, tuple_transport_leg)
@@ -440,32 +439,39 @@ def test_chart_recovers_integrable_deformation(fgm_integrable_body, samples):
         assert np.max(np.abs(chart.frames[p] - K)) <= 1e-6
 
 
+def tuple_path(field, substep, x0, target, order=(0, 1, 2)):
+    """(P, c) at target from tuple_transport_leg legs along the axes in ``order``."""
+    P, c, q = np.eye(3), np.zeros(3), x0
+    for axis in order:
+        end = np.where(np.arange(3) == axis, target, q)
+        P, c = tuple_transport_leg(field, q, end, P, c, substep)
+        q = end
+    return P, c
+
+
 def test_chart_path_independence_when_flat(fgm_integrable_body, samples):
     grid = small_grid(res=4)
     fibs = fibers_on(fgm_integrable_body, grid, samples)
     conn = minimal_lift_section(grid, fibs)
+    field, substep = _transport_field(conn)
     target = grid.points[-1]
-    P1, c1 = transport_frame(conn, np.zeros(3), target, order=(0, 1, 2))
-    P2, c2 = transport_frame(conn, np.zeros(3), target, order=(2, 1, 0))
+    P1, c1 = tuple_path(field, substep, np.zeros(3), target, order=(0, 1, 2))
+    P2, c2 = tuple_path(field, substep, np.zeros(3), target, order=(2, 1, 0))
     assert np.max(np.abs(P1 - P2)) <= 1e-3
     assert np.max(np.abs(c1 - c2)) <= 1e-3
-    # a path that skips or repeats an axis, or names one that is not there, is refused
-    for order in [(0,), (3,), (0, 0, 1, 1, 2), (0, 1), (0, 1, 3)]:
-        with pytest.raises(ValueError, match="permutation of"):
-            transport_frame(conn, np.zeros(3), target, order=order)
 
 
 @pytest.mark.parametrize("res, origin", [(4, "zero"), (5, "centre")])
-def test_chart_sweep_matches_transport_frame(fgm_integrable_body, samples, res, origin):
-    """The one-sweep chart follows the axis-ordered paths of transport_frame."""
+def test_chart_sweep_matches_the_tuple_chart(fgm_integrable_body, samples, res, origin):
+    """The one-sweep chart gives the frames and coords of classical RK4 on (P, c) along
+    its axis-ordered paths, from an off-tick and an on-tick x0."""
     grid = small_grid(res=res)
     conn = minimal_lift_section(grid, fibers_on(fgm_integrable_body, grid, samples))
     x0 = np.zeros(3) if origin == "zero" else grid.points[grid.n_points // 2]
     chart = build_homogeneous_chart(curvature_torsion(conn), x0)
-    for p, target in enumerate(grid.points):
-        P, c = transport_frame(conn, x0, target)
-        assert np.max(np.abs(chart.frames[p] - P)) <= 1e-10
-        assert np.max(np.abs(chart.coords[p] - c)) <= 1e-10
+    want = tuple_chart(conn, x0)
+    assert np.max(np.abs(chart.frames - want.frames)) <= 1e-10
+    assert np.max(np.abs(chart.coords - want.coords)) <= 1e-10
 
 
 # Propagator products and classical RK4 on (P, c) round differently: at most 0.375 ulp
@@ -486,13 +492,11 @@ def assert_is_the_tuple_rk4(got, want, steps):
 
 @pytest.mark.parametrize("case", ["uniform_fgm_integrable", "generic"])
 def test_chart_matches_the_tuple_rk4_sweep(fgm_integrable_body, samples, case):
-    """At 7^3 the chart sweep and transport_frame's three legs give the frames and coords
-    of classical RK4 on (P, c) to rounding.  The generic case is an affine Gamma field
-    whose values along an edge do not commute, so the order of the propagator products
-    shows; there RK4 on (P, c) and on Y agree in P in exact arithmetic but not in c
-    (c' = P^-1 v is not linear), so only the frames are compared."""
-    from matbody.connection import _transport_field
-
+    """At 7^3 the chart sweep gives the frames and coords of classical RK4 on (P, c) to
+    rounding, both as a sweep and as each node's own three legs.  The generic case is an
+    affine Gamma field whose values along an edge do not commute, so the order of the
+    propagator products shows; there RK4 on (P, c) and on Y agree in P in exact
+    arithmetic but not in c (c' = P^-1 v is not linear), so only the frames are compared."""
     grid = small_grid(res=7)
     if case == "generic":
         coeff = np.random.default_rng(3).uniform(-1, 1, (3, 3, 3, 4))
@@ -510,13 +514,9 @@ def test_chart_matches_the_tuple_rk4_sweep(fgm_integrable_body, samples, case):
     assert_is_the_tuple_rk4([got.frames, got.coords][compared],
                             [want.frames, want.coords][compared], steps)
     for p in (0, 100, grid.n_points - 1):
-        P, c, q = np.eye(3), np.zeros(3), x0
-        for axis in range(3):
-            end = np.where(np.arange(3) == axis, grid.points[p], q)
-            P, c = tuple_transport_leg(field, q, end, P, c, substep)
-            q = end
-        assert_is_the_tuple_rk4(transport_frame(conn, x0, grid.points[p])[compared],
-                                (P, c)[compared], steps[p])
+        assert_is_the_tuple_rk4([got.frames[p], got.coords[p]][compared],
+                                tuple_path(field, substep, x0, grid.points[p])[compared],
+                                steps[p])
 
 
 def test_chart_sweep_legs_take_quarter_spacing_steps(monkeypatch):
@@ -571,9 +571,8 @@ def test_lift_flow_and_chart_transport_are_one_ode(kind, samples):
     lattice edge node -> end the lift flow dF/dt = A_y(e_a) F over t = (end - node)_a,
     every edge, those that end on the upper hull face too.  The flow ends at the end
     node bit for bit.  At the same 48 RK4 steps (a flow step is at most MAX_STEP), F of
-    exp_trajectory is the edge propagator's frame block to rounding (1.1e-16 measured);
-    transport_frame takes its own 4 steps and agrees to 2.4e-15."""
-    from matbody.connection import _edge_propagators, _transport_field
+    exp_trajectory is the edge propagator's frame block to rounding (1.1e-16 measured)."""
+    from matbody.connection import _edge_propagators
     from matbody.flows import MAX_STEP, exp_trajectory
 
     grid = small_grid(res=5)
@@ -592,7 +591,6 @@ def test_lift_flow_and_chart_transport_are_one_ode(kind, samples):
             assert len(records) == 49
             assert records[-1][1].tobytes() == end.tobytes()
             assert np.max(np.abs(records[-1][2] - P_edge)) <= 1e-13
-            assert np.max(np.abs(records[-1][2] - transport_frame(conn, node, end)[0])) <= 1e-13
 
 
 def test_verdict_and_chart_take_one_flatness_decision(fgm_body, samples):
@@ -623,33 +621,34 @@ def test_chart_refuses_torsion(fgm_body, samples):
 
 
 def test_transport_refuses_endpoints_outside_the_hull():
+    """The chart's base point x0 must lie in the grid hull; a huge flat_tol lets the
+    chart run."""
     conn = lift_of_gamma(small_grid(), np.zeros((27, 3, 3, 3)))       # hull [-0.9, 0.9]^3
-    with pytest.raises(LeftDomain, match="transport endpoints must lie in the grid hull"):
-        transport_frame(conn, np.zeros(3), np.full(3, 0.95))
+    with pytest.raises(LeftDomain, match="chart base point x0 must lie in the grid hull"):
+        build_homogeneous_chart(curvature_torsion(conn, flat_tol=1e300), np.full(3, 0.95))
 
 
 def test_transport_refuses_a_singular_frame():
     """Gamma(v) = g (v . 1) ones(3, 3) has rank 1, so the frame collapses onto one line."""
     conn = lift_of_gamma(small_grid(), np.full((27, 3, 3, 3), 50.0))
     with pytest.raises(SingularMatrix, match="transported frame became singular"):
-        transport_frame(conn, np.zeros(3), np.full(3, 0.9))
-    # the chart sweep takes the same legs; a huge flat_tol lets it run
-    with pytest.raises(SingularMatrix):
         build_homogeneous_chart(curvature_torsion(conn, flat_tol=1e300), np.zeros(3))
 
 
 @pytest.mark.parametrize("g, finite", [(1e3, True), (1e30, False)])
 def test_transport_refuses_a_frame_that_overflows(g, finite):
     """Gamma^k_ij = g delta_ki scales the frame by exp(g s (v . 1)): large, but finite
-    at g = 1e3 over this path, and past the float range at g = 1e30."""
+    at g = 1e3 over the chart's paths from the corner (0.9, 0.9, 0.9), and past the
+    float range at g = 1e30."""
     gamma = np.zeros((27, 3, 3, 3))
     for k in range(3):
         gamma[:, k, k, :] = g
     conn = lift_of_gamma(small_grid(), gamma)
-    start, target = np.full(3, 0.9), np.full(3, -0.9)
+    report = curvature_torsion(conn, flat_tol=1e300)
     if finite:
-        P, c = transport_frame(conn, start, target)
-        assert np.isfinite(P).all() and np.isfinite(c).all() and P[0, 0] > 1e190
+        chart = build_homogeneous_chart(report, np.full(3, 0.9))
+        assert np.isfinite(chart.frames).all() and np.isfinite(chart.coords).all()
+        assert chart.frames[0, 0, 0] > 1e190                # the corner (-0.9, -0.9, -0.9)
     else:
         with pytest.raises(NonFiniteResponse, match="chart transport became non-finite"):
-            transport_frame(conn, start, target)
+            build_homogeneous_chart(report, np.full(3, 0.9))
