@@ -248,6 +248,13 @@ def isotropy_algebra(f: FiberBasis, v_tol: float = DEFAULT_V_TOL) -> np.ndarray:
     return B
 
 
+def _anchor_ranks(table: Fibers, v_tol: float) -> np.ndarray:
+    """The v_tol cut: each point's ``anchor_rank``, its anchor singular values above
+    v_tol, as one pass over the table's ``anchor_sv`` (n,)."""
+    # no rank past the dim: a v_tol below 0 would count the zero padding
+    return np.minimum(np.count_nonzero(table.anchor_sv > v_tol, axis=1), table.dims)
+
+
 @dataclass(frozen=True)
 class UniformityResult:
     """Per-point anchor ranks and isotropy dims under one v_tol cut, and the verdict."""
@@ -266,14 +273,14 @@ def uniformity_verdict(fibers: Fibers | Sequence[FiberBasis],
                        v_tol: float = DEFAULT_V_TOL) -> UniformityResult:
     """Uniform iff the anchor projection has rank 3 at every grid point.
 
-    The one place the v_tol cut becomes per-point ranks and isotropy dims;
-    ``homogeneity_verdict`` and the report read them from the result.  The cut
-    is one pass over the table's ``anchor_sv``, each point's ``anchor_rank``.
+    It turns the v_tol cut of ``_anchor_ranks``, the one ``minimal_lift_section``
+    also refuses by, into per-point ranks and isotropy dims;
+    ``homogeneity_verdict`` and the report read them from the result.
     """
     table = Fibers.of(fibers)
-    # no rank past the dim: a v_tol below 0 would count the zero padding
-    ranks = np.minimum(np.count_nonzero(table.anchor_sv > v_tol, axis=1), table.dims)
+    ranks = _anchor_ranks(table, v_tol)
     offending = tuple(np.flatnonzero(ranks < 3).tolist())
     verdict = "uniform" if not offending else "not_uniform"
     return UniformityResult(verdict, tuple(ranks.tolist()), offending,
                             tuple((table.dims - ranks).tolist()))
+

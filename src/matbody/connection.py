@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import DEFAULT_V_TOL, FiberBasis, Fibers, UniformityResult
+from .algebroid import DEFAULT_V_TOL, FiberBasis, Fibers, UniformityResult, _anchor_ranks
 from .errors import LeftDomain, NonFiniteResponse, NotFlat, NotUniform, SingularMatrix
 from .flows import SectionField, rk4_propagators, segment_points, stage_rates
 from .grid import Grid, TrilinearField, grid_gradient
@@ -106,7 +106,7 @@ def minimal_lift_section(grid: Grid, fibers: Fibers | Sequence[FiberBasis],
     table = Fibers.of(fibers)
     if len(table) != grid.n_points or not np.array_equal(table.points, grid.points):
         raise ValueError("the fibers are not those of the grid points, in order")
-    short = (table.dims < 3) | ~(table.anchor_sv[:, 2] > v_tol)
+    short = _anchor_ranks(table, v_tol) < 3
     if short.any():
         p = int(np.argmax(short))
         raise NotUniform(f"anchor rank < 3 at grid point {p} "

@@ -5,22 +5,22 @@ at x is the jet (x -> y(t), F(t)) obtained by integrating
 
     dy/dt = v(y),        dF/dt = A(y) F,        y(0) = x,  F(0) = I,
 
-with classical fixed-step RK4 over blocks of steps.  dF/dt = A(y) F is
-linear, so an RK4 step multiplies F by its propagator M_k, the step from
-F = I: ``rk4_propagators`` makes a block's M_k in one step over stacked
-identities, from A at the block's stage points in one ``section.rates``
-call, and F = M_k F equals RK4 on F to rounding.  The stage points come from
-one of two base passes.  A section of constant velocity u
+with classical fixed-step RK4.  dF/dt = A(y) F is linear, so an RK4 step
+multiplies F by its propagator M_k, the step from F = I, and F = M_k F
+equals RK4 on F to rounding.  A section of constant velocity u
 (``SectionField.straight``, as in every lift x -> (u, A_x(u)) and every
 ``SectionField.constant``) moves y along the segment x -> x + t u, and takes
 the segment rule the chart's edge propagators in ``connection`` take too
 (``segment_points``, ``stage_rates``): n steps have 2n + 1 stage points,
-the last the segment's end itself.  A box is convex, so the domain check is
-x and the end, once.  Any other section takes one ``_rk4_step`` per step of
-y through ``SectionField.velocity``, which checks the domain at each stage
-point.  ``derivation_matrix`` differences the pullback of the flow on the
-coordinate frame at t = 0, which recovers (-A(x), v(x)); the connection
-tests use it to lock the sign convention of the Christoffel symbols.
+the last the segment's end itself, and ``rk4_propagators`` makes a block's
+M_k in one step over stacked identities, from A at the block's stage points
+in one ``section.rates`` call.  A box is convex, so the domain check is x and
+the end, once.  Any other section takes one ``_rk4_step`` per step of the
+stacked state [y; M] from [y; I], reading (v, A) through ``section.value``,
+which checks the domain at each stage point.  ``derivation_matrix``
+differences the pullback of the flow on the coordinate frame at t = 0, which
+recovers (-A(x), v(x)); the connection tests use it to lock the sign
+convention of the Christoffel symbols.
 """
 
 from __future__ import annotations
@@ -39,21 +39,22 @@ DEFAULT_STEP = 1e-3
 MAX_PULLBACK_H = 1e-4
 DEFAULT_PULLBACK_H = 1e-5
 MAX_FLOW_STEPS = 10**6
-# RK4 steps per block of the two passes.  It bounds the stage buffer and the
-# temporaries of the batched A call, which set a flow's peak memory.
+# RK4 steps per block of a straight flow.  It bounds the stage points and the
+# temporaries of the batched A call, which set the flow's peak memory.
 BLOCK_STEPS = 64
+_EYE = np.eye(3)
 
 
 class SectionField:
     """Assignment x -> (v(x), A(x)), analytic or interpolated from a lattice.
 
-    A flow reads it through two faces: ``velocity(x)``, v at one point (3,) as
-    a new (3,) array, raising LeftDomain outside the domain ``box``; and
-    ``rates(points)``, A at each point of (m, 3) as (m, 3, 3).  For an
-    analytic section both call ``fn`` once per point.  ``straight`` is v as a
-    (3,) array when the section is a from-grid section whose v field is
-    constant (``constant`` builds one), else None; a flow of a straight
-    section calls its velocity face only to raise its LeftDomain.
+    A flow reads it through ``value(x)``, (v, A) at one point, which raises
+    LeftDomain outside the domain ``box``; an analytic section calls ``fn``
+    once per point.  ``straight`` is v as a (3,) array when the section is a
+    from-grid section whose v field is constant (``constant`` builds one),
+    else None.  A flow of a straight section reads A through the from-grid
+    section's ``rates(points)``, A at each point of (m, 3) as (m, 3, 3), and
+    calls ``value`` only to raise its LeftDomain.
     """
 
     straight = None
@@ -69,14 +70,6 @@ class SectionField:
             raise LeftDomain(f"point {p.tolist()} outside section domain")
         v, A = self._fn(p)
         return np.array(v, dtype=float).reshape(3), np.array(A, dtype=float).reshape(3, 3)
-
-    def velocity(self, x) -> np.ndarray:
-        """v(x) as a new array (3,)."""
-        return self.value(x)[0]
-
-    def rates(self, points: np.ndarray) -> np.ndarray:
-        """A at each point of ``points`` (m, 3), as (m, 3, 3)."""
-        return np.array([self.value(p)[1] for p in points])
 
     @staticmethod
     def constant(v, A, lo, hi) -> "SectionField":
@@ -110,10 +103,8 @@ class _GridSection(SectionField):
     def value(self, x) -> tuple:
         return self._v_field(x), self._a_field(x)
 
-    def velocity(self, x) -> np.ndarray:
-        return self._v_field(x)
-
     def rates(self, points: np.ndarray) -> np.ndarray:
+        """A at each point of ``points`` (m, 3), as (m, 3, 3)."""
         return self._a_field(points)
 
 
@@ -168,14 +159,13 @@ def exp_trajectory(section: SectionField, t: float, x,
     """Record the exponential flow: one (t_k, y_k, F_k) tuple per RK4 step.
 
     exp_section returns the jet of the final record.  Takes n = |t| / step
-    steps, rounded up, of dt = t / n, in blocks of BLOCK_STEPS steps.  A
-    straight section of velocity u takes the segment rule along x -> end,
-    end = x + v with v = t u: its y_k is ``segment_points`` 2k, so the last
-    y is end itself, and each block makes one ``section.rates`` call on its
-    2m + 1 stage points.  Any other section takes one RK4 step of y at a time
-    through ``section.velocity`` (``_velocity_blocks``), then one
-    ``section.rates`` call per block on its 4m stage points.  Either way one
-    ``rk4_propagators`` call makes the block's M_k, and each step records
+    steps, rounded up, of dt = t / n.  A straight section of velocity u takes
+    the segment rule along x -> end, end = x + v with v = t u, in blocks of
+    BLOCK_STEPS steps: its y_k is ``segment_points`` 2k, so the last y is end
+    itself, and each block makes one ``section.rates`` call on its 2m + 1
+    stage points and one ``rk4_propagators`` call.  Any other section takes
+    one ``_rk4_step`` of [y; M] from [y; I] per step through
+    ``section.value`` (``_stacked_steps``).  Either way each step records
     F = M_k F, a new array.
 
     Raises StepTooLarge unless 0 < step <= MAX_STEP, and NonFiniteResponse when
@@ -198,64 +188,63 @@ def exp_trajectory(section: SectionField, t: float, x,
                                 f"exceeds MAX_FLOW_STEPS = {MAX_FLOW_STEPS}")
     n = max(1, math.ceil(steps))
     dt = t / n
-    blocks = (_velocity_blocks if section.straight is None else _segment_blocks)(section, x, t, n)
+    base = _stacked_steps if section.straight is None else _segment_steps
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
-        for ks, ys, rates in blocks:
-            for k, y_k, M in zip(ks, ys, rk4_propagators(rates, dt)):
-                F = M @ F                                   # a new array each step
-                records.append((k * dt, y_k, F))
+        for k, y_k, M in base(section, x, t, n):
+            F = M @ F                                       # a new array each step
+            records.append((k * dt, y_k, F))
     # Non-finite entries never turn finite again, so the last step shows them all.
     if not np.isfinite(F).all():
         raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
 
 
-def _blocks(n: int):
-    """Steps 1...n in ranges of at most BLOCK_STEPS."""
-    return (range(k, min(k + BLOCK_STEPS, n + 1)) for k in range(1, n + 1, BLOCK_STEPS))
+def _stacked_steps(section: SectionField, x: np.ndarray, t: float, n: int):
+    """Per step: k, y_k and the step's propagator M_k, from one ``_rk4_step`` of
+    the stacked state [y; M] (4, 3) from [y; I].
 
-
-def _velocity_blocks(section: SectionField, x: np.ndarray, t: float, n: int):
-    """Per block: its steps, y after each (m, 3) and A at each step's four stages
-    (m, 4, 3, 3) from one ``section.rates`` call.
-
-    y takes one ``_rk4_step`` per step through ``section.velocity``, which
-    checks the domain at each stage point; the box checks each y.
+    ``section.value`` checks the domain at each stage point; the box checks each y.
     """
-    dt, y, stages = t / n, x, []
+    dt, y = t / n, x
 
-    def velocity(p):
-        stages.append(p)
-        return section.velocity(p)
+    def rhs(state):
+        v, A = section.value(state[0])
+        return np.vstack((v, A @ state[1:]))
 
-    for ks in _blocks(n):
-        ys = []
-        for _ in ks:
-            y = _rk4_step(velocity, y, dt)
-            if not section.box.contains(y):
-                raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-            ys.append(y)
-        rates = section.rates(np.array(stages)).reshape(-1, 4, 3, 3)
-        stages.clear()
-        yield ks, np.array(ys), rates
+    for k in range(1, n + 1):
+        state = _rk4_step(rhs, np.vstack((y, _EYE)), dt)
+        y = state[0]
+        if not section.box.contains(y):
+            raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
+        yield k, y, state[1:]
 
 
-def _segment_blocks(section: SectionField, x: np.ndarray, t: float, n: int):
-    """``_velocity_blocks`` of a straight section, by the segment rule along x -> x + t u.
+def _segment_steps(section: SectionField, x: np.ndarray, t: float, n: int):
+    """``_stacked_steps`` of a straight section, by the segment rule along x -> x + t u.
 
-    The segment lies in the box iff x and its end do.  When it does not, one
-    mask over all 2n + 1 stage points finds the first outside, and
-    ``section.velocity`` raises the section's own LeftDomain there, before
-    any ``section.rates`` call.
+    The segment lies in the box iff x and its end do.  When it does not, a scan
+    of the blocks' stage points in order finds the first outside, and
+    ``section.value`` raises the section's own LeftDomain there, before any
+    ``section.rates`` call; the scan holds one block's points at a time.
     """
-    v, box = t * section.straight, section.box
+    v, box, dt = t * section.straight, section.box, t / n
     if not (box.contains(x) and box.contains(x + v)):
-        points = segment_points(x, v, np.arange(2 * n + 1), n)
-        section.velocity(points[np.argmin(box.mask(points))])
-    for ks in _blocks(n):
-        points = segment_points(x, v, np.arange(2 * ks[0] - 2, 2 * ks[-1] + 1), n)
+        for _, points in _segment_blocks(x, v, n):
+            inside = box.mask(points)
+            if not inside.all():
+                section.value(points[np.argmin(inside)])
+    for ks, points in _segment_blocks(x, v, n):
         # y_k copied: views would keep every block's 2m + 1 points alive in the records
-        yield ks, points[2::2].copy(), stage_rates(section.rates(points))
+        yield from zip(ks, points[2::2].copy(),
+                       rk4_propagators(stage_rates(section.rates(points)), dt))
+
+
+def _segment_blocks(x: np.ndarray, v: np.ndarray, n: int):
+    """Steps 1...n in blocks of at most BLOCK_STEPS: per block, its steps and the
+    2m + 1 ``segment_points`` of its m steps along x -> x + v."""
+    for k in range(1, n + 1, BLOCK_STEPS):
+        ks = range(k, min(k + BLOCK_STEPS, n + 1))
+        yield ks, segment_points(x, v, np.arange(2 * k - 2, 2 * ks[-1] + 1), n)
 
 
 def one_parameter_check(section: SectionField, t: float, u: float, x,

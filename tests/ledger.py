@@ -12,14 +12,18 @@ lift residual near 1e-16, and LAPACK builds differ there.
     PYTHONPATH=src python tests/ledger.py write     # regenerate tests/ledger.json
     PYTHONPATH=src python tests/ledger.py sha256    # hash each structured report
     PYTHONPATH=src python tests/ledger.py fibres    # one hash over the fibre bytes
+    PYTHONPATH=src python tests/ledger.py flows     # one hash over the flow records
 
 ``sha256`` prints, per config, the hash of the structured report and of the report
 without its ``config`` echo.  ``fibres`` prints one hash over the fibres (basis,
 spectrum, anchor singular values, sv_gap) of the four built-ins at 3^3, 5^3 and
 9^3 with the default samples, each from its exact gradient and differenced
-(``oracles.opaque``), so it covers ``differenced``, which no report takes.  Run them
-on two trees to compare their bytes; the hashes are not in the ledger, and no
-test reads them.
+(``oracles.opaque``), so it covers ``differenced``, which no report takes.  ``flows``
+prints one hash over the records (t, y and F bytes) of the flows of four sections, one
+from-grid section that is not straight, one straight, a ``SectionField.constant`` and an
+analytic one, each from a few starts, one flow 2 BLOCK_STEPS + 1 steps long and one
+leaving the hull; a flow that raises adds its error class.  Run them on two trees to
+compare their bytes; the hashes are not in the ledger, and no test reads them.
 """
 
 import hashlib
@@ -28,9 +32,13 @@ import struct
 import sys
 from pathlib import Path
 
-from matbody import AnalysisConfig, emit_report, fibers_at, make_grid, make_samples, run_analysis
+import numpy as np
+
+from matbody import (AnalysisConfig, MatbodyError, SectionField, emit_report, exp_trajectory,
+                     fibers_at, make_grid, make_samples, run_analysis)
 from matbody.analysis import canonical_json
-from oracles import opaque
+from matbody.flows import BLOCK_STEPS
+from oracles import E12, opaque
 
 LEDGER_PATH = Path(__file__).with_name("ledger.json")
 REL_TOL = 1e-6
@@ -108,8 +116,48 @@ def fibres() -> None:
     print(digest.hexdigest())
 
 
+# (x0, u, t, step) of each flow: 2 BLOCK_STEPS + 1 steps, across cell faces, backwards,
+# and out of the hull
+FLOWS = [([-0.4, -0.1, 0.0], [0.8, 0.2, 0.1], (2 * BLOCK_STEPS + 0.5) * 1e-3, 1e-3),
+         ([0.1, -0.2, 0.15], [0.6, -0.48, 0.64], 0.3, 4e-3),
+         ([0.0, 0.45, 0.0], [-0.6, 0.8, 0.0], -0.4, 1e-2),
+         ([0.8, 0.0, 0.0], [1.0, 0.0, 0.0], 0.4, 1e-2)]
+
+
+def flow_sections(u) -> list:
+    """From-grid sections on 5^3 over [-0.9, 0.9]^3, one whose v carries fixed noise and a
+    straight one, a constant section and an analytic one, all moving along u."""
+    axes = tuple(np.linspace(-0.9, 0.9, 5) for _ in range(3))
+    rng = np.random.default_rng(41)
+    v_noise = 0.2 * rng.uniform(-1.0, 1.0, (5, 5, 5, 3))
+    a_data = 0.5 * rng.uniform(-1.0, 1.0, (5, 5, 5, 3, 3))
+    A = np.array([[0.2, -0.3, -0.4], [0.3, 0.2, -0.5], [0.4, 0.5, 0.2]])
+
+    def analytic(x):
+        return u + 0.2 * np.array([x[1], -x[0], x[2]]), 0.5 * E12 * x[0] + A
+
+    return [SectionField.from_grid(axes, u + v_noise, a_data),
+            SectionField.from_grid(axes, np.tile(u, (5, 5, 5, 1)), a_data),
+            SectionField.constant(u, A, -np.ones(3), np.ones(3)),
+            SectionField(analytic, -np.ones(3), np.ones(3))]
+
+
+def flows() -> None:
+    digest = hashlib.sha256()
+    for x0, u, t, step in FLOWS:
+        for section in flow_sections(np.array(u)):
+            try:
+                records = exp_trajectory(section, t, x0, step)
+            except MatbodyError as exc:
+                digest.update(type(exc).__name__.encode())
+                continue
+            for t_k, y, F in records:
+                digest.update(struct.pack("<d", t_k) + y.tobytes() + F.tobytes())
+    print(digest.hexdigest())
+
+
 if __name__ == "__main__":
-    commands = {"write": write, "sha256": sha256, "fibres": fibres}
+    commands = {"write": write, "sha256": sha256, "fibres": fibres, "flows": flows}
     if len(sys.argv) != 2 or sys.argv[1] not in commands:
-        sys.exit(f"usage: python {sys.argv[0]} {{write|sha256|fibres}}")
+        sys.exit(f"usage: python {sys.argv[0]} {{write|sha256|fibres|flows}}")
     commands[sys.argv[1]]()

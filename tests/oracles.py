@@ -18,7 +18,7 @@ solve one point at a time, and ``tuple_exp_trajectory``, ``tuple_chart`` and
 they were when RK4 carried a tuple of arrays, (y, F) or (P, c) with one solve
 per stage for dc/ds = P^-1 v; the library now multiplies RK4 propagators for
 both.  ``propagator_exp_trajectory`` is that flow with F advanced by one
-step's propagator at a time, as the library's batched matrix pass does, and
+step's propagator at a time, as the library's stacked RK4 steps do, and
 ``segment_exp_trajectory`` is the flow of a straight section by the chart's
 segment rule, one step and one point at a time: stage points x + (m / 2n) t u
 in place of the running sum.

@@ -32,7 +32,7 @@ from matbody import (
     minimal_lift_section,
     uniformity_verdict,
 )
-from matbody.algebroid import Fibers, anchor_rank
+from matbody.algebroid import FiberBasis, Fibers, anchor_rank
 from matbody.connection import LinearSectionField, _transport_field
 from matbody.grid import TrilinearField
 from oracles import (E12, E21, I3, curvature_formula, loop_minimal_lift, point_solve_lift,
@@ -187,7 +187,7 @@ def test_minimal_lift_refuses_fibers_that_are_not_its_grids(fgm_body, samples):
 
 
 def test_minimal_lift_requires_uniformity(nonuniform_body, samples, monkeypatch):
-    """The refusal reads each fiber's third anchor singular value: no anchor_rank call."""
+    """The refusal reads the table's anchor cut: no anchor_rank call."""
     import matbody.algebroid as algebroid
     import matbody.connection as connection
 
@@ -204,6 +204,33 @@ def test_minimal_lift_requires_uniformity(nonuniform_body, samples, monkeypatch)
     with pytest.raises(NotUniform, match="anchor rank < 3 at grid point 0 "):
         minimal_lift_section(grid, fibers)
     assert calls == []
+
+
+def hand_made_fibers(grid):
+    """Fibres of dim 3 at the grid points whose anchor block is I but whose anchor_sv
+    read [1, 0, 1], which LAPACK's sorted output never gives."""
+    return [FiberBasis(x, np.eye(12)[:3], np.ones(12), np.array([1.0, 0.0, 1.0]), np.inf)
+            for x in grid.points]
+
+
+@pytest.mark.parametrize("case", ["mixed", "mixed_short", "hand_made"])
+def test_lift_refuses_exactly_where_the_verdict_is_not_uniform(case):
+    """For v_tol in {-1, 0, 1e-12, 1e-8, 0.5, 1, 2}, minimal_lift_section raises NotUniform
+    exactly when uniformity_verdict reads not_uniform, naming its first offending point:
+    both take the one anchor cut."""
+    grid = small_grid()
+    if case == "hand_made":
+        fibers = hand_made_fibers(grid)
+    else:
+        fibers = mixed_fibers(grid)[case == "mixed_short"]
+    for v_tol in (-1.0, 0.0, 1e-12, 1e-8, 0.5, 1.0, 2.0):
+        verdict = uniformity_verdict(fibers, v_tol)
+        if verdict.uniform:
+            minimal_lift_section(grid, fibers, v_tol)
+            continue
+        first = verdict.offending[0]
+        with pytest.raises(NotUniform, match=rf"^anchor rank < 3 at grid point {first} "):
+            minimal_lift_section(grid, fibers, v_tol)
 
 
 # ---------------------------------------------------------------------------
