@@ -17,7 +17,9 @@ M_k in one step over stacked identities, from A at the block's stage points
 in one ``section.rates`` call.  A box is convex, so the domain check is x and
 the end, once.  Any other section takes one ``_rk4_step`` per step of the
 stacked state [y; M] from [y; I], reading (v, A) through ``section.value``,
-which checks the domain at each stage point.  ``derivation_matrix``
+which checks the domain at each stage point.  Either way the records are
+made in one pass with no per-step Python body: F = M_k F by
+``itertools.accumulate``, zipped with the times and the y_k.  ``derivation_matrix``
 differences the pullback of the flow on the coordinate frame at t = 0, which
 recovers (-A(x), v(x)); the connection tests use it to lock the sign
 convention of the Christoffel symbols.
@@ -25,7 +27,9 @@ convention of the Christoffel symbols.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import itemgetter, mul
 from typing import Callable
 
 import numpy as np
@@ -40,8 +44,9 @@ MAX_PULLBACK_H = 1e-4
 DEFAULT_PULLBACK_H = 1e-5
 MAX_FLOW_STEPS = 10**6
 # RK4 steps per block of a straight flow.  It bounds the stage points and the
-# temporaries of the batched A call, which set the flow's peak memory.
-BLOCK_STEPS = 64
+# temporaries of the batched A call (about 1.5 MB, near what the block's records
+# hold), and keeps each block's fixed cost near a tenth of its work.
+BLOCK_STEPS = 1024
 _EYE = np.eye(3)
 
 
@@ -165,8 +170,9 @@ def exp_trajectory(section: SectionField, t: float, x,
     itself, and each block makes one ``section.rates`` call on its 2m + 1
     stage points and one ``rk4_propagators`` call.  Any other section takes
     one ``_rk4_step`` of [y; M] from [y; I] per step through
-    ``section.value`` (``_stacked_steps``).  Either way each step records
-    F = M_k F, a new array.
+    ``section.value`` (``_stacked_steps``).  Either base pass hands over its
+    y_k and M_k, a block or a step at a time, and the records are one zip of
+    t_k = k dt, the y_k and F_k = M_k F_{k-1}, each F a new array of its own.
 
     Raises StepTooLarge unless 0 < step <= MAX_STEP, and NonFiniteResponse when
     F overflows or the step count |t| / step exceeds MAX_FLOW_STEPS (or is not
@@ -178,10 +184,8 @@ def exp_trajectory(section: SectionField, t: float, x,
     if not 0 < step <= MAX_STEP:                            # NaN too
         raise StepTooLarge(f"step {step:g} is not in (0, {MAX_STEP:g}]")
     x = as_point(x)
-    F = np.eye(3)
-    records = [(0.0, x, F)]
     if t == 0.0:
-        return records
+        return [(0.0, x, np.eye(3))]
     steps = abs(t) / step
     if not steps <= MAX_FLOW_STEPS:                         # NaN too
         raise NonFiniteResponse(f"step count |t| / step = {steps:g} for t = {t:g} "
@@ -189,19 +193,23 @@ def exp_trajectory(section: SectionField, t: float, x,
     n = max(1, math.ceil(steps))
     dt = t / n
     base = _stacked_steps if section.straight is None else _segment_steps
+    y_blocks, m_blocks = itertools.tee(base(section, x, t, n))
+    times = itertools.chain([0.0], map(mul, range(1, n + 1), itertools.repeat(dt)))  # k * dt
+    ys = itertools.chain([x], itertools.chain.from_iterable(map(itemgetter(0), y_blocks)))
+    Ms = itertools.chain.from_iterable(map(itemgetter(1), m_blocks))
     with np.errstate(over="ignore", invalid="ignore"):    # a non-finite F is refused below
-        for k, y_k, M in base(section, x, t, n):
-            F = M @ F                                       # a new array each step
-            records.append((k * dt, y_k, F))
+        # M.dot(F) is the product M @ F makes, at about half its cost for 3 x 3
+        Fs = itertools.accumulate(Ms, lambda F, M: M.dot(F), initial=np.eye(3))
+        records = list(zip(times, ys, Fs))
     # Non-finite entries never turn finite again, so the last step shows them all.
-    if not np.isfinite(F).all():
+    if not np.isfinite(records[-1][2]).all():
         raise NonFiniteResponse(f"exponential flow became non-finite by t = {t:g}")
     return records
 
 
 def _stacked_steps(section: SectionField, x: np.ndarray, t: float, n: int):
-    """Per step: k, y_k and the step's propagator M_k, from one ``_rk4_step`` of
-    the stacked state [y; M] (4, 3) from [y; I].
+    """Per step: (y_k,) and (M_k,), the step's propagator, from one ``_rk4_step``
+    of the stacked state [y; M] (4, 3) from [y; I].
 
     ``section.value`` checks the domain at each stage point; the box checks each y.
     """
@@ -211,40 +219,34 @@ def _stacked_steps(section: SectionField, x: np.ndarray, t: float, n: int):
         v, A = section.value(state[0])
         return np.vstack((v, A @ state[1:]))
 
-    for k in range(1, n + 1):
+    for _ in range(n):
         state = _rk4_step(rhs, np.vstack((y, _EYE)), dt)
         y = state[0]
         if not section.box.contains(y):
             raise LeftDomain(f"trajectory exited the domain at {y.tolist()}")
-        yield k, y, state[1:]
+        yield (y,), (state[1:],)
 
 
 def _segment_steps(section: SectionField, x: np.ndarray, t: float, n: int):
-    """``_stacked_steps`` of a straight section, by the segment rule along x -> x + t u.
+    """``_stacked_steps`` of a straight section, by the segment rule along x -> x + t u,
+    a block of at most BLOCK_STEPS steps at a time: its y_k (m, 3) and M_k (m, 3, 3).
 
-    The segment lies in the box iff x and its end do.  When it does not, a scan
-    of the blocks' stage points in order finds the first outside, and
-    ``section.value`` raises the section's own LeftDomain there, before any
-    ``section.rates`` call; the scan holds one block's points at a time.
+    The segment lies in the box iff x and its end do.  When it does not, the first
+    stage point outside lies in the first block whose last point is outside, as each
+    coordinate of a stage point is monotone in its number; ``section.value`` raises the
+    section's own LeftDomain there, before any ``section.rates`` call.
     """
     v, box, dt = t * section.straight, section.box, t / n
     if not (box.contains(x) and box.contains(x + v)):
-        for _, points in _segment_blocks(x, v, n):
-            inside = box.mask(points)
-            if not inside.all():
-                section.value(points[np.argmin(inside)])
-    for ks, points in _segment_blocks(x, v, n):
+        # stage numbers of x and of each block's last point: 0, 2 BLOCK_STEPS, ..., 2n
+        ends = np.minimum(np.arange(0, 2 * (n + BLOCK_STEPS), 2 * BLOCK_STEPS), 2 * n)
+        b = int(np.argmin(box.mask(segment_points(x, v, ends, n))))
+        points = segment_points(x, v, np.arange(ends[max(b - 1, 0)], ends[b] + 1), n)
+        section.value(points[np.argmin(box.mask(points))])
+    for k in range(0, n, BLOCK_STEPS):
+        points = segment_points(x, v, np.arange(2 * k, 2 * min(k + BLOCK_STEPS, n) + 1), n)
         # y_k copied: views would keep every block's 2m + 1 points alive in the records
-        yield from zip(ks, points[2::2].copy(),
-                       rk4_propagators(stage_rates(section.rates(points)), dt))
-
-
-def _segment_blocks(x: np.ndarray, v: np.ndarray, n: int):
-    """Steps 1...n in blocks of at most BLOCK_STEPS: per block, its steps and the
-    2m + 1 ``segment_points`` of its m steps along x -> x + v."""
-    for k in range(1, n + 1, BLOCK_STEPS):
-        ks = range(k, min(k + BLOCK_STEPS, n + 1))
-        yield ks, segment_points(x, v, np.arange(2 * k - 2, 2 * ks[-1] + 1), n)
+        yield points[2::2].copy(), rk4_propagators(stage_rates(section.rates(points)), dt)
 
 
 def one_parameter_check(section: SectionField, t: float, u: float, x,

@@ -1,6 +1,7 @@
 """Exponential flows: group laws, RK4 convergence, the induced derivation,
 and invariance of W-inverse along material flows."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -405,8 +406,10 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
     from-grid section in one single-point call of each field, an analytic one in one
     ``fn`` call.  A straight one (a constant section too) makes one batched A-field call
     per block, on the block's 2m + 1 segment points, and calls the v field never.
+
+    At step 1e-4 the longest flow, 2 BLOCK_STEPS + 1 steps, stays inside the hull.
     """
-    x0, step = np.array([-0.4, -0.1, 0.0]), 1e-3
+    x0, step = np.array([-0.4, -0.1, 0.0]), 1e-4
     t = (n - 0.5) * step                                    # n steps, whatever the rounding
     blocks = [min(BLOCK_STEPS, n - first) for first in range(0, n, BLOCK_STEPS)]
     for name, section in oracle_sections(np.array([0.8, 0.2, 0.1])).items():
@@ -426,17 +429,27 @@ def test_blocks_of_steps_are_bitwise_the_tuple_rk4(n, field_calls):
         assert assert_is_the_reference(section, t, x0, step, name) == got, name
 
 
+def test_each_record_holds_an_f_of_its_own():
+    """No two records' F share memory, on either base pass, and each F owns its memory:
+    the records hold arrays of their own, not views of a stacked product buffer."""
+    for name, section in oracle_sections(np.array([0.8, 0.2, 0.1])).items():
+        Fs = [F for _, _, F in exp_trajectory(section, 0.06, [-0.4, -0.1, 0.0], 1e-3)]
+        assert len(Fs) == 61, name
+        assert not any(np.shares_memory(F, G) for F, G in itertools.combinations(Fs, 2)), name
+        assert all(F.base is None for F in Fs), name
+
+
 def test_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
     """A flow that is not straight leaves the hull after more than BLOCK_STEPS steps (in
     what would be a straight flow's second block), having made only single-point field
     calls, two per stage point, and the references raise LeftDomain too."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["from_grid"]
-    x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
+    x0, t, step = np.array([-0.9, 0.0, 0.0]), 2.0, 1e-3
     with pytest.raises(LeftDomain):
-        exp_trajectory(section, 0.2, x0, step)
+        exp_trajectory(section, t, x0, step)
     assert len(field_calls) > 8 * BLOCK_STEPS and set(field_calls) == {(3,)}
-    assert recorded(tuple_exp_trajectory, section, 0.2, x0, step) is LeftDomain
-    assert recorded(propagator_exp_trajectory, section, 0.2, x0, step) is LeftDomain
+    assert recorded(tuple_exp_trajectory, section, t, x0, step) is LeftDomain
+    assert recorded(propagator_exp_trajectory, section, t, x0, step) is LeftDomain
 
 
 def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_reference(field_calls):
@@ -446,15 +459,16 @@ def test_straight_flow_leaving_the_hull_in_its_second_block_raises_as_the_refere
     there, one point at a time, and the running-sum references raise LeftDomain."""
     section = oracle_sections(np.array([1.0, 0.0, 0.0]))["straight_grid"]
     assert section.straight is not None
-    x0, step = np.array([0.8, 0.0, 0.0]), 1e-3
+    x0, t, step = np.array([-0.9, 0.0, 0.0]), 2.0, 1e-3
+    assert BLOCK_STEPS < (0.9 - x0[0]) / step <= 2 * BLOCK_STEPS    # leaves in block 2
     with pytest.raises(LeftDomain, match=r"^point \[0\.90.* outside grid hull$") as err:
-        exp_trajectory(section, 0.2, x0, step)
+        exp_trajectory(section, t, x0, step)
     assert field_calls == [(3,)]
     with pytest.raises(LeftDomain) as want:
-        segment_exp_trajectory(section, 0.2, x0, step)
+        segment_exp_trajectory(section, t, x0, step)
     assert str(err.value) == str(want.value)
     for reference in (propagator_exp_trajectory, tuple_exp_trajectory):
-        assert recorded(reference, section, 0.2, x0, step) is LeftDomain
+        assert recorded(reference, section, t, x0, step) is LeftDomain
 
 
 @pytest.mark.parametrize("x0, t", [([0.85, 0.0, 0.3], 0.2), ([0.0, 0.0, 0.3], 0.95),
